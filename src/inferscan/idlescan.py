@@ -224,19 +224,27 @@ def server_liveliness(transport: Transport, addr: str, port: int,
                       cfg: Optional[ScanRoundConfig] = None,
                       src_port_base: Optional[int] = None) -> LivelinessResult:
     """SYN the server from the silent measurement address; pass needs some
-    probe's entry to retransmit its SYN/ACK three or more times."""
+    probe's entry to retransmit its SYN/ACK three or more times.  Once the
+    window closes, every probe's half-open entry is reset."""
     cfg = cfg or ScanRoundConfig()
     base = src_port_base if src_port_base is not None else cfg.probe_src_port + 100
     n = int(cfg.check_duration_s * cfg.liveliness_rate)
     gap_ns = int(NS_PER_SEC / cfg.liveliness_rate)
     flows = [FlowKey(addr, port, transport.local_addr, base + i) for i in range(n)]
+    isns = []
     for i in range(n):
         syn = transport.craft_segment(SegmentSpec(
             dst_addr=addr, dst_port=port, flags=("SYN",), src_port=base + i))
         transport.send(syn)
+        isns.append(syn.seq)
         transport.clock.sleep_ns(gap_ns)
     # Three retransmissions arrive within 1+2+4 s of the original SYN/ACK.
     collected = transport.capture(flows, 12 * NS_PER_SEC)
+    # Terminate every half-open entry the check created, as the scan's flush does.
+    for i, isn in enumerate(isns):
+        transport.send(transport.craft_segment(SegmentSpec(
+            dst_addr=addr, dst_port=port, flags=("RST",), src_port=base + i,
+            seq=(isn + 1) & 0xFFFFFFFF)))
     counts: dict[int, int] = {}
     for seg in collected:
         if seg.has("SYN", "ACK"):

@@ -383,14 +383,16 @@ class SimServer(_Host):
 
 
 class _MonitorHost(_Host):
-    """Unbound measurement address: absorbs traffic, never auto-responds."""
+    """Unbound measurement address: never auto-responds.  Arrivals go to the
+    attached transport's queue, or are absorbed while none is attached."""
 
     def __init__(self, sim, addr):
         super().__init__(sim, addr)
-        self.inbox: list[tuple[int, TcpSegment]] = []
+        self.deliver: Optional[Callable[[int, TcpSegment], None]] = None
 
     def on_segment(self, seg: TcpSegment, now: int) -> None:
-        self.inbox.append((now, seg))
+        if self.deliver is not None:
+            self.deliver(now, seg)
 
 
 class SimClock(Clock):
@@ -414,7 +416,7 @@ class SimTransport(Transport):
         self._sim = sim
         self._clock = SimClock(sim)
         super().__init__(local_addr=local_addr, **kwargs)
-        self._monitor = sim._ensure_monitor(local_addr)
+        sim._ensure_monitor(local_addr).deliver = self._enqueue
 
     @property
     def clock(self) -> Clock:
@@ -423,11 +425,9 @@ class SimTransport(Transport):
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         self._sim.schedule(at_ns, self._sim._launch_cb, seg, self.local_addr)
 
-    def _collect(self, until_ns: int) -> list:
+    def _collect(self, until_ns: int) -> tuple:
         self._sim.step(until_ns)
-        arrivals = self._monitor.inbox
-        self._monitor.inbox = []
-        return arrivals
+        return ()  # the monitor host queued each arrival as it happened
 
 
 class Simulator:

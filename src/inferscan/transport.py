@@ -5,8 +5,9 @@ backend (see :mod:`inferscan.simnet`) and an optional raw-socket backend
 for live use.  Scan logic is written against :class:`Transport` and a
 :class:`Clock`, so the same code runs on virtual or wall-clock time.
 
-Workers sharing a transport own disjoint flow filters; send and capture
-serialize internally, and ordering guarantees hold per flow.
+Arrivals wait in a queue indexed by destination port (the prober's own
+port) until a capture claims them; callers sharing a transport own disjoint
+flow filters.  Arrivals older than :data:`PENDING_HORIZON_NS` are expired.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from __future__ import annotations
 import json
 import socket
 import struct
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 NS_PER_SEC = 1_000_000_000
+
+#: How long an unclaimed arrival stays queued.  The latest reply a check can
+#: still claim is a SYN/ACK retransmission 1+2+4+8+16 = 31 s after its SYN.
+PENDING_HORIZON_NS = 60 * NS_PER_SEC
 
 FLAG_BITS = {"SYN": 0x02, "ACK": 0x10, "RST": 0x04, "FIN": 0x01}
 FLAG_ORDER = ("FIN", "SYN", "RST", "ACK")
@@ -231,6 +235,8 @@ def segment_from_wire(data: bytes, timestamp: int = 0) -> TcpSegment:
     if len(data) < 40:
         raise InvalidSegmentError("short packet")
     ihl = (data[0] & 0x0F) * 4
+    if ihl < 20 or len(data) < ihl + 20:
+        raise InvalidSegmentError(f"IHL of {ihl} bytes in a {len(data)}-byte packet")
     ipid, = struct.unpack("!H", data[4:6])
     ttl = data[8]
     src = socket.inet_ntoa(data[12:16])
@@ -337,7 +343,13 @@ class PacketLog:
 
 
 class Transport:
-    """Common backend behavior: crafting, rate pacing, logging, demux."""
+    """Common backend behavior: crafting, rate pacing, logging, demux.
+
+    Unclaimed arrivals wait in ``_pending``, one bucket per destination port
+    holding ``(arrival, segment)`` in arrival order.  ``expired`` counts
+    arrivals dropped unclaimed once they are older than
+    :data:`PENDING_HORIZON_NS`.
+    """
 
     #: set by subclasses
     supports_spoofing = False
@@ -349,9 +361,9 @@ class Transport:
         self._limiter = FlowRateLimiter(rate_limit)
         self._log = packet_log
         self._open = True
-        self._last_receipt = 0
-        self._pending: list[tuple[int, TcpSegment]] = []
-        self._io_lock = threading.RLock()
+        self._pending: dict[int, list[tuple[int, TcpSegment]]] = {}
+        self._window_start: Optional[int] = None  # of the capture in progress
+        self.expired = 0
         self._ipid = derive_seed(isn_seed, "ipid", local_addr) & 0xFFFF
 
     # -- subclass hooks ----------------------------------------------------
@@ -363,9 +375,46 @@ class Transport:
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         raise NotImplementedError
 
-    def _collect(self, until_ns: int) -> list[tuple[int, TcpSegment]]:
-        """Advance to until_ns and return (arrival, segment) pairs since last call."""
+    def _collect(self, until_ns: int) -> Iterable[tuple[int, TcpSegment]]:
+        """Advance to until_ns; return (arrival, segment) pairs not yet queued.
+
+        A backend may instead hand each arrival to :meth:`_enqueue` as it
+        happens, which also bounds the queue of a transport that only sends.
+        """
         raise NotImplementedError
+
+    # -- capture queue -------------------------------------------------------
+
+    def _enqueue(self, arrival: int, seg: TcpSegment) -> None:
+        """Queue one arrival and expire the stale head of its bucket.
+
+        During a capture the horizon counts back from the capture's start,
+        otherwise from this arrival.
+        """
+        bucket = self._pending.get(seg.dst_port)
+        if bucket is None:
+            bucket = self._pending[seg.dst_port] = []
+        bucket.append((arrival, seg))
+        since = arrival if self._window_start is None else self._window_start
+        if bucket[0][0] < since - PENDING_HORIZON_NS:
+            self._expire(seg.dst_port, since - PENDING_HORIZON_NS)
+
+    def _expire(self, port: int, cutoff: int) -> None:
+        bucket = self._pending[port]
+        stale = 0
+        while stale < len(bucket) and bucket[stale][0] < cutoff:
+            stale += 1
+        if stale:
+            self.expired += stale
+            if stale == len(bucket):
+                del self._pending[port]
+            else:
+                del bucket[:stale]
+
+    @property
+    def queued(self) -> int:
+        """Arrivals waiting for a capture to claim them."""
+        return sum(map(len, self._pending.values()))
 
     # -- public API ---------------------------------------------------------
 
@@ -397,19 +446,21 @@ class Transport:
     def send(self, seg: TcpSegment, wait: bool = True) -> SendReceipt:
         if not self._open:
             raise TransportClosedError("send after close")
-        with self._io_lock:
-            slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), wait=wait)
-            seg = replace(seg, timestamp=slot)
-            self._dispatch(seg, slot)
-            if self._log:
-                self._log.write(seg, "out")
-            self._last_receipt = max(self._last_receipt, slot)
+        slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), wait=wait)
+        seg = replace(seg, timestamp=slot)
+        self._dispatch(seg, slot)
+        if self._log:
+            self._log.write(seg, "out")
         return SendReceipt(timestamp=slot)
 
     def capture(self, flows: Iterable[FlowKey], window_ns: int) -> list[TcpSegment]:
-        """Advance by window_ns; return matching arrivals in order.
+        """Advance by window_ns; return matching arrivals in arrival order.
 
-        Non-matching segments stay queued for other workers' filters.
+        Non-matching segments stay queued for other callers' filters, until
+        they are more than PENDING_HORIZON_NS older than this call's start.
+        Only the buckets of the filters' destination ports are searched; a
+        filter without one searches them all.  Arrivals in the same
+        nanosecond on different ports come back in the filters' port order.
         A window of 0 inspects what has already arrived without advancing.
         """
         if not self._open:
@@ -417,19 +468,37 @@ class Transport:
         filters = list(flows)
         if not filters:
             raise ValueError("capture filter must be non-empty")
-        end = self.clock.now_ns() + window_ns
-        with self._io_lock:
-            self._pending.extend(self._collect(end))
-            out, kept = [], []
-            for arrival, seg in self._pending:
-                if any(f.matches(seg.flow) for f in filters):
-                    out.append(replace(seg, timestamp=arrival))
-                else:
-                    kept.append((arrival, seg))
-            self._pending = kept
-            if self._log:
-                for seg in out:
-                    self._log.write(seg, "in")
+        start = self.clock.now_ns()
+        for port in list(self._pending):
+            self._expire(port, start - PENDING_HORIZON_NS)
+        self._window_start = start
+        try:
+            for arrival, seg in self._collect(start + window_ns):
+                self._enqueue(arrival, seg)
+        finally:
+            self._window_start = None
+        ports = dict.fromkeys(f.dst_port for f in filters)
+        if None in ports:
+            ports = list(self._pending)
+        hits = []
+        for port in ports:
+            bucket = self._pending.get(port)
+            if bucket is None:
+                continue
+            mine = [f for f in filters if f.dst_port in (port, None)]
+            kept = []
+            for entry in bucket:
+                flow = entry[1].flow
+                (hits if any(f.matches(flow) for f in mine) else kept).append(entry)
+            if kept:
+                self._pending[port] = kept
+            else:
+                del self._pending[port]
+        hits.sort(key=lambda entry: entry[0])  # stable: ties keep port order
+        out = [replace(seg, timestamp=arrival) for arrival, seg in hits]
+        if self._log:
+            for seg in out:
+                self._log.write(seg, "in")
         return out
 
     def close(self) -> None:

@@ -101,6 +101,16 @@ class TestSynScan:
         assert record.probe_count + record.fill_count <= 150
         assert sim.server(SERVER_ADDR).peak_backlog / 256 <= 0.59
 
+    def test_send_only_vantage_point_stays_bounded(self):
+        sim = build_backlog_sim(False, False)
+        mm, vps = attach_pair(sim)
+        queued = []
+        for _ in range(5):
+            syn_scan(mm, vps, SERVER_EP)
+            queued.append(vps.queued)
+        # The vantage point never captures the relay's SYN/ACKs.
+        assert 0 < queued[-1] <= queued[0]
+
     def test_under_fill_degenerate(self):
         _, record = self.run(drop_syn=False, fill_count=0)
         assert record.verdict == VERDICT_INVALID

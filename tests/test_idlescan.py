@@ -97,6 +97,13 @@ class TestLiveliness:
         tr = sim.attach(MM_ADDR)
         assert server_liveliness(tr, SERVER_ADDR, 9001).passed
 
+    def test_server_check_leaves_no_half_open_entries(self):
+        sim = build_idle_sim("none")
+        tr = sim.attach(MM_ADDR)
+        assert server_liveliness(tr, SERVER_ADDR, 9001).passed
+        tr.clock.sleep_ns(NS_PER_SEC)
+        assert sim.server(SERVER_ADDR).backlog == {}
+
     def test_server_closed_port_fails(self):
         sim = build_idle_sim("none")
         tr = sim.attach(MM_ADDR)

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from inferscan.simnet import Simulator
+from conftest import MM_ADDR, SERVER_EP
+from inferscan.endpoints import EndpointSpec
+from inferscan.idlescan import run_idle_campaign
+from inferscan.simnet import FilterRule, Hop, Simulator
 from inferscan.transport import (
     NS_PER_SEC,
+    PENDING_HORIZON_NS,
+    Clock,
     FlowKey,
     InvalidSegmentError,
     IsnGenerator,
@@ -14,6 +20,7 @@ from inferscan.transport import (
     SegmentSpec,
     SpoofingUnsupportedError,
     TcpSegment,
+    Transport,
     TransportClosedError,
     segment_from_json,
     segment_from_wire,
@@ -129,6 +136,13 @@ class TestSerialization:
         with pytest.raises(InvalidSegmentError):
             segment_from_wire(b"\x45" * 12)
 
+    @pytest.mark.parametrize("ihl", [15, 4])
+    def test_header_length_outside_packet_rejected(self, ihl):
+        data = bytearray(segment_to_wire(random_segment(random.Random(46))))
+        data[0] = 0x40 | ihl
+        with pytest.raises(InvalidSegmentError):
+            segment_from_wire(bytes(data))
+
     def test_validate_ranges(self):
         rng = random.Random(45)
         seg = random_segment(rng)
@@ -236,6 +250,148 @@ class TestCapture:
         self.probe(tr, "36.10.0.6", 40002)
         for seg in tr.capture([f1], NS_PER_SEC):
             assert f1.matches(seg.flow)
+
+
+class ScriptedClock(Clock):
+    def __init__(self):
+        self.t = 0
+
+    def now_ns(self):
+        return self.t
+
+    def sleep_ns(self, duration_ns):
+        self.t += duration_ns
+
+
+class ScriptedTransport(Transport):
+    """Backend whose wire delivers a fixed list of (arrival, segment) pairs."""
+
+    def __init__(self, arrivals):
+        self._clock = ScriptedClock()
+        self._script = sorted(arrivals, key=lambda pair: pair[0])
+        super().__init__(MM)
+
+    @property
+    def clock(self):
+        return self._clock
+
+    def _dispatch(self, seg, at_ns):
+        pass
+
+    def _collect(self, until_ns):
+        self._clock.t = until_ns
+        due = [pair for pair in self._script if pair[0] <= until_ns]
+        self._script = self._script[len(due):]
+        return due
+
+
+def linear_demux(pending, filters):
+    """Reference demux: one flat arrival-ordered list, every entry tested
+    against every filter.  Returns (claimed segments, leftover list)."""
+    out, kept = [], []
+    for arrival, seg in pending:
+        if any(f.matches(seg.flow) for f in filters):
+            out.append(replace(seg, timestamp=arrival))
+        else:
+            kept.append((arrival, seg))
+    return out, kept
+
+
+def reply(src, sport, dport, seq):
+    return TcpSegment(src, MM, sport, dport, seq, 0, frozenset(["RST"]), 64,
+                      seq & 0xFFFF, 0)
+
+
+class TestCaptureQueue:
+    SOURCES = [("36.10.0.5", 33434), ("36.10.0.6", 33434),
+               ("203.0.113.5", 9001)]
+    PORTS = [39000, 39001, 39100, 39101]
+
+    def test_matches_linear_demux_on_random_interleavings(self):
+        for trial in range(40):
+            rng = random.Random(trial)
+            # Distinct arrival times: the linear scan returns same-nanosecond
+            # arrivals in insertion order, the port index in filter order.
+            times = rng.sample(range(50 * NS_PER_SEC), rng.randrange(20, 120))
+            arrivals = []
+            for i, t in enumerate(times):
+                src, sport = rng.choice(self.SOURCES)
+                arrivals.append((t, reply(src, sport, rng.choice(self.PORTS), i)))
+            tr = ScriptedTransport(arrivals)
+            script = sorted(arrivals, key=lambda pair: pair[0])
+            pending = []
+            while tr.clock.now_ns() < 55 * NS_PER_SEC:
+                filters = []
+                for _ in range(rng.randrange(1, 4)):
+                    src, sport = rng.choice(self.SOURCES)
+                    port = rng.choice(self.PORTS)
+                    filters.append(rng.choice([
+                        FlowKey(src, sport, MM, port),
+                        FlowKey(None, None, MM, port),
+                        FlowKey(src, None, None, None),
+                    ]))
+                window = rng.choice([0, rng.randrange(10 * NS_PER_SEC)])
+                end = tr.clock.now_ns() + window
+                pending += [pair for pair in script if pair[0] <= end]
+                script = [pair for pair in script if pair[0] > end]
+                expected, pending = linear_demux(pending, filters)
+                assert tr.capture(filters, window) == expected
+                assert tr.queued == len(pending)
+            leftover, _ = linear_demux(pending, [FlowKey(None, None, None, None)])
+            assert tr.capture([FlowKey(None, None, None, None)], 0) == leftover
+            assert tr.expired == 0
+
+    def test_stale_arrival_expires_and_is_counted(self):
+        stale = reply("36.10.0.5", 33434, 39000, 1)
+        fresh = reply("36.10.0.5", 33434, 39001, 2)
+        tr = ScriptedTransport([(0, stale),
+                                (PENDING_HORIZON_NS, fresh)])
+        other_port = [FlowKey(None, None, MM, 40000)]
+        tr.capture(other_port, PENDING_HORIZON_NS)
+        assert tr.queued == 2  # both arrived inside that window
+        tr.capture(other_port, 1)  # starts exactly one horizon after 0
+        assert tr.expired == 0
+        tr.capture(other_port, 0)
+        assert tr.expired == 1
+        everything = tr.capture([FlowKey(None, None, None, None)], 0)
+        assert [seg.seq for seg in everything] == [2]
+
+    def test_arrivals_inside_the_window_are_never_expired(self):
+        sim = Simulator(seed=2)
+        sim.add_client("36.10.0.5")
+        tr = sim.attach(MM, rate_limit=0.01)  # one probe per 100 s
+        flow = FlowKey("36.10.0.5", 443, MM, 40000)
+        for _ in range(3):
+            tr.send(tr.craft_segment(SegmentSpec(
+                dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
+                src_port=40000)))
+        got = tr.capture([flow], 3 * PENDING_HORIZON_NS + 30 * NS_PER_SEC)
+        assert len(got) == 3
+        assert got[-1].timestamp - got[0].timestamp > PENDING_HORIZON_NS
+        assert tr.expired == 0
+
+    def test_queue_stays_flat_across_campaign_slots(self):
+        client = EndpointSpec("36.10.0.5", 0, "client")
+        servers = [replace(SERVER_EP, addr=f"203.0.113.{i}") for i in (5, 6, 7)]
+        queued = []
+        for slots in (1, 3):
+            sim = Simulator(seed=9)
+            sim.add_client(client.addr, ipid_start=500)
+            for server in servers:
+                sim.add_server(server.addr, open_ports=[9001])
+                sim.add_path(MM_ADDR, server.addr, hops=[Hop("10.8.0.1")],
+                             filtered=True)
+            # The relays never see the monitor's RSTs, so the SYN/ACK
+            # retransmissions of every server check outlive its window.
+            sim.policy.rules.append(FilterRule(
+                "no-rst", "client->server", port=9001, flags=frozenset(["RST"])))
+            tr = sim.attach(MM_ADDR)
+            summary = run_idle_campaign(tr, [client], servers, seed=2,
+                                        slots=slots)
+            assert summary.completed == slots
+            tr.clock.sleep_ns(40 * NS_PER_SEC)  # let the last ones arrive
+            queued.append(tr.queued)
+        assert 0 < queued[1] <= queued[0]
 
 
 class TestFlowKey:
