@@ -119,18 +119,19 @@ class Hop:
     delay_ns: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimPath:
     """Unidirectional route description; reverse direction mirrors the hops.
 
     ``hops`` are listed from endpoint ``a`` toward ``b``; a rule's
     placement_hop always refers to this listed (physical) index regardless
     of travel direction.  ``loss_rate`` is drawn once per traversal.
+    Immutable, so the simulator's cached route plans cannot go stale.
     """
 
     a: str
     b: str
-    hops: list = field(default_factory=list)
+    hops: tuple = ()
     one_way_delay_ns: int = 10_000_000
     loss_rate: float = 0.0
     filtered: bool = False
@@ -162,7 +163,6 @@ class _Host:
         self.sim = sim
         self.addr = addr
         self.sent_count = 0
-        self.online = True
 
     def on_segment(self, seg: TcpSegment, now: int) -> None:
         raise NotImplementedError
@@ -188,6 +188,7 @@ class SimClient(_Host):
         self.ipid_counter = (ipid_start if ipid_start is not None
                              else self._rng.getrandbits(16))
         self._flow_counters: dict[FlowKey, int] = {}
+        self._noise_flow = FlowKey(addr, 0, "0.0.0.0", 0)
         if background_rate > 0:
             self._schedule_noise(sim.now)
 
@@ -199,8 +200,9 @@ class SimClient(_Host):
         # Noise goes to hosts outside the model; only the counter advance
         # and the send count are observable.
         self.sent_count += 1
-        self._stamp_ipid(FlowKey(self.addr, 0, "0.0.0.0", 0))
-        self.sim.emit(now, "noise", host=self.addr)
+        self._stamp_ipid(self._noise_flow)
+        if self.sim._trace is not None:
+            self.sim.emit(now, "noise", host=self.addr)
         self._schedule_noise(now)
 
     def _stamp_ipid(self, flow: FlowKey) -> int:
@@ -237,7 +239,7 @@ class SimClient(_Host):
             seq=seq, ack=ack, flags=frozenset(flags), ttl=64,
             ipid=self._stamp_ipid(flow), timestamp=now,
         )
-        self.sim._launch(out, origin=self.addr, at=now)
+        self.sim._launch(now, out, self.addr)
 
 
 class SimServer(_Host):
@@ -275,7 +277,8 @@ class SimServer(_Host):
         self.sim.emit(now, "host_down", host=self.addr)
 
     def _is_up(self, now: int) -> bool:
-        return not any(start <= now < end for start, end in self.down_intervals)
+        return not self.down_intervals or not any(
+            start <= now < end for start, end in self.down_intervals)
 
     @property
     def occupancy(self) -> float:
@@ -328,7 +331,7 @@ class SimServer(_Host):
             flags=frozenset(("SYN", "ACK")), ttl=64,
             ipid=self._next_ipid(), timestamp=now,
         )
-        self.sim._launch(out, origin=self.addr, at=now)
+        self.sim._launch(now, out, self.addr)
 
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
         if not entry.alive or not self._is_up(now):
@@ -379,7 +382,7 @@ class SimServer(_Host):
             seq=seq, ack=ack, flags=frozenset(flags), ttl=64,
             ipid=self._next_ipid(), timestamp=now,
         )
-        self.sim._launch(out, origin=self.addr, at=now)
+        self.sim._launch(now, out, self.addr)
 
 
 class _MonitorHost(_Host):
@@ -423,7 +426,7 @@ class SimTransport(Transport):
         return self._clock
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
-        self._sim.schedule(at_ns, self._sim._launch_cb, seg, self.local_addr)
+        self._sim.schedule(at_ns, self._sim._launch, seg, self.local_addr)
 
     def _collect(self, until_ns: int) -> tuple:
         self._sim.step(until_ns)
@@ -442,10 +445,10 @@ class Simulator:
         self.policy = FirewallPolicy()
         self.hosts: dict[str, _Host] = {}
         self._paths: dict[tuple, SimPath] = {}
+        self._plans: dict[tuple, tuple] = {}  # (origin, dst) -> see _plan
         self._heap: list = []
         self._order = 0
         self._trace = trace
-        self._step_events: list[dict] = []
         self._loss_rngs: dict[tuple, random.Random] = {}
 
     # -- construction --------------------------------------------------------
@@ -471,11 +474,12 @@ class Simulator:
 
     def add_path(self, a: str, b: str, hops=(), delay_ns: Optional[int] = None,
                  loss_rate: float = 0.0, filtered: bool = False) -> SimPath:
-        path = SimPath(a=a, b=b, hops=list(hops),
+        path = SimPath(a=a, b=b, hops=tuple(hops),
                        one_way_delay_ns=(delay_ns if delay_ns is not None
                                          else self.default_delay_ns),
                        loss_rate=loss_rate, filtered=filtered)
         self._paths[(a, b)] = path
+        self._plans.clear()
         return path
 
     def attach(self, local_addr: str, **kwargs) -> SimTransport:
@@ -495,86 +499,81 @@ class Simulator:
         heappush(self._heap, (t, self._order, fn, args))
         self._order += 1
 
-    def step(self, until: int) -> list[dict]:
-        """Process all events with timestamp <= until; returns emitted events."""
+    def step(self, until: int) -> None:
+        """Process all events with timestamp <= until."""
         if until < self.now:
             raise ValueError("cannot step backwards")
-        self._step_events = []
-        while self._heap and self._heap[0][0] <= until:
-            t, _, fn, args = heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            t, _, fn, args = heappop(heap)
             self.now = t
             fn(t, *args)
         self.now = until
-        return self._step_events
-
-    def run_for(self, duration_ns: int) -> list[dict]:
-        return self.step(self.now + duration_ns)
 
     def hour_at(self, t: int) -> int:
         return int((t // HOUR_NS + self.hour0) % 24)
 
     def emit(self, t: int, ev: str, **fields) -> None:
-        record = {"t": t, "ev": ev}
-        record.update(fields)
-        self._step_events.append(record)
+        """Hand one event record to the trace sink; a no-op without one.
+        Hot call sites test ``_trace`` first, to skip building the fields."""
         if self._trace is not None:
-            self._trace(record)
+            self._trace({"t": t, "ev": ev, **fields})
 
     # -- wire ------------------------------------------------------------------
 
-    def _route(self, origin: str, dst: str) -> tuple[SimPath, bool]:
-        """Path and direction flag (True when traveling a->b as declared)."""
-        path = self._paths.get((origin, dst))
-        if path is not None:
-            return path, True
-        path = self._paths.get((dst, origin))
-        if path is not None:
-            return path, False
-        return SimPath(a=origin, b=dst, one_way_delay_ns=self.default_delay_ns), True
+    def _plan(self, origin: str, dst: str) -> tuple:
+        """Route plan from origin to dst, built on first use: the path, its
+        ``(hop, physical index, delay from launch)`` steps in travel order,
+        the end-to-end delay, and the path's loss generator (None when
+        lossless; both directions share one).  ``add_path`` clears the cache."""
+        plan = self._plans.get((origin, dst))
+        if plan is None:
+            path = self._paths.get((origin, dst))
+            order = 1 if path is not None or (dst, origin) not in self._paths else -1
+            if path is None:
+                path = self._paths.get((dst, origin)) or SimPath(
+                    a=origin, b=dst, one_way_delay_ns=self.default_delay_ns)
+            legs = path.leg_delays()[::order]
+            steps, elapsed = [], 0
+            for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::order], legs):
+                elapsed += leg
+                steps.append((hop, index, elapsed))
+            loss = None
+            if path.loss_rate > 0:
+                loss = self._loss_rngs.get((path.a, path.b))
+                if loss is None:
+                    loss = self._loss_rngs[(path.a, path.b)] = random.Random(
+                        derive_seed(self.seed, "loss", path.a, path.b))
+            plan = self._plans[(origin, dst)] = (path, tuple(steps), sum(legs), loss)
+        return plan
 
-    def _loss_rng(self, path: SimPath) -> random.Random:
-        key = (path.a, path.b)
-        rng = self._loss_rngs.get(key)
-        if rng is None:
-            rng = random.Random(derive_seed(self.seed, "loss", path.a, path.b))
-            self._loss_rngs[key] = rng
-        return rng
-
-    def _launch_cb(self, now: int, seg: TcpSegment, origin: str) -> None:
-        self._launch(seg, origin, now)
-
-    def _launch(self, seg: TcpSegment, origin: str, at: int) -> None:
+    def _launch(self, at: int, seg: TcpSegment, origin: str) -> None:
         """Enter a segment onto the wire at virtual time `at`.
 
         Routing uses the physical origin, not the header source, so spoofed
         segments travel the sender's path.  The whole traversal is resolved
         here; outcome events are scheduled at their future times.
         """
-        self.emit(at, "send", src=seg.src_addr, dst=seg.dst_addr,
-                  sport=seg.src_port, dport=seg.dst_port,
-                  flags="".join(sorted(seg.flags)), origin=origin)
-        path, forward = self._route(origin, seg.dst_addr)
-        if path.loss_rate > 0 and self._loss_rng(path).random() < path.loss_rate:
+        if self._trace is not None:
+            self.emit(at, "send", src=seg.src_addr, dst=seg.dst_addr,
+                      sport=seg.src_port, dport=seg.dst_port,
+                      flags="".join(sorted(seg.flags)), origin=origin)
+        path, steps, total, loss = self._plan(origin, seg.dst_addr)
+        if loss is not None and loss.random() < path.loss_rate:
             self.emit(at, "drop_loss", src=seg.src_addr, dst=seg.dst_addr)
             return
-        hops = path.hops if forward else list(reversed(path.hops))
-        legs = path.leg_delays() if forward else list(reversed(path.leg_delays()))
-        t = at
-        ttl = seg.ttl
-        for i, hop in enumerate(hops):
-            t += legs[i]
-            ttl -= 1
-            if ttl <= 0:
-                self.schedule(t, self._ttl_exceeded, seg, hop, origin, t - at)
-                return
-            physical_index = (i + 1) if forward else (len(hops) - i)
-            if path.filtered:
-                action = self.policy.decide(seg, physical_index, self.hour_at(t))
-                if action == DROP:
-                    self.schedule(t, self._emit_rule_drop, seg, physical_index)
+        if path.filtered or seg.ttl <= len(steps):
+            for n, (hop, index, elapsed) in enumerate(steps, 1):
+                t = at + elapsed
+                if n >= seg.ttl:
+                    self.schedule(t, self._ttl_exceeded, seg, hop, origin, elapsed)
                     return
-        t += legs[-1]
-        self.schedule(t, self._deliver, seg)
+                if (path.filtered
+                        and self.policy.decide(seg, index, self.hour_at(t)) == DROP):
+                    if self._trace is not None:
+                        self.schedule(t, self._emit_rule_drop, seg, index)
+                    return
+        self.schedule(at + total, self._deliver, seg)
 
     def _emit_rule_drop(self, now: int, seg: TcpSegment, hop: int) -> None:
         self.emit(now, "drop_rule", src=seg.src_addr, dst=seg.dst_addr,
@@ -599,7 +598,8 @@ class Simulator:
         if target is None:
             self.emit(now, "drop_unrouted", dst=seg.dst_addr)
             return
-        self.emit(now, "deliver", src=seg.src_addr, dst=seg.dst_addr,
-                  sport=seg.src_port, dport=seg.dst_port,
-                  flags="".join(sorted(seg.flags)), ipid=seg.ipid)
+        if self._trace is not None:
+            self.emit(now, "deliver", src=seg.src_addr, dst=seg.dst_addr,
+                      sport=seg.src_port, dport=seg.dst_port,
+                      flags="".join(sorted(seg.flags)), ipid=seg.ipid)
         target.on_segment(seg, now)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 NS_PER_SEC = 1_000_000_000
@@ -110,7 +110,14 @@ class TcpSegment:
         return FlowKey(self.src_addr, self.src_port, self.dst_addr, self.dst_port)
 
     def has(self, *names: str) -> bool:
-        return all(n in self.flags for n in names)
+        return self.flags.issuperset(names)
+
+    def stamped(self, timestamp: int) -> "TcpSegment":
+        """This segment with another timestamp (``dataclasses.replace``
+        without its per-call field introspection)."""
+        return TcpSegment(self.src_addr, self.dst_addr, self.src_port,
+                          self.dst_port, self.seq, self.ack, self.flags,
+                          self.ttl, self.ipid, timestamp)
 
 
 @dataclass
@@ -447,7 +454,7 @@ class Transport:
         if not self._open:
             raise TransportClosedError("send after close")
         slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), wait=wait)
-        seg = replace(seg, timestamp=slot)
+        seg = seg.stamped(slot)
         self._dispatch(seg, slot)
         if self._log:
             self._log.write(seg, "out")
@@ -495,7 +502,7 @@ class Transport:
             else:
                 del self._pending[port]
         hits.sort(key=lambda entry: entry[0])  # stable: ties keep port order
-        out = [replace(seg, timestamp=arrival) for arrival, seg in hits]
+        out = [seg.stamped(arrival) for arrival, seg in hits]
         if self._log:
             for seg in out:
                 self._log.write(seg, "in")

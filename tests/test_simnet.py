@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from inferscan import scenario
 from inferscan.simnet import (
     DROP,
+    HOUR_NS,
     PASS,
     FilterRule,
     FirewallPolicy,
+    Hop,
     Simulator,
     effective_retransmissions,
     firewall_decide,
@@ -26,23 +32,52 @@ def synack(src="203.0.113.5", sport=9001, dst="36.10.0.5", dport=50000):
 
 class TestStep:
     def test_empty_queue_advances_clock(self):
-        sim = Simulator(seed=1)
-        events = sim.step(5 * NS_PER_SEC)
+        events = []
+        sim = Simulator(seed=1, trace=events.append)
+        sim.step(5 * NS_PER_SEC)
         assert events == []
         assert sim.now == 5 * NS_PER_SEC
 
     def test_configured_delay(self):
-        sim = Simulator(seed=1)
+        events = []
+        sim = Simulator(seed=1, trace=events.append)
         sim.add_client("36.10.0.5")
         sim.add_path(MM, "36.10.0.5", delay_ns=10_000_000)
         tr = sim.attach(MM)
         seg = tr.craft_segment(SegmentSpec(dst_addr="36.10.0.5", dst_port=80,
                                            flags=("SYN",), src_port=40000))
         tr.send(seg)
-        events = sim.step(NS_PER_SEC)
+        sim.step(NS_PER_SEC)
         deliveries = [e for e in events if e["ev"] == "deliver"
                       and e["dst"] == "36.10.0.5"]
         assert deliveries and deliveries[0]["t"] == 10_000_000
+
+    def test_add_path_after_traffic_reroutes(self):
+        events = []
+        sim = Simulator(seed=1, trace=events.append)
+        sim.add_client("36.10.0.5")
+        sim.add_path(MM, "36.10.0.5", delay_ns=10_000_000)
+        tr = sim.attach(MM)
+
+        def rtt(sport):
+            sent = tr.send(tr.craft_segment(SegmentSpec(
+                dst_addr="36.10.0.5", dst_port=80, flags=("SYN",),
+                src_port=sport)))
+            got = tr.capture([FlowKey("36.10.0.5", 80, MM, sport)], NS_PER_SEC)
+            return got[0].timestamp - sent.timestamp
+
+        assert rtt(40000) == 20_000_000
+        path = sim.add_path(MM, "36.10.0.5", hops=[Hop("10.1.0.1")],
+                            delay_ns=40_000_000)
+        assert rtt(40001) == 80_000_000  # both directions take the new path
+        tr.send(tr.craft_segment(SegmentSpec(
+            dst_addr="36.10.0.5", dst_port=80, flags=("SYN",),
+            src_port=40002, ttl=1)))
+        sim.step(sim.now + NS_PER_SEC)
+        assert [e["hop"] for e in events if e["ev"] == "ttl_exceeded"] == ["10.1.0.1"]
+        assert path.hops == (Hop("10.1.0.1"),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.one_way_delay_ns = 1
 
     def test_step_backwards_rejected(self):
         sim = Simulator(seed=1)
@@ -159,13 +194,14 @@ def send_syn(tr, dst="203.0.113.5", port=9001, sport=41000, src=None, seq=None):
 
 class TestBacklog:
     def test_capacity_never_exceeded(self):
-        sim = Simulator(seed=2)
+        events = []
+        sim = Simulator(seed=2, trace=events.append)
         srv = sim.add_server("203.0.113.5", open_ports=[9001],
                              backlog_capacity=16)
         tr = sim.attach(MM)
         for i in range(30):
             send_syn(tr, sport=41000 + i)
-        events = sim.step(NS_PER_SEC)
+        sim.step(NS_PER_SEC)
         assert srv.peak_backlog == 16
         assert any(e["ev"] == "drop_backlog_full" for e in events)
 
@@ -374,3 +410,92 @@ hours = 0-5,22-23
         path = scn.paths[0]
         addrs = [h.addr for h in path.hops]
         assert len(addrs) == len(set(addrs))
+
+
+CLIENT = "36.10.0.5"
+SERVER = "203.0.113.5"
+DOWN_SERVER = "203.0.113.6"
+
+
+def pinned_scenario(trace=None):
+    """A small run that crosses every branch of the simulator's wire model.
+
+    It starts two seconds before the end of hour 0, so a server->client rule
+    masked to hour 0 drops the first SYN/ACKs on the reverse (server to
+    client) direction of a filtered path and passes the later ones.  It also
+    covers loss, TTL expiry on a forward and on a reverse path, an unrouted
+    destination, a server down interval and backlog pruning.  Returns what
+    the monitor captured.
+    """
+    sim = Simulator(seed=41, trace=trace)
+    t0 = HOUR_NS - 2 * NS_PER_SEC
+    sim.add_server(DOWN_SERVER, open_ports=[80],
+                   down_intervals=((t0 - NS_PER_SEC, t0 + NS_PER_SEC),))
+    sim.step(t0 - 5 * NS_PER_SEC)
+    sim.add_client(CLIENT, background_rate=0.5)
+    sim.add_server(SERVER, open_ports=[9001], backlog_capacity=6)
+    sim.add_path(CLIENT, SERVER, filtered=True, delay_ns=30_000_000,
+                 hops=[Hop("10.1.0.1"), Hop("10.9.0.1", "CN"),
+                       Hop("10.9.0.2", "CN")])
+    sim.add_path(MM, SERVER, hops=[Hop("10.2.0.1"), Hop("10.2.0.2")],
+                 delay_ns=20_000_000)
+    sim.add_path(CLIENT, MM, hops=[Hop("10.3.0.1", delay_ns=2_000_000),
+                                   Hop("10.3.0.2")], delay_ns=10_000_000,
+                 loss_rate=0.3)
+    sim.policy.rules.append(FilterRule(
+        "synack-hour0", "server->client", addr=SERVER, port=9001,
+        placement_hop=1, hours=tuple(h == 0 for h in range(24))))
+    tr = sim.attach(MM)
+    sim.step(t0)
+    for i in range(5):  # fill the backlog past half, so entries get pruned
+        send_syn(tr, sport=41000 + i)
+    for i in range(3):
+        send_syn(tr, sport=42000 + i, src=CLIENT)
+    for i in range(4):  # unsolicited SYN/ACKs to the client over the lossy path
+        tr.send(tr.craft_segment(SegmentSpec(
+            dst_addr=CLIENT, dst_port=443, flags=("SYN", "ACK"),
+            src_port=45000 + i)))
+    send_syn(tr, dst=DOWN_SERVER, port=80, sport=43000)
+    send_syn(tr, dst="192.0.2.77", port=80, sport=43001)
+    for ttl in (1, 2, 3):  # forward over (MM, SERVER), reverse over (CLIENT, MM)
+        for dst, sport in ((SERVER, 44000), (CLIENT, 44001)):
+            tr.send(tr.craft_segment(SegmentSpec(
+                dst_addr=dst, dst_port=9001, flags=("SYN", "ACK"),
+                src_port=sport, ttl=ttl)))
+    got = tr.capture([FlowKey(None, None, MM, None)], 3 * NS_PER_SEC)
+    send_syn(tr, dst=DOWN_SERVER, port=80, sport=43002)
+    got += tr.capture([FlowKey(None, None, MM, None)], 60 * NS_PER_SEC)
+    return got
+
+
+# sha256 of the trace of pinned_scenario() as sorted-key JSON, recorded
+# before the simulator's per-packet path was reworked.
+PINNED_TRACE_SHA256 = (
+    "22178625c0418913145a582541e4e92f152b12cd2d9165dbb3768d552fd246e1")
+
+
+class TestPinnedTrace:
+    def test_trace_matches_recorded_digest(self):
+        trace = []
+        pinned_scenario(trace.append)
+        kinds = {e["ev"] for e in trace}
+        assert {"send", "deliver", "noise", "drop_loss", "drop_rule",
+                "ttl_exceeded", "drop_unrouted", "host_down", "drop_offline",
+                "drop_backlog_full", "backlog_insert", "retransmit",
+                "backlog_remove"} <= kinds
+        reasons = {e["reason"] for e in trace if e["ev"] == "backlog_remove"}
+        assert {"pruned", "rst"} <= reasons
+        expired_at = {e["hop"] for e in trace if e["ev"] == "ttl_exceeded"}
+        assert expired_at & {"10.2.0.1", "10.2.0.2"}  # forward
+        assert expired_at & {"10.3.0.1", "10.3.0.2"}  # reverse
+        rule_drops = [e["t"] for e in trace if e["ev"] == "drop_rule"]
+        client_rsts = [e["t"] for e in trace if e["ev"] == "deliver"
+                       and e["src"] == CLIENT and e["dst"] == SERVER
+                       and e["flags"] == "RST"]
+        assert max(rule_drops) < HOUR_NS <= min(client_rsts)
+        blob = json.dumps(trace, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_TRACE_SHA256
+
+    def test_trace_sink_never_perturbs_the_run(self):
+        assert pinned_scenario(trace=[].append) == pinned_scenario()
+        assert pinned_scenario() != []

@@ -4,12 +4,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import MM_ADDR, SERVER_EP
 from inferscan.endpoints import EndpointSpec
 from inferscan.idlescan import run_idle_campaign
 from inferscan.simnet import FilterRule, Hop, Simulator
 from inferscan.transport import (
+    FLAG_BITS,
     NS_PER_SEC,
     PENDING_HORIZON_NS,
     Clock,
@@ -22,6 +25,7 @@ from inferscan.transport import (
     TcpSegment,
     Transport,
     TransportClosedError,
+    int_to_addr,
     segment_from_json,
     segment_from_wire,
     segment_to_json,
@@ -53,6 +57,22 @@ def random_segment(rng):
         ipid=rng.randrange(2 ** 16),
         timestamp=rng.randrange(2 ** 60),
     )
+
+
+# Every segment validate_segment accepts (flags may be empty on captures).
+valid_segments = st.builds(
+    TcpSegment,
+    src_addr=st.integers(0, 2 ** 32 - 1).map(int_to_addr),
+    dst_addr=st.integers(0, 2 ** 32 - 1).map(int_to_addr),
+    src_port=st.integers(0, 0xFFFF),
+    dst_port=st.integers(0, 0xFFFF),
+    seq=st.integers(0, 0xFFFFFFFF),
+    ack=st.integers(0, 0xFFFFFFFF),
+    flags=st.frozensets(st.sampled_from(sorted(FLAG_BITS))),
+    ttl=st.integers(1, 255),
+    ipid=st.integers(0, 0xFFFF),
+    timestamp=st.integers(0, 2 ** 63 - 1),
+)
 
 
 class TestCraft:
@@ -127,6 +147,21 @@ class TestSerialization:
             back = segment_from_wire(segment_to_wire(seg),
                                      timestamp=seg.timestamp)
             assert back == seg
+
+    @given(valid_segments)
+    def test_json_round_trip_property(self, seg):
+        assert validate_segment(seg, crafted=False) is seg
+        assert segment_from_json(segment_to_json(seg)) == seg
+
+    @given(valid_segments)
+    def test_wire_round_trip_property(self, seg):
+        wire = segment_to_wire(seg)
+        assert len(wire) == 40
+        assert segment_from_wire(wire, timestamp=seg.timestamp) == seg
+
+    @given(valid_segments, st.integers(0, 2 ** 63 - 1))
+    def test_stamped_equals_replace(self, seg, timestamp):
+        assert seg.stamped(timestamp) == replace(seg, timestamp=timestamp)
 
     def test_wire_length_minimal(self):
         rng = random.Random(44)
