@@ -153,7 +153,7 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
     """
     cfg = cfg or TraceConfig()
     seq_to_ttl: dict[int, int] = {}
-    first_send = transport.clock.now_ns()
+    last_send = transport.clock.now_ns()
     send_times: dict[int, int] = {}
     for ttl in range(1, cfg.max_ttl + 1):
         probe = transport.craft_segment(SegmentSpec(
@@ -161,8 +161,10 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
             src_port=src_port, ttl=ttl))
         receipt = transport.send(probe)
         seq_to_ttl[probe.seq] = ttl
-        send_times[ttl] = receipt.timestamp
-    window = (transport.clock.now_ns() - first_send
+        last_send = send_times[ttl] = receipt.timestamp
+    # send() paces the probes into future slots without advancing the clock,
+    # so the window runs until the last probe's response window has closed.
+    window = (last_send - transport.clock.now_ns()
               + int(cfg.response_window_s * NS_PER_SEC))
     responses = transport.capture(
         [FlowKey(None, None, transport.local_addr, src_port)], window)

@@ -19,7 +19,7 @@ from inferscan.tracer import (
     paired_run,
     run_traceroute,
 )
-from inferscan.transport import NS_PER_SEC
+from inferscan.transport import NS_PER_SEC, FlowKey
 
 RELAY = "193.10.0.9"
 DEST = "36.10.0.5"
@@ -68,6 +68,18 @@ class TestRunTraceroute:
         tor, rand = paired_run(tr, "10.99.0.1", hour=0)
         assert tor.status == STATUS_STALLED
         assert rand.status == STATUS_STALLED
+
+    def test_replies_to_every_probe_are_captured(self):
+        # Probes leave 0.1 s apart and each reply takes 0.4 s, well inside
+        # its probe's response window, also for the last probe at 2.9 s.
+        sim = Simulator(seed=4)
+        sim.add_client(DEST)
+        sim.add_path(RELAY, DEST, hops=list(COM_HOPS), delay_ns=200_000_000)
+        tr = sim.attach(RELAY)
+        run = run_traceroute(tr, DEST, 9002)
+        assert run.status == STATUS_FINISHED
+        assert tr.queued == 0
+        assert tr.capture([FlowKey(None, None, RELAY, 9002)], 60 * NS_PER_SEC) == []
 
     def test_rtt_increases_along_path(self):
         sim = build_trace_sim()
