@@ -529,13 +529,13 @@ class Simulator:
         plan = self._plans.get((origin, dst))
         if plan is None:
             path = self._paths.get((origin, dst))
-            order = 1 if path is not None or (dst, origin) not in self._paths else -1
+            direction = 1 if path is not None or (dst, origin) not in self._paths else -1
             if path is None:
                 path = self._paths.get((dst, origin)) or SimPath(
                     a=origin, b=dst, one_way_delay_ns=self.default_delay_ns)
-            legs = path.leg_delays()[::order]
+            legs = path.leg_delays()[::direction]
             steps, elapsed = [], 0
-            for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::order], legs):
+            for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):
                 elapsed += leg
                 steps.append((hop, index, elapsed))
             loss = None
