@@ -418,7 +418,7 @@ DOWN_SERVER = "203.0.113.6"
 
 
 def pinned_scenario(trace=None):
-    """A small run that crosses every branch of the simulator's wire model.
+    """A small run through the simulator's wire model.
 
     It starts two seconds before the end of hour 0, so a server->client rule
     masked to hour 0 drops the first SYN/ACKs on the reverse (server to
