@@ -99,7 +99,6 @@ class ArmaModel:
     residuals: tuple
     degenerate: bool = False
     converged: bool = True
-    aic: float = float("nan")
 
     def whiten(self, values: np.ndarray) -> np.ndarray:
         """Apply the innovation filter with zero initial conditions."""
@@ -149,12 +148,12 @@ def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
     if not np.any(y):
         return ArmaModel(p=p, q=q, ar=(0.0,) * p, ma=(0.0,) * q, mean=mu,
                          variance=0.0, residuals=(0.0,) * n,
-                         degenerate=True, aic=float("-inf"))
+                         degenerate=True)
     if p == 0 and q == 0:
         eps = y
         variance = float(np.dot(eps, eps) / n)
         return ArmaModel(p=0, q=0, ar=(), ma=(), mean=mu, variance=variance,
-                         residuals=tuple(eps), aic=_aic(variance, n, 0))
+                         residuals=tuple(eps))
     start = np.zeros(p + q)
     ridge = 0.05 * float(np.dot(y, y))
     result = optimize.minimize(_css, start, args=(y, p, q, ridge),
@@ -175,30 +174,7 @@ def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
                          np.concatenate(([1.0], ma)), y)
     variance = float(np.dot(eps, eps) / n)
     return ArmaModel(p=p, q=q, ar=tuple(ar), ma=tuple(ma), mean=mu,
-                     variance=variance, residuals=tuple(eps),
-                     aic=_aic(variance, n, p + q))
-
-
-def _aic(variance: float, n: int, k: int) -> float:
-    if variance <= 0:
-        return float("-inf")
-    return n * float(np.log(variance)) + 2 * (k + 1)
-
-
-def fit_arma_search(deltas: Sequence[int], max_order: int = 2) -> ArmaModel:
-    """Pick (p, q) <= max_order by information criterion."""
-    best = None
-    for p in range(max_order + 1):
-        for q in range(max_order + 1):
-            try:
-                model = fit_arma(deltas, p, q)
-            except ModelFitError:
-                continue
-            if best is None or model.aic < best.aic:
-                best = model
-    if best is None:
-        raise ModelFitError("no order converged")
-    return best
+                     variance=variance, residuals=tuple(eps))
 
 
 def _phase_samples(series, phase: str) -> list:

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import analytics, backlog, idlescan, store, tracer
@@ -51,25 +50,6 @@ class CliError(Exception):
     pass
 
 
-@dataclass
-class CampaignConfig:
-    """Validated run configuration shared by the scanning subcommands."""
-
-    transport: str
-    scenario_path: Optional[str]
-    seed: int
-    scan: ScanRoundConfig
-    out_path: Optional[str]
-
-    def __post_init__(self):
-        if self.transport not in ("sim", "live"):
-            raise CliError(f"unknown transport: {self.transport}")
-        if self.transport == "sim" and not self.scenario_path:
-            raise CliError("sim transport requires --scenario")
-        if self.transport == "live" and self.scenario_path:
-            raise CliError("live transport forbids --scenario")
-
-
 def _resolve_seed(args, scn: Optional[scenario_mod.Scenario] = None) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -81,25 +61,14 @@ def _resolve_seed(args, scn: Optional[scenario_mod.Scenario] = None) -> int:
     return 0
 
 
-def _campaign_config(args) -> CampaignConfig:
-    scan = ScanRoundConfig()
-    if getattr(args, "spoof_rate", None):
-        scan.spoof_rate = args.spoof_rate
-    if getattr(args, "probe_rate", None):
-        scan.probe_rate = args.probe_rate
-    return CampaignConfig(
-        transport=args.transport,
-        scenario_path=getattr(args, "scenario", None),
-        seed=0,  # resolved after the scenario loads
-        scan=scan,
-        out_path=getattr(args, "out", None),
-    )
-
-
-def _sim_from_args(args):
+def _sim_from_args(args, clients=(), servers=()):
+    """Load the scenario and build its simulator, adding the CSV
+    ``clients`` and ``servers`` the scenario file does not declare."""
+    if not args.scenario:
+        raise CliError("sim transport requires --scenario")
     scn = scenario_mod.load(args.scenario)
     seed = _resolve_seed(args, scn)
-    sim = scn.build(seed=seed)
+    sim = scn.build(seed=seed, clients=clients, servers=servers)
     return scn, sim, seed
 
 
@@ -111,6 +80,8 @@ def _monitor_addr(scn: scenario_mod.Scenario, index: int = 0) -> str:
 
 
 def _live_transport(args, parser):
+    if args.scenario:
+        raise CliError("live transport forbids --scenario")
     if not args.i_have_authorization:
         parser.error("live transport requires --i-have-authorization")
     print(GOOD_CITIZENSHIP, file=sys.stderr)
@@ -120,34 +91,6 @@ def _live_transport(args, parser):
     return LiveTransport(local_addr=args.local_addr, authorized=True,
                          egress_unfiltered=args.egress_unfiltered,
                          isn_seed=_resolve_seed(args))
-
-
-def _ensure_campaign_topology(sim, scn, clients, servers) -> None:
-    """Register endpoints the scenario file did not declare explicitly."""
-    d = scn.defaults
-    hops = scenario_mod._parse_hops(d.get("path_hops", ""))
-    delay_ns = int(float(d.get("path_delay_ms", "10")) * 1e6)
-    loss = float(d.get("path_loss_rate", "0"))
-    filtered = d.get("path_filtered", "no").strip().lower() in ("1", "yes", "true")
-    for ep in clients:
-        if ep.addr not in sim.hosts:
-            sim.add_client(
-                ep.addr,
-                ipid_mode=d.get("client_ipid_mode", "global"),
-                background_rate=float(d.get("client_background_rate", "0")),
-            )
-    for ep in servers:
-        if ep.addr not in sim.hosts:
-            sim.add_server(
-                ep.addr, open_ports=[ep.port],
-                backlog_capacity=int(d.get("server_backlog_capacity", "256")),
-                max_retransmissions=int(d.get("server_max_retransmissions", "5")),
-            )
-    for c in clients:
-        for s in servers:
-            if (c.addr, s.addr) not in sim._paths and (s.addr, c.addr) not in sim._paths:
-                sim.add_path(c.addr, s.addr, hops=hops, delay_ns=delay_ns,
-                             loss_rate=loss, filtered=filtered)
 
 
 def _write_csv(path, rows) -> None:
@@ -160,19 +103,16 @@ def _write_csv(path, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_qualify(args, parser) -> int:
-    cfg = _campaign_config(args)
     clients = load_endpoints(args.clients)
-    if cfg.transport == "live":
+    if args.transport == "live":
         transport = _live_transport(args, parser)
-        seed = _resolve_seed(args)
     else:
-        _scn, sim, seed = _sim_from_args(args)
-        _ensure_campaign_topology(sim, _scn, clients, [])
-        transport = sim.attach(_monitor_addr(_scn), isn_seed=derive_seed(seed, "mm"))
+        scn, sim, seed = _sim_from_args(args, clients=clients)
+        transport = sim.attach(_monitor_addr(scn), isn_seed=derive_seed(seed, "mm"))
     with open(args.out, "w", encoding="utf-8") as out:
         for ep in clients:
             result = idlescan.qualify_client(transport, ep.addr,
-                                             window_s=args.window, cfg=cfg.scan)
+                                             window_s=args.window)
             out.write(json.dumps({
                 "addr": ep.addr, "verdict": result.verdict,
                 "reason": result.reason, "responses": result.responses,
@@ -184,17 +124,20 @@ def cmd_qualify(args, parser) -> int:
 
 
 def cmd_idle_scan(args, parser) -> int:
-    cfg = _campaign_config(args)
+    scan = ScanRoundConfig()
+    if args.spoof_rate:
+        scan.spoof_rate = args.spoof_rate
+    if args.probe_rate:
+        scan.probe_rate = args.probe_rate
     clients = load_endpoints(args.clients)
     servers = filter_stable(load_endpoints(args.servers))
     if not servers:
         raise CliError("no servers left after the stability filter")
-    if cfg.transport == "live":
+    if args.transport == "live":
         transport = _live_transport(args, parser)
         seed = _resolve_seed(args)
     else:
-        scn, sim, seed = _sim_from_args(args)
-        _ensure_campaign_topology(sim, scn, clients, servers)
+        scn, sim, seed = _sim_from_args(args, clients=clients, servers=servers)
         transport = sim.attach(_monitor_addr(scn), isn_seed=derive_seed(seed, "mm"))
     record_store = store.RecordStore(args.out,
                                      redact_client_bits=args.redact_client_bits)
@@ -202,7 +145,7 @@ def cmd_idle_scan(args, parser) -> int:
         record_store.append(store.build_idle_record(result, assignment.slot))
 
     summary = idlescan.run_idle_campaign(
-        transport, clients, servers, cfg.scan, seed=seed,
+        transport, clients, servers, scan, seed=seed,
         slots=args.rounds, on_result=on_result)
     record_store.close()
     print(f"completed {summary.completed} rounds, voided {summary.voided}; "
@@ -211,7 +154,6 @@ def cmd_idle_scan(args, parser) -> int:
 
 
 def cmd_backlog_scan(args, parser) -> int:
-    cfg = _campaign_config(args)
     addr, _, port = args.relay.partition(":")
     if not port:
         raise CliError("--relay must be ADDR:PORT")
@@ -223,7 +165,7 @@ def cmd_backlog_scan(args, parser) -> int:
     if args.probes:
         scan_cfg.syn_probe_count = args.probes
         scan_cfg.rst_probe_count = args.probes
-    if cfg.transport == "live":
+    if args.transport == "live":
         parser.error("backlog-scan live mode needs two vantage points; "
                      "run the sim backend or drive the API directly")
     scn, sim, seed = _sim_from_args(args)
@@ -243,7 +185,6 @@ def cmd_backlog_scan(args, parser) -> int:
 
 
 def cmd_trace(args, parser) -> int:
-    cfg = _campaign_config(args)
     dests = [ep.addr for ep in load_endpoints(args.dests)]
     table = (PrefixTable.from_csv(args.prefix_table) if args.prefix_table
              else PrefixTable())
@@ -252,7 +193,7 @@ def cmd_trace(args, parser) -> int:
         raise CliError("--ports needs exactly two comma-separated ports")
     trace_cfg = TraceConfig(tor_port=ports[0], rand_port=ports[1],
                             max_ttl=args.max_ttl)
-    if cfg.transport == "live":
+    if args.transport == "live":
         transport = _live_transport(args, parser)
     else:
         scn, sim, seed = _sim_from_args(args)
@@ -477,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="IPID probes per second (default from config)")
     sp.add_argument("--redact-client-bits", type=int, default=0,
                     help="zero this many low bits of stored client addresses")
-    sp.add_argument("--workers", type=int, default=0,
-                    help="worker pool size for live campaigns (sim runs are "
-                         "serialized for determinism)")
     sp.add_argument("--out", required=True, help="record JSONL path")
     sp.set_defaults(fn=cmd_idle_scan)
 

@@ -11,6 +11,10 @@ ROLES = ("client", "tor-relay", "tor-dir", "web")
 MIN_RELAY_UPTIME_DAYS = 5.0
 
 
+class EndpointError(ValueError):
+    """A malformed endpoint CSV; the message names the file and line."""
+
+
 @dataclass(frozen=True)
 class EndpointSpec:
     addr: str
@@ -37,31 +41,32 @@ class EndpointSpec:
 
 
 def load_endpoints(path) -> list:
-    """Read an endpoint CSV: addr,port,role,lat,lon,uptime_days,stable_flag."""
+    """Read an endpoint CSV: addr,port,role,lat,lon,uptime_days,stable_flag.
+
+    A missing addr, port or role column, or a value that does not parse,
+    raises EndpointError.
+    """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(EndpointSpec(
-                addr=row["addr"].strip(),
-                port=int(row["port"] or 0),
-                role=row["role"].strip(),
-                lat=float(row.get("lat") or 0.0),
-                lon=float(row.get("lon") or 0.0),
-                uptime_days=float(row.get("uptime_days") or 0.0),
-                stable=(row.get("stable_flag") or "1").strip().lower()
-                       in ("1", "true", "yes"),
-            ))
+        reader = csv.DictReader(fh, restval="")
+        for row in reader:
+            try:
+                out.append(EndpointSpec(
+                    addr=row["addr"].strip(),
+                    port=int(row["port"] or 0),
+                    role=row["role"].strip(),
+                    lat=float(row.get("lat") or 0.0),
+                    lon=float(row.get("lon") or 0.0),
+                    uptime_days=float(row.get("uptime_days") or 0.0),
+                    stable=(row.get("stable_flag") or "1").strip().lower()
+                           in ("1", "true", "yes"),
+                ))
+            except KeyError as exc:
+                raise EndpointError(f"{path}, line {reader.line_num}: "
+                                    f"no {exc} column") from exc
+            except ValueError as exc:
+                raise EndpointError(f"{path}, line {reader.line_num}: {exc}") from exc
     return out
-
-
-def save_endpoints(path, endpoints: Iterable[EndpointSpec]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["addr", "port", "role", "lat", "lon",
-                         "uptime_days", "stable_flag"])
-        for ep in endpoints:
-            writer.writerow([ep.addr, ep.port, ep.role, ep.lat, ep.lon,
-                             ep.uptime_days, int(ep.stable)])
 
 
 def passes_stability_rule(ep: EndpointSpec,

@@ -34,10 +34,23 @@ INI syntax (configparser).  Example::
     placement_hop = 2
     hours = *
 
+    [defaults]
+    client_background_rate = 0.5
+    path_hops = 10.9.0.1, 10.9.0.2@CN
+    path_filtered = yes
+
 Hops are listed from the first-named path endpoint toward the second; a
 rule's placement_hop refers to that listed index in either travel
 direction.  ``hours`` is ``*`` (always), a 24-character 0/1 mask, or hour
 ranges like ``0-1,11-23``.
+
+``[defaults]`` sets up CSV endpoints the file does not declare, with
+``client_ipid_mode``, ``client_background_rate``,
+``server_backlog_capacity`` and ``server_max_retransmissions``.  Its
+``path_hops``, ``path_delay_ms`` (default ``default_delay_ms``),
+``path_loss_rate`` and ``path_filtered`` give one path that applies lazily
+to every client<->server pair without a ``[path]``, hops listed from the
+client.  No other key is accepted.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ import configparser
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .simnet import FilterRule, Hop, Simulator
+from .simnet import IPID_MODES, FilterRule, Hop, Simulator
 from .transport import NS_PER_SEC
 
 
@@ -64,12 +77,12 @@ class HostDecl:
 
 @dataclass
 class PathDecl:
-    a: str  # host name
-    b: str
-    hops: list
-    delay_ns: Optional[int]
-    loss_rate: float
-    filtered: bool
+    a: str = ""  # host names; empty for the [defaults] client<->server path
+    b: str = ""
+    hops: list = field(default_factory=list)
+    delay_ns: Optional[int] = None
+    loss_rate: float = 0.0
+    filtered: bool = False
 
 
 @dataclass
@@ -81,9 +94,11 @@ class Scenario:
     hosts: list = field(default_factory=list)
     paths: list = field(default_factory=list)
     rules: list = field(default_factory=list)
-    # Free-form defaults applied by campaign runners to hosts/paths that the
-    # file does not declare explicitly (keeps large bipartite scenarios short).
-    defaults: dict = field(default_factory=dict)
+    # From [defaults]: options of CSV endpoints the file does not declare,
+    # and the path of client<->server pairs without a [path] section.
+    client_options: dict = field(default_factory=dict)
+    server_options: dict = field(default_factory=dict)
+    client_server_path: PathDecl = field(default_factory=PathDecl)
 
     def host_addr(self, name: str) -> str:
         for h in self.hosts:
@@ -91,7 +106,11 @@ class Scenario:
                 return h.addr
         raise ScenarioError(f"unknown host name: {name}")
 
-    def build(self, seed: Optional[int] = None, trace=None) -> Simulator:
+    def build(self, seed: Optional[int] = None, trace=None, clients=(),
+              servers=()) -> Simulator:
+        """A simulator of the declared hosts, paths and rules, plus the
+        ``clients`` and ``servers`` endpoints (CSV lists) the file does not
+        declare, added in that order with the [defaults] options."""
         sim = Simulator(seed=self.seed if seed is None else seed,
                         default_delay_ns=self.default_delay_ns,
                         hour0=self.hour0, trace=trace)
@@ -107,6 +126,15 @@ class Scenario:
                          delay_ns=p.delay_ns, loss_rate=p.loss_rate,
                          filtered=p.filtered)
         sim.policy.rules.extend(self.rules)
+        path = self.client_server_path
+        sim.set_client_server_path(path.hops, path.delay_ns, path.loss_rate,
+                                   path.filtered)
+        for ep in clients:
+            if ep.addr not in sim.hosts:
+                sim.add_client(ep.addr, **self.client_options)
+        for ep in servers:
+            if ep.addr not in sim.hosts:
+                sim.add_server(ep.addr, open_ports=[ep.port], **self.server_options)
         return sim
 
 
@@ -142,6 +170,44 @@ def _parse_hops(text: str) -> list:
     return hops
 
 
+def _path_decl(sec, prefix: str = "", a: str = "", b: str = "") -> PathDecl:
+    """A [path] section's keys, or the [defaults] ones under ``path_``."""
+    delay_key = prefix + "delay_ms"
+    return PathDecl(
+        a=a, b=b, hops=_parse_hops(sec.get(prefix + "hops", "")),
+        delay_ns=(int(sec.getfloat(delay_key) * 1e6) if delay_key in sec
+                  else None),
+        loss_rate=sec.getfloat(prefix + "loss_rate", 0.0),
+        filtered=sec.getboolean(prefix + "filtered", False),
+    )
+
+
+# [defaults] endpoint key -> (host kind, add_client/add_server keyword, parser)
+ENDPOINT_DEFAULTS = {
+    "client_ipid_mode": ("client", "ipid_mode", str),
+    "client_background_rate": ("client", "background_rate", float),
+    "server_backlog_capacity": ("server", "backlog_capacity", int),
+    "server_max_retransmissions": ("server", "max_retransmissions", int),
+}
+PATH_DEFAULTS = ("path_hops", "path_delay_ms", "path_loss_rate", "path_filtered")
+
+
+def _load_defaults(scn: Scenario, sec) -> None:
+    options = {"client": scn.client_options, "server": scn.server_options}
+    try:
+        for key, text in sec.items():
+            if key in ENDPOINT_DEFAULTS:
+                kind, name, parse = ENDPOINT_DEFAULTS[key]
+                options[kind][name] = parse(text)
+            elif key not in PATH_DEFAULTS:
+                raise ScenarioError(f"unknown key: {key}")
+        if scn.client_options.get("ipid_mode", "global") not in IPID_MODES:
+            raise ScenarioError(f"bad client_ipid_mode: {sec['client_ipid_mode']}")
+        scn.client_server_path = _path_decl(sec, prefix="path_")
+    except ValueError as exc:  # ScenarioError included
+        raise ScenarioError(f"[defaults] {exc}") from exc
+
+
 def _floats(text: str) -> list:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -168,7 +234,7 @@ def loads(text: str) -> Scenario:
         scn.default_delay_ns = int(sec.getfloat("default_delay_ms", 10.0) * 1e6)
         scn.hour0 = sec.getint("hour0", 0)
     if cp.has_section("defaults"):
-        scn.defaults = dict(cp["defaults"])
+        _load_defaults(scn, cp["defaults"])
     for section in cp.sections():
         if section in ("sim", "defaults"):
             continue
@@ -202,15 +268,7 @@ def loads(text: str) -> Scenario:
         elif kind == "path":
             if len(words) != 3:
                 raise ScenarioError(f"bad path section name: [{section}]")
-            delay_ns = (int(sec.getfloat("delay_ms") * 1e6)
-                        if "delay_ms" in sec else None)
-            scn.paths.append(PathDecl(
-                a=words[1], b=words[2],
-                hops=_parse_hops(sec.get("hops", "")),
-                delay_ns=delay_ns,
-                loss_rate=sec.getfloat("loss_rate", 0.0),
-                filtered=sec.getboolean("filtered", False),
-            ))
+            scn.paths.append(_path_decl(sec, a=words[1], b=words[2]))
         elif kind == "rule":
             if len(words) != 2:
                 raise ScenarioError(f"bad rule section name: [{section}]")

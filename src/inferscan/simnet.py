@@ -9,7 +9,7 @@ identical event traces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
 from typing import Callable, Optional
 
@@ -30,6 +30,7 @@ HOUR_NS = 3600 * NS_PER_SEC
 DEFAULT_BACKLOG_CAPACITY = 256
 DEFAULT_MAX_RETRANSMISSIONS = 5
 DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0, 8.0, 16.0)
+IPID_MODES = ("global", "per-flow", "random")
 
 
 def effective_retransmissions(occupancy_fraction: float, max_retransmissions: int = 5) -> int:
@@ -167,6 +168,18 @@ class _Host:
     def on_segment(self, seg: TcpSegment, now: int) -> None:
         raise NotImplementedError
 
+    def _reply(self, flow: FlowKey, now: int, seq: int, ack: int, flags,
+               ipid: int) -> None:
+        """Send one segment back along the inbound ``flow``."""
+        self.sent_count += 1
+        out = TcpSegment(
+            src_addr=self.addr, dst_addr=flow.src_addr,
+            src_port=flow.dst_port, dst_port=flow.src_port,
+            seq=seq, ack=ack, flags=frozenset(flags), ttl=64,
+            ipid=ipid, timestamp=now,
+        )
+        self.sim._launch(now, out, self.addr)
+
 
 class SimClient(_Host):
     """End host probed by idle scans.
@@ -179,7 +192,7 @@ class SimClient(_Host):
     def __init__(self, sim, addr, ipid_mode="global", ipid_start=None,
                  background_rate=0.0, rst_policy=True):
         super().__init__(sim, addr)
-        if ipid_mode not in ("global", "per-flow", "random"):
+        if ipid_mode not in IPID_MODES:
             raise ValueError(f"bad ipid_mode: {ipid_mode}")
         self.ipid_mode = ipid_mode
         self.background_rate = background_rate
@@ -188,7 +201,7 @@ class SimClient(_Host):
         self.ipid_counter = (ipid_start if ipid_start is not None
                              else self._rng.getrandbits(16))
         self._flow_counters: dict[FlowKey, int] = {}
-        self._noise_flow = FlowKey(addr, 0, "0.0.0.0", 0)
+        self._noise_flow = FlowKey("0.0.0.0", 0, addr, 0)
         if background_rate > 0:
             self._schedule_noise(sim.now)
 
@@ -206,6 +219,7 @@ class SimClient(_Host):
         self._schedule_noise(now)
 
     def _stamp_ipid(self, flow: FlowKey) -> int:
+        """IP-ID of the next segment this client sends in answer to ``flow``."""
         if self.ipid_mode == "global":
             value = self.ipid_counter
             self.ipid_counter = (self.ipid_counter + 1) & 0xFFFF
@@ -213,33 +227,24 @@ class SimClient(_Host):
         if self.ipid_mode == "per-flow":
             if flow not in self._flow_counters:
                 self._flow_counters[flow] = derive_seed(
-                    self.sim.seed, "flow-ipid", self.addr, flow.dst_addr or "",
-                    flow.src_port or 0, flow.dst_port or 0) & 0xFFFF
+                    self.sim.seed, "flow-ipid", self.addr, flow.src_addr or "",
+                    flow.dst_port or 0, flow.src_port or 0) & 0xFFFF
             value = self._flow_counters[flow]
             self._flow_counters[flow] = (value + 1) & 0xFFFF
             return value
         return self._rng.getrandbits(16)
 
     def on_segment(self, seg: TcpSegment, now: int) -> None:
+        flow = seg.flow
         if seg.has("SYN") and seg.has("ACK"):
             if self.rst_policy:
                 # ack echoes the offending seq so probers can pair responses.
-                self._reply(seg, now, seq=seg.ack, ack=seg.seq, flags=("RST",))
+                self._reply(flow, now, seg.ack, seg.seq, ("RST",),
+                            self._stamp_ipid(flow))
         elif seg.has("SYN"):
             # No open ports on clients: closed-port RST.
-            self._reply(seg, now, seq=0, ack=(seg.seq + 1) & 0xFFFFFFFF,
-                        flags=("RST", "ACK"))
-
-    def _reply(self, seg: TcpSegment, now: int, seq: int, ack: int, flags) -> None:
-        flow = FlowKey(self.addr, seg.dst_port, seg.src_addr, seg.src_port)
-        self.sent_count += 1
-        out = TcpSegment(
-            src_addr=self.addr, dst_addr=seg.src_addr,
-            src_port=seg.dst_port, dst_port=seg.src_port,
-            seq=seq, ack=ack, flags=frozenset(flags), ttl=64,
-            ipid=self._stamp_ipid(flow), timestamp=now,
-        )
-        self.sim._launch(now, out, self.addr)
+            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, ("RST", "ACK"),
+                        self._stamp_ipid(flow))
 
 
 class SimServer(_Host):
@@ -298,16 +303,16 @@ class SimServer(_Host):
         elif rst:
             self._on_rst(seg, now)
         elif syn and ack:
-            self._reply(seg, now, seq=seg.ack, ack=seg.seq, flags=("RST",))
+            self._reply(seg.flow, now, seg.ack, seg.seq, ("RST",), self._next_ipid())
         elif ack:
             self._on_ack(seg, now)
 
     def _on_syn(self, seg: TcpSegment, now: int) -> None:
-        if seg.dst_port not in self.open_ports:
-            self._reply(seg, now, seq=0, ack=(seg.seq + 1) & 0xFFFFFFFF,
-                        flags=("RST", "ACK"))
-            return
         flow = seg.flow
+        if seg.dst_port not in self.open_ports:
+            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, ("RST", "ACK"),
+                        self._next_ipid())
+            return
         if flow in self.backlog:
             return  # duplicate SYN: entry already pending
         if len(self.backlog) >= self.backlog_capacity:
@@ -322,16 +327,9 @@ class SimServer(_Host):
         self.sim.schedule(now + self.backoff_ns[0], self._retransmit_check, entry)
 
     def _send_synack(self, entry: BacklogEntry, now: int) -> None:
-        flow = entry.flow
-        self.sent_count += 1
-        out = TcpSegment(
-            src_addr=self.addr, dst_addr=flow.src_addr,
-            src_port=flow.dst_port, dst_port=flow.src_port,
-            seq=entry.server_isn, ack=(entry.client_isn + 1) & 0xFFFFFFFF,
-            flags=frozenset(("SYN", "ACK")), ttl=64,
-            ipid=self._next_ipid(), timestamp=now,
-        )
-        self.sim._launch(now, out, self.addr)
+        self._reply(entry.flow, now, entry.server_isn,
+                    (entry.client_isn + 1) & 0xFFFFFFFF, ("SYN", "ACK"),
+                    self._next_ipid())
 
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
         if not entry.alive or not self._is_up(now):
@@ -373,16 +371,6 @@ class SimServer(_Host):
         if (entry and seg.seq == (entry.client_isn + 1) & 0xFFFFFFFF
                 and seg.ack == (entry.server_isn + 1) & 0xFFFFFFFF):
             self._remove(entry, now, "ack")
-
-    def _reply(self, seg: TcpSegment, now: int, seq: int, ack: int, flags) -> None:
-        self.sent_count += 1
-        out = TcpSegment(
-            src_addr=self.addr, dst_addr=seg.src_addr,
-            src_port=seg.dst_port, dst_port=seg.src_port,
-            seq=seq, ack=ack, flags=frozenset(flags), ttl=64,
-            ipid=self._next_ipid(), timestamp=now,
-        )
-        self.sim._launch(now, out, self.addr)
 
 
 class _MonitorHost(_Host):
@@ -445,6 +433,8 @@ class Simulator:
         self.policy = FirewallPolicy()
         self.hosts: dict[str, _Host] = {}
         self._paths: dict[tuple, SimPath] = {}
+        # Route of client<->server pairs without a path of their own.
+        self._template = SimPath(a="", b="", one_way_delay_ns=default_delay_ns)
         self._plans: dict[tuple, tuple] = {}  # (origin, dst) -> see _plan
         self._heap: list = []
         self._order = 0
@@ -454,13 +444,13 @@ class Simulator:
     # -- construction --------------------------------------------------------
 
     def add_client(self, addr: str, **kwargs) -> SimClient:
-        host = SimClient(self, addr, **kwargs)
-        self.hosts[addr] = host
+        host = self.hosts[addr] = SimClient(self, addr, **kwargs)
+        self._plans.clear()  # the client<->server path may now apply
         return host
 
     def add_server(self, addr: str, **kwargs) -> SimServer:
-        host = SimServer(self, addr, **kwargs)
-        self.hosts[addr] = host
+        host = self.hosts[addr] = SimServer(self, addr, **kwargs)
+        self._plans.clear()
         return host
 
     def _ensure_monitor(self, addr: str) -> _MonitorHost:
@@ -474,13 +464,26 @@ class Simulator:
 
     def add_path(self, a: str, b: str, hops=(), delay_ns: Optional[int] = None,
                  loss_rate: float = 0.0, filtered: bool = False) -> SimPath:
-        path = SimPath(a=a, b=b, hops=tuple(hops),
+        path = self._paths[(a, b)] = self._path(a, b, hops, delay_ns,
+                                                loss_rate, filtered)
+        self._plans.clear()
+        return path
+
+    def set_client_server_path(self, hops=(), delay_ns: Optional[int] = None,
+                               loss_rate: float = 0.0,
+                               filtered: bool = False) -> None:
+        """Route every client<->server pair that has no ``add_path`` of its
+        own, in either direction, as if ``add_path(client, server, ...)`` had
+        been called for it: hops are listed from the client, and the pair
+        keeps its own loss stream.  Other pairs keep the default route."""
+        self._template = self._path("", "", hops, delay_ns, loss_rate, filtered)
+        self._plans.clear()
+
+    def _path(self, a, b, hops, delay_ns, loss_rate, filtered) -> SimPath:
+        return SimPath(a=a, b=b, hops=tuple(hops),
                        one_way_delay_ns=(delay_ns if delay_ns is not None
                                          else self.default_delay_ns),
                        loss_rate=loss_rate, filtered=filtered)
-        self._paths[(a, b)] = path
-        self._plans.clear()
-        return path
 
     def attach(self, local_addr: str, **kwargs) -> SimTransport:
         return SimTransport(self, local_addr, **kwargs)
@@ -521,18 +524,27 @@ class Simulator:
 
     # -- wire ------------------------------------------------------------------
 
+    def _route(self, origin: str, dst: str) -> SimPath:
+        path = self._paths.get((origin, dst)) or self._paths.get((dst, origin))
+        if path is not None:
+            return path
+        ends = (type(self.hosts.get(origin)), type(self.hosts.get(dst)))
+        if ends == (SimClient, SimServer):
+            return replace(self._template, a=origin, b=dst)
+        if ends == (SimServer, SimClient):
+            return replace(self._template, a=dst, b=origin)
+        return SimPath(a=origin, b=dst, one_way_delay_ns=self.default_delay_ns)
+
     def _plan(self, origin: str, dst: str) -> tuple:
         """Route plan from origin to dst, built on first use: the path, its
         ``(hop, physical index, delay from launch)`` steps in travel order,
         the end-to-end delay, and the path's loss generator (None when
-        lossless; both directions share one).  ``add_path`` clears the cache."""
+        lossless; both directions share one).  Adding a host or a path
+        clears the cache."""
         plan = self._plans.get((origin, dst))
         if plan is None:
-            path = self._paths.get((origin, dst))
-            direction = 1 if path is not None or (dst, origin) not in self._paths else -1
-            if path is None:
-                path = self._paths.get((dst, origin)) or SimPath(
-                    a=origin, b=dst, one_way_delay_ns=self.default_delay_ns)
+            path = self._route(origin, dst)
+            direction = 1 if path.a == origin else -1
             legs = path.leg_delays()[::direction]
             steps, elapsed = [], 0
             for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):

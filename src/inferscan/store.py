@@ -49,6 +49,8 @@ class ScanRecord:
             raise SchemaError(f"unknown record kind: {self.kind}")
         if not isinstance(self.payload, dict):
             raise SchemaError("payload must be a mapping")
+        if not isinstance(self.checks, dict) or not isinstance(self.meta, dict):
+            raise SchemaError("checks and meta must be mappings")
         for name, value in self.checks.items():
             if not isinstance(value, bool):
                 raise SchemaError(f"check {name!r} must be boolean")
@@ -67,9 +69,14 @@ class ScanRecord:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "ScanRecord":
+        if not isinstance(rec, dict):
+            raise SchemaError(f"record must be a JSON object, not {type(rec).__name__}")
         version = rec.get("v")
         if not isinstance(version, int) or version > SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema version: {version!r}")
+        missing = [key for key in ("kind", "payload") if key not in rec]
+        if missing:
+            raise SchemaError(f"record has no {' or '.join(missing)}")
         record = cls(kind=rec["kind"], payload=rec["payload"],
                      checks=rec.get("checks", {}), meta=rec.get("meta", {}),
                      version=version)

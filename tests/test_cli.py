@@ -288,6 +288,29 @@ class TestSeedResolution:
         assert with_env.read_bytes() == without.read_bytes()
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("line", ['{"v":1,"payload":{}}', '[1]'])
+    def test_prune_rejects_malformed_record(self, workspace, capsys, line):
+        data = workspace / "bad.jsonl"
+        data.write_text(line + "\n")
+        code = run(["prune", "--input", data, "--out", workspace / "p.jsonl"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_client_csv_without_addr_column(self, workspace, capsys):
+        clients = workspace / "noaddr.csv"
+        clients.write_text("host,port,role\n36.10.0.5,0,client\n")
+        code = run(["qualify", "--clients", clients,
+                    "--scenario", workspace / "scen.cfg",
+                    "--out", workspace / "q.jsonl"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "noaddr.csv" in err and "line 2" in err and "addr" in err
+
+
 class TestUsageAndGuardrails:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -326,7 +349,7 @@ class TestUsageAndGuardrails:
         with pytest.raises(SystemExit):
             parser.parse_args(["idle-scan", "--help"])
         text = capsys.readouterr().out
-        for flag in ("--transport", "--seed", "--rounds", "--workers",
+        for flag in ("--transport", "--seed", "--rounds",
                      "--redact-client-bits"):
             assert flag in text
         assert "default" in text

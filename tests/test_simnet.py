@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from inferscan import scenario
+from inferscan.endpoints import EndpointSpec
 from inferscan.simnet import (
     DROP,
     HOUR_NS,
@@ -404,6 +406,11 @@ hours = 0-5,22-23
             scenario.loads("[client]\naddr = 1.2.3.4\n")
         with pytest.raises(scenario.ScenarioError):
             scenario.loads("[client c1]\nipid_mode = global\n")
+        for defaults in ("path_hop = 10.9.0.1", "path_filtered = maybe",
+                         "client_ipid_mode = sequential",
+                         "server_backlog_capacity = many"):
+            with pytest.raises(scenario.ScenarioError):
+                scenario.loads(f"[defaults]\n{defaults}\n")
 
     def test_duplicate_path_hops_unique(self):
         scn = scenario.loads(self.SCENARIO)
@@ -499,3 +506,125 @@ class TestPinnedTrace:
     def test_trace_sink_never_perturbs_the_run(self):
         assert pinned_scenario(trace=[].append) == pinned_scenario()
         assert pinned_scenario() != []
+
+
+class TestClientServerPath:
+    HOPS = (Hop("10.9.0.1"), Hop("10.9.0.2", "CN"), Hop("10.9.0.3", "CN"))
+
+    def expired_hops(self, origin, dst, explicit=None):
+        """Hops at which TTL 1, 2 and 3 probes from ``origin`` expire."""
+        sim = Simulator(seed=3)
+        sim.add_client(CLIENT)
+        sim.add_server(SERVER, open_ports=[9001])
+        sim.set_client_server_path(hops=self.HOPS, delay_ns=30_000_000)
+        if explicit:
+            sim.add_path(*explicit, hops=[Hop("10.8.0.1"), Hop("10.8.0.2")])
+        tr = sim.attach(MM)
+        for ttl in (1, 2, 3):
+            # Spoofed from MM, so the time-exceeded replies come back to it.
+            sim._launch(sim.now, TcpSegment(
+                src_addr=MM, dst_addr=dst, src_port=40000, dst_port=9001,
+                seq=ttl, ack=0, flags=frozenset(("SYN",)), ttl=ttl, ipid=0,
+                timestamp=0), origin)
+        got = tr.capture([FlowKey(None, None, MM, 40000)], NS_PER_SEC)
+        return [seg.src_addr for seg in sorted(got, key=lambda seg: seg.ack)]
+
+    def test_pair_without_a_path_takes_the_template(self):
+        forward = [hop.addr for hop in self.HOPS]
+        assert self.expired_hops(CLIENT, SERVER) == forward
+        assert self.expired_hops(SERVER, CLIENT) == forward[::-1]
+
+    def test_explicit_path_wins_in_either_direction(self):
+        for explicit in ((CLIENT, SERVER), (SERVER, CLIENT)):
+            listed = ["10.8.0.1", "10.8.0.2"]
+            expected = listed if explicit[0] == CLIENT else listed[::-1]
+            # Two hops, so the TTL 3 probe reaches the server and is answered.
+            assert self.expired_hops(CLIENT, SERVER, explicit) == expected + [SERVER]
+
+    def test_client_added_after_traffic_takes_the_template(self):
+        events = []
+        sim = Simulator(seed=3, trace=events.append)
+        sim.add_server(SERVER, open_ports=[9001])
+        sim.set_client_server_path(hops=self.HOPS, delay_ns=30_000_000)
+        tr = sim.attach(MM)
+        send_syn(tr, src=CLIENT)  # answered while CLIENT is no host yet
+        sim.step(NS_PER_SEC // 2)
+        sim.add_client(CLIENT)
+        sim.step(2 * NS_PER_SEC)
+        [resent] = [e["t"] for e in events if e["ev"] == "retransmit"]
+        arrivals = [e["t"] for e in events
+                    if e["ev"] == "deliver" and e["dst"] == CLIENT]
+        assert arrivals == [resent + 30_000_000]
+
+    def test_other_pairs_keep_the_default_route(self):
+        # MM -> server is not a client<->server pair: no hops to expire at.
+        assert set(self.expired_hops(MM, SERVER)) == {SERVER}
+
+    def test_same_run_as_add_path_per_pair(self):
+        """Loss stream, placement hops and delays match an explicit
+        add_path(client, server) for every pair."""
+        clients = ("36.10.0.5", "36.10.0.6")
+        servers = ("203.0.113.5", "203.0.113.6")
+        route = dict(hops=self.HOPS, delay_ns=20_000_000, loss_rate=0.2,
+                     filtered=True)
+
+        def run(template):
+            trace = []
+            sim = Simulator(seed=8, trace=trace.append)
+            for c in clients:
+                sim.add_client(c, background_rate=0.5)
+            for s in servers:
+                sim.add_server(s, open_ports=[9001])
+            if template:
+                sim.set_client_server_path(**route)
+            else:
+                for c, s in itertools.product(clients, servers):
+                    sim.add_path(c, s, **route)
+            sim.policy.rules += [
+                FilterRule("s2c", "server->client", addr=servers[0],
+                           placement_hop=2),
+                FilterRule("c2s", "client->server", addr=servers[1],
+                           placement_hop=3)]
+            tr = sim.attach(MM)
+            for i, (c, s) in enumerate(itertools.product(clients, servers)):
+                for j in range(4):
+                    send_syn(tr, dst=s, sport=41000 + 10 * i + j, src=c)
+            sim.step(40 * NS_PER_SEC)
+            return trace
+
+        trace = run(template=True)
+        assert trace == run(template=False)
+        kinds = {e["ev"] for e in trace}
+        assert {"drop_loss", "drop_rule"} <= kinds
+        rule_hops = {e["hop"] for e in trace if e["ev"] == "drop_rule"}
+        assert rule_hops == {2, 3}
+
+    def test_build_adds_csv_endpoints_without_paths(self):
+        scn = scenario.loads(f"""
+[monitor mm]
+addr = {MM}
+
+[server s1]
+addr = {SERVER}
+ports = 9001
+
+[defaults]
+client_background_rate = 0.5
+server_backlog_capacity = 64
+path_hops = 10.9.0.1, 10.9.0.2@CN
+path_filtered = yes
+""")
+        clients = [EndpointSpec(CLIENT, 0, "client"),
+                   EndpointSpec("36.10.0.6", 0, "client")]
+        servers = [EndpointSpec(SERVER, 9001, "tor-relay"),
+                   EndpointSpec("203.0.113.6", 9030, "tor-relay")]
+        sim = scn.build(clients=clients, servers=servers)
+        assert sim._paths == {}
+        # Declared hosts, then CSV clients, then CSV servers: this order
+        # fixes the order of the clients' noise events.
+        assert list(sim.hosts) == [MM, SERVER, CLIENT, "36.10.0.6",
+                                   "203.0.113.6"]
+        assert sim.client("36.10.0.6").background_rate == 0.5
+        assert sim.server("203.0.113.6").backlog_capacity == 64
+        assert sim.server("203.0.113.6").open_ports == {9030}
+        assert sim.server(SERVER).backlog_capacity == 256  # its own section

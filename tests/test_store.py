@@ -4,9 +4,12 @@ import json
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inferscan import store
 from inferscan.store import (
+    KINDS,
     KIND_IDLE,
     KIND_TRACEROUTE,
     RecordStore,
@@ -69,6 +72,27 @@ class TestScanRecord:
     def test_malformed_line_rejected(self):
         with pytest.raises(SchemaError):
             ScanRecord.from_json("{not json")
+
+    @pytest.mark.parametrize("data", [
+        [1], {"v": 1, "payload": {}}, {"v": 1, "kind": KIND_IDLE},
+        {"v": 1, "kind": KIND_IDLE, "payload": {}, "checks": [True]},
+        {"v": 1, "kind": KIND_IDLE, "payload": {}, "meta": "slot"}])
+    def test_malformed_record_shape_rejected(self, data):
+        with pytest.raises(SchemaError):
+            ScanRecord.from_dict(data)
+
+    @given(st.builds(
+        ScanRecord,
+        kind=st.sampled_from(KINDS),
+        payload=st.dictionaries(st.text(), st.recursive(
+            st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=10)),
+        checks=st.dictionaries(st.text(), st.booleans()),
+        meta=st.dictionaries(st.text(), st.integers() | st.text())))
+    def test_json_round_trip_property(self, record):
+        assert ScanRecord.from_json(record.to_json()) == record
 
 
 class TestRecordStore:
