@@ -17,7 +17,6 @@ from .transport import (
     NS_PER_SEC,
     FlowKey,
     IsnGenerator,
-    SegmentSpec,
     Transport,
 )
 
@@ -136,6 +135,22 @@ class BacklogScanRecord:
         )
 
 
+def _send_syns(transport: Transport, relay: EndpointSpec, port_base: int,
+               n: int, src_addr: Optional[str] = None,
+               isns: Optional[IsnGenerator] = None) -> list:
+    """SYN the relay from ports ``port_base``, ``port_base + 1``, ...;
+    returns the flows their SYN/ACKs come back on.  ``isns`` gives SYN i
+    the sequence number ``isns.at(i)`` instead of a fresh session ISN."""
+    flows = []
+    for i in range(n):
+        transport.send(transport.craft_segment(
+            relay.addr, relay.port, ("SYN",), port_base + i, src_addr=src_addr,
+            seq=None if isns is None else isns.at(i)))
+        flows.append(FlowKey(relay.addr, relay.port, transport.local_addr,
+                             port_base + i))
+    return flows
+
+
 def _synack_arrivals(transport: Transport, flows: list, window_ns: int) -> dict:
     """Advance the clock and bucket SYN/ACK arrival times by probe flow."""
     arrivals: dict[int, list] = {}
@@ -155,14 +170,8 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
     its pruning-rule reason.
     """
     cfg = cfg or BacklogScanConfig()
-    flows = []
-    for i in range(cfg.baseline_probes):
-        sport = cfg.baseline_port_base + i
-        syn = transport.craft_segment(SegmentSpec(
-            dst_addr=relay.addr, dst_port=relay.port, flags=("SYN",),
-            src_port=sport))
-        transport.send(syn)
-        flows.append(FlowKey(relay.addr, relay.port, transport.local_addr, sport))
+    flows = _send_syns(transport, relay, cfg.baseline_port_base,
+                       cfg.baseline_probes)
     arrivals = _synack_arrivals(transport, flows,
                                 int(cfg.baseline_observe_s * NS_PER_SEC))
     if not arrivals:
@@ -186,28 +195,48 @@ def _probe_votes(counts: list, expected: int) -> tuple:
     return full, reduced
 
 
-def _run_probe_phase(transport: Transport, relay: EndpointSpec, n: int,
-                     cfg: BacklogScanConfig) -> list:
-    flows = []
-    for i in range(n):
-        sport = cfg.probe_port_base + i
-        syn = transport.craft_segment(SegmentSpec(
-            dst_addr=relay.addr, dst_port=relay.port, flags=("SYN",),
-            src_port=sport))
-        transport.send(syn)
-        flows.append(FlowKey(relay.addr, relay.port, transport.local_addr, sport))
-    return flows
+def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
+          cfg: BacklogScanConfig, baseline: Optional[BaselineProfile],
+          burst, passes) -> BacklogScanRecord:
+    """The steps both scans share around their fill ``burst(fill)``.
 
-
-def _collect_probe_counts(transport: Transport, flows: list, n: int,
-                          cfg: BacklogScanConfig) -> list:
-    arrivals = _synack_arrivals(transport, flows, int(cfg.observe_s * NS_PER_SEC))
-    counts: list = []
-    for i in range(n):
-        port = cfg.probe_port_base + i
-        times = arrivals.get(port)
-        counts.append(None if not times else len(times) - 1)
-    return counts
+    Takes a default baseline unless one is given, refuses an invalid
+    baseline or a fill that cannot push the backlog past half, sends ``n``
+    probe SYNs, and counts their retransmissions.  A clear majority of full
+    or reduced counts becomes ``passes(full, reduced)``.
+    """
+    if baseline is None:
+        baseline = baseline_probe(mm, relay, cfg)
+        mm.clock.sleep_ns(2 * NS_PER_SEC)
+    started = mm.clock.now_ns()
+    fill = cfg.effective_fill(n) if baseline.valid else 0
+    counts: list = [None] * n
+    verdict = VERDICT_INVALID
+    if not baseline.valid:
+        reason = baseline.reason
+    elif n + fill <= cfg.assumed_capacity // 2:
+        reason = REASON_UNDER_FILL
+    else:
+        flows = _send_syns(mm, relay, cfg.probe_port_base, n)
+        mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
+        burst(fill)
+        arrivals = _synack_arrivals(mm, flows, int(cfg.observe_s * NS_PER_SEC))
+        counts = [len(arrivals[f.dst_port]) - 1 if f.dst_port in arrivals
+                  else None for f in flows]
+        full, reduced = _probe_votes(counts, cfg.expected_retransmissions)
+        if full == 0 and reduced == 0:
+            reason = REASON_OFFLINE
+        elif full == reduced:
+            reason = REASON_INCONSISTENT
+        else:
+            reason = None
+            verdict = VERDICT_PASSES if passes(full, reduced) else VERDICT_DROPPED
+    return BacklogScanRecord(
+        kind=kind, relay=relay, probe_count=n, fill_count=fill,
+        observed_retransmissions=counts, baseline=baseline, verdict=verdict,
+        invalid_reason=reason, timestamp=started,
+        verdict_mapping=(MAPPING_LITERAL if cfg.literal_verdicts
+                         else MAPPING_MECHANICS))
 
 
 def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
@@ -221,39 +250,12 @@ def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     Reduced probe retransmissions therefore mean the SYNs passed.
     """
     cfg = cfg or BacklogScanConfig()
-    if baseline is None:
-        baseline = baseline_probe(mm, relay, cfg)
-        mm.clock.sleep_ns(2 * NS_PER_SEC)
-    started = mm.clock.now_ns()
-    if not baseline.valid:
-        return _invalid(KIND_SYN, relay, cfg.syn_probe_count, 0, baseline,
-                        baseline.reason, started, cfg)
-    fill = cfg.effective_fill(cfg.syn_probe_count)
-    if cfg.syn_probe_count + fill <= cfg.assumed_capacity // 2:
-        return _invalid(KIND_SYN, relay, cfg.syn_probe_count, fill, baseline,
-                        REASON_UNDER_FILL, started, cfg)
-    flows = _run_probe_phase(mm, relay, cfg.syn_probe_count, cfg)
-    mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
-    for i in range(fill):
-        syn = vps.craft_segment(SegmentSpec(
-            dst_addr=relay.addr, dst_port=relay.port, flags=("SYN",),
-            src_port=cfg.fill_port_base + i))
-        vps.send(syn)
-    counts = _collect_probe_counts(mm, flows, cfg.syn_probe_count, cfg)
-    full, reduced = _probe_votes(counts, cfg.expected_retransmissions)
-    if full == 0 and reduced == 0:
-        verdict, reason = VERDICT_INVALID, REASON_OFFLINE
-    elif full == reduced:
-        verdict, reason = VERDICT_INVALID, REASON_INCONSISTENT
-    else:
-        # Reduced retransmissions: the fill burst arrived -> SYNs pass.
-        verdict = VERDICT_PASSES if reduced > full else VERDICT_DROPPED
-        reason = None
-    return BacklogScanRecord(
-        kind=KIND_SYN, relay=relay, probe_count=cfg.syn_probe_count,
-        fill_count=fill, observed_retransmissions=counts, baseline=baseline,
-        verdict=verdict, invalid_reason=reason, timestamp=started,
-        verdict_mapping=_mapping(cfg))
+
+    def burst(fill: int) -> None:
+        _send_syns(vps, relay, cfg.fill_port_base, fill)
+
+    return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, cfg, baseline,
+                 burst, lambda full, reduced: reduced > full)
 
 
 def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
@@ -274,65 +276,22 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     inverted convention.
     """
     cfg = cfg or BacklogScanConfig()
-    if baseline is None:
-        baseline = baseline_probe(mm, relay, cfg)
-        mm.clock.sleep_ns(2 * NS_PER_SEC)
-    started = mm.clock.now_ns()
-    if not baseline.valid:
-        return _invalid(KIND_RST, relay, cfg.rst_probe_count, 0, baseline,
-                        baseline.reason, started, cfg)
-    fill = cfg.effective_fill(cfg.rst_probe_count)
-    if cfg.rst_probe_count + fill <= cfg.assumed_capacity // 2:
-        return _invalid(KIND_RST, relay, cfg.rst_probe_count, fill, baseline,
-                        REASON_UNDER_FILL, started, cfg)
     isn_seed = shared_isn_seed if shared_isn_seed is not None else mm.isn.seed
-    spoof_isns = IsnGenerator(isn_seed)
 
-    flows = _run_probe_phase(mm, relay, cfg.rst_probe_count, cfg)
-    mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
-    for i in range(fill):
-        syn = mm.craft_segment(SegmentSpec(
-            dst_addr=relay.addr, dst_port=relay.port, flags=("SYN",),
-            src_addr=vps.local_addr, src_port=cfg.fill_port_base + i,
-            seq=spoof_isns.at(i)))
-        mm.send(syn)
-    mm.clock.sleep_ns(int(cfg.rst_burst_delay_ms * 1e6))
-    # The vantage point derives each RST's sequence number independently.
-    vps_isns = IsnGenerator(isn_seed)
-    for i in range(fill):
-        rst = vps.craft_segment(SegmentSpec(
-            dst_addr=relay.addr, dst_port=relay.port, flags=("RST",),
-            src_port=cfg.fill_port_base + i,
-            seq=(vps_isns.at(i) + 1) & 0xFFFFFFFF))
-        vps.send(rst)
-    counts = _collect_probe_counts(mm, flows, cfg.rst_probe_count, cfg)
-    full, reduced = _probe_votes(counts, cfg.expected_retransmissions)
-    if full == 0 and reduced == 0:
-        verdict, reason = VERDICT_INVALID, REASON_OFFLINE
-    elif full == reduced:
-        verdict, reason = VERDICT_INVALID, REASON_INCONSISTENT
-    else:
-        cleared = full > reduced
-        passes = cleared if not cfg.literal_verdicts else not cleared
-        verdict = VERDICT_PASSES if passes else VERDICT_DROPPED
-        reason = None
-    return BacklogScanRecord(
-        kind=KIND_RST, relay=relay, probe_count=cfg.rst_probe_count,
-        fill_count=fill, observed_retransmissions=counts, baseline=baseline,
-        verdict=verdict, invalid_reason=reason, timestamp=started,
-        verdict_mapping=_mapping(cfg))
+    def burst(fill: int) -> None:
+        _send_syns(mm, relay, cfg.fill_port_base, fill, src_addr=vps.local_addr,
+                   isns=IsnGenerator(isn_seed))
+        mm.clock.sleep_ns(int(cfg.rst_burst_delay_ms * 1e6))
+        # The vantage point derives each RST's sequence number independently.
+        vps_isns = IsnGenerator(isn_seed)
+        for i in range(fill):
+            vps.send(vps.craft_segment(
+                relay.addr, relay.port, ("RST",), cfg.fill_port_base + i,
+                seq=(vps_isns.at(i) + 1) & 0xFFFFFFFF))
 
-
-def _mapping(cfg: BacklogScanConfig) -> str:
-    return MAPPING_LITERAL if cfg.literal_verdicts else MAPPING_MECHANICS
-
-
-def _invalid(kind, relay, probe_count, fill, baseline, reason, started, cfg):
-    return BacklogScanRecord(
-        kind=kind, relay=relay, probe_count=probe_count, fill_count=fill,
-        observed_retransmissions=[None] * probe_count, baseline=baseline,
-        verdict=VERDICT_INVALID, invalid_reason=reason, timestamp=started,
-        verdict_mapping=_mapping(cfg))
+    return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, cfg, baseline,
+                 burst,
+                 lambda full, reduced: (full > reduced) != cfg.literal_verdicts)
 
 
 @dataclass

@@ -9,6 +9,7 @@ flags, seed, and inputs produce identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -25,7 +26,6 @@ from .transport import NS_PER_SEC, TransportError, derive_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 
 SEED_ENV = "INFERSCAN_SEED"
 
@@ -249,55 +249,82 @@ def cmd_prune(args, parser) -> int:
 
 # -- analytics wiring ---------------------------------------------------------
 
-def _idle_payloads(records):
-    return [(rec.payload, rec.meta.get("slot", 0)) for rec in records
-            if rec.kind == store.KIND_IDLE and rec.admitted]
+@contextlib.contextmanager
+def _reading(no: int, rec: store.ScanRecord):
+    """Turn a payload field a reader misses into a SchemaError naming the
+    record (its 1-based position in the input) and the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise store.SchemaError(
+            f"record {no} ({rec.kind}) has no payload field {exc}") from exc
+    except TypeError as exc:
+        raise store.SchemaError(
+            f"record {no} ({rec.kind}) has a malformed payload: {exc}") from exc
+
+
+def _admitted(records, kind) -> list:
+    """(position, record) of every admitted record of ``kind``."""
+    return [(no, rec) for no, rec in enumerate(records, 1)
+            if rec.kind == kind and rec.admitted]
+
+
+def _slot(no: int, rec: store.ScanRecord) -> int:
+    slot = rec.meta.get("slot", 0)
+    if not isinstance(slot, int) or slot < 0:
+        raise store.SchemaError(
+            f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
+    return slot
 
 
 def _source_series(records) -> list:
-    payloads = _idle_payloads(records)
-    if not payloads:
+    idle = _admitted(records, store.KIND_IDLE)
+    if not idle:
         return []
-    n_slots = max(slot for _, slot in payloads) + 1
+    n_slots = max(_slot(no, rec) for no, rec in idle) + 1
     by_client: dict[str, SourceSeries] = {}
-    for payload, slot in payloads:
-        client = payload["client"]
-        series = by_client.get(client["addr"])
-        if series is None:
-            series = SourceSeries(source_id=client["addr"], lat=client["lat"],
-                                  lon=client["lon"], hourly_counts=[0] * n_slots)
-            by_client[client["addr"]] = series
-        if payload["label"]["variant"] == analytics.NO_PACKETS_DROPPED:
-            series.hourly_counts[slot] += 1
+    for no, rec in idle:
+        with _reading(no, rec):
+            client = rec.payload["client"]
+            series = by_client.get(client["addr"])
+            if series is None:
+                series = SourceSeries(source_id=client["addr"], lat=client["lat"],
+                                      lon=client["lon"],
+                                      hourly_counts=[0] * n_slots)
+                by_client[client["addr"]] = series
+            if rec.payload["label"]["variant"] == analytics.NO_PACKETS_DROPPED:
+                series.hourly_counts[_slot(no, rec)] += 1
     return [by_client[k] for k in sorted(by_client)]
 
 
 def _case_rows(records, table: Optional[PrefixTable]) -> list:
     rows = []
-    for rec in records:
-        if rec.kind != store.KIND_IDLE or not rec.admitted:
-            continue
-        client = rec.payload["client"]
-        entry = table.lookup(client["addr"]) if table else None
-        region = entry.region if entry else "Other"
-        stype = SERVER_TYPE_BY_ROLE.get(rec.payload["server"]["role"], "Other")
-        rows.append(CaseRow(client_region=region, server_type=stype,
-                            variant=rec.payload["label"]["variant"]))
+    for no, rec in _admitted(records, store.KIND_IDLE):
+        with _reading(no, rec):
+            entry = table.lookup(rec.payload["client"]["addr"]) if table else None
+            stype = SERVER_TYPE_BY_ROLE.get(rec.payload["server"]["role"], "Other")
+            rows.append(CaseRow(client_region=entry.region if entry else "Other",
+                                server_type=stype,
+                                variant=rec.payload["label"]["variant"]))
     return rows
 
 
 def _trace_pairs(records) -> list:
     pairs = []
-    for rec in records:
+    for no, rec in enumerate(records, 1):
         if rec.kind == store.KIND_TRACEROUTE:
-            pairs.append((TracerouteRun.from_dict(rec.payload["tor"]),
-                          TracerouteRun.from_dict(rec.payload["rand"])))
+            with _reading(no, rec):
+                pairs.append((TracerouteRun.from_dict(rec.payload["tor"]),
+                              TracerouteRun.from_dict(rec.payload["rand"])))
     return pairs
 
 
 def _backlog_payloads(records) -> list:
-    return [backlog.BacklogScanRecord.from_dict(rec.payload)
-            for rec in records if rec.kind == store.KIND_BACKLOG and rec.admitted]
+    scans = []
+    for no, rec in _admitted(records, store.KIND_BACKLOG):
+        with _reading(no, rec):
+            scans.append(backlog.BacklogScanRecord.from_dict(rec.payload))
+    return scans
 
 
 def cmd_analyze(args, parser) -> int:

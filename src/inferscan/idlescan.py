@@ -18,7 +18,7 @@ from .endpoints import EndpointSpec, passes_stability_rule
 from .transport import (
     NS_PER_SEC,
     FlowKey,
-    SegmentSpec,
+    TcpSegment,
     Transport,
     TransportError,
     derive_seed,
@@ -138,15 +138,27 @@ class LivelinessResult:
     ipids: tuple = ()
 
 
-def _probe_once(transport: Transport, addr: str, dst_port: int, src_port: int,
-                window_ns: int) -> list:
+def _client_rsts(transport: Transport, addr: str, src_port: int,
+                 window_ns: int) -> list:
+    """Advance by the window; return the client's RSTs to ``src_port``."""
+    flow = FlowKey(addr, DEFAULT_CLIENT_PROBE_PORT, transport.local_addr, src_port)
+    return [seg for seg in transport.capture([flow], window_ns) if seg.has("RST")]
+
+
+def _probe_client(transport: Transport, addr: str, src_port: int,
+                  window_ns: int) -> list:
     """One SYN/ACK probe to a client; returns the RSTs seen in the window."""
-    probe = transport.craft_segment(SegmentSpec(
-        dst_addr=addr, dst_port=dst_port, flags=("SYN", "ACK"),
-        src_port=src_port))
-    transport.send(probe)
-    return transport.capture(
-        [FlowKey(addr, dst_port, transport.local_addr, src_port)], window_ns)
+    transport.send(transport.craft_segment(
+        addr, DEFAULT_CLIENT_PROBE_PORT, ("SYN", "ACK"), src_port))
+    return _client_rsts(transport, addr, src_port, window_ns)
+
+
+def _reset(transport: Transport, syn: TcpSegment) -> None:
+    """RST the half-open entry ``syn`` created, from the SYN's own (possibly
+    spoofed) source, with the sequence number the server expects."""
+    transport.send(transport.craft_segment(
+        syn.dst_addr, syn.dst_port, ("RST",), syn.src_port,
+        src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF))
 
 
 def qualify_client(transport: Transport, addr: str, window_s: float = 30.0,
@@ -165,9 +177,7 @@ def qualify_client(transport: Transport, addr: str, window_s: float = 30.0,
     observed = []  # (port, ipid)
     for i in range(n_probes):
         port = ports[i % 2]
-        rsts = _probe_once(transport, addr, DEFAULT_CLIENT_PROBE_PORT, port,
-                           interval_ns)
-        for seg in rsts:
+        for seg in _probe_client(transport, addr, port, interval_ns):
             observed.append((port, seg.ipid))
     result_base = dict(responses=len(observed), probes=n_probes)
     if len(observed) < max(2, n_probes // 2):
@@ -205,16 +215,10 @@ def client_liveliness(transport: Transport, addr: str,
     sport = src_port if src_port is not None else cfg.probe_src_port + 2
     n = int(cfg.check_duration_s * cfg.liveliness_rate)
     gap_ns = int(NS_PER_SEC / cfg.liveliness_rate)
-    flow = FlowKey(addr, DEFAULT_CLIENT_PROBE_PORT, transport.local_addr, sport)
-    collected = []
+    rsts = []
     for _ in range(n):
-        probe = transport.craft_segment(SegmentSpec(
-            dst_addr=addr, dst_port=DEFAULT_CLIENT_PROBE_PORT,
-            flags=("SYN", "ACK"), src_port=sport))
-        transport.send(probe)
-        collected.extend(transport.capture([flow], gap_ns))
-    collected.extend(transport.capture([flow], NS_PER_SEC))
-    rsts = [seg for seg in collected if seg.has("RST")]
+        rsts += _probe_client(transport, addr, sport, gap_ns)
+    rsts += _client_rsts(transport, addr, sport, NS_PER_SEC)
     return LivelinessResult(passed=len(rsts) > n // 2, sent=n,
                             responses=len(rsts),
                             ipids=tuple(seg.ipid for seg in rsts))
@@ -230,21 +234,17 @@ def server_liveliness(transport: Transport, addr: str, port: int,
     base = src_port_base if src_port_base is not None else cfg.probe_src_port + 100
     n = int(cfg.check_duration_s * cfg.liveliness_rate)
     gap_ns = int(NS_PER_SEC / cfg.liveliness_rate)
-    flows = [FlowKey(addr, port, transport.local_addr, base + i) for i in range(n)]
-    isns = []
+    syns = []
     for i in range(n):
-        syn = transport.craft_segment(SegmentSpec(
-            dst_addr=addr, dst_port=port, flags=("SYN",), src_port=base + i))
-        transport.send(syn)
-        isns.append(syn.seq)
+        syns.append(transport.craft_segment(addr, port, ("SYN",), base + i))
+        transport.send(syns[-1])
         transport.clock.sleep_ns(gap_ns)
     # Three retransmissions arrive within 1+2+4 s of the original SYN/ACK.
-    collected = transport.capture(flows, 12 * NS_PER_SEC)
+    collected = transport.capture([syn.flow.reversed() for syn in syns],
+                                  12 * NS_PER_SEC)
     # Terminate every half-open entry the check created, as the scan's flush does.
-    for i, isn in enumerate(isns):
-        transport.send(transport.craft_segment(SegmentSpec(
-            dst_addr=addr, dst_port=port, flags=("RST",), src_port=base + i,
-            seq=(isn + 1) & 0xFFFFFFFF)))
+    for syn in syns:
+        _reset(transport, syn)
     counts: dict[int, int] = {}
     for seg in collected:
         if seg.has("SYN", "ACK"):
@@ -270,21 +270,15 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     n_base = int(cfg.base_duration_s * cfg.probe_rate)
     n_perturb = int(cfg.perturb_duration_s * cfg.probe_rate)
     spoof_per_interval = cfg.spoof_rate / cfg.probe_rate
-    probe_flow = FlowKey(client.addr, DEFAULT_CLIENT_PROBE_PORT,
-                         transport.local_addr, cfg.probe_src_port)
 
     samples: list[IpidSample] = []
-    spoofed: list[tuple[int, int]] = []  # (src_port, isn)
+    spoofed: list[TcpSegment] = []
     spoof_budget = 0.0
 
     def sample_interval(phase: str) -> None:
-        probe = transport.craft_segment(SegmentSpec(
-            dst_addr=client.addr, dst_port=DEFAULT_CLIENT_PROBE_PORT,
-            flags=("SYN", "ACK"), src_port=cfg.probe_src_port))
-        transport.send(probe)
-        for seg in transport.capture([probe_flow], interval_ns):
-            if seg.has("RST"):
-                samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
+        for seg in _probe_client(transport, client.addr, cfg.probe_src_port,
+                                 interval_ns):
+            samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
 
     for _ in range(n_base):
         sample_interval(PHASE_BASE)
@@ -292,24 +286,18 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     for _ in range(n_perturb):
         spoof_budget += spoof_per_interval
         while spoof_budget >= 1.0:
-            port = cfg.spoof_src_port_base + len(spoofed)
-            syn = transport.craft_segment(SegmentSpec(
-                dst_addr=server.addr, dst_port=server.port, flags=("SYN",),
-                src_addr=client.addr, src_port=port))
-            transport.send(syn)
-            spoofed.append((port, syn.seq))
+            spoofed.append(transport.craft_segment(
+                server.addr, server.port, ("SYN",),
+                cfg.spoof_src_port_base + len(spoofed), src_addr=client.addr))
+            transport.send(spoofed[-1])
             spoof_budget -= 1.0
         sample_interval(PHASE_PERTURB)
 
     # Flush: terminate every half-open entry the spoofed SYNs created.
     if spoofed:
         flush_gap = int(cfg.rst_flush_duration_s * NS_PER_SEC / len(spoofed))
-        for port, isn in spoofed:
-            rst = transport.craft_segment(SegmentSpec(
-                dst_addr=server.addr, dst_port=server.port, flags=("RST",),
-                src_addr=client.addr, src_port=port,
-                seq=(isn + 1) & 0xFFFFFFFF))
-            transport.send(rst)
+        for syn in spoofed:
+            _reset(transport, syn)
             transport.clock.sleep_ns(flush_gap)
 
     expected = n_base + n_perturb

@@ -41,8 +41,8 @@ INI syntax (configparser).  Example::
 
 Hops are listed from the first-named path endpoint toward the second; a
 rule's placement_hop refers to that listed index in either travel
-direction.  ``hours`` is ``*`` (always), a 24-character 0/1 mask, or hour
-ranges like ``0-1,11-23``.
+direction.  ``hours`` is ``*`` (always), a 24-character 0/1 mask, or hours
+and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
 
 ``[defaults]`` sets up CSV endpoints the file does not declare, with
 ``client_ipid_mode``, ``client_background_rate``,
@@ -139,6 +139,8 @@ class Scenario:
 
 
 def parse_hours(text: str) -> Optional[tuple]:
+    """Hour-of-day mask from ``*``, 24 binary digits, or a list of hours
+    and ranges such as ``0-5,22-23``; hours run from 0 to 23."""
     text = text.strip()
     if text in ("*", ""):
         return None
@@ -146,13 +148,13 @@ def parse_hours(text: str) -> Optional[tuple]:
         return tuple(c == "1" for c in text)
     mask = [False] * 24
     for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            for h in range(int(lo), int(hi) + 1):
-                mask[h] = True
-        else:
-            mask[int(part)] = True
+        lo, _, hi = part.partition("-")
+        lo = int(lo)
+        hi = int(hi) if hi.strip() else lo
+        if not 0 <= lo <= hi <= 23:
+            raise ScenarioError(f"bad hours {part.strip()!r}: hours run 0-23")
+        for h in range(lo, hi + 1):
+            mask[h] = True
     return tuple(mask)
 
 
@@ -273,17 +275,21 @@ def loads(text: str) -> Scenario:
             if len(words) != 2:
                 raise ScenarioError(f"bad rule section name: [{section}]")
             flags_text = sec.get("flags", "").strip()
-            scn.rules.append(FilterRule(
-                name=words[1],
-                direction=sec.get("direction", "server->client"),
-                addr=sec.get("addr") or None,
-                port=sec.getint("port") if "port" in sec else None,
-                action=sec.get("action", "drop"),
-                placement_hop=sec.getint("placement_hop", 1),
-                hours=parse_hours(sec.get("hours", "*")),
-                flags=(frozenset(f.strip().upper() for f in flags_text.split(","))
-                       if flags_text else None),
-            ))
+            try:
+                scn.rules.append(FilterRule(
+                    name=words[1],
+                    direction=sec.get("direction", "server->client"),
+                    addr=sec.get("addr") or None,
+                    port=sec.getint("port") if "port" in sec else None,
+                    action=sec.get("action", "drop"),
+                    placement_hop=sec.getint("placement_hop", 1),
+                    hours=parse_hours(sec.get("hours", "*")),
+                    flags=(frozenset(f.strip().upper()
+                                     for f in flags_text.split(","))
+                           if flags_text else None),
+                ))
+            except ValueError as exc:  # ScenarioError included
+                raise ScenarioError(f"[{section}] {exc}") from exc
         else:
             raise ScenarioError(f"unknown section kind: [{section}]")
     return scn

@@ -14,7 +14,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .transport import NS_PER_SEC, FlowKey, SegmentSpec, Transport
+from .transport import NS_PER_SEC, FlowKey, Transport
 
 STATUS_FINISHED = "Finished"
 STATUS_STALLED = "Stalled"
@@ -156,12 +156,10 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
     last_send = transport.clock.now_ns()
     send_times: dict[int, int] = {}
     for ttl in range(1, cfg.max_ttl + 1):
-        probe = transport.craft_segment(SegmentSpec(
-            dst_addr=dest, dst_port=cfg.dst_port, flags=("SYN", "ACK"),
-            src_port=src_port, ttl=ttl))
-        receipt = transport.send(probe)
+        probe = transport.craft_segment(dest, cfg.dst_port, ("SYN", "ACK"),
+                                        src_port, ttl=ttl)
         seq_to_ttl[probe.seq] = ttl
-        last_send = send_times[ttl] = receipt.timestamp
+        last_send = send_times[ttl] = transport.send(probe)
     # send() paces the probes into future slots without advancing the clock,
     # so the window runs until the last probe's response window has closed.
     window = (last_send - transport.clock.now_ns()

@@ -25,7 +25,6 @@ NS_PER_SEC = 1_000_000_000
 PENDING_HORIZON_NS = 60 * NS_PER_SEC
 
 FLAG_BITS = {"SYN": 0x02, "ACK": 0x10, "RST": 0x04, "FIN": 0x01}
-FLAG_ORDER = ("FIN", "SYN", "RST", "ACK")
 
 
 class TransportError(Exception):
@@ -118,30 +117,6 @@ class TcpSegment:
         return TcpSegment(self.src_addr, self.dst_addr, self.src_port,
                           self.dst_port, self.seq, self.ack, self.flags,
                           self.ttl, self.ipid, timestamp)
-
-
-@dataclass
-class SegmentSpec:
-    """Descriptor for :meth:`Transport.craft_segment`.
-
-    Unset fields fall back to transport defaults; ``seq=None`` pulls the
-    next value from the session ISN generator.
-    """
-
-    dst_addr: str = ""
-    dst_port: int = 0
-    flags: Iterable[str] = ()
-    src_addr: Optional[str] = None
-    src_port: int = 0
-    seq: Optional[int] = None
-    ack: int = 0
-    ttl: int = 64
-    ipid: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SendReceipt:
-    timestamp: int  # ns at which the segment entered the wire/simulation
 
 
 def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
@@ -294,10 +269,6 @@ class IsnGenerator:
         self._index += 1
         return value
 
-    @property
-    def index(self) -> int:
-        return self._index
-
 
 class Clock:
     """Monotonic time source; the sim backend advances virtual time."""
@@ -425,32 +396,32 @@ class Transport:
 
     # -- public API ---------------------------------------------------------
 
-    def craft_segment(self, spec: SegmentSpec) -> TcpSegment:
-        src = spec.src_addr or self.local_addr
+    def craft_segment(self, dst_addr: str, dst_port: int, flags: Iterable[str],
+                      src_port: int = 0, *, src_addr: Optional[str] = None,
+                      seq: Optional[int] = None, ack: int = 0, ttl: int = 64,
+                      ipid: Optional[int] = None) -> TcpSegment:
+        """A validated segment from this transport.
+
+        ``src_addr=None`` sends from the local address, ``seq=None`` takes
+        the next session ISN and ``ipid=None`` the next IP-ID, drawn in
+        that order.
+        """
+        src = src_addr or self.local_addr
         if src != self.local_addr and not self.supports_spoofing:
             raise SpoofingUnsupportedError(
                 f"backend cannot spoof source {src} (local {self.local_addr})")
-        seq = spec.seq if spec.seq is not None else self.isn.next()
-        if spec.ipid is None:
-            self._ipid = (self._ipid + 1) & 0xFFFF
-            ipid = self._ipid
-        else:
-            ipid = spec.ipid
-        seg = TcpSegment(
-            src_addr=src,
-            dst_addr=spec.dst_addr,
-            src_port=spec.src_port,
-            dst_port=spec.dst_port,
-            seq=seq,
-            ack=spec.ack,
-            flags=frozenset(spec.flags),
-            ttl=spec.ttl,
-            ipid=ipid,
-            timestamp=self.clock.now_ns(),
-        )
-        return validate_segment(seg)
+        if seq is None:
+            seq = self.isn.next()
+        if ipid is None:
+            self._ipid = ipid = (self._ipid + 1) & 0xFFFF
+        return validate_segment(TcpSegment(
+            src_addr=src, dst_addr=dst_addr, src_port=src_port,
+            dst_port=dst_port, seq=seq, ack=ack, flags=frozenset(flags),
+            ttl=ttl, ipid=ipid, timestamp=self.clock.now_ns()))
 
-    def send(self, seg: TcpSegment, wait: bool = True) -> SendReceipt:
+    def send(self, seg: TcpSegment, wait: bool = True) -> int:
+        """Queue ``seg`` for its flow's next rate-limited slot; returns the
+        slot, in ns, at which it enters the wire or simulation."""
         if not self._open:
             raise TransportClosedError("send after close")
         slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), wait=wait)
@@ -458,7 +429,7 @@ class Transport:
         self._dispatch(seg, slot)
         if self._log:
             self._log.write(seg, "out")
-        return SendReceipt(timestamp=slot)
+        return slot
 
     def capture(self, flows: Iterable[FlowKey], window_ns: int) -> list[TcpSegment]:
         """Advance by window_ns; return matching arrivals in arrival order.

@@ -81,14 +81,14 @@ class TestFitArma:
     def test_white_noise_from_simulated_client(self):
         # Sample a noisy but otherwise idle client; per-interval deltas are
         # 1 (the probe RST) plus Poisson background traffic.
-        from inferscan.transport import FlowKey, SegmentSpec
+        from inferscan.transport import FlowKey
         sim = build_idle_sim("none", seed=31, noise=4.0)
         tr = sim.attach(MM_ADDR)
         ipids = []
         for _ in range(120):
-            probe = tr.craft_segment(SegmentSpec(
+            probe = tr.craft_segment(
                 dst_addr=CLIENT_EP.addr, dst_port=443, flags=("SYN", "ACK"),
-                src_port=40000))
+                src_port=40000)
             tr.send(probe)
             for seg in tr.capture([FlowKey(CLIENT_EP.addr, 443, MM_ADDR, 40000)],
                                   NS_PER_SEC):

@@ -311,6 +311,52 @@ class TestMalformedInput:
         assert "noaddr.csv" in err and "line 2" in err and "addr" in err
 
 
+    @pytest.mark.parametrize("hours", ["3-25", "24"])
+    def test_rule_hours_out_of_range(self, workspace, capsys, hours):
+        scen = workspace / "badhours.cfg"
+        scen.write_text(TRACE_SCENARIO + f"hours = {hours}\n")
+        code = run(["simulate", "--scenario", scen, "--seed", 1,
+                    "--duration-s", 1, "--out", workspace / "t.jsonl"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[rule gfw]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("what", ["tables", "temporal", "spatial"])
+    def test_analyze_rejects_incomplete_payload(self, workspace, capsys, what):
+        data = workspace / "bad.jsonl"
+        data.write_text('{"v":1,"kind":"IdleScan","payload":{},"checks":{}}\n')
+        code = run(["analyze", what, "--input", data,
+                    "--out", workspace / "a.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "record 1 (IdleScan)" in err and "'client'" in err
+
+    @pytest.mark.parametrize("slot", ['"x"', "-5"])
+    def test_analyze_rejects_bad_slot(self, workspace, capsys, slot):
+        data = workspace / "bad.jsonl"
+        payload = ('{"client":{"addr":"36.10.0.5","lat":1,"lon":2},'
+                   '"server":{"role":"web"},"label":{"variant":"x"}}')
+        data.write_text(f'{{"v":1,"kind":"IdleScan","payload":{payload},'
+                        f'"checks":{{}},"meta":{{"slot":{slot}}}}}\n')
+        code = run(["analyze", "temporal", "--input", data,
+                    "--out", workspace / "a.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "record 1 (IdleScan)" in err and "slot" in err
+
+    def test_analyze_rejects_incomplete_traceroute(self, workspace, capsys):
+        data = workspace / "bad.jsonl"
+        data.write_text('{"v":1,"kind":"Traceroute","payload":{"tor":{}},'
+                        '"checks":{}}\n')
+        code = run(["analyze", "hops", "--input", data,
+                    "--out", workspace / "a.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "record 1 (Traceroute)" in err and "'dest'" in err
+
+
 class TestUsageAndGuardrails:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,7 @@ from inferscan.idlescan import (
     server_liveliness,
 )
 from inferscan.simnet import Simulator
-from inferscan.transport import NS_PER_SEC, PacketLog, SegmentSpec
+from inferscan.transport import NS_PER_SEC, PacketLog
 
 
 class TestQualifyClient:
@@ -115,9 +115,9 @@ class TestLiveliness:
         other = sim.attach("198.51.100.77")
         # Park the backlog above half so retransmissions are pruned to 3.
         for i in range(154):
-            syn = other.craft_segment(SegmentSpec(
+            syn = other.craft_segment(
                 dst_addr=SERVER_ADDR, dst_port=9001, flags=("SYN",),
-                src_port=45000 + i))
+                src_port=45000 + i)
             other.send(syn)
         other.clock.sleep_ns(NS_PER_SEC // 2)
         assert srv.occupancy > 0.5

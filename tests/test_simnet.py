@@ -20,7 +20,7 @@ from inferscan.simnet import (
     effective_retransmissions,
     firewall_decide,
 )
-from inferscan.transport import NS_PER_SEC, FlowKey, SegmentSpec, TcpSegment
+from inferscan.transport import NS_PER_SEC, FlowKey, TcpSegment
 
 MM = "198.51.100.9"
 
@@ -46,8 +46,8 @@ class TestStep:
         sim.add_client("36.10.0.5")
         sim.add_path(MM, "36.10.0.5", delay_ns=10_000_000)
         tr = sim.attach(MM)
-        seg = tr.craft_segment(SegmentSpec(dst_addr="36.10.0.5", dst_port=80,
-                                           flags=("SYN",), src_port=40000))
+        seg = tr.craft_segment(dst_addr="36.10.0.5", dst_port=80,
+                               flags=("SYN",), src_port=40000)
         tr.send(seg)
         sim.step(NS_PER_SEC)
         deliveries = [e for e in events if e["ev"] == "deliver"
@@ -62,19 +62,19 @@ class TestStep:
         tr = sim.attach(MM)
 
         def rtt(sport):
-            sent = tr.send(tr.craft_segment(SegmentSpec(
+            sent = tr.send(tr.craft_segment(
                 dst_addr="36.10.0.5", dst_port=80, flags=("SYN",),
-                src_port=sport)))
+                src_port=sport))
             got = tr.capture([FlowKey("36.10.0.5", 80, MM, sport)], NS_PER_SEC)
-            return got[0].timestamp - sent.timestamp
+            return got[0].timestamp - sent
 
         assert rtt(40000) == 20_000_000
         path = sim.add_path(MM, "36.10.0.5", hops=[Hop("10.1.0.1")],
                             delay_ns=40_000_000)
         assert rtt(40001) == 80_000_000  # both directions take the new path
-        tr.send(tr.craft_segment(SegmentSpec(
+        tr.send(tr.craft_segment(
             dst_addr="36.10.0.5", dst_port=80, flags=("SYN",),
-            src_port=40002, ttl=1)))
+            src_port=40002, ttl=1))
         sim.step(sim.now + NS_PER_SEC)
         assert [e["hop"] for e in events if e["ev"] == "ttl_exceeded"] == ["10.1.0.1"]
         assert path.hops == (Hop("10.1.0.1"),)
@@ -97,9 +97,9 @@ class TestStep:
                          loss_rate=0.3)
             tr = sim.attach(MM)
             for i in range(5):
-                seg = tr.craft_segment(SegmentSpec(
+                seg = tr.craft_segment(
                     dst_addr="203.0.113.5", dst_port=9001, flags=("SYN",),
-                    src_port=41000 + i, src_addr="36.10.0.5"))
+                    src_port=41000 + i, src_addr="36.10.0.5")
                 tr.send(seg)
             sim.step(40 * NS_PER_SEC)
             return trace
@@ -187,9 +187,9 @@ class TestFirewallDecide:
 
 
 def send_syn(tr, dst="203.0.113.5", port=9001, sport=41000, src=None, seq=None):
-    seg = tr.craft_segment(SegmentSpec(dst_addr=dst, dst_port=port,
-                                       flags=("SYN",), src_port=sport,
-                                       src_addr=src, seq=seq))
+    seg = tr.craft_segment(dst_addr=dst, dst_port=port,
+                           flags=("SYN",), src_port=sport,
+                           src_addr=src, seq=seq)
     tr.send(seg)
     return seg
 
@@ -216,15 +216,15 @@ class TestBacklog:
         sim.step(NS_PER_SEC)
         assert len(srv.backlog) == 2
         # Wrong sequence number: entry must survive.
-        rst = tr.craft_segment(SegmentSpec(
+        rst = tr.craft_segment(
             dst_addr="203.0.113.5", dst_port=9001, flags=("RST",),
-            src_port=41000, seq=(syn.seq + 2) & 0xFFFFFFFF))
+            src_port=41000, seq=(syn.seq + 2) & 0xFFFFFFFF)
         tr.send(rst)
         sim.step(2 * NS_PER_SEC)
         assert len(srv.backlog) == 2
-        rst = tr.craft_segment(SegmentSpec(
+        rst = tr.craft_segment(
             dst_addr="203.0.113.5", dst_port=9001, flags=("RST",),
-            src_port=41000, seq=(syn.seq + 1) & 0xFFFFFFFF))
+            src_port=41000, seq=(syn.seq + 1) & 0xFFFFFFFF)
         tr.send(rst)
         sim.step(3 * NS_PER_SEC)
         assert len(srv.backlog) == 1
@@ -239,10 +239,10 @@ class TestBacklog:
         segs = tr.capture([FlowKey("203.0.113.5", 9001, MM, 41000)],
                           NS_PER_SEC // 2)
         assert len(segs) == 1 and segs[0].has("SYN", "ACK")
-        ack = tr.craft_segment(SegmentSpec(
+        ack = tr.craft_segment(
             dst_addr="203.0.113.5", dst_port=9001, flags=("ACK",),
             src_port=41000, seq=(syn.seq + 1) & 0xFFFFFFFF,
-            ack=(segs[0].seq + 1) & 0xFFFFFFFF))
+            ack=(segs[0].seq + 1) & 0xFFFFFFFF)
         tr.send(ack)
         sim.step(3 * NS_PER_SEC)
         assert len(srv.backlog) == 0
@@ -274,10 +274,10 @@ class TestBacklog:
         sim.step(NS_PER_SEC)
         assert len(srv.backlog) == 27
         for syn in spoofed:
-            rst = tr.craft_segment(SegmentSpec(
+            rst = tr.craft_segment(
                 dst_addr="203.0.113.5", dst_port=9001, flags=("RST",),
                 src_addr="36.10.0.5", src_port=syn.src_port,
-                seq=(syn.seq + 1) & 0xFFFFFFFF))
+                seq=(syn.seq + 1) & 0xFFFFFFFF)
             tr.send(rst)
         sim.step(3 * NS_PER_SEC)
         assert len(srv.backlog) == 7
@@ -306,9 +306,9 @@ class TestClient:
         start_counter = client.ipid_counter
         start_sent = client.sent_count
         for _ in range(5):
-            seg = tr.craft_segment(SegmentSpec(
+            seg = tr.craft_segment(
                 dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
-                src_port=40000))
+                src_port=40000)
             tr.send(seg)
             tr.clock.sleep_ns(NS_PER_SEC)
         advance = (client.ipid_counter - start_counter) % 65536
@@ -318,9 +318,9 @@ class TestClient:
         sim = Simulator(seed=9)
         sim.add_client("36.10.0.5", rst_policy=False)
         tr = sim.attach(MM)
-        seg = tr.craft_segment(SegmentSpec(
+        seg = tr.craft_segment(
             dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
-            src_port=40000))
+            src_port=40000)
         tr.send(seg)
         assert tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)],
                           NS_PER_SEC) == []
@@ -329,9 +329,9 @@ class TestClient:
         sim = Simulator(seed=10)
         sim.add_client("36.10.0.5")
         tr = sim.attach(MM)
-        seg = tr.craft_segment(SegmentSpec(
+        seg = tr.craft_segment(
             dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
-            src_port=40000))
+            src_port=40000)
         tr.send(seg)
         got = tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)],
                          5 * NS_PER_SEC)
@@ -399,6 +399,12 @@ hours = 0-5,22-23
         assert mask[0] and mask[1] and mask[23] and not mask[2]
         assert scenario.parse_hours("*") is None
 
+    @pytest.mark.parametrize("hours", ["3-25", "24", "-1", "5-3", "x"])
+    def test_bad_rule_hours_name_the_rule(self, hours):
+        text = self.SCENARIO.replace("hours = 0-5,22-23", f"hours = {hours}")
+        with pytest.raises(scenario.ScenarioError, match=r"\[rule drop-tor\]"):
+            scenario.loads(text)
+
     def test_bad_section_rejected(self):
         with pytest.raises(scenario.ScenarioError):
             scenario.loads("[widget w]\nfoo = 1\n")
@@ -459,16 +465,16 @@ def pinned_scenario(trace=None):
     for i in range(3):
         send_syn(tr, sport=42000 + i, src=CLIENT)
     for i in range(4):  # unsolicited SYN/ACKs to the client over the lossy path
-        tr.send(tr.craft_segment(SegmentSpec(
+        tr.send(tr.craft_segment(
             dst_addr=CLIENT, dst_port=443, flags=("SYN", "ACK"),
-            src_port=45000 + i)))
+            src_port=45000 + i))
     send_syn(tr, dst=DOWN_SERVER, port=80, sport=43000)
     send_syn(tr, dst="192.0.2.77", port=80, sport=43001)
     for ttl in (1, 2, 3):  # forward over (MM, SERVER), reverse over (CLIENT, MM)
         for dst, sport in ((SERVER, 44000), (CLIENT, 44001)):
-            tr.send(tr.craft_segment(SegmentSpec(
+            tr.send(tr.craft_segment(
                 dst_addr=dst, dst_port=9001, flags=("SYN", "ACK"),
-                src_port=sport, ttl=ttl)))
+                src_port=sport, ttl=ttl))
     got = tr.capture([FlowKey(None, None, MM, None)], 3 * NS_PER_SEC)
     send_syn(tr, dst=DOWN_SERVER, port=80, sport=43002)
     got += tr.capture([FlowKey(None, None, MM, None)], 60 * NS_PER_SEC)

@@ -20,7 +20,6 @@ from inferscan.transport import (
     InvalidSegmentError,
     IsnGenerator,
     RateLimitError,
-    SegmentSpec,
     SpoofingUnsupportedError,
     TcpSegment,
     Transport,
@@ -78,59 +77,59 @@ valid_segments = st.builds(
 class TestCraft:
     def test_synack_with_ttl_and_port(self):
         _, tr = make_transport()
-        seg = tr.craft_segment(SegmentSpec(
+        seg = tr.craft_segment(
             dst_addr="203.0.113.5", dst_port=9001, flags=("SYN", "ACK"),
-            ttl=5, src_port=9001))
+            ttl=5, src_port=9001)
         assert seg.flags == frozenset(("SYN", "ACK"))
         assert seg.ttl == 5
         assert seg.src_port == 9001
 
     def test_rst_with_explicit_seq(self):
         _, tr = make_transport()
-        seg = tr.craft_segment(SegmentSpec(
-            dst_addr="203.0.113.5", dst_port=80, flags=("RST",), seq=12345))
+        seg = tr.craft_segment(
+            dst_addr="203.0.113.5", dst_port=80, flags=("RST",), seq=12345)
         assert seg.seq == 12345
         assert seg.flags == frozenset(("RST",))
 
     def test_ttl_zero_rejected(self):
         _, tr = make_transport()
         with pytest.raises(InvalidSegmentError):
-            tr.craft_segment(SegmentSpec(dst_addr="203.0.113.5", dst_port=80,
-                                         flags=("SYN",), ttl=0))
+            tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
+                             flags=("SYN",), ttl=0)
 
     def test_empty_flags_rejected(self):
         _, tr = make_transport()
         with pytest.raises(InvalidSegmentError):
-            tr.craft_segment(SegmentSpec(dst_addr="203.0.113.5", dst_port=80,
-                                         flags=()))
+            tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
+                             flags=())
 
     def test_bad_address_rejected(self):
         _, tr = make_transport()
         with pytest.raises(InvalidSegmentError):
-            tr.craft_segment(SegmentSpec(dst_addr="not-an-ip", dst_port=80,
-                                         flags=("SYN",)))
+            tr.craft_segment(dst_addr="not-an-ip", dst_port=80,
+                             flags=("SYN",))
 
     def test_seq_comes_from_isn_generator(self):
         _, tr = make_transport(isn_seed=55)
-        segs = [tr.craft_segment(SegmentSpec(dst_addr="203.0.113.5",
-                                             dst_port=80, flags=("SYN",)))
+        segs = [tr.craft_segment(dst_addr="203.0.113.5",
+                                 dst_port=80, flags=("SYN",))
                 for _ in range(4)]
         expected = IsnGenerator(55)
         assert [s.seq for s in segs] == [expected.at(i) for i in range(4)]
 
     def test_sim_backend_spoofs(self):
         _, tr = make_transport()
-        seg = tr.craft_segment(SegmentSpec(
+        seg = tr.craft_segment(
             dst_addr="203.0.113.5", dst_port=80, flags=("SYN",),
-            src_addr="36.10.0.5"))
+            src_addr="36.10.0.5")
         assert seg.src_addr == "36.10.0.5"
 
     def test_spoofing_gate(self):
         _, tr = make_transport()
         tr.supports_spoofing = False
         with pytest.raises(SpoofingUnsupportedError):
-            tr.craft_segment(SegmentSpec(dst_addr="203.0.113.5", dst_port=80,
-                                         flags=("SYN",), src_addr="36.10.0.5"))
+            tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
+                             flags=("SYN",), src_addr="36.10.0.5")
 
 
 class TestSerialization:
@@ -193,16 +192,16 @@ class TestSend:
         _, tr = make_transport()
         stamps = []
         for i in range(10):
-            seg = tr.craft_segment(SegmentSpec(
+            seg = tr.craft_segment(
                 dst_addr="203.0.113.5", dst_port=80, flags=("SYN",),
-                src_port=40000 + i))
-            stamps.append(tr.send(seg).timestamp)
+                src_port=40000 + i)
+            stamps.append(tr.send(seg))
         assert stamps == sorted(stamps)
 
     def test_send_after_close(self):
         _, tr = make_transport()
-        seg = tr.craft_segment(SegmentSpec(dst_addr="203.0.113.5", dst_port=80,
-                                           flags=("SYN",)))
+        seg = tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
+                               flags=("SYN",))
         tr.close()
         with pytest.raises(TransportClosedError):
             tr.send(seg)
@@ -211,18 +210,18 @@ class TestSend:
         _, tr = make_transport(rate_limit=5.0)
         receipts = []
         for _ in range(5):
-            seg = tr.craft_segment(SegmentSpec(
+            seg = tr.craft_segment(
                 dst_addr="203.0.113.5", dst_port=80, flags=("SYN",),
-                src_port=40000))
-            receipts.append(tr.send(seg).timestamp)
+                src_port=40000)
+            receipts.append(tr.send(seg))
         gaps = [b - a for a, b in zip(receipts, receipts[1:])]
         for gap in gaps:
             assert abs(gap - NS_PER_SEC // 5) <= NS_PER_SEC // 50
 
     def test_rate_refusal_without_wait(self):
         _, tr = make_transport(rate_limit=5.0)
-        seg = tr.craft_segment(SegmentSpec(dst_addr="203.0.113.5", dst_port=80,
-                                           flags=("SYN",), src_port=40000))
+        seg = tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
+                               flags=("SYN",), src_port=40000)
         tr.send(seg)
         with pytest.raises(RateLimitError):
             tr.send(seg, wait=False)
@@ -230,8 +229,8 @@ class TestSend:
 
 class TestCapture:
     def probe(self, tr, dst, sport):
-        seg = tr.craft_segment(SegmentSpec(
-            dst_addr=dst, dst_port=443, flags=("SYN", "ACK"), src_port=sport))
+        seg = tr.craft_segment(
+            dst_addr=dst, dst_port=443, flags=("SYN", "ACK"), src_port=sport)
         tr.send(seg)
         return FlowKey(dst, 443, MM, sport)
 
@@ -397,9 +396,9 @@ class TestCaptureQueue:
         tr = sim.attach(MM, rate_limit=0.01)  # one probe per 100 s
         flow = FlowKey("36.10.0.5", 443, MM, 40000)
         for _ in range(3):
-            tr.send(tr.craft_segment(SegmentSpec(
+            tr.send(tr.craft_segment(
                 dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
-                src_port=40000)))
+                src_port=40000))
         got = tr.capture([flow], 3 * PENDING_HORIZON_NS + 30 * NS_PER_SEC)
         assert len(got) == 3
         assert got[-1].timestamp - got[0].timestamp > PENDING_HORIZON_NS
