@@ -26,7 +26,6 @@ from .tracer import (
     PrefixTable,
     STATUS_FINISHED,
     TraceConfig,
-    TracerouteRun,
     hops_into_region,
 )
 from .transport import derive_seed
@@ -72,8 +71,6 @@ class AnalyticsConfig:
     exclude_labels: tuple = ()
     temporal_mode: str = TEMPORAL_EXACT
     pair_epoch_s: int = 3600
-    tor_port: int = 9001
-    rand_port: int = 9002
     prefix_table_path: Optional[str] = None
 
     def __post_init__(self):
@@ -99,8 +96,6 @@ def load_analytics_config(path) -> AnalyticsConfig:
                              if x.strip()),
         temporal_mode=sec.get("temporal_mode", TEMPORAL_EXACT),
         pair_epoch_s=sec.getint("pair_epoch_s", 3600),
-        tor_port=sec.getint("tor_port", 9001),
-        rand_port=sec.getint("rand_port", 9002),
         prefix_table_path=sec.get("prefix_table") or None,
     )
 
@@ -278,17 +273,17 @@ def contingency_table_csv(counts: dict) -> list:
     return out
 
 
-def traceroute_table(runs: Iterable[TracerouteRun], cfg: AnalyticsConfig
-                     ) -> dict:
-    """Stalled/Finished counts per (entry label, port role); Other culled."""
+def traceroute_table(pairs: Iterable[tuple]) -> dict:
+    """Stalled/Finished counts per (entry label, port role) over paired
+    (filtered, control) runs; the role is the run's place in its pair,
+    whatever ports the campaign used.  Other is culled."""
     table = {(label, port): {"Stalled": 0, "Finished": 0}
              for label in (LABEL_EDU, LABEL_COM)
              for port in ("Randport", "Torport")}
-    for run in runs:
-        if run.entry_label == LABEL_OTHER:
-            continue
-        port = "Torport" if run.src_port == cfg.tor_port else "Randport"
-        table[(run.entry_label, port)][run.status] += 1
+    for pair in pairs:
+        for port, run in zip(("Torport", "Randport"), pair):
+            if run.entry_label != LABEL_OTHER:
+                table[(run.entry_label, port)][run.status] += 1
     return table
 
 
@@ -333,14 +328,13 @@ def diurnal_series(pairs: Iterable[tuple], count: str = "blocked") -> list:
     """
     if count not in ("blocked", "unfiltered"):
         raise ValueError(f"unknown count mode: {count}")
+    if count == "blocked":
+        counted = [tor for tor, _rand in admitted_pairs(pairs)]
+    else:
+        counted = [tor for tor, _rand in pairs if tor.status == STATUS_FINISHED]
     out = [0] * 24
-    for tor, rand in pairs:
-        if count == "blocked":
-            if rand.status == STATUS_FINISHED and tor.status != STATUS_FINISHED:
-                out[tor.hour % 24] += 1
-        else:
-            if tor.status == STATUS_FINISHED:
-                out[tor.hour % 24] += 1
+    for tor in counted:
+        out[tor.hour % 24] += 1
     return out
 
 

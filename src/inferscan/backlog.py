@@ -9,7 +9,7 @@ whether a vantage point's SYNs arrive, the RST scan whether its RSTs do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .endpoints import EndpointSpec
@@ -32,8 +32,6 @@ REASON_NO_BACKOFF = "no-backoff"
 REASON_OFFLINE = "offline"
 REASON_INCONSISTENT = "inconsistent"
 REASON_UNDER_FILL = "under-fill"
-
-PRUNE_REASONS = (REASON_NON_DEFAULT, REASON_NO_BACKOFF, REASON_OFFLINE)
 
 MAPPING_MECHANICS = "mechanics"
 MAPPING_LITERAL = "literal"
@@ -67,7 +65,7 @@ class BacklogScanConfig:
 @dataclass(frozen=True)
 class BaselineProfile:
     valid: bool
-    reason: Optional[str]  # one of PRUNE_REASONS when invalid
+    reason: Optional[str]  # offline, non-default-stack or no-backoff
     retransmission_count: int
     gaps_s: tuple
 
@@ -293,41 +291,3 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
                  burst,
                  lambda full, reduced: (full > reduced) != cfg.literal_verdicts)
 
-
-@dataclass
-class DiscardEntry:
-    index: int
-    rule: str
-
-
-@dataclass
-class PruneResult:
-    retained: list
-    discard_log: list = field(default_factory=list)
-
-    @property
-    def retention_ratio(self) -> Optional[float]:
-        total = len(self.retained) + len(self.discard_log)
-        return len(self.retained) / total if total else None
-
-
-def prune_backlog_dataset(records: list) -> PruneResult:
-    """Apply the three validity rules to a scan dataset.
-
-    Discards scans whose relay did not show the default retransmission
-    count, whose gaps lacked exponential backoff, or that hit the relay
-    while offline / mid network error.  The discard log names the rule
-    that fired for each dropped record.
-    """
-    result = PruneResult(retained=[])
-    for i, rec in enumerate(records):
-        rule = None
-        if rec.baseline is None or not rec.baseline.valid:
-            rule = rec.baseline.reason if rec.baseline else REASON_OFFLINE
-        elif rec.invalid_reason == REASON_OFFLINE:
-            rule = REASON_OFFLINE
-        if rule in PRUNE_REASONS:
-            result.discard_log.append(DiscardEntry(index=i, rule=rule))
-        else:
-            result.retained.append(rec)
-    return result

@@ -9,7 +9,6 @@ flags, seed, and inputs produce identical output files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -79,7 +78,14 @@ def _monitor_addr(scn: scenario_mod.Scenario, index: int = 0) -> str:
     return DEFAULT_MONITOR_ADDR if index == 0 else DEFAULT_VPS_ADDR
 
 
-def _live_transport(args, parser):
+def _transport(args, parser, label, clients=(), servers=()):
+    """The subcommand's one transport and its root seed.  A simulated
+    transport sits on the scenario's first monitor and draws its ISNs from
+    the seed derived for ``label``."""
+    if args.transport == "sim":
+        scn, sim, seed = _sim_from_args(args, clients=clients, servers=servers)
+        return sim.attach(_monitor_addr(scn),
+                          isn_seed=derive_seed(seed, label)), seed
     if args.scenario:
         raise CliError("live transport forbids --scenario")
     if not args.i_have_authorization:
@@ -88,9 +94,10 @@ def _live_transport(args, parser):
     from .livenet import LiveTransport
     if not args.local_addr:
         parser.error("live transport requires --local-addr")
+    seed = _resolve_seed(args)
     return LiveTransport(local_addr=args.local_addr, authorized=True,
                          egress_unfiltered=args.egress_unfiltered,
-                         isn_seed=_resolve_seed(args))
+                         isn_seed=seed), seed
 
 
 def _write_csv(path, rows) -> None:
@@ -104,11 +111,7 @@ def _write_csv(path, rows) -> None:
 
 def cmd_qualify(args, parser) -> int:
     clients = load_endpoints(args.clients)
-    if args.transport == "live":
-        transport = _live_transport(args, parser)
-    else:
-        scn, sim, seed = _sim_from_args(args, clients=clients)
-        transport = sim.attach(_monitor_addr(scn), isn_seed=derive_seed(seed, "mm"))
+    transport, _seed = _transport(args, parser, "mm", clients=clients)
     with open(args.out, "w", encoding="utf-8") as out:
         for ep in clients:
             result = idlescan.qualify_client(transport, ep.addr,
@@ -133,12 +136,8 @@ def cmd_idle_scan(args, parser) -> int:
     servers = filter_stable(load_endpoints(args.servers))
     if not servers:
         raise CliError("no servers left after the stability filter")
-    if args.transport == "live":
-        transport = _live_transport(args, parser)
-        seed = _resolve_seed(args)
-    else:
-        scn, sim, seed = _sim_from_args(args, clients=clients, servers=servers)
-        transport = sim.attach(_monitor_addr(scn), isn_seed=derive_seed(seed, "mm"))
+    transport, seed = _transport(args, parser, "mm", clients=clients,
+                                 servers=servers)
     record_store = store.RecordStore(args.out,
                                      redact_client_bits=args.redact_client_bits)
     def on_result(assignment, result):
@@ -193,12 +192,7 @@ def cmd_trace(args, parser) -> int:
         raise CliError("--ports needs exactly two comma-separated ports")
     trace_cfg = TraceConfig(tor_port=ports[0], rand_port=ports[1],
                             max_ttl=args.max_ttl)
-    if args.transport == "live":
-        transport = _live_transport(args, parser)
-    else:
-        scn, sim, seed = _sim_from_args(args)
-        transport = sim.attach(_monitor_addr(scn),
-                               isn_seed=derive_seed(seed, "tracer"))
+    transport, _seed = _transport(args, parser, "tracer")
     record_store = store.RecordStore(args.out)
 
     def on_pair(day, hour, tor_run, rand_run):
@@ -234,7 +228,7 @@ def cmd_simulate(args, parser) -> int:
 def cmd_prune(args, parser) -> int:
     records = store.load(args.input)
     outcome = store.prune_campaign(records)
-    store.export(outcome.admitted, args.out, format="jsonl")
+    store.export(outcome.admitted, args.out)
     if args.discard_log:
         with open(args.discard_log, "w", encoding="utf-8") as fh:
             for rec in outcome.rejected:
@@ -249,82 +243,67 @@ def cmd_prune(args, parser) -> int:
 
 # -- analytics wiring ---------------------------------------------------------
 
-@contextlib.contextmanager
-def _reading(no: int, rec: store.ScanRecord):
-    """Turn a payload field a reader misses into a SchemaError naming the
-    record (its 1-based position in the input) and the field."""
-    try:
-        yield
-    except KeyError as exc:
-        raise store.SchemaError(
-            f"record {no} ({rec.kind}) has no payload field {exc}") from exc
-    except TypeError as exc:
-        raise store.SchemaError(
-            f"record {no} ({rec.kind}) has a malformed payload: {exc}") from exc
+def _read(records, kind, read) -> list:
+    """``read(payload, slot)`` of every admitted record of ``kind``.
 
-
-def _admitted(records, kind) -> list:
-    """(position, record) of every admitted record of ``kind``."""
-    return [(no, rec) for no, rec in enumerate(records, 1)
-            if rec.kind == kind and rec.admitted]
-
-
-def _slot(no: int, rec: store.ScanRecord) -> int:
-    slot = rec.meta.get("slot", 0)
-    if not isinstance(slot, int) or slot < 0:
-        raise store.SchemaError(
-            f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
-    return slot
+    A bad meta slot or a payload field ``read`` misses raises SchemaError
+    naming the record (its 1-based position in the input).
+    """
+    out = []
+    for no, rec in enumerate(records, 1):
+        if rec.kind != kind or not rec.admitted:
+            continue
+        slot = rec.meta.get("slot", 0)
+        if not isinstance(slot, int) or slot < 0:
+            raise store.SchemaError(
+                f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
+        try:
+            out.append(read(rec.payload, slot))
+        except KeyError as exc:
+            raise store.SchemaError(
+                f"record {no} ({rec.kind}) has no payload field {exc}") from exc
+        except TypeError as exc:
+            raise store.SchemaError(
+                f"record {no} ({rec.kind}) has a malformed payload: {exc}"
+            ) from exc
+    return out
 
 
 def _source_series(records) -> list:
-    idle = _admitted(records, store.KIND_IDLE)
-    if not idle:
-        return []
-    n_slots = max(_slot(no, rec) for no, rec in idle) + 1
+    rows = _read(records, store.KIND_IDLE, lambda p, slot: (
+        p["client"]["addr"], p["client"]["lat"], p["client"]["lon"], slot,
+        p["label"]["variant"] == analytics.NO_PACKETS_DROPPED))
+    n_slots = max((row[3] for row in rows), default=-1) + 1
     by_client: dict[str, SourceSeries] = {}
-    for no, rec in idle:
-        with _reading(no, rec):
-            client = rec.payload["client"]
-            series = by_client.get(client["addr"])
-            if series is None:
-                series = SourceSeries(source_id=client["addr"], lat=client["lat"],
-                                      lon=client["lon"],
-                                      hourly_counts=[0] * n_slots)
-                by_client[client["addr"]] = series
-            if rec.payload["label"]["variant"] == analytics.NO_PACKETS_DROPPED:
-                series.hourly_counts[_slot(no, rec)] += 1
+    for addr, lat, lon, slot, passed in rows:
+        series = by_client.get(addr)
+        if series is None:
+            series = SourceSeries(source_id=addr, lat=lat, lon=lon,
+                                  hourly_counts=[0] * n_slots)
+            by_client[addr] = series
+        if passed:
+            series.hourly_counts[slot] += 1
     return [by_client[k] for k in sorted(by_client)]
 
 
 def _case_rows(records, table: Optional[PrefixTable]) -> list:
-    rows = []
-    for no, rec in _admitted(records, store.KIND_IDLE):
-        with _reading(no, rec):
-            entry = table.lookup(rec.payload["client"]["addr"]) if table else None
-            stype = SERVER_TYPE_BY_ROLE.get(rec.payload["server"]["role"], "Other")
-            rows.append(CaseRow(client_region=entry.region if entry else "Other",
-                                server_type=stype,
-                                variant=rec.payload["label"]["variant"]))
-    return rows
+    def row(payload, _slot):
+        entry = table.lookup(payload["client"]["addr"]) if table else None
+        return CaseRow(client_region=entry.region if entry else "Other",
+                       server_type=SERVER_TYPE_BY_ROLE.get(
+                           payload["server"]["role"], "Other"),
+                       variant=payload["label"]["variant"])
+    return _read(records, store.KIND_IDLE, row)
 
 
 def _trace_pairs(records) -> list:
-    pairs = []
-    for no, rec in enumerate(records, 1):
-        if rec.kind == store.KIND_TRACEROUTE:
-            with _reading(no, rec):
-                pairs.append((TracerouteRun.from_dict(rec.payload["tor"]),
-                              TracerouteRun.from_dict(rec.payload["rand"])))
-    return pairs
+    return _read(records, store.KIND_TRACEROUTE, lambda p, _slot: (
+        TracerouteRun.from_dict(p["tor"]), TracerouteRun.from_dict(p["rand"])))
 
 
 def _backlog_payloads(records) -> list:
-    scans = []
-    for no, rec in _admitted(records, store.KIND_BACKLOG):
-        with _reading(no, rec):
-            scans.append(backlog.BacklogScanRecord.from_dict(rec.payload))
-    return scans
+    return _read(records, store.KIND_BACKLOG, lambda p, _slot:
+                 backlog.BacklogScanRecord.from_dict(p))
 
 
 def cmd_analyze(args, parser) -> int:
@@ -335,16 +314,15 @@ def cmd_analyze(args, parser) -> int:
                    if cfg.prefix_table_path else PrefixTable()))
     records = store.load(args.input)
     what = args.what
-    if what == "temporal":
+    if what in ("temporal", "spatial"):
         series = analytics.filter_sources(_source_series(records), table,
                                           cfg.exclude_labels)
+    if what == "temporal":
         probs = analytics.temporal_association(series, cfg.max_lag,
                                                mode=cfg.temporal_mode)
         _write_csv(args.out, [["lag_hours", "probability"]]
                    + [[lag + 1, p] for lag, p in enumerate(probs)])
     elif what == "spatial":
-        series = analytics.filter_sources(_source_series(records), table,
-                                          cfg.exclude_labels)
         rows = [["k", "pearson_r"]]
         k_max = min(cfg.k_neighbors, max(len(series) - 1, 0))
         for k in range(1, k_max + 1):
@@ -381,9 +359,8 @@ def _analyze_tables(args, cfg, table, records) -> None:
         outputs.append(("contingency", analytics.contingency_table_csv(counts)))
     pairs = _trace_pairs(records)
     if pairs:
-        runs = [run for pair in pairs for run in pair]
         outputs.append(("traceroute", analytics.traceroute_table_csv(
-            analytics.traceroute_table(runs, cfg))))
+            analytics.traceroute_table(pairs))))
     if not outputs:
         _write_csv(args.out, [["empty"]])
         return

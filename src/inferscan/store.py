@@ -1,19 +1,19 @@
 """Record persistence: append-only JSONL store, pruning, and export.
 
-Line-delimited JSON is the canonical format; CSV is a lossy projection
-for analytics input.  Records carry a schema version and the validity
-checks their scan round was subject to; a record is admitted exactly when
-every applicable check passed.
+Records are line-delimited JSON.  Each carries a schema version and the
+validity checks its scan round was subject to; a record is admitted exactly
+when every applicable check passed, and ``prune_campaign`` is the one place
+that splits a dataset by that rule.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .backlog import REASON_NO_BACKOFF, REASON_NON_DEFAULT, REASON_OFFLINE
 from .transport import addr_to_int, int_to_addr
 
 SCHEMA_VERSION = 1
@@ -23,9 +23,6 @@ KIND_BACKLOG = "BacklogScan"
 KIND_TRACEROUTE = "Traceroute"
 
 KINDS = (KIND_IDLE, KIND_BACKLOG, KIND_TRACEROUTE)
-
-CSV_COLUMNS = ("v", "kind", "admitted", "client_addr", "server_addr",
-               "server_port", "variant", "amplitude", "hour", "timestamp")
 
 
 class StoreError(Exception):
@@ -139,10 +136,6 @@ class RecordStore:
             self._count += 1
         return offset
 
-    def flush(self) -> None:
-        with self._lock:
-            self._fh.flush()
-
     def close(self) -> None:
         with self._lock:
             self._fh.close()
@@ -186,45 +179,10 @@ def prune_campaign(records: Iterable[ScanRecord]) -> PruneOutcome:
     return outcome
 
 
-def _csv_row(record: ScanRecord) -> list:
-    payload = record.payload
-    client = payload.get("client", {})
-    server = payload.get("server", {}) or payload.get("relay", {})
-    label = payload.get("label", {})
-    return [
-        record.version,
-        record.kind,
-        int(record.admitted),
-        client.get("addr", payload.get("dest", "")),
-        server.get("addr", ""),
-        server.get("port", ""),
-        label.get("variant", payload.get("verdict", payload.get("status", ""))),
-        label.get("amplitude", ""),
-        payload.get("hour", record.meta.get("hour", "")),
-        payload.get("timestamp", record.meta.get("timestamp", "")),
-    ]
-
-
-def export(records: Iterable[ScanRecord], path, format: str = "jsonl") -> None:
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(rec.to_json() + "\n")
-    elif format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                writer.writerow(_csv_row(rec))
-    else:
-        raise StoreError(f"unknown export format: {format!r}")
-
-
-def load_csv(path) -> list:
-    """Read back a CSV projection as dict rows (column order is fixed by
-    the schema version; this is analytics input, not full records)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def export(records: Iterable[ScanRecord], path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(rec.to_json() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +206,31 @@ def build_idle_record(result, slot: int) -> ScanRecord:
                       meta={"slot": slot})
 
 
-def build_backlog_record(scan_record, checks: Optional[dict] = None) -> ScanRecord:
-    """Wrap a backlog.BacklogScanRecord.
+# The backlog dataset's culling rules, in the order backlog.baseline_probe
+# tests them: check name and the baseline reason that fails it.
+_BACKLOG_RULES = (("reachable", REASON_OFFLINE),
+                  ("default_stack", REASON_NON_DEFAULT),
+                  ("backoff", REASON_NO_BACKOFF))
 
-    The default check map mirrors the three-rule pruner, so store-level
-    pruning reproduces the dataset culling for this kind.
+
+def build_backlog_record(scan_record) -> ScanRecord:
+    """Wrap a backlog.BacklogScanRecord with one check per culling rule.
+
+    A rule after the one that failed never ran, so it has no check.  A scan
+    whose probes all went unanswered fails ``reachable`` too, and a record
+    without a baseline counts as unreachable.
     """
-    if checks is None:
-        baseline = scan_record.baseline
-        checks = {
-            "baseline_valid": bool(baseline is not None and baseline.valid),
-            "reachable": scan_record.invalid_reason != "offline",
-        }
+    baseline = scan_record.baseline
+    failed = baseline.reason if baseline is not None else REASON_OFFLINE
+    checks = {}
+    for name, reason in _BACKLOG_RULES:
+        checks[name] = reason != failed
+        if reason == failed:
+            break
+    if scan_record.invalid_reason == REASON_OFFLINE:
+        checks["reachable"] = False
     return ScanRecord(kind=KIND_BACKLOG, payload=scan_record.to_dict(),
-                      checks=dict(checks))
+                      checks=checks)
 
 
 def build_trace_record(tor_run, rand_run, slot: int) -> ScanRecord:

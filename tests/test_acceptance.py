@@ -43,7 +43,6 @@ from inferscan.backlog import (
     VERDICT_DROPPED,
     VERDICT_PASSES,
     baseline_probe,
-    prune_backlog_dataset,
     rst_scan,
     syn_scan,
 )
@@ -199,11 +198,13 @@ class TestCriterion3BaselineValidation:
         records += [fixture_record(7, REASON_NON_DEFAULT),
                     fixture_record(8, REASON_NO_BACKOFF),
                     fixture_record(9, REASON_OFFLINE)]
-        result = prune_backlog_dataset(records)
-        assert len(result.retained) == 7
-        assert result.retention_ratio == 0.7
-        assert [d.rule for d in result.discard_log] == [
-            REASON_NON_DEFAULT, REASON_NO_BACKOFF, REASON_OFFLINE]
+        outcome = prune_campaign(
+            [store.build_backlog_record(r) for r in records])
+        assert len(outcome.admitted) == 7
+        assert outcome.retention_ratio == 0.7
+        assert [[k for k, ok in r.checks.items() if not ok]
+                for r in outcome.rejected] == [
+            ["default_stack"], ["backoff"], ["reachable"]]
         report("3 PASS: baseline 5 retransmissions at gaps 1,2,4,8,16s; "
                "4-retransmission stack invalid; pruner retains 7/10")
 
@@ -416,7 +417,7 @@ class TestCriterion7StoreRoundTrip:
     def test_store_round_trip_and_redaction(self, tmp_path):
         records = [self.mixed_record(i) for i in range(10_000)]
         path = tmp_path / "bulk.jsonl"
-        store.export(records, path, format="jsonl")
+        store.export(records, path)
         assert load(path) == records
 
         outcome = prune_campaign(records)

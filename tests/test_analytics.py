@@ -275,21 +275,23 @@ def trace_run(status, hour=0, src_port=9001, label="COM",
 
 class TestTracerouteTable:
     def test_fixture_counts(self):
-        cfg = AnalyticsConfig()
-        runs = [trace_run(STATUS_STALLED, src_port=9001),
-                trace_run(STATUS_FINISHED, src_port=9002),
-                trace_run(STATUS_FINISHED, src_port=9001, label="EDU"),
-                trace_run(STATUS_FINISHED, src_port=9002, label="EDU"),
-                trace_run(STATUS_STALLED, src_port=9001, label="Other")]
-        table = traceroute_table(runs, cfg)
+        pairs = [(trace_run(STATUS_STALLED, src_port=9001),
+                  trace_run(STATUS_FINISHED, src_port=9002)),
+                 # A pair's role is its place, whatever ports it used.
+                 (trace_run(STATUS_FINISHED, src_port=443, label="EDU"),
+                  trace_run(STATUS_FINISHED, src_port=444, label="EDU")),
+                 (trace_run(STATUS_STALLED, src_port=9001, label="Other"),
+                  trace_run(STATUS_STALLED, src_port=9002, label="Other"))]
+        table = traceroute_table(pairs)
         assert table[("COM", "Torport")] == {"Stalled": 1, "Finished": 0}
         assert table[("COM", "Randport")] == {"Stalled": 0, "Finished": 1}
         assert table[("EDU", "Torport")] == {"Stalled": 0, "Finished": 1}
-        # The Other run is culled entirely.
+        assert table[("EDU", "Randport")] == {"Stalled": 0, "Finished": 1}
+        # The Other runs are culled entirely.
         assert sum(v for cell in table.values() for v in cell.values()) == 4
 
     def test_empty_runs_zero_table(self):
-        table = traceroute_table([], AnalyticsConfig())
+        table = traceroute_table([])
         assert all(v == 0 for cell in table.values() for v in cell.values())
 
 

@@ -18,11 +18,11 @@ from inferscan.backlog import (
     VERDICT_INVALID,
     VERDICT_PASSES,
     baseline_probe,
-    prune_backlog_dataset,
     rst_scan,
     syn_scan,
 )
 from inferscan.simnet import Simulator
+from inferscan.store import build_backlog_record, prune_campaign
 from inferscan.transport import NS_PER_SEC
 
 
@@ -204,25 +204,29 @@ class TestPruneDataset:
             verdict=VERDICT_INVALID if invalid else verdict,
             invalid_reason=reason, timestamp=i * NS_PER_SEC)
 
+    def prune(self, records):
+        return prune_campaign([build_backlog_record(r) for r in records])
+
     def test_fixture_retention(self):
         records = [self.record(i) for i in range(7)]
         records.append(self.record(7, REASON_NON_DEFAULT))
         records.append(self.record(8, REASON_NO_BACKOFF))
         records.append(self.record(9, REASON_OFFLINE))
-        result = prune_backlog_dataset(records)
-        assert len(result.retained) == 7
-        assert [d.rule for d in result.discard_log] == [
-            REASON_NON_DEFAULT, REASON_NO_BACKOFF, REASON_OFFLINE]
-        assert result.retention_ratio == 0.7
+        outcome = self.prune(records)
+        assert len(outcome.admitted) == 7
+        assert [[k for k, ok in r.checks.items() if not ok]
+                for r in outcome.rejected] == [
+            ["default_stack"], ["backoff"], ["reachable"]]
+        assert outcome.retention_ratio == 0.7
 
     def test_all_valid(self):
         records = [self.record(i) for i in range(4)]
-        result = prune_backlog_dataset(records)
-        assert len(result.retained) == 4 and not result.discard_log
+        outcome = self.prune(records)
+        assert len(outcome.admitted) == 4 and not outcome.rejected
 
     def test_empty(self):
-        result = prune_backlog_dataset([])
-        assert result.retained == [] and result.retention_ratio is None
+        outcome = self.prune([])
+        assert outcome.admitted == [] and outcome.retention_ratio is None
 
 
 class TestRecordValidation:

@@ -152,6 +152,24 @@ class TestBacklogCommand:
         rec = store.load(out)[0]
         assert rec.payload["kind"] == "RstScan"
 
+    def test_prune_names_failed_rule(self, workspace, capsys):
+        scenario = workspace / "embedded.cfg"
+        scenario.write_text(SCENARIO.replace(
+            "ports = 9001\n", "ports = 9001\nmax_retransmissions = 4\n"))
+        out = workspace / "backlog.jsonl"
+        run(["backlog-scan", "--kind", "syn", "--relay", "203.0.113.5:9001",
+             "--scenario", scenario, "--seed", 7, "--out", out])
+        discards = workspace / "discards.jsonl"
+        code = run(["prune", "--input", out, "--out", workspace / "kept.jsonl",
+                    "--discard-log", discards])
+        assert code == EXIT_OK
+        assert "retained 0/1" in capsys.readouterr().out
+        # The retransmission-count rule fired; the backoff rule never ran.
+        assert [json.loads(l) for l in discards.read_text().splitlines()] == [
+            {"kind": "BacklogScan", "failed": ["default_stack"]}]
+        assert store.load(out)[0].checks == {"reachable": True,
+                                             "default_stack": False}
+
     def test_relay_flag_validated(self, workspace, capsys):
         code = run(["backlog-scan", "--kind", "syn", "--relay", "bogus",
                     "--scenario", workspace / "scen.cfg",
@@ -173,6 +191,23 @@ class TestTraceCommand:
         assert payload["tor"]["status"] == "Stalled"
         assert payload["rand"]["status"] == "Finished"
         assert payload["tor"]["entry_label"] == "COM"
+
+    def test_tables_follow_ports_flag(self, workspace):
+        scenario = workspace / "trace443.cfg"
+        scenario.write_text(TRACE_SCENARIO.replace("port = 9001", "port = 443"))
+        out = workspace / "runs.jsonl"
+        run(["trace", "--dests", workspace / "dests.csv", "--scenario", scenario,
+             "--ports", "443,444", "--hours", 3, "--days", 1, "--seed", 3,
+             "--out", out])
+        report = workspace / "tables.csv"
+        assert run(["analyze", "tables", "--input", out,
+                    "--out", report]) == EXIT_OK
+        rows = list(csv.reader(report.read_text().splitlines()))
+        # The filtered port's runs stall and count as Torport.
+        assert rows == [
+            ["", "EDU_Randport", "EDU_Torport", "COM_Randport", "COM_Torport"],
+            ["Stalled", "0", "0", "0", "3"],
+            ["Finished", "0", "0", "3", "0"]]
 
 
 class TestSimulateCommand:

@@ -146,23 +146,8 @@ class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
         records = [idle_record(i, passing=(i % 3 != 0)) for i in range(20)]
         path = tmp_path / "out.jsonl"
-        store.export(records, path, format="jsonl")
+        store.export(records, path)
         assert store.load(path) == records
-
-    def test_csv_projection_round_trip(self, tmp_path):
-        records = [idle_record(i) for i in range(5)]
-        path = tmp_path / "out.csv"
-        store.export(records, path, format="csv")
-        rows = store.load_csv(path)
-        assert len(rows) == 5
-        assert list(rows[0].keys()) == list(store.CSV_COLUMNS)
-        again = tmp_path / "again.csv"
-        store.export(records, again, format="csv")
-        assert path.read_text() == again.read_text()
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(store.StoreError):
-            store.export([], tmp_path / "x.bin", format="parquet")
 
 
 class TestPruneCampaign:
