@@ -190,6 +190,9 @@ def cmd_trace(args, parser) -> int:
     ports = [int(p) for p in args.ports.split(",")]
     if len(ports) != 2:
         raise CliError("--ports needs exactly two comma-separated ports")
+    if ports[0] == ports[1]:
+        # The control run must leave the filtered port, or no pair qualifies.
+        raise CliError(f"--ports needs two different ports, got {args.ports}")
     trace_cfg = TraceConfig(tor_port=ports[0], rand_port=ports[1],
                             max_ttl=args.max_ttl)
     transport, _seed = _transport(args, parser, "tracer")

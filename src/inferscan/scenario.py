@@ -51,6 +51,12 @@ and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
 ``path_loss_rate`` and ``path_filtered`` give one path that applies lazily
 to every client<->server pair without a ``[path]``, hops listed from the
 client.  No other key is accepted.
+
+A client's ``background_rate`` is a Poisson rate of packets to hosts outside
+the model, each advancing its IP-ID.  A client that nothing has reached for
+60 s goes dormant (``simnet.DORMANT_AFTER_NS``); the next delivery counts
+the dormant span's noise in one Poisson draw, so a client probed at least
+once a minute keeps its exact per-packet stream.
 """
 
 from __future__ import annotations

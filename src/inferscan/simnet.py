@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
 from typing import Callable, Optional
 
+import numpy as np
+
 from .transport import (
     NS_PER_SEC,
     Clock,
@@ -31,6 +33,13 @@ DEFAULT_BACKLOG_CAPACITY = 256
 DEFAULT_MAX_RETRANSMISSIONS = 5
 DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0, 8.0, 16.0)
 IPID_MODES = ("global", "per-flow", "random")
+
+# A noisy client that nothing has reached for this long stops ticking, and
+# its next delivery, the first moment its IP-ID can be seen again, counts the
+# noise sent meanwhile in one Poisson draw.  60 s exceeds the longest silence
+# inside a default scan round (about 30 s, the RST flush), so a client probed
+# at least once a minute keeps its exact per-packet stream.
+DORMANT_AFTER_NS = 60 * NS_PER_SEC
 
 
 def effective_retransmissions(occupancy_fraction: float, max_retransmissions: int = 5) -> int:
@@ -185,8 +194,9 @@ class SimClient(_Host):
     """End host probed by idle scans.
 
     The IPID counter advances by exactly one for every packet the client
-    sends, noise included.  With rst_policy on, every unsolicited SYN/ACK
-    elicits exactly one RST.
+    sends, noise included; noise sent while dormant (see
+    :data:`DORMANT_AFTER_NS`) is counted in one step on the next delivery.
+    With rst_policy on, every unsolicited SYN/ACK elicits exactly one RST.
     """
 
     def __init__(self, sim, addr, ipid_mode="global", ipid_start=None,
@@ -202,6 +212,9 @@ class SimClient(_Host):
                              else self._rng.getrandbits(16))
         self._flow_counters: dict[FlowKey, int] = {}
         self._noise_flow = FlowKey("0.0.0.0", 0, addr, 0)
+        self._last_delivery = sim.now
+        self._dormant_since: Optional[int] = None
+        self._catchup_rng: Optional[np.random.Generator] = None
         if background_rate > 0:
             self._schedule_noise(sim.now)
 
@@ -216,13 +229,32 @@ class SimClient(_Host):
         self._stamp_ipid(self._noise_flow)
         if self.sim._trace is not None:
             self.sim.emit(now, "noise", host=self.addr)
+        if now - self._last_delivery > DORMANT_AFTER_NS:
+            self._dormant_since = now
+        else:
+            self._schedule_noise(now)
+
+    def _wake(self, now: int) -> None:
+        """Count the noise sent since going dormant, then resume the ticks."""
+        if self._catchup_rng is None:
+            self._catchup_rng = np.random.default_rng(
+                derive_seed(self.sim.seed, "noise-catchup", self.addr))
+        span_s = (now - self._dormant_since) / NS_PER_SEC
+        n = int(self._catchup_rng.poisson(self.background_rate * span_s))
+        self._dormant_since = None
+        self.sent_count += n
+        if self.ipid_mode != "random":
+            self._stamp_ipid(self._noise_flow, n)
+        if self.sim._trace is not None:
+            self.sim.emit(now, "noise", host=self.addr, count=n)
         self._schedule_noise(now)
 
-    def _stamp_ipid(self, flow: FlowKey) -> int:
-        """IP-ID of the next segment this client sends in answer to ``flow``."""
+    def _stamp_ipid(self, flow: FlowKey, n: int = 1) -> int:
+        """IP-ID of the next segment this client sends in answer to ``flow``;
+        the flow's counter moves past ``n`` segments."""
         if self.ipid_mode == "global":
             value = self.ipid_counter
-            self.ipid_counter = (self.ipid_counter + 1) & 0xFFFF
+            self.ipid_counter = (self.ipid_counter + n) & 0xFFFF
             return value
         if self.ipid_mode == "per-flow":
             if flow not in self._flow_counters:
@@ -230,11 +262,14 @@ class SimClient(_Host):
                     self.sim.seed, "flow-ipid", self.addr, flow.src_addr or "",
                     flow.dst_port or 0, flow.src_port or 0) & 0xFFFF
             value = self._flow_counters[flow]
-            self._flow_counters[flow] = (value + 1) & 0xFFFF
+            self._flow_counters[flow] = (value + n) & 0xFFFF
             return value
         return self._rng.getrandbits(16)
 
     def on_segment(self, seg: TcpSegment, now: int) -> None:
+        if self._dormant_since is not None:
+            self._wake(now)
+        self._last_delivery = now
         flow = seg.flow
         if seg.has("SYN") and seg.has("ACK"):
             if self.rst_policy:

@@ -260,9 +260,12 @@ class IsnGenerator:
     def __init__(self, seed: int):
         self.seed = seed
         self._index = 0
+        self._prefix = derive_seed(seed, "isn")
 
     def at(self, index: int) -> int:
-        return _splitmix64(derive_seed(self.seed, "isn", index)) & 0xFFFFFFFF
+        # derive_seed(seed, "isn", index), with the label prefix mixed once.
+        x = _splitmix64(self._prefix ^ (index & 0xFFFFFFFFFFFFFFFF))
+        return _splitmix64(x) & 0xFFFFFFFF
 
     def next(self) -> int:
         value = self.at(self._index)

@@ -17,13 +17,14 @@ SERVER_EP = EndpointSpec(SERVER_ADDR, 9001, "tor-relay", lat=59.3, lon=18.1,
 
 def build_idle_sim(policy: str, seed: int = 9, noise: float = 0.0,
                    loss: float = 0.0, max_rt: int = 5,
-                   client_kwargs: dict | None = None) -> Simulator:
+                   client_kwargs: dict | None = None,
+                   trace=None) -> Simulator:
     """Client/server pair on a two-hop filtered path plus a clean MM link.
 
     policy: "s2c" drops server SYN/ACKs toward the client, "c2s" drops the
     client's packets toward the server, "none" filters nothing.
     """
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, trace=trace)
     kwargs = {"ipid_start": 500, "background_rate": noise}
     kwargs.update(client_kwargs or {})
     sim.add_client(CLIENT_ADDR, **kwargs)

@@ -209,6 +209,17 @@ class TestTraceCommand:
             ["Stalled", "0", "0", "0", "3"],
             ["Finished", "0", "0", "3", "0"]]
 
+    def test_same_port_twice_rejected(self, workspace, capsys):
+        out = workspace / "runs.jsonl"
+        code = run(["trace", "--dests", workspace / "dests.csv",
+                    "--scenario", workspace / "trace.cfg",
+                    "--ports", "9001,9001", "--hours", 1, "--days", 1,
+                    "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--ports" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_identical_outputs(self, workspace):

@@ -7,9 +7,11 @@ import json
 
 import pytest
 
-from inferscan import scenario
+from conftest import CLIENT_EP, SERVER_EP, build_idle_sim
+from inferscan import idlescan, scenario
 from inferscan.endpoints import EndpointSpec
 from inferscan.simnet import (
+    DORMANT_AFTER_NS,
     DROP,
     HOUR_NS,
     PASS,
@@ -297,22 +299,104 @@ class TestBacklog:
         assert len(srv.backlog) == 0  # arrived while down: dropped
 
 
+def probe_client(tr, addr="36.10.0.5"):
+    tr.send(tr.craft_segment(dst_addr=addr, dst_port=443,
+                             flags=("SYN", "ACK"), src_port=40000))
+
+
+def catchups(trace, host="36.10.0.5"):
+    return [e for e in trace
+            if e["ev"] == "noise" and e["host"] == host and "count" in e]
+
+
 class TestClient:
     def test_ipid_conservation(self):
-        sim = Simulator(seed=8)
-        client = sim.add_client("36.10.0.5", ipid_start=1000,
-                                background_rate=20.0)
-        tr = sim.attach(MM)
-        start_counter = client.ipid_counter
-        start_sent = client.sent_count
-        for _ in range(5):
-            seg = tr.craft_segment(
-                dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
-                src_port=40000)
-            tr.send(seg)
+        # Probes a second apart, then a silence long enough to go dormant,
+        # then probes again: the catch-up advances the counters as much as
+        # it advances the send count.
+        for mode in ("global", "per-flow"):
+            trace = []
+            sim = Simulator(seed=8, trace=trace.append)
+            client = sim.add_client("36.10.0.5", ipid_mode=mode,
+                                    ipid_start=1000, background_rate=20.0)
+            tr = sim.attach(MM)
+
+            def counters():
+                if mode == "global":
+                    return {None: client.ipid_counter}
+                return dict(client._flow_counters)  # probe flow and noise
+
+            probe_client(tr)
             tr.clock.sleep_ns(NS_PER_SEC)
-        advance = (client.ipid_counter - start_counter) % 65536
-        assert advance == client.sent_count - start_sent
+            start_counters, start_sent = counters(), client.sent_count
+            for gap_ns in (NS_PER_SEC,) * 4 + (3 * DORMANT_AFTER_NS, NS_PER_SEC):
+                probe_client(tr)
+                tr.clock.sleep_ns(gap_ns)
+            end_counters = counters()
+            assert end_counters.keys() == start_counters.keys()
+            advance = sum((end_counters[k] - start_counters[k]) % 65536
+                          for k in end_counters)
+            assert advance == client.sent_count - start_sent, mode
+            assert len(catchups(trace)) == 1, mode
+
+    def test_catchup_event_counts_the_dormant_noise(self):
+        trace = []
+        sim = Simulator(seed=8, trace=trace.append)
+        client = sim.add_client("36.10.0.5", background_rate=2.0)
+        tr = sim.attach(MM)
+        tr.clock.sleep_ns(10 * DORMANT_AFTER_NS)
+        probe_client(tr)
+        tr.clock.sleep_ns(NS_PER_SEC)
+        (event,) = catchups(trace)
+        assert event["count"] > 0
+        woken_at = [e["t"] for e in trace if e["ev"] == "deliver"
+                    and e["dst"] == "36.10.0.5"]
+        assert event["t"] == woken_at[0]
+        noise = sum(e.get("count", 1) for e in trace
+                    if e["ev"] == "noise" and e["host"] == "36.10.0.5")
+        replies = sum(1 for e in trace
+                      if e["ev"] == "send" and e["origin"] == "36.10.0.5")
+        assert replies == 1
+        assert noise == client.sent_count - replies
+
+    @pytest.mark.parametrize("policy", ["s2c", "none", "c2s"])
+    def test_default_scan_round_never_goes_dormant(self, policy):
+        # A default round leaves its client unprobed for at most about 30 s
+        # (the RST flush), well inside DORMANT_AFTER_NS, so its noise keeps
+        # the per-packet stream.
+        trace = []
+        sim = build_idle_sim(policy, seed=17, noise=1.0, trace=trace.append)
+        tr = sim.attach(MM)
+        idlescan.run_scan_round(tr, CLIENT_EP, SERVER_EP)
+        delivered = [0] + [e["t"] for e in trace if e["ev"] == "deliver"
+                           and e["dst"] == CLIENT_EP.addr]
+        assert max(b - a for a, b in zip(delivered, delivered[1:])) \
+            < DORMANT_AFTER_NS
+        assert catchups(trace, CLIENT_EP.addr) == []
+
+    def test_mean_catchup_is_rate_times_span(self):
+        # 100 dormant spans of about 30 s at 5 packets/s: the catch-up total
+        # is Poisson with mean rate x total span, checked to 4 sigma.
+        rate, trace = 5.0, []
+        sim = Simulator(seed=12, trace=trace.append)
+        sim.add_client("36.10.0.5", background_rate=rate)
+        tr = sim.attach(MM)
+        for _ in range(100):
+            probe_client(tr)
+            tr.clock.sleep_ns(90 * NS_PER_SEC)
+        probe_client(tr)
+        tr.clock.sleep_ns(NS_PER_SEC)
+        span_ns, total, dormant_since = 0, 0, None
+        for e in trace:
+            if e["ev"] != "noise":
+                continue
+            if "count" in e:
+                span_ns += e["t"] - dormant_since
+                total += e["count"]
+            dormant_since = e["t"]  # the last tick before a catch-up
+        assert len(catchups(trace)) == 100
+        mean = rate * span_ns / NS_PER_SEC
+        assert abs(total - mean) <= 4 * mean ** 0.5
 
     def test_rst_policy_off(self):
         sim = Simulator(seed=9)

@@ -24,6 +24,8 @@ from inferscan.transport import (
     TcpSegment,
     Transport,
     TransportClosedError,
+    _splitmix64,
+    derive_seed,
     int_to_addr,
     segment_from_json,
     segment_from_wire,
@@ -458,6 +460,11 @@ class TestIsnGenerator:
         gen = IsnGenerator(7)
         for i in range(100):
             assert 0 <= gen.at(i) < 2 ** 32
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(-2 ** 70, 2 ** 70))
+    def test_at_matches_the_label_path(self, seed, index):
+        expected = _splitmix64(derive_seed(seed, "isn", index)) & 0xFFFFFFFF
+        assert IsnGenerator(seed).at(index) == expected
 
 
 class TestLiveGate:
