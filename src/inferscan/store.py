@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .backlog import REASON_NO_BACKOFF, REASON_NON_DEFAULT, REASON_OFFLINE
 from .transport import addr_to_int, int_to_addr
@@ -161,6 +161,8 @@ def load(path) -> list:
 class PruneOutcome:
     admitted: list
     rejected: list
+    # Index in ``rejected`` -> why a reader could not use that record.
+    unreadable: dict = field(default_factory=dict)
 
     @property
     def retention_ratio(self) -> Optional[float]:
@@ -168,13 +170,24 @@ class PruneOutcome:
         return len(self.admitted) / total if total else None
 
 
-def prune_campaign(records: Iterable[ScanRecord]) -> PruneOutcome:
+def prune_campaign(records: Iterable[ScanRecord],
+                   read: Optional[Callable] = None) -> PruneOutcome:
     """Split records into admitted and rejected by their check maps.
 
+    ``read(position, record)``, when given, is tried on every record whose
+    checks all passed (``position`` counts from 1).  A SchemaError it raises
+    rejects the record too, and its message goes into ``unreadable``.
     Does not mutate anything; the retention ratio is admitted/total.
     """
     outcome = PruneOutcome(admitted=[], rejected=[])
-    for rec in records:
+    for no, rec in enumerate(records, 1):
+        if rec.admitted and read is not None:
+            try:
+                read(no, rec)
+            except SchemaError as exc:
+                outcome.unreadable[len(outcome.rejected)] = str(exc)
+                outcome.rejected.append(rec)
+                continue
         (outcome.admitted if rec.admitted else outcome.rejected).append(rec)
     return outcome
 

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLIENT_EP, SERVER_EP, MM_ADDR, build_idle_sim
@@ -16,8 +16,12 @@ from inferscan.classify import (
     PHASE_PERTURB,
     SERVER_TO_CLIENT_DROP,
     CaseLabel,
+    ModelFitError,
     classify_case,
     classify_series,
+    _ar_stationary,
+    _innovations,
+    _nelder_mead,
     diff_series,
     fit_arma,
     intervention_amplitude,
@@ -125,6 +129,116 @@ class TestFitArma:
         trend = [int(i + rng.random() * 2) for i in range(80)]  # near unit root
         model = fit_arma(trend, p=1, q=0)
         assert abs(model.ar[0]) < 1.0
+
+
+@pytest.fixture(scope="module")
+def scipy_ref():
+    """scipy's optimize and signal modules, the fit's reference."""
+    pytest.importorskip("scipy")
+    from scipy import optimize, signal
+    return optimize, signal
+
+
+def reference_fit(optimize, signal, deltas, p, q):
+    """fit_arma as it was written over scipy: lfilter for the innovations
+    and minimize(method="Nelder-Mead") for the conditional least squares.
+    Returns (ar, ma, variance, residuals)."""
+    def innovations(ar, ma, y):
+        return signal.lfilter(np.concatenate(([1.0], -ar)),
+                              np.concatenate(([1.0], ma)), y)
+
+    def css(params, y, ridge):
+        if np.any(np.abs(params) >= 0.99):
+            return 1e12 * (1.0 + float(np.sum(np.abs(params))))
+        eps = innovations(params[:p], params[p:], y)
+        value = float(np.dot(eps, eps))
+        if not np.isfinite(value):
+            return 1e15
+        return value + ridge * float(np.dot(params, params))
+
+    x = np.asarray(deltas, dtype=float)
+    y = x - float(x.mean())
+    if p == 0 and q == 0:
+        return (), (), float(np.dot(y, y) / len(y)), tuple(y)
+    ridge = 0.05 * float(np.dot(y, y))
+    result = optimize.minimize(css, np.zeros(p + q), args=(y, ridge),
+                               method="Nelder-Mead",
+                               options={"xatol": 1e-7, "fatol": 1e-9,
+                                        "maxiter": 2000})
+    if not result.success or not np.all(np.isfinite(result.x)):
+        raise ModelFitError(result.message)
+    ar, ma = result.x[:p].copy(), result.x[p:].copy()
+    shrink = 0
+    while not _ar_stationary(ar):
+        ar *= 0.9
+        shrink += 1
+        if shrink > 60:
+            raise ModelFitError("could not reach a stationary AR polynomial")
+    eps = innovations(ar, ma, y)
+    return tuple(ar), tuple(ma), float(np.dot(eps, eps) / len(y)), tuple(eps)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+coefficients = st.lists(st.floats(-0.98, 0.98, exclude_min=True,
+                                  exclude_max=True), max_size=2)
+
+
+@st.composite
+def delta_sequences(draw):
+    """Non-constant IP-ID delta sequences: plain Poisson-like counts or a
+    rounded ARMA(1, 1) path."""
+    n = draw(st.integers(20, 80))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        deltas = [rng.randrange(draw(st.integers(2, 40))) for _ in range(n)]
+    else:
+        phi, theta = draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.9, 0.9))
+        value, shock, deltas = 0.0, 0.0, []
+        for _ in range(n):
+            new_shock = rng.gauss(0, 3)
+            value = phi * value + new_shock + theta * shock
+            shock = new_shock
+            deltas.append(max(0, round(10 + value)))
+    if len(set(deltas)) == 1:
+        deltas[0] += 1
+    return deltas
+
+
+class TestAgainstScipy:
+    """The in-house filter and optimizer give scipy's bits."""
+
+    @given(coefficients, coefficients,
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
+    def test_innovations_match_lfilter(self, scipy_ref, ar, ma, y):
+        _optimize, signal = scipy_ref
+        expected = signal.lfilter(np.concatenate(([1.0], np.negative(ar))),
+                                  np.concatenate(([1.0], ma)), y)
+        assert bits(_innovations(ar, ma, y)) == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @settings(max_examples=20, deadline=None)
+    @given(deltas=delta_sequences())
+    def test_fit_matches_scipy_fit(self, scipy_ref, p, q, deltas):
+        try:
+            expected = reference_fit(*scipy_ref, deltas, p, q)
+        except ModelFitError as exc:
+            with pytest.raises(type(exc)):
+                fit_arma(deltas, p, q)
+            return
+        model = fit_arma(deltas, p, q)
+        ar, ma, variance, residuals = expected
+        assert bits(model.ar) == bits(ar)
+        assert bits(model.ma) == bits(ma)
+        assert model.variance.hex() == variance.hex()
+        assert bits(model.residuals) == bits(residuals)
+
+    def test_nelder_mead_gives_up_after_maxiter(self):
+        with pytest.raises(ModelFitError):
+            _nelder_mead(lambda v: (v[0] - 1.0) ** 2 + v[1] ** 2, 2, maxiter=5)
 
 
 class TestInterventionAmplitude:

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import inferscan
 from inferscan import store
 from inferscan.cli import EXIT_OK, build_parser, main
 
@@ -272,6 +277,37 @@ class TestPruneAndAnalyze:
             assert run(["analyze", what, "--input", data, "--out", out]) == EXIT_OK
             assert out.exists()
 
+    def test_redacted_clients_stay_apart(self, workspace):
+        data = workspace / "red.jsonl"
+        run(["idle-scan", "--clients", workspace / "clients.csv",
+             "--servers", workspace / "servers.csv",
+             "--scenario", workspace / "scen.cfg", "--rounds", 2,
+             "--seed", 5, "--redact-client-bits", 16, "--out", data])
+        clients = [rec.payload["client"] for rec in store.load(data)]
+        assert {c["addr"] for c in clients} == {"36.10.0.0"}
+        assert sorted(c["lat"] for c in clients) == [30.5, 39.9]
+        out = workspace / "spatial.csv"
+        assert run(["analyze", "spatial", "--input", data,
+                    "--out", out]) == EXIT_OK
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [row[0] for row in rows] == ["k", "1"]
+
+    def test_prune_rejects_unreadable_payload(self, workspace, capsys):
+        data = self.make_data(workspace)
+        with open(data, "a") as fh:
+            fh.write('{"v":1,"kind":"BacklogScan","payload":{},"checks":{}}\n')
+        pruned = workspace / "pruned.jsonl"
+        discards = workspace / "discards.jsonl"
+        code = run(["prune", "--input", data, "--out", pruned,
+                    "--discard-log", discards])
+        assert code == EXIT_OK
+        assert "retained 2/3" in capsys.readouterr().out
+        assert [json.loads(l) for l in discards.read_text().splitlines()] == [
+            {"kind": "BacklogScan", "failed": [],
+             "payload": "record 3 (BacklogScan) has no payload field 'kind'"}]
+        assert run(["analyze", "tables", "--input", pruned,
+                    "--out", workspace / "report.csv"]) == EXIT_OK
+
     def test_analyze_hops_and_diurnal(self, workspace):
         out = workspace / "runs.jsonl"
         run(["trace", "--dests", workspace / "dests.csv",
@@ -401,6 +437,17 @@ class TestMalformedInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "record 1 (Traceroute)" in err and "'dest'" in err
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_out(self):
+        src = Path(inferscan.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, inferscan.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == "False"
 
 
 class TestUsageAndGuardrails:
