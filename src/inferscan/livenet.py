@@ -12,6 +12,7 @@ import threading
 import time
 
 from .transport import (
+    PENDING_HORIZON_NS,
     Clock,
     TcpSegment,
     Transport,
@@ -38,6 +39,11 @@ class LiveTransport(Transport):
 
     ``egress_unfiltered`` asserts that the local network does not drop
     spoofed return addresses; without it, spoofed crafting is refused.
+
+    The sniffer thread keeps arrivals in ``_arrivals`` until a capture
+    collects them, dropping (and counting in ``expired``) those past the
+    queue's horizon, so a transport that never captures stays bounded.
+    ``_arrivals_lock`` guards ``_arrivals`` and ``expired``.
     """
 
     def __init__(self, local_addr: str, authorized: bool = False,
@@ -78,8 +84,26 @@ class LiveTransport(Transport):
             except Exception:
                 continue
             if seg.dst_addr == self.local_addr:
-                with self._arrivals_lock:
-                    self._arrivals.append((now, seg))
+                self._arrive(now, seg)
+
+    def _arrive(self, now: int, seg: TcpSegment) -> None:
+        """Keep one sniffed arrival; expire the stale head as ``_enqueue``
+        does, from a capture's start while one is in progress."""
+        since = now if self._window_start is None else self._window_start
+        cutoff = since - PENDING_HORIZON_NS
+        with self._arrivals_lock:
+            arrivals = self._arrivals
+            arrivals.append((now, seg))
+            stale = 0
+            while stale < len(arrivals) and arrivals[stale][0] < cutoff:
+                stale += 1
+            if stale:
+                del arrivals[:stale]
+                self.expired += stale
+
+    def _expire(self, port: int, cutoff: int) -> None:
+        with self._arrivals_lock:  # the sniffer thread counts expiries too
+            super()._expire(port, cutoff)
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         self._clock.sleep_until(at_ns)

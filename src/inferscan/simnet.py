@@ -34,6 +34,11 @@ DEFAULT_MAX_RETRANSMISSIONS = 5
 DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0, 8.0, 16.0)
 IPID_MODES = ("global", "per-flow", "random")
 
+# Flag sets of the segments the simulated hosts send.
+_RST = frozenset(("RST",))
+_RST_ACK = frozenset(("RST", "ACK"))
+_SYN_ACK = frozenset(("SYN", "ACK"))
+
 # A noisy client that nothing has reached for this long stops ticking, and
 # its next delivery, the first moment its IP-ID can be seen again, counts the
 # noise sent meanwhile in one Poisson draw.  60 s exceeds the longest silence
@@ -113,15 +118,6 @@ class FirewallPolicy:
         return PASS
 
 
-def firewall_decide(seg: TcpSegment, hop: int, policy: FirewallPolicy, hour: int) -> str:
-    """Deterministic pass/drop decision for a segment at a given path hop."""
-    if hop < 1:
-        raise ValueError("hop index is 1-based")
-    if not 0 <= hour <= 23:
-        raise ValueError("hour out of range")
-    return policy.decide(seg, hop, hour)
-
-
 @dataclass(frozen=True)
 class Hop:
     addr: str
@@ -177,16 +173,12 @@ class _Host:
     def on_segment(self, seg: TcpSegment, now: int) -> None:
         raise NotImplementedError
 
-    def _reply(self, flow: FlowKey, now: int, seq: int, ack: int, flags,
-               ipid: int) -> None:
+    def _reply(self, flow: FlowKey, now: int, seq: int, ack: int,
+               flags: frozenset, ipid: int) -> None:
         """Send one segment back along the inbound ``flow``."""
         self.sent_count += 1
-        out = TcpSegment(
-            src_addr=self.addr, dst_addr=flow.src_addr,
-            src_port=flow.dst_port, dst_port=flow.src_port,
-            seq=seq, ack=ack, flags=frozenset(flags), ttl=64,
-            ipid=ipid, timestamp=now,
-        )
+        out = TcpSegment(self.addr, flow.src_addr, flow.dst_port, flow.src_port,
+                         seq, ack, flags, 64, ipid, now)
         self.sim._launch(now, out, self.addr)
 
 
@@ -270,15 +262,18 @@ class SimClient(_Host):
         if self._dormant_since is not None:
             self._wake(now)
         self._last_delivery = now
+        flags = seg.flags
+        if "SYN" not in flags:
+            return
         flow = seg.flow
-        if seg.has("SYN") and seg.has("ACK"):
+        if "ACK" in flags:
             if self.rst_policy:
                 # ack echoes the offending seq so probers can pair responses.
-                self._reply(flow, now, seg.ack, seg.seq, ("RST",),
+                self._reply(flow, now, seg.ack, seg.seq, _RST,
                             self._stamp_ipid(flow))
-        elif seg.has("SYN"):
+        else:
             # No open ports on clients: closed-port RST.
-            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, ("RST", "ACK"),
+            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK,
                         self._stamp_ipid(flow))
 
 
@@ -332,20 +327,21 @@ class SimServer(_Host):
         if not self._is_up(now):
             self.sim.emit(now, "drop_offline", host=self.addr)
             return
-        syn, ack, rst = seg.has("SYN"), seg.has("ACK"), seg.has("RST")
+        flags = seg.flags
+        syn, ack, rst = "SYN" in flags, "ACK" in flags, "RST" in flags
         if syn and not ack and not rst:
             self._on_syn(seg, now)
         elif rst:
             self._on_rst(seg, now)
         elif syn and ack:
-            self._reply(seg.flow, now, seg.ack, seg.seq, ("RST",), self._next_ipid())
+            self._reply(seg.flow, now, seg.ack, seg.seq, _RST, self._next_ipid())
         elif ack:
             self._on_ack(seg, now)
 
     def _on_syn(self, seg: TcpSegment, now: int) -> None:
         flow = seg.flow
         if seg.dst_port not in self.open_ports:
-            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, ("RST", "ACK"),
+            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK,
                         self._next_ipid())
             return
         if flow in self.backlog:
@@ -363,7 +359,7 @@ class SimServer(_Host):
 
     def _send_synack(self, entry: BacklogEntry, now: int) -> None:
         self._reply(entry.flow, now, entry.server_isn,
-                    (entry.client_isn + 1) & 0xFFFFFFFF, ("SYN", "ACK"),
+                    (entry.client_isn + 1) & 0xFFFFFFFF, _SYN_ACK,
                     self._next_ipid())
 
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
@@ -471,6 +467,7 @@ class Simulator:
         # Route of client<->server pairs without a path of their own.
         self._template = SimPath(a="", b="", one_way_delay_ns=default_delay_ns)
         self._plans: dict[tuple, tuple] = {}  # (origin, dst) -> see _plan
+        self._rules: tuple = ()  # policy.rules when the plans were last valid
         self._heap: list = []
         self._order = 0
         self._trace = trace
@@ -538,9 +535,16 @@ class Simulator:
         self._order += 1
 
     def step(self, until: int) -> None:
-        """Process all events with timestamp <= until."""
+        """Process all events with timestamp <= until.
+
+        ``policy.rules`` may change between steps: a change clears the
+        route plans, which hold each hop's rules."""
         if until < self.now:
             raise ValueError("cannot step backwards")
+        rules = tuple(self.policy.rules)
+        if rules != self._rules:
+            self._rules = rules
+            self._plans.clear()
         heap = self._heap
         while heap and heap[0][0] <= until:
             t, _, fn, args = heappop(heap)
@@ -572,26 +576,33 @@ class Simulator:
 
     def _plan(self, origin: str, dst: str) -> tuple:
         """Route plan from origin to dst, built on first use: the path, its
-        ``(hop, physical index, delay from launch)`` steps in travel order,
-        the end-to-end delay, and the path's loss generator (None when
-        lossless; both directions share one).  Adding a host or a path
+        ``(hop, physical index, delay from launch, rules)`` steps in travel
+        order, whether any step has rules, the end-to-end delay, and the
+        path's loss generator (None when lossless; both directions share
+        one).  A step's rules are a policy of the rules placed at its
+        index, in policy order, or None when there are none (always on an
+        unfiltered path).  Adding a host or a path, or changing the rules,
         clears the cache."""
         plan = self._plans.get((origin, dst))
         if plan is None:
             path = self._route(origin, dst)
             direction = 1 if path.a == origin else -1
             legs = path.leg_delays()[::direction]
+            rules = self.policy.rules if path.filtered else ()
             steps, elapsed = [], 0
             for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):
                 elapsed += leg
-                steps.append((hop, index, elapsed))
+                here = [rule for rule in rules if rule.placement_hop == index]
+                steps.append((hop, index, elapsed,
+                              FirewallPolicy(here) if here else None))
             loss = None
             if path.loss_rate > 0:
                 loss = self._loss_rngs.get((path.a, path.b))
                 if loss is None:
                     loss = self._loss_rngs[(path.a, path.b)] = random.Random(
                         derive_seed(self.seed, "loss", path.a, path.b))
-            plan = self._plans[(origin, dst)] = (path, tuple(steps), sum(legs), loss)
+            plan = self._plans[(origin, dst)] = (
+                path, tuple(steps), any(step[3] for step in steps), sum(legs), loss)
         return plan
 
     def _launch(self, at: int, seg: TcpSegment, origin: str) -> None:
@@ -605,18 +616,18 @@ class Simulator:
             self.emit(at, "send", src=seg.src_addr, dst=seg.dst_addr,
                       sport=seg.src_port, dport=seg.dst_port,
                       flags="".join(sorted(seg.flags)), origin=origin)
-        path, steps, total, loss = self._plan(origin, seg.dst_addr)
+        path, steps, ruled, total, loss = self._plan(origin, seg.dst_addr)
         if loss is not None and loss.random() < path.loss_rate:
             self.emit(at, "drop_loss", src=seg.src_addr, dst=seg.dst_addr)
             return
-        if path.filtered or seg.ttl <= len(steps):
-            for n, (hop, index, elapsed) in enumerate(steps, 1):
+        if ruled or seg.ttl <= len(steps):
+            for n, (hop, index, elapsed, rules) in enumerate(steps, 1):
                 t = at + elapsed
                 if n >= seg.ttl:
                     self.schedule(t, self._ttl_exceeded, seg, hop, origin, elapsed)
                     return
-                if (path.filtered
-                        and self.policy.decide(seg, index, self.hour_at(t)) == DROP):
+                if (rules is not None
+                        and rules.decide(seg, index, self.hour_at(t)) == DROP):
                     if self._trace is not None:
                         self.schedule(t, self._emit_rule_drop, seg, index)
                     return
@@ -631,12 +642,8 @@ class Simulator:
         """Hop responds to an expired probe; notification carries the probe's
         seq in its ack field (the quoted-header convention) and src_port 0."""
         self.emit(now, "ttl_exceeded", hop=hop.addr, dst=seg.src_addr, ttl=seg.ttl)
-        reply = TcpSegment(
-            src_addr=hop.addr, dst_addr=seg.src_addr,
-            src_port=0, dst_port=seg.src_port,
-            seq=0, ack=seg.seq, flags=frozenset(("RST",)), ttl=64,
-            ipid=0, timestamp=now,
-        )
+        reply = TcpSegment(hop.addr, seg.src_addr, 0, seg.src_port, 0, seg.seq,
+                           _RST, 64, 0, now)
         # Return trip retraces the forward legs walked so far.
         self.schedule(now + elapsed, self._deliver, reply)
 

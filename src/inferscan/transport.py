@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 NS_PER_SEC = 1_000_000_000
 
@@ -25,6 +24,10 @@ NS_PER_SEC = 1_000_000_000
 PENDING_HORIZON_NS = 60 * NS_PER_SEC
 
 FLAG_BITS = {"SYN": 0x02, "ACK": 0x10, "RST": 0x04, "FIN": 0x01}
+_FLAG_NAMES = frozenset(FLAG_BITS)
+
+# Builds a named tuple from a finished tuple, without its Python-level __new__.
+_tuple_new = tuple.__new__
 
 
 class TransportError(Exception):
@@ -65,12 +68,12 @@ def int_to_addr(value: int) -> str:
     return socket.inet_ntoa(struct.pack("!I", value & 0xFFFFFFFF))
 
 
-@dataclass(frozen=True, order=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """4-tuple identifying one direction of a TCP flow.
 
-    Equality is exact tuple equality.  For capture filters, fields set to
-    None act as wildcards (see :meth:`matches`).
+    An immutable tuple: equality, hash and ordering are the tuple's.  For
+    capture filters, fields set to None act as wildcards (see
+    :meth:`matches`).
     """
 
     src_addr: Optional[str]
@@ -78,8 +81,10 @@ class FlowKey:
     dst_addr: Optional[str]
     dst_port: Optional[int]
 
-    def matches(self, other: "FlowKey") -> bool:
-        for mine, theirs in zip(self._tuple(), other._tuple()):
+    def matches(self, other) -> bool:
+        """``other`` (a flow key, or any 4-tuple in its field order) equals
+        this key on every field that is not None."""
+        for mine, theirs in zip(self, other):
             if mine is not None and mine != theirs:
                 return False
         return True
@@ -87,12 +92,11 @@ class FlowKey:
     def reversed(self) -> "FlowKey":
         return FlowKey(self.dst_addr, self.dst_port, self.src_addr, self.src_port)
 
-    def _tuple(self):
-        return (self.src_addr, self.src_port, self.dst_addr, self.dst_port)
 
+class TcpSegment(NamedTuple):
+    """One IPv4+TCP segment: an immutable tuple, cheap to build.  Hot paths
+    build it positionally, in field order."""
 
-@dataclass(frozen=True)
-class TcpSegment:
     src_addr: str
     dst_addr: str
     src_port: int
@@ -112,11 +116,9 @@ class TcpSegment:
         return self.flags.issuperset(names)
 
     def stamped(self, timestamp: int) -> "TcpSegment":
-        """This segment with another timestamp (``dataclasses.replace``
-        without its per-call field introspection)."""
-        return TcpSegment(self.src_addr, self.dst_addr, self.src_port,
-                          self.dst_port, self.seq, self.ack, self.flags,
-                          self.ttl, self.ipid, timestamp)
+        """This segment with another timestamp (``_replace`` without its
+        keyword handling)."""
+        return _tuple_new(TcpSegment, self[:9] + (timestamp,))
 
 
 def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
@@ -133,8 +135,8 @@ def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
         raise InvalidSegmentError(f"ttl out of range: {seg.ttl}")
     if not 0 <= seg.ipid <= 0xFFFF:
         raise InvalidSegmentError(f"ipid out of range: {seg.ipid}")
-    unknown = set(seg.flags) - set(FLAG_BITS)
-    if unknown:
+    if not _FLAG_NAMES.issuperset(seg.flags):
+        unknown = set(seg.flags) - _FLAG_NAMES
         raise InvalidSegmentError(f"unknown flags: {sorted(unknown)}")
     if crafted and not seg.flags:
         raise InvalidSegmentError("crafted probes need at least one flag")
@@ -146,8 +148,9 @@ def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
 # log format); the wire codec emits minimal IPv4+TCP headers for live use.
 # ---------------------------------------------------------------------------
 
-def segment_to_json(seg: TcpSegment) -> str:
-    rec = {
+def _segment_record(seg: TcpSegment) -> dict:
+    """The JSON record of ``seg``, before encoding."""
+    return {
         "src_addr": seg.src_addr,
         "src_port": seg.src_port,
         "dst_addr": seg.dst_addr,
@@ -159,7 +162,14 @@ def segment_to_json(seg: TcpSegment) -> str:
         "ipid": seg.ipid,
         "timestamp": seg.timestamp,
     }
+
+
+def _dumps(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def segment_to_json(seg: TcpSegment) -> str:
+    return _dumps(_segment_record(seg))
 
 
 def segment_from_json(line: str) -> TcpSegment:
@@ -314,9 +324,9 @@ class PacketLog:
         self._fh = open(path, "a", encoding="utf-8")
 
     def write(self, seg: TcpSegment, direction: str) -> None:
-        rec = json.loads(segment_to_json(seg))
+        rec = _segment_record(seg)
         rec["dir"] = direction
-        self._fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        self._fh.write(_dumps(rec) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -418,9 +428,8 @@ class Transport:
         if ipid is None:
             self._ipid = ipid = (self._ipid + 1) & 0xFFFF
         return validate_segment(TcpSegment(
-            src_addr=src, dst_addr=dst_addr, src_port=src_port,
-            dst_port=dst_port, seq=seq, ack=ack, flags=frozenset(flags),
-            ttl=ttl, ipid=ipid, timestamp=self.clock.now_ns()))
+            src, dst_addr, src_port, dst_port, seq, ack, frozenset(flags),
+            ttl, ipid, self.clock.now_ns()))
 
     def send(self, seg: TcpSegment, wait: bool = True) -> int:
         """Queue ``seg`` for its flow's next rate-limited slot; returns the
@@ -469,8 +478,14 @@ class Transport:
             mine = [f for f in filters if f.dst_port in (port, None)]
             kept = []
             for entry in bucket:
-                flow = entry[1].flow
-                (hits if any(f.matches(flow) for f in mine) else kept).append(entry)
+                seg = entry[1]
+                flow = (seg.src_addr, seg.src_port, seg.dst_addr, seg.dst_port)
+                for f in mine:
+                    if f.matches(flow):
+                        hits.append(entry)
+                        break
+                else:
+                    kept.append(entry)
             if kept:
                 self._pending[port] = kept
             else:

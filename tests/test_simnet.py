@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -20,7 +21,6 @@ from inferscan.simnet import (
     Hop,
     Simulator,
     effective_retransmissions,
-    firewall_decide,
 )
 from inferscan.transport import NS_PER_SEC, FlowKey, TcpSegment
 
@@ -139,22 +139,22 @@ class TestFirewallDecide:
         return FirewallPolicy(rules=[FilterRule(**defaults)])
 
     def test_drop_at_placement_hop(self):
-        assert firewall_decide(synack(), 2, self.policy(), 12) == DROP
+        assert self.policy().decide(synack(), 2, 12) == DROP
 
     def test_pass_before_placement_hop(self):
-        assert firewall_decide(synack(), 1, self.policy(), 12) == PASS
+        assert self.policy().decide(synack(), 1, 12) == PASS
 
     def test_client_to_server_direction_unmatched(self):
         syn = TcpSegment(src_addr="36.10.0.5", dst_addr="203.0.113.5",
                          src_port=50000, dst_port=9001, seq=1, ack=0,
                          flags=frozenset(("SYN",)), ttl=64, ipid=0, timestamp=0)
-        assert firewall_decide(syn, 2, self.policy(), 12) == PASS
+        assert self.policy().decide(syn, 2, 12) == PASS
 
     def test_hour_mask(self):
         mask = tuple(h >= 12 for h in range(24))
         policy = self.policy(hours=mask)
-        assert firewall_decide(synack(), 2, policy, 3) == PASS
-        assert firewall_decide(synack(), 2, policy, 15) == DROP
+        assert policy.decide(synack(), 2, 3) == PASS
+        assert policy.decide(synack(), 2, 15) == DROP
 
     def test_first_match_wins(self):
         allow = FilterRule("allow", "server->client", addr="203.0.113.5",
@@ -162,7 +162,7 @@ class TestFirewallDecide:
         deny = FilterRule("deny", "server->client", addr="203.0.113.5",
                           placement_hop=2)
         policy = FirewallPolicy(rules=[allow, deny])
-        assert firewall_decide(synack(), 2, policy, 0) == PASS
+        assert policy.decide(synack(), 2, 0) == PASS
 
     def test_flag_predicate(self):
         rule = FilterRule("rst-only", "client->server", addr="203.0.113.5",
@@ -174,14 +174,10 @@ class TestFirewallDecide:
         syn = TcpSegment(src_addr="36.10.0.5", dst_addr="203.0.113.5",
                          src_port=50000, dst_port=9001, seq=1, ack=0,
                          flags=frozenset(("SYN",)), ttl=64, ipid=0, timestamp=0)
-        assert firewall_decide(rst, 2, policy, 0) == DROP
-        assert firewall_decide(syn, 2, policy, 0) == PASS
+        assert policy.decide(rst, 2, 0) == DROP
+        assert policy.decide(syn, 2, 0) == PASS
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            firewall_decide(synack(), 0, FirewallPolicy(), 0)
-        with pytest.raises(ValueError):
-            firewall_decide(synack(), 1, FirewallPolicy(), 24)
         with pytest.raises(ValueError):
             FilterRule("x", "sideways")
         with pytest.raises(ValueError):
@@ -718,3 +714,112 @@ path_filtered = yes
         assert sim.server("203.0.113.6").backlog_capacity == 64
         assert sim.server("203.0.113.6").open_ports == {9030}
         assert sim.server(SERVER).backlog_capacity == 256  # its own section
+
+
+class TestRulesOnThePath:
+    """The route plan holds each hop's rules; ``policy.rules`` stays a
+    public list whose changes take effect from the next ``step``."""
+
+    HOPS = (Hop("10.9.0.1"), Hop("10.9.0.2", "CN"), Hop("10.9.0.3", "CN"))
+
+    def world(self, events, seed=5):
+        sim = Simulator(seed=seed, trace=events.append)
+        sim.add_client(CLIENT)
+        sim.add_server(SERVER, open_ports=[9001])
+        sim.add_path(CLIENT, SERVER, hops=self.HOPS, delay_ns=30_000_000,
+                     filtered=True)
+        return sim, sim.attach(MM)
+
+    @staticmethod
+    def synacks_to_client(events):
+        return [e["dport"] for e in events if e["ev"] == "deliver"
+                and e["dst"] == CLIENT and e["flags"] == "ACKSYN"]
+
+    def test_rule_appended_after_traffic_applies_from_the_next_step(self):
+        events = []
+        sim, tr = self.world(events)
+        send_syn(tr, src=CLIENT, sport=41000)
+        sim.step(NS_PER_SEC // 2)
+        assert self.synacks_to_client(events) == [41000]
+        sim.policy.rules.append(FilterRule(
+            "late", "server->client", addr=SERVER, port=9001, placement_hop=2))
+        send_syn(tr, src=CLIENT, sport=41001)
+        sim.step(sim.now + NS_PER_SEC // 2)
+        assert self.synacks_to_client(events) == [41000]
+        assert [(e["dport"], e["hop"]) for e in events
+                if e["ev"] == "drop_rule"] == [(41001, 2)]
+        sim.policy.rules.clear()
+        send_syn(tr, src=CLIENT, sport=41002)
+        sim.step(sim.now + NS_PER_SEC // 2)
+        assert self.synacks_to_client(events)[-1] == 41002
+
+    def test_rule_placed_off_the_path_never_matches(self):
+        events = []
+        sim, tr = self.world(events)
+        sim.policy.rules += [FilterRule(name, direction, placement_hop=hop)
+                             for hop in (0, 4, 9)
+                             for name, direction in (("s2c", "server->client"),
+                                                     ("c2s", "client->server"))]
+        for i in range(3):
+            send_syn(tr, src=CLIENT, sport=41000 + i)
+        sim.step(2 * NS_PER_SEC)
+        assert self.synacks_to_client(events) == [41000, 41001, 41002]
+        assert not [e for e in events if e["ev"] == "drop_rule"]
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_drops_match_the_policy_asked_at_every_hop(self, trial):
+        """Reference: walk every hop in travel order and ask the whole
+        policy, as the simulator did before its plans held per-hop rules.
+        Rules change midway and the run crosses an hour boundary."""
+        rng = random.Random(trial)
+
+        def random_rule(i):
+            return FilterRule(
+                f"r{i}", rng.choice(["server->client", "client->server"]),
+                addr=rng.choice([SERVER, CLIENT, None]),
+                port=rng.choice([9001, None]),
+                action=rng.choice([DROP, PASS]),
+                placement_hop=rng.choice([0, 1, 2, 2, 3, 4]),
+                hours=rng.choice([None, tuple(rng.random() < 0.5
+                                              for _ in range(24))]),
+                flags=rng.choice([None, frozenset(["RST"]),
+                                  frozenset(["SYN", "ACK"])]))
+
+        events = []
+        sim, tr = self.world(events, seed=trial)
+        sim.step(HOUR_NS - 2 * NS_PER_SEC)
+        sim.policy.rules += [random_rule(i) for i in range(6)]
+        phases = []  # (last launch time under these rules, policy)
+
+        def traffic(base):
+            for i in range(8):
+                send_syn(tr, src=CLIENT, sport=base + i)
+                tr.send(tr.craft_segment(CLIENT, base + i, ("SYN", "ACK"),
+                                         9001, src_addr=SERVER))
+                tr.clock.sleep_ns(150_000_000)
+
+        traffic(41000)
+        phases.append((sim.now, FirewallPolicy(list(sim.policy.rules))))
+        sim.policy.rules[:1] = [random_rule(i) for i in range(6, 9)]
+        traffic(42000)
+        sim.step(sim.now + 40 * NS_PER_SEC)
+        phases.append((sim.now, FirewallPolicy(list(sim.policy.rules))))
+
+        legs = [7_500_000 * k for k in (1, 2, 3)]
+        expected = []
+        for e in events:
+            if e["ev"] != "send" or {e["origin"], e["dst"]} != {CLIENT, SERVER}:
+                continue
+            policy = next(p for until, p in phases if e["t"] <= until)
+            seg = TcpSegment(e["src"], e["dst"], e["sport"], e["dport"], 0, 0,
+                             frozenset(n for n in ("SYN", "ACK", "RST")
+                                       if n in e["flags"]), 64, 0, e["t"])
+            indices = (1, 2, 3) if e["origin"] == CLIENT else (3, 2, 1)
+            for index, elapsed in zip(indices, legs):
+                t = e["t"] + elapsed
+                if policy.decide(seg, index, sim.hour_at(t)) == DROP:
+                    expected.append((t, e["sport"], e["dport"], index))
+                    break
+        got = [(e["t"], e["sport"], e["dport"], e["hop"]) for e in events
+               if e["ev"] == "drop_rule"]
+        assert sorted(got) == sorted(expected)

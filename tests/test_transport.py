@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import queue
 import random
+import socket
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,6 +20,7 @@ from inferscan.transport import (
     PENDING_HORIZON_NS,
     Clock,
     FlowKey,
+    FlowRateLimiter,
     InvalidSegmentError,
     IsnGenerator,
     RateLimitError,
@@ -162,7 +166,7 @@ class TestSerialization:
 
     @given(valid_segments, st.integers(0, 2 ** 63 - 1))
     def test_stamped_equals_replace(self, seg, timestamp):
-        assert seg.stamped(timestamp) == replace(seg, timestamp=timestamp)
+        assert seg.stamped(timestamp) == seg._replace(timestamp=timestamp)
 
     def test_wire_length_minimal(self):
         rng = random.Random(44)
@@ -184,9 +188,8 @@ class TestSerialization:
         seg = random_segment(rng)
         for field, value in (("seq", 2 ** 32), ("ack", -1), ("ipid", 70000),
                              ("ttl", 256), ("src_port", 65536)):
-            from dataclasses import replace
             with pytest.raises(InvalidSegmentError):
-                validate_segment(replace(seg, **{field: value}))
+                validate_segment(seg._replace(**{field: value}))
 
 
 class TestSend:
@@ -327,7 +330,7 @@ def linear_demux(pending, filters):
     out, kept = [], []
     for arrival, seg in pending:
         if any(f.matches(seg.flow) for f in filters):
-            out.append(replace(seg, timestamp=arrival))
+            out.append(seg._replace(timestamp=arrival))
         else:
             kept.append((arrival, seg))
     return out, kept
@@ -446,6 +449,61 @@ class TestFlowKey:
         assert a.reversed() == FlowKey("5.6.7.8", 2, "1.2.3.4", 1)
 
 
+class TestValueTypes:
+    SEG = TcpSegment("36.10.0.5", MM, 443, 40000, 7, 8, frozenset(["RST"]),
+                     64, 9, 10)
+    ADDRS = st.sampled_from(["36.10.0.5", "36.10.0.6", MM])
+    PORTS = st.sampled_from([443, 9001, 40000])
+
+    @pytest.mark.parametrize("value", [SEG, SEG.flow], ids=["segment", "flow"])
+    def test_fields_refuse_assignment(self, value):
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_equal_flow_keys_are_one_dict_key(self):
+        built = FlowKey("36.10.0.5", 443, MM, 40000)
+        assert built == self.SEG.flow and built is not self.SEG.flow
+        assert hash(built) == hash(self.SEG.flow)
+        limiter = FlowRateLimiter(rate=10.0)
+        assert limiter.reserve(self.SEG.flow, 0) == 0
+        assert limiter.reserve(built, 0) == NS_PER_SEC // 10
+
+    def test_simulated_hosts_key_their_state_by_value(self):
+        sim = Simulator(seed=3)
+        server = sim.add_server("203.0.113.5", open_ports=[9001])
+        sim.add_client("36.10.0.5", ipid_mode="per-flow")
+        tr = sim.attach(MM)
+        tr.send(tr.craft_segment("203.0.113.5", 9001, ("SYN",), 41000))
+        for _ in range(3):  # one flow, so one per-flow IP-ID counter
+            tr.send(tr.craft_segment("36.10.0.5", 443, ("SYN", "ACK"), 40000))
+        rsts = tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)], NS_PER_SEC)
+        assert FlowKey(MM, 41000, "203.0.113.5", 9001) in server.backlog
+        first = rsts[0].ipid
+        assert [seg.ipid for seg in rsts] == [
+            (first + k) & 0xFFFF for k in range(3)]
+
+    def test_flow_keys_order_as_tuples(self):
+        keys = [FlowKey("36.10.0.6", 1, MM, 2), FlowKey("36.10.0.5", 9, MM, 2),
+                FlowKey("36.10.0.5", 1, MM, 3)]
+        assert sorted(keys) == sorted(keys, key=tuple)
+        assert sorted(keys)[0] == FlowKey("36.10.0.5", 1, MM, 3)
+
+    @given(st.builds(FlowKey, st.none() | ADDRS, st.none() | PORTS,
+                     st.none() | ADDRS, st.none() | PORTS),
+           st.builds(FlowKey, ADDRS, PORTS, ADDRS, PORTS))
+    def test_matches_is_field_by_field_with_wildcards(self, pattern, flow):
+        expected = (
+            (pattern.src_addr is None or pattern.src_addr == flow.src_addr)
+            and (pattern.src_port is None or pattern.src_port == flow.src_port)
+            and (pattern.dst_addr is None or pattern.dst_addr == flow.dst_addr)
+            and (pattern.dst_port is None or pattern.dst_port == flow.dst_port))
+        assert pattern.matches(flow) is expected
+        assert pattern.matches(tuple(flow)) is expected  # capture's form
+
+
 class TestIsnGenerator:
     def test_indexable_matches_stream(self):
         gen = IsnGenerator(99)
@@ -472,3 +530,104 @@ class TestLiveGate:
         from inferscan.livenet import AuthorizationError, LiveTransport
         with pytest.raises(AuthorizationError):
             LiveTransport(local_addr="127.0.0.1", authorized=False)
+
+
+class FakeRawSocket:
+    """Stands in for a raw socket: records what is sent, and hands the
+    sniffer what the test puts in ``inbox``."""
+
+    def __init__(self, inbox):
+        self.inbox = inbox
+        self.sent = []
+        self.closed = False
+
+    def setsockopt(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendto(self, data, addr):
+        self.sent.append((data, addr))
+
+    def recvfrom(self, size):
+        if self.closed:
+            raise OSError("closed")
+        try:
+            return self.inbox.get(timeout=0.01), ("0.0.0.0", 0)
+        except queue.Empty:
+            raise socket.timeout from None
+
+    def close(self):
+        self.closed = True
+
+
+class TestLiveTransport:
+    """``LiveTransport`` over fake sockets and a scripted clock: no root and
+    no network needed."""
+
+    @pytest.fixture
+    def live(self, monkeypatch):
+        from inferscan import livenet
+        inbox, sockets, clock = queue.Queue(), [], [0]
+
+        def fake_socket(*args):
+            sockets.append(FakeRawSocket(inbox))
+            return sockets[-1]
+
+        monkeypatch.setattr(livenet.socket, "socket", fake_socket)
+        monkeypatch.setattr(livenet.RealClock, "now_ns", lambda self: clock[0])
+        tr = livenet.LiveTransport(MM, authorized=True)
+        yield tr, inbox, clock, sockets
+        tr.close()
+        tr._sniffer.join(timeout=5)
+        assert not tr._sniffer.is_alive()
+
+    @staticmethod
+    def arrive(tr, inbox, seq):
+        """Hand the sniffer one reply to MM and wait until it is kept."""
+        before = tr.expired + len(tr._arrivals)
+        inbox.put(segment_to_wire(reply("36.10.0.5", 443, 40000, seq)))
+        deadline = time.monotonic() + 5
+        while True:
+            with tr._arrivals_lock:
+                if tr.expired + len(tr._arrivals) > before:
+                    return
+            assert time.monotonic() < deadline, "sniffer never kept the arrival"
+            time.sleep(0.001)
+
+    def test_arrivals_stay_bounded_without_captures(self, live):
+        tr, inbox, clock, _ = live
+        for i in range(5):
+            clock[0] = i * 30 * NS_PER_SEC
+            self.arrive(tr, inbox, i)
+        # At 120 s the horizon keeps the arrivals of 60, 90 and 120 s.
+        assert tr.expired == 2
+        assert [seg.seq for _, seg in tr._arrivals] == [2, 3, 4]
+        got = tr.capture([FlowKey(None, None, MM, None)], 0)
+        assert [(seg.seq, seg.timestamp) for seg in got] == [
+            (i, i * 30 * NS_PER_SEC) for i in (2, 3, 4)]
+
+    def test_arrivals_inside_a_capture_window_are_kept(self, live, monkeypatch):
+        from inferscan import livenet
+        tr, inbox, clock, _ = live
+
+        def sleep_ns(self, duration_ns):  # three arrivals 50 s apart
+            end = clock[0] + duration_ns
+            for i in range(3):
+                clock[0] = i * 50 * NS_PER_SEC
+                TestLiveTransport.arrive(tr, inbox, i)
+            clock[0] = end
+
+        monkeypatch.setattr(livenet.RealClock, "sleep_ns", sleep_ns)
+        got = tr.capture([FlowKey(None, None, MM, None)], 150 * NS_PER_SEC)
+        assert [seg.seq for seg in got] == [0, 1, 2]
+        assert tr.expired == 0
+
+    def test_send_writes_the_wire_bytes(self, live):
+        tr, _, _, sockets = live
+        seg = tr.craft_segment("203.0.113.5", 9001, ("SYN",), 41000)
+        tr.send(seg)
+        [(data, addr)] = sockets[0].sent
+        assert addr == ("203.0.113.5", 0)
+        assert segment_from_wire(data, timestamp=seg.timestamp) == seg
