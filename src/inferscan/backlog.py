@@ -36,6 +36,21 @@ REASON_UNDER_FILL = "under-fill"
 MAPPING_MECHANICS = "mechanics"
 MAPPING_LITERAL = "literal"
 
+# The fixed parts of the scan schedule and of the default stack it assumes.
+RST_BURST_DELAY_MS = 250.0  # after the fill burst
+OBSERVE_S = 40.0
+BASELINE_PROBES = 3
+BASELINE_OBSERVE_S = 70.0
+EXPECTED_RETRANSMISSIONS = 5
+BACKOFF_RATIO_BOUNDS = (1.5, 2.5)
+ASSUMED_CAPACITY = 256
+# Safety bound: probes + fill never exceed this many half-open entries,
+# keeping occupancy below ~59% of the default capacity.
+MAX_HALF_OPEN = 150
+PROBE_PORT_BASE = 41000
+FILL_PORT_BASE = 43000
+BASELINE_PORT_BASE = 40900
+
 
 @dataclass
 class BacklogScanConfig:
@@ -43,23 +58,7 @@ class BacklogScanConfig:
     rst_probe_count: int = 10
     fill_count: int = 145
     stagger_ms: float = 500.0
-    rst_burst_delay_ms: float = 250.0  # after the fill burst
-    observe_s: float = 40.0
-    baseline_probes: int = 3
-    baseline_observe_s: float = 70.0
-    expected_retransmissions: int = 5
-    backoff_ratio_bounds: tuple = (1.5, 2.5)
-    assumed_capacity: int = 256
-    # Safety bound: probes + fill never exceed this many half-open entries,
-    # keeping occupancy below ~59% of the default capacity.
-    max_half_open: int = 150
     literal_verdicts: bool = False
-    probe_port_base: int = 41000
-    fill_port_base: int = 43000
-    baseline_port_base: int = 40900
-
-    def effective_fill(self, probe_count: int) -> int:
-        return max(min(self.fill_count, self.max_half_open - probe_count), 0)
 
 
 @dataclass(frozen=True)
@@ -165,21 +164,20 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
     Valid only for a default stack: exactly the expected retransmission
     count with exponentially backed-off gaps.  Fixed-count embedded stacks,
     non-doubling schedules, and silent relays are all invalid, each under
-    its pruning-rule reason.
+    its pruning-rule reason.  Its schedule is fixed, so ``cfg`` is accepted
+    for the scans' call form and not read.
     """
-    cfg = cfg or BacklogScanConfig()
-    flows = _send_syns(transport, relay, cfg.baseline_port_base,
-                       cfg.baseline_probes)
+    flows = _send_syns(transport, relay, BASELINE_PORT_BASE, BASELINE_PROBES)
     arrivals = _synack_arrivals(transport, flows,
-                                int(cfg.baseline_observe_s * NS_PER_SEC))
+                                int(BASELINE_OBSERVE_S * NS_PER_SEC))
     if not arrivals:
         return BaselineProfile(False, REASON_OFFLINE, -1, ())
     times = max(arrivals.values(), key=len)
     count = len(times) - 1
     gaps = tuple((b - a) / NS_PER_SEC for a, b in zip(times, times[1:]))
-    if count != cfg.expected_retransmissions:
+    if count != EXPECTED_RETRANSMISSIONS:
         return BaselineProfile(False, REASON_NON_DEFAULT, count, gaps)
-    lo, hi = cfg.backoff_ratio_bounds
+    lo, hi = BACKOFF_RATIO_BOUNDS
     for g0, g1 in zip(gaps, gaps[1:]):
         if g0 <= 0 or not lo <= g1 / g0 <= hi:
             return BaselineProfile(False, REASON_NO_BACKOFF, count, gaps)
@@ -204,24 +202,25 @@ def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
     or reduced counts becomes ``passes(full, reduced)``.
     """
     if baseline is None:
-        baseline = baseline_probe(mm, relay, cfg)
+        baseline = baseline_probe(mm, relay)
         mm.clock.sleep_ns(2 * NS_PER_SEC)
     started = mm.clock.now_ns()
-    fill = cfg.effective_fill(n) if baseline.valid else 0
+    fill = (max(min(cfg.fill_count, MAX_HALF_OPEN - n), 0) if baseline.valid
+            else 0)
     counts: list = [None] * n
     verdict = VERDICT_INVALID
     if not baseline.valid:
         reason = baseline.reason
-    elif n + fill <= cfg.assumed_capacity // 2:
+    elif n + fill <= ASSUMED_CAPACITY // 2:
         reason = REASON_UNDER_FILL
     else:
-        flows = _send_syns(mm, relay, cfg.probe_port_base, n)
+        flows = _send_syns(mm, relay, PROBE_PORT_BASE, n)
         mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
         burst(fill)
-        arrivals = _synack_arrivals(mm, flows, int(cfg.observe_s * NS_PER_SEC))
+        arrivals = _synack_arrivals(mm, flows, int(OBSERVE_S * NS_PER_SEC))
         counts = [len(arrivals[f.dst_port]) - 1 if f.dst_port in arrivals
                   else None for f in flows]
-        full, reduced = _probe_votes(counts, cfg.expected_retransmissions)
+        full, reduced = _probe_votes(counts, EXPECTED_RETRANSMISSIONS)
         if full == 0 and reduced == 0:
             reason = REASON_OFFLINE
         elif full == reduced:
@@ -250,7 +249,7 @@ def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     cfg = cfg or BacklogScanConfig()
 
     def burst(fill: int) -> None:
-        _send_syns(vps, relay, cfg.fill_port_base, fill)
+        _send_syns(vps, relay, FILL_PORT_BASE, fill)
 
     return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, cfg, baseline,
                  burst, lambda full, reduced: reduced > full)
@@ -277,14 +276,14 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     isn_seed = shared_isn_seed if shared_isn_seed is not None else mm.isn.seed
 
     def burst(fill: int) -> None:
-        _send_syns(mm, relay, cfg.fill_port_base, fill, src_addr=vps.local_addr,
+        _send_syns(mm, relay, FILL_PORT_BASE, fill, src_addr=vps.local_addr,
                    isns=IsnGenerator(isn_seed))
-        mm.clock.sleep_ns(int(cfg.rst_burst_delay_ms * 1e6))
+        mm.clock.sleep_ns(int(RST_BURST_DELAY_MS * 1e6))
         # The vantage point derives each RST's sequence number independently.
         vps_isns = IsnGenerator(isn_seed)
         for i in range(fill):
             vps.send(vps.craft_segment(
-                relay.addr, relay.port, ("RST",), cfg.fill_port_base + i,
+                relay.addr, relay.port, ("RST",), FILL_PORT_BASE + i,
                 seq=(vps_isns.at(i) + 1) & 0xFFFFFFFF))
 
     return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, cfg, baseline,

@@ -127,11 +127,8 @@ def cmd_qualify(args, parser) -> int:
 
 
 def cmd_idle_scan(args, parser) -> int:
-    scan = ScanRoundConfig()
-    if args.spoof_rate:
-        scan.spoof_rate = args.spoof_rate
-    if args.probe_rate:
-        scan.probe_rate = args.probe_rate
+    scan = ScanRoundConfig(probe_rate=args.probe_rate,
+                           spoof_rate=args.spoof_rate)
     clients = load_endpoints(args.clients)
     servers = filter_stable(load_endpoints(args.servers))
     if not servers:
@@ -457,11 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--clients", required=True, help="client CSV")
     sp.add_argument("--servers", required=True, help="server CSV")
-    sp.add_argument("--rounds", type=int, default=1, help="hourly rounds to run")
-    sp.add_argument("--spoof-rate", type=float, default=None,
-                    help="spoofed SYNs per second (default from config)")
-    sp.add_argument("--probe-rate", type=float, default=None,
-                    help="IPID probes per second (default from config)")
+    sp.add_argument("--rounds", type=int, default=1,
+                    help="hour slots to run; slot k starts at campaign hour k")
+    sp.add_argument("--spoof-rate", type=float, default=idlescan.SPOOF_RATE,
+                    help="spoofed SYNs per second in the perturb phase")
+    sp.add_argument("--probe-rate", type=float, default=idlescan.PROBE_RATE,
+                    help="IPID probes per second")
     sp.add_argument("--redact-client-bits", type=int, default=0,
                     help="zero this many low bits of stored client addresses")
     sp.add_argument("--out", required=True, help="record JSONL path")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from . import classify
 from .classify import PHASE_BASE, PHASE_PERTURB, diff_series
@@ -34,6 +34,18 @@ REASON_NOISY = "too-noisy"
 
 DEFAULT_CLIENT_PROBE_PORT = 33434
 
+# Default rates of a round; qualification always probes at PROBE_RATE.
+PROBE_RATE = 1.0  # IPID probes per second
+SPOOF_RATE = 2.0  # spoofed SYNs per second during the perturb phase
+# The fixed parts of a round's probe schedule.
+RST_FLUSH_DURATION_S = 30.0
+CHECK_DURATION_S = 5.0
+LIVELINESS_RATE = 5.0  # probes per second during checks
+NOISE_THRESHOLD = 2.0  # median per-interval delta allowed when quiet
+PROBE_SRC_PORT = 39000
+SPOOF_SRC_PORT_BASE = 42000
+HOUR_NS = 3600 * NS_PER_SEC
+
 
 class RoundVoided(Exception):
     """A scan round whose basic assumptions broke; it must not be stored."""
@@ -42,21 +54,13 @@ class RoundVoided(Exception):
 @dataclass
 class ScanRoundConfig:
     scan_duration_s: float = 120.0
-    rst_flush_duration_s: float = 30.0
-    check_duration_s: float = 5.0
-    hourly_rounds: int = 22
-    probe_rate: float = 1.0   # IPID probes per second
-    spoof_rate: float = 2.0   # spoofed SYNs per second during the perturb phase
-    settle_s: float = classify.DEFAULT_SETTLE_S
-    noise_threshold: float = 2.0  # median per-interval delta allowed when quiet
-    liveliness_rate: float = 5.0  # probes per second during checks
-    probe_src_port: int = 39000
-    spoof_src_port_base: int = 42000
+    probe_rate: float = PROBE_RATE
+    spoof_rate: float = SPOOF_RATE
+    settle_s: ClassVar[float] = classify.DEFAULT_SETTLE_S
 
     def __post_init__(self):
-        for name in ("scan_duration_s", "rst_flush_duration_s", "check_duration_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.scan_duration_s <= 0:
+            raise ValueError("scan_duration_s must be positive")
         if self.probe_rate <= 0 or self.spoof_rate <= 0:
             raise ValueError("probe and spoof rates must be positive")
 
@@ -161,8 +165,8 @@ def _reset(transport: Transport, syn: TcpSegment) -> None:
         src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF))
 
 
-def qualify_client(transport: Transport, addr: str, window_s: float = 30.0,
-                   cfg: Optional[ScanRoundConfig] = None) -> QualificationResult:
+def qualify_client(transport: Transport, addr: str,
+                   window_s: float = 30.0) -> QualificationResult:
     """Decide whether a client's IPID behaves as a single global counter.
 
     Probes alternate between two source ports.  A per-connection counter
@@ -170,10 +174,9 @@ def qualify_client(transport: Transport, addr: str, window_s: float = 30.0,
     other; a randomizing stack is dirty on every port; a busy host is a
     counter that moves too fast to carry a signal.
     """
-    cfg = cfg or ScanRoundConfig()
-    interval_ns = int(NS_PER_SEC / cfg.probe_rate)
-    n_probes = max(int(window_s * cfg.probe_rate), 8)
-    ports = (cfg.probe_src_port, cfg.probe_src_port + 1)
+    interval_ns = int(NS_PER_SEC / PROBE_RATE)
+    n_probes = max(int(window_s * PROBE_RATE), 8)
+    ports = (PROBE_SRC_PORT, PROBE_SRC_PORT + 1)
     observed = []  # (port, ipid)
     for i in range(n_probes):
         port = ports[i % 2]
@@ -188,7 +191,7 @@ def qualify_client(transport: Transport, addr: str, window_s: float = 30.0,
     if not merged_dirty:
         deltas = sorted(merged.deltas)
         median = deltas[len(deltas) // 2]
-        if median <= cfg.noise_threshold:
+        if median <= NOISE_THRESHOLD:
             return QualificationResult(QUALIFIED, **result_base)
         return QualificationResult(DISQUALIFIED, REASON_NOISY, **result_base)
 
@@ -206,15 +209,12 @@ def qualify_client(transport: Transport, addr: str, window_s: float = 30.0,
     return QualificationResult(DISQUALIFIED, reason, **result_base)
 
 
-def client_liveliness(transport: Transport, addr: str,
-                      cfg: Optional[ScanRoundConfig] = None,
-                      src_port: Optional[int] = None) -> LivelinessResult:
+def client_liveliness(transport: Transport, addr: str) -> LivelinessResult:
     """SYN/ACK the client for the check window; pass needs RSTs back for
     more than half of the probes."""
-    cfg = cfg or ScanRoundConfig()
-    sport = src_port if src_port is not None else cfg.probe_src_port + 2
-    n = int(cfg.check_duration_s * cfg.liveliness_rate)
-    gap_ns = int(NS_PER_SEC / cfg.liveliness_rate)
+    sport = PROBE_SRC_PORT + 2
+    n = int(CHECK_DURATION_S * LIVELINESS_RATE)
+    gap_ns = int(NS_PER_SEC / LIVELINESS_RATE)
     rsts = []
     for _ in range(n):
         rsts += _probe_client(transport, addr, sport, gap_ns)
@@ -224,16 +224,14 @@ def client_liveliness(transport: Transport, addr: str,
                             ipids=tuple(seg.ipid for seg in rsts))
 
 
-def server_liveliness(transport: Transport, addr: str, port: int,
-                      cfg: Optional[ScanRoundConfig] = None,
-                      src_port_base: Optional[int] = None) -> LivelinessResult:
+def server_liveliness(transport: Transport, addr: str,
+                      port: int) -> LivelinessResult:
     """SYN the server from the silent measurement address; pass needs some
     probe's entry to retransmit its SYN/ACK three or more times.  Once the
     window closes, every probe's half-open entry is reset."""
-    cfg = cfg or ScanRoundConfig()
-    base = src_port_base if src_port_base is not None else cfg.probe_src_port + 100
-    n = int(cfg.check_duration_s * cfg.liveliness_rate)
-    gap_ns = int(NS_PER_SEC / cfg.liveliness_rate)
+    base = PROBE_SRC_PORT + 100
+    n = int(CHECK_DURATION_S * LIVELINESS_RATE)
+    gap_ns = int(NS_PER_SEC / LIVELINESS_RATE)
     syns = []
     for i in range(n):
         syns.append(transport.craft_segment(addr, port, ("SYN",), base + i))
@@ -276,7 +274,7 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     spoof_budget = 0.0
 
     def sample_interval(phase: str) -> None:
-        for seg in _probe_client(transport, client.addr, cfg.probe_src_port,
+        for seg in _probe_client(transport, client.addr, PROBE_SRC_PORT,
                                  interval_ns):
             samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
 
@@ -288,14 +286,14 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
         while spoof_budget >= 1.0:
             spoofed.append(transport.craft_segment(
                 server.addr, server.port, ("SYN",),
-                cfg.spoof_src_port_base + len(spoofed), src_addr=client.addr))
+                SPOOF_SRC_PORT_BASE + len(spoofed), src_addr=client.addr))
             transport.send(spoofed[-1])
             spoof_budget -= 1.0
         sample_interval(PHASE_PERTURB)
 
     # Flush: terminate every half-open entry the spoofed SYNs created.
     if spoofed:
-        flush_gap = int(cfg.rst_flush_duration_s * NS_PER_SEC / len(spoofed))
+        flush_gap = int(RST_FLUSH_DURATION_S * NS_PER_SEC / len(spoofed))
         for syn in spoofed:
             _reset(transport, syn)
             transport.clock.sleep_ns(flush_gap)
@@ -325,8 +323,8 @@ class ScanRoundResult:
     hour: int
 
 
-def _recheck_client(transport, client, cfg) -> bool:
-    check = client_liveliness(transport, client.addr, cfg)
+def _recheck_client(transport, client) -> bool:
+    check = client_liveliness(transport, client.addr)
     if not check.passed:
         return False
     if len(check.ipids) >= 2:
@@ -346,16 +344,16 @@ def run_scan_round(transport: Transport, client: EndpointSpec,
     """
     cfg = cfg or ScanRoundConfig()
     started = transport.clock.now_ns()
-    if not client_liveliness(transport, client.addr, cfg).passed:
+    if not client_liveliness(transport, client.addr).passed:
         raise RoundVoided(f"client {client.addr} failed pre-check")
-    if not server_liveliness(transport, server.addr, server.port, cfg).passed:
+    if not server_liveliness(transport, server.addr, server.port).passed:
         raise RoundVoided(f"server {server.addr}:{server.port} failed pre-check")
     try:
         series = run_idle_scan(transport, client, server, cfg)
     except TransportError as exc:
         raise RoundVoided(f"transport failure mid-scan: {exc}") from exc
-    post_client = _recheck_client(transport, client, cfg)
-    post_server = server_liveliness(transport, server.addr, server.port, cfg).passed
+    post_client = _recheck_client(transport, client)
+    post_server = server_liveliness(transport, server.addr, server.port).passed
     if not (post_client and post_server):
         raise RoundVoided("post-scan liveliness check failed")
     label = classify.classify_series(series, settle_s=cfg.settle_s)
@@ -372,16 +370,14 @@ def run_scan_round(transport: Transport, client: EndpointSpec,
 
 @dataclass(frozen=True)
 class Assignment:
-    slot: int   # campaign hour slot, 0-based
-    hour: int   # hour of day
+    slot: int   # campaign hour, 0-based: the slot starts at slot * HOUR_NS
+    hour: int   # hour of day, slot % 24
     client: EndpointSpec
     server: EndpointSpec
 
 
-def schedule_bipartite(clients: list, servers: list,
-                       cfg: Optional[ScanRoundConfig] = None,
-                       seed: int = 0, max_slots: Optional[int] = None
-                       ) -> Iterable[Assignment]:
+def schedule_bipartite(clients: list, servers: list, seed: int = 0,
+                       max_slots: Optional[int] = None) -> Iterable[Assignment]:
     """Assignment stream covering every (client, server) pair.
 
     Each hour slot carries a matching: no two assignments in the same slot
@@ -390,7 +386,6 @@ def schedule_bipartite(clients: list, servers: list,
     """
     if not clients or not servers:
         raise ValueError("need at least one client and one server")
-    cfg = cfg or ScanRoundConfig()
     rng = random.Random(derive_seed(seed, "bipartite"))
     clients = list(clients)
     servers = list(servers)
@@ -408,9 +403,8 @@ def schedule_bipartite(clients: list, servers: list,
             pairs.append((side_b, side_a) if swap else (side_a, side_b))
         hour_rng = random.Random(derive_seed(seed, "hour-order", slot))
         hour_rng.shuffle(pairs)
-        hour = slot % cfg.hourly_rounds
         for client, server in pairs:
-            yield Assignment(slot=slot, hour=hour % 24, client=client,
+            yield Assignment(slot=slot, hour=slot % 24, client=client,
                              server=server)
 
 
@@ -424,7 +418,8 @@ class CampaignSummary:
 def run_idle_campaign(transport: Transport, clients: list, servers: list,
                       cfg: Optional[ScanRoundConfig] = None, seed: int = 0,
                       slots: int = 1, on_result=None) -> CampaignSummary:
-    """Drive the bipartite schedule over `slots` hourly rounds.
+    """Drive the bipartite schedule over `slots` hourly rounds; slot k
+    starts at campaign hour k.
 
     Assignments inside a slot are address-disjoint by construction; on the
     simulator backend they run back-to-back in deterministic order.
@@ -434,10 +429,8 @@ def run_idle_campaign(transport: Transport, clients: list, servers: list,
     cfg = cfg or ScanRoundConfig()
     summary = CampaignSummary()
     clock = transport.clock
-    for a in schedule_bipartite(clients, servers, cfg, seed, max_slots=slots):
-        day, hour = divmod(a.slot, cfg.hourly_rounds)
-        slot_start = (day * 24 + hour) * 3600 * NS_PER_SEC
-        clock.sleep_until(slot_start)
+    for a in schedule_bipartite(clients, servers, seed, max_slots=slots):
+        clock.sleep_until(a.slot * HOUR_NS)
         try:
             result = run_scan_round(transport, a.client, a.server, cfg,
                                     hour=a.hour)

@@ -126,7 +126,7 @@ class Scenario:
             elif h.kind == "server":
                 sim.add_server(h.addr, **h.options)
             else:
-                sim._ensure_monitor(h.addr)
+                sim.add_monitor(h.addr)
         for p in self.paths:
             sim.add_path(self.host_addr(p.a), self.host_addr(p.b), hops=p.hops,
                          delay_ns=p.delay_ns, loss_rate=p.loss_rate,

@@ -438,7 +438,7 @@ class SimTransport(Transport):
         self._sim = sim
         self._clock = SimClock(sim)
         super().__init__(local_addr=local_addr, **kwargs)
-        sim._ensure_monitor(local_addr).deliver = self._enqueue
+        sim.add_monitor(local_addr).deliver = self._enqueue
 
     @property
     def clock(self) -> Clock:
@@ -485,7 +485,9 @@ class Simulator:
         self._plans.clear()
         return host
 
-    def _ensure_monitor(self, addr: str) -> _MonitorHost:
+    def add_monitor(self, addr: str) -> _MonitorHost:
+        """The monitor host at ``addr``, added unless it exists; an address
+        held by a client or server raises ValueError."""
         host = self.hosts.get(addr)
         if host is None:
             host = _MonitorHost(self, addr)

@@ -25,6 +25,9 @@ LABEL_OTHER = "Other"
 
 TOR_PORT = 9001
 RAND_PORT = 9002
+DST_PORT = 80
+RESPONSE_WINDOW_S = 3.0
+REGION = "CN"  # the measured region: only its hops attribute an entry
 
 # Backbone prefixes of the measured region's entry networks.
 DEFAULT_PREFIX_ROWS = (
@@ -132,11 +135,8 @@ class TracerouteRun:
 @dataclass
 class TraceConfig:
     max_ttl: int = 30
-    response_window_s: float = 3.0
-    dst_port: int = 80
     tor_port: int = TOR_PORT
     rand_port: int = RAND_PORT
-    region: str = "CN"
     # Optional per-region RTT sanity bound (ns); hops slower than the bound
     # are treated as out-of-region mislabels.
     rtt_bounds: dict = field(default_factory=dict)
@@ -156,14 +156,14 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
     last_send = transport.clock.now_ns()
     send_times: dict[int, int] = {}
     for ttl in range(1, cfg.max_ttl + 1):
-        probe = transport.craft_segment(dest, cfg.dst_port, ("SYN", "ACK"),
+        probe = transport.craft_segment(dest, DST_PORT, ("SYN", "ACK"),
                                         src_port, ttl=ttl)
         seq_to_ttl[probe.seq] = ttl
         last_send = send_times[ttl] = transport.send(probe)
     # send() paces the probes into future slots without advancing the clock,
     # so the window runs until the last probe's response window has closed.
     window = (last_send - transport.clock.now_ns()
-              + int(cfg.response_window_s * NS_PER_SEC))
+              + int(RESPONSE_WINDOW_S * NS_PER_SEC))
     responses = transport.capture(
         [FlowKey(None, None, transport.local_addr, src_port)], window)
 
@@ -203,7 +203,7 @@ def _hop_entry(hop: HopRecord, table: PrefixTable, cfg: TraceConfig
     if hop.responder is None:
         return None
     entry = table.lookup(hop.responder)
-    if entry is None or entry.region != cfg.region:
+    if entry is None or entry.region != REGION:
         return None
     bound = cfg.rtt_bounds.get(entry.region)
     if bound is not None and hop.rtt_ns is not None and hop.rtt_ns > bound:

@@ -42,10 +42,6 @@ class SpoofingUnsupportedError(TransportError):
     pass
 
 
-class RateLimitError(TransportError):
-    pass
-
-
 class InvalidSegmentError(TransportError, ValueError):
     pass
 
@@ -308,11 +304,9 @@ class FlowRateLimiter:
         self._interval_ns = int(NS_PER_SEC / rate)
         self._next_free: dict[FlowKey, int] = {}
 
-    def reserve(self, flow: FlowKey, now_ns: int, wait: bool = True) -> int:
-        """Return the send slot for this flow; raise if wait=False and throttled."""
+    def reserve(self, flow: FlowKey, now_ns: int) -> int:
+        """Return the send slot for this flow: now, or its next free slot."""
         slot = max(now_ns, self._next_free.get(flow, 0))
-        if not wait and slot > now_ns:
-            raise RateLimitError(f"flow {flow} throttled to {self.rate}/s")
         self._next_free[flow] = slot + self._interval_ns
         return slot
 
@@ -431,12 +425,12 @@ class Transport:
             src, dst_addr, src_port, dst_port, seq, ack, frozenset(flags),
             ttl, ipid, self.clock.now_ns()))
 
-    def send(self, seg: TcpSegment, wait: bool = True) -> int:
+    def send(self, seg: TcpSegment) -> int:
         """Queue ``seg`` for its flow's next rate-limited slot; returns the
         slot, in ns, at which it enters the wire or simulation."""
         if not self._open:
             raise TransportClosedError("send after close")
-        slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), wait=wait)
+        slot = self._limiter.reserve(seg.flow, self.clock.now_ns())
         seg = seg.stamped(slot)
         self._dispatch(seg, slot)
         if self._log:

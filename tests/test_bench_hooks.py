@@ -3,18 +3,21 @@
 ``perfbench/tracing.py`` wraps every ``(owner, attr)`` in its ``WRAPPED``
 list, and ``perfbench/workloads.py`` patches the idle-scan round and the
 paired traceroute.  Renaming or moving one of them leaves the rest of the
-suite green but breaks ``perfbench/run.py --trace 1``.  These tests only
-read the benchmark's modules; they install no wrapper.
+suite green but breaks ``perfbench/run.py --trace 1``.  The same holds for
+a signature that no longer takes the arguments the workloads pass, or a
+config that stops building without arguments.  These tests only read the
+benchmark's modules; they install no wrapper.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from inferscan import idlescan, tracer
+from inferscan import backlog, classify, idlescan, tracer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +42,32 @@ def test_patched_workload_functions_resolve():
     for owner, attr in ((idlescan, "run_scan_round"), (tracer, "paired_run"),
                         (tracer, "label_run")):
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
+
+
+# Each call the workloads make into the program, written as they write it:
+# (function, positional arguments, keyword names).
+_CALL_FORMS = [
+    (idlescan.run_idle_scan, ("transport", "client", "server", "cfg"), ()),
+    (idlescan.run_scan_round, ("transport", "client", "server", "cfg", "hour"),
+     ()),
+    (idlescan.run_scan_round, ("transport", "client", "server", "cfg"),
+     ("hour",)),
+    (classify.classify_series, ("series",), ("settle_s",)),
+    (backlog.baseline_probe, ("mm", "relay", "cfg"), ()),
+    (backlog.syn_scan, ("mm", "vps", "relay", "cfg"), ("baseline",)),
+    (backlog.rst_scan, ("mm", "vps", "relay", "cfg"),
+     ("baseline", "shared_isn_seed")),
+    (tracer.paired_run, ("transport", "dest", "hour", "cfg"), ()),
+    (tracer.label_run, ("run", "table", "cfg"), ()),
+]
+
+
+@pytest.mark.parametrize("fn,args,kwargs", _CALL_FORMS,
+                         ids=[fn.__name__ for fn, _, _ in _CALL_FORMS])
+def test_workload_call_forms_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **dict.fromkeys(kwargs))
+
+
+def test_workload_configs():
+    assert idlescan.ScanRoundConfig().settle_s == classify.DEFAULT_SETTLE_S
+    assert isinstance(backlog.BacklogScanConfig(), backlog.BacklogScanConfig)

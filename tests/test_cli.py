@@ -136,6 +136,17 @@ class TestIdleScanCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_rate_flags_reach_the_series(self, workspace):
+        out = workspace / "data.jsonl"
+        run(["idle-scan", "--clients", workspace / "clients.csv",
+             "--servers", workspace / "servers.csv",
+             "--scenario", workspace / "scen.cfg", "--rounds", 1, "--seed", 5,
+             "--probe-rate", 2, "--spoof-rate", 4, "--out", out])
+        series = store.load(out)[0].payload["series"]
+        assert (series["probe_rate"], series["spoof_rate"]) == (2.0, 4.0)
+        # Two probes a second over the 120 s scan.
+        assert len(series["samples"]) == 240
+
 
 class TestBacklogCommand:
     def test_syn_scan_record(self, workspace):
@@ -156,6 +167,24 @@ class TestBacklogCommand:
              "--scenario", workspace / "scen.cfg", "--seed", 7, "--out", out])
         rec = store.load(out)[0]
         assert rec.payload["kind"] == "RstScan"
+
+    def test_probe_and_fill_flags(self, workspace):
+        out = workspace / "backlog.jsonl"
+        run(["backlog-scan", "--kind", "syn", "--relay", "203.0.113.5:9001",
+             "--scenario", workspace / "scen.cfg", "--seed", 7,
+             "--probes", 7, "--fill", 100, "--out", out])
+        payload = store.load(out)[0].payload
+        assert (payload["probe_count"], payload["fill_count"]) == (7, 100)
+        assert len(payload["observed_retransmissions"]) == 7
+
+    @pytest.mark.parametrize("flag,mapping", [([], "mechanics"),
+                                              (["--literal-verdicts"], "literal")])
+    def test_verdict_mapping_flag(self, workspace, flag, mapping):
+        out = workspace / "backlog.jsonl"
+        run(["backlog-scan", "--kind", "rst", "--relay", "203.0.113.5:9001",
+             "--scenario", workspace / "scen.cfg", "--seed", 7, *flag,
+             "--out", out])
+        assert store.load(out)[0].payload["verdict_mapping"] == mapping
 
     def test_prune_names_failed_rule(self, workspace, capsys):
         scenario = workspace / "embedded.cfg"
@@ -213,6 +242,18 @@ class TestTraceCommand:
             ["", "EDU_Randport", "EDU_Torport", "COM_Randport", "COM_Torport"],
             ["Stalled", "0", "0", "0", "3"],
             ["Finished", "0", "0", "3", "0"]]
+
+    def test_max_ttl_flag(self, workspace):
+        out = workspace / "runs.jsonl"
+        run(["trace", "--dests", workspace / "dests.csv",
+             "--scenario", workspace / "trace.cfg", "--hours", 1, "--days", 1,
+             "--max-ttl", 6, "--seed", 3, "--out", out])
+        payload = store.load(out)[0].payload
+        ttls = [hop[0] for run_ in (payload["tor"], payload["rand"])
+                for hop in run_["hops"]]
+        # The filtered run stalls, so it probes up to the flag's TTL.
+        assert max(ttls) == 6
+        assert payload["tor"]["status"] == "Stalled"
 
     def test_same_port_twice_rejected(self, workspace, capsys):
         out = workspace / "runs.jsonl"

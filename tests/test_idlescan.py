@@ -15,6 +15,7 @@ from conftest import (
 from inferscan.classify import PHASE_BASE, PHASE_PERTURB
 from inferscan.endpoints import EndpointSpec
 from inferscan.idlescan import (
+    HOUR_NS,
     REASON_NOISY,
     REASON_OFFLINE,
     REASON_PER_FLOW,
@@ -221,11 +222,10 @@ class TestScheduleBipartite:
             assert len(addrs) == len(set(addrs))
 
     def test_twenty_by_twenty_covered_within_rounds(self):
-        cfg = ScanRoundConfig()
         plan = list(schedule_bipartite(self.clients(20), self.servers(20),
-                                       cfg, seed=9))
+                                       seed=9))
         assert len({(a.client.addr, a.server.addr) for a in plan}) == 400
-        assert max(a.slot for a in plan) + 1 == 20 <= cfg.hourly_rounds
+        assert max(a.slot for a in plan) + 1 == 20 <= 24
 
     def test_same_seed_same_order(self):
         args = (self.clients(5), self.servers(3))
@@ -266,6 +266,25 @@ class TestCampaign:
         assert summary.voided == 1
         assert len(stored) == 1
         assert stored[0][1].client.addr == CLIENT_ADDR
+
+    def test_slot_k_runs_at_campaign_hour_k(self):
+        # One client against 24 relays: one round per slot, a full day.
+        sim = build_idle_sim("none")
+        servers = [SERVER_EP]
+        for i in range(6, 29):
+            addr = f"203.0.113.{i}"
+            sim.add_server(addr, open_ports=[9001])
+            servers.append(EndpointSpec(addr, 9001, "tor-relay",
+                                        uptime_days=9.0))
+        tr = sim.attach(MM_ADDR)
+        stored = []
+        summary = run_idle_campaign(tr, [CLIENT_EP], servers, seed=4, slots=24,
+                                    on_result=lambda a, r: stored.append((a, r)))
+        assert summary.completed == 24
+        assert sorted(a.slot for a, _ in stored) == list(range(24))
+        for a, r in stored:
+            assert r.hour == a.hour == a.slot % 24
+            assert r.started_at // HOUR_NS == a.slot
 
     def test_exclusivity_across_round_intervals(self):
         sim = build_idle_sim("none")

@@ -108,6 +108,23 @@ class TestStep:
         assert run() == run()
 
 
+class TestAddMonitor:
+    def test_one_host_per_address(self):
+        sim = Simulator(seed=1)
+        host = sim.add_monitor(MM)
+        assert sim.add_monitor(MM) is host
+        sim.attach(MM)  # takes over the monitor a scenario declared
+        assert sim.hosts[MM] is host and host.deliver is not None
+
+    def test_client_address_refused(self):
+        sim = Simulator(seed=1)
+        sim.add_client("36.10.0.5")
+        with pytest.raises(ValueError, match="non-monitor"):
+            sim.add_monitor("36.10.0.5")
+        with pytest.raises(ValueError, match="non-monitor"):
+            sim.attach("36.10.0.5")
+
+
 class TestEffectiveRetransmissions:
     def test_below_half(self):
         assert effective_retransmissions(0.30) == 5

@@ -23,7 +23,6 @@ from inferscan.transport import (
     FlowRateLimiter,
     InvalidSegmentError,
     IsnGenerator,
-    RateLimitError,
     SpoofingUnsupportedError,
     TcpSegment,
     Transport,
@@ -222,14 +221,6 @@ class TestSend:
         gaps = [b - a for a, b in zip(receipts, receipts[1:])]
         for gap in gaps:
             assert abs(gap - NS_PER_SEC // 5) <= NS_PER_SEC // 50
-
-    def test_rate_refusal_without_wait(self):
-        _, tr = make_transport(rate_limit=5.0)
-        seg = tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
-                               flags=("SYN",), src_port=40000)
-        tr.send(seg)
-        with pytest.raises(RateLimitError):
-            tr.send(seg, wait=False)
 
 
 class TestCapture:
