@@ -81,23 +81,31 @@ class AnalyticsConfig:
 
 
 def load_analytics_config(path) -> AnalyticsConfig:
+    """Read an [analytics] INI file; a malformed one raises ValueError
+    naming the file."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        cp.read_string(fh.read())
-    sec = cp["analytics"] if cp.has_section("analytics") else cp["DEFAULT"]
-    return AnalyticsConfig(
-        k_neighbors=sec.getint("k", 1),
-        max_lag=sec.getint("max_lag", 12),
-        grid_rows=sec.getint("grid_rows", 33),
-        grid_cols=sec.getint("grid_cols", 65),
-        grid_lat0=sec.getfloat("grid_lat0", 18.0),
-        grid_lon0=sec.getfloat("grid_lon0", 73.0),
-        exclude_labels=tuple(x.strip() for x in sec.get("exclude_labels", "").split(",")
-                             if x.strip()),
-        temporal_mode=sec.get("temporal_mode", TEMPORAL_EXACT),
-        pair_epoch_s=sec.getint("pair_epoch_s", 3600),
-        prefix_table_path=sec.get("prefix_table") or None,
-    )
+        text = fh.read()
+    try:
+        cp.read_string(text)
+        sec = cp["analytics"] if cp.has_section("analytics") else cp["DEFAULT"]
+        return AnalyticsConfig(
+            k_neighbors=sec.getint("k", 1),
+            max_lag=sec.getint("max_lag", 12),
+            grid_rows=sec.getint("grid_rows", 33),
+            grid_cols=sec.getint("grid_cols", 65),
+            grid_lat0=sec.getfloat("grid_lat0", 18.0),
+            grid_lon0=sec.getfloat("grid_lon0", 73.0),
+            exclude_labels=tuple(x.strip() for x in
+                                 sec.get("exclude_labels", "").split(",")
+                                 if x.strip()),
+            temporal_mode=sec.get("temporal_mode", TEMPORAL_EXACT),
+            pair_epoch_s=sec.getint("pair_epoch_s", 3600),
+            prefix_table_path=sec.get("prefix_table") or None,
+        )
+    except (configparser.Error, ValueError) as exc:
+        # configparser's messages span lines
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 # ---------------------------------------------------------------------------

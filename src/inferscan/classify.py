@@ -1,7 +1,7 @@
 """Turn an IPID time series into a packet-drop case label.
 
 The decision pipeline: difference the sampled IPID values, model the
-quiet-phase noise with a small ARMA process, estimate the size of the
+quiet-phase noise as an ARMA(1,1) process, estimate the size of the
 level shift aligned with the perturbation phase after whitening, and map
 the per-spoofed-SYN amplitude onto one of the three drop cases (or the
 explicit error case).
@@ -18,7 +18,7 @@ bits as ``scipy.optimize.minimize(..., method="Nelder-Mead")`` over
 ``scipy.signal.lfilter``; ``tests/test_classify.py`` checks this against
 scipy when it is installed.  Where numpy's order of summation or sorting
 could differ from plain Python, they keep numpy (``np.dot``, ``np.sum``,
-``np.argsort``, ``np.convolve``).
+``np.argsort``).
 """
 
 from __future__ import annotations
@@ -101,68 +101,55 @@ def diff_series(ipids: Sequence[int]) -> DiffResult:
 
 @dataclass(frozen=True)
 class ArmaModel:
-    p: int
-    q: int
+    """An ARMA(1,1) noise model; ``ar`` and ``ma`` hold one coefficient each."""
+
     ar: tuple
     ma: tuple
     mean: float
     variance: float
     residuals: tuple
     degenerate: bool = False
-    converged: bool = True
 
     def whiten(self, values: np.ndarray) -> np.ndarray:
         """Apply the innovation filter with zero initial conditions."""
         return np.array(_innovations(
-            self.ar, self.ma, np.asarray(values, dtype=float).tolist()))
+            self.ar[0], self.ma[0], np.asarray(values, dtype=float).tolist()))
 
 
-def _innovations(ar, ma, y) -> list:
-    """Innovations of ``y`` under ARMA coefficients ``ar`` and ``ma``.
+def _innovations(ar: float, ma: float, y) -> list:
+    """Innovations of ``y`` under ARMA(1,1) coefficients ``ar`` and ``ma``.
 
-    This is ``scipy.signal.lfilter([1, -ar...], [1, ma...], y)`` from zero
-    state.  Without MA terms lfilter is numpy's convolution, so that is
-    what runs; otherwise its direct-form-II-transposed recursion runs here
-    with both coefficient lists padded to one length and every product and
-    sum in lfilter's order.
+    This is ``scipy.signal.lfilter([1, -ar], [1, ma], y)`` from zero state:
+    its direct-form-II-transposed recursion, every product and sum in
+    lfilter's order.
     """
-    b = [-float(c) for c in ar]
-    if not len(ma):
-        return np.convolve([1.0] + b, y)[:len(y)].tolist()
-    order = max(len(b), len(ma))
-    b += [0.0] * (order - len(b))
-    a = [float(c) for c in ma] + [0.0] * (order - len(ma))
+    b1, a1 = -float(ar), float(ma)
     out = []
-    if order == 1:
-        b1, a1 = b[0], a[0]
-        z = 0.0
-        for x in y:
-            e = z + x
-            z = x * b1 - e * a1
-            out.append(e)
-        return out
-    (b1, b2), (a1, a2) = b, a
-    z1 = z2 = 0.0
+    z = 0.0
     for x in y:
-        e = z1 + x
-        z1 = z2 + x * b1 - e * a1
-        z2 = x * b2 - e * a2
+        e = z + x
+        z = x * b1 - e * a1
         out.append(e)
     return out
 
 
-def _ar_stationary(ar: np.ndarray) -> bool:
-    if len(ar) == 0 or not np.any(ar):
-        return True
-    # 1 - ar_1 z - ... - ar_p z^p must have all roots outside the unit circle.
-    roots = np.roots(np.concatenate(([1.0], -ar))[::-1])
-    return bool(np.all(np.abs(roots) > 1.0))
+def _stationary_ar(ar: float) -> float:
+    """``ar`` shrunk by 0.9 until 1 - ar z is stationary, at most 60 times.
+
+    The polynomial's root is 1/ar (none when ar is 0), and it must lie
+    outside the unit circle; the test is on 1/ar, as ``np.roots`` makes it.
+    """
+    for _ in range(61):
+        if ar == 0 or abs(1 / ar) > 1.0:
+            return ar
+        ar *= 0.9
+    raise ModelFitError("could not reach a stationary AR polynomial")
 
 
-def _css(params: list, y: list, p: int, ridge: float) -> float:
+def _css(params: list, y: list, ridge: float) -> float:
     if any(abs(v) >= 0.99 for v in params):
         return 1e12 * (1.0 + float(np.sum(np.abs(params))))
-    eps = _innovations(params[:p], params[p:], y)
+    eps = _innovations(params[0], params[1], y)
     value = float(np.dot(eps, eps))
     if not math.isfinite(value):
         return 1e15
@@ -246,8 +233,8 @@ def _nelder_mead(func, n: int, maxiter: int = 2000) -> list:
     return sim[0]
 
 
-def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
-    """Conditional-least-squares ARMA fit of a delta sequence.
+def fit_arma(deltas: Sequence[int]) -> ArmaModel:
+    """Conditional-least-squares ARMA(1,1) fit of a delta sequence.
 
     Deterministic (Nelder-Mead from the origin, no randomness).  Constant
     input yields a degenerate model with zero variance.  Raises
@@ -257,48 +244,31 @@ def fit_arma(deltas: Sequence[int], p: int = 1, q: int = 1) -> ArmaModel:
     n = len(x)
     if n < MIN_DELTAS_FOR_FIT:
         raise ValueError(f"need >= {MIN_DELTAS_FOR_FIT} usable deltas, got {n}")
-    if p < 0 or q < 0 or p > 2 or q > 2:
-        raise ValueError("orders limited to p, q <= 2")
     mu = float(x.mean())
     y = x - mu
     if not np.any(y):
-        return ArmaModel(p=p, q=q, ar=(0.0,) * p, ma=(0.0,) * q, mean=mu,
-                         variance=0.0, residuals=(0.0,) * n,
-                         degenerate=True)
-    if p == 0 and q == 0:
-        eps = y
-        variance = float(np.dot(eps, eps) / n)
-        return ArmaModel(p=0, q=0, ar=(), ma=(), mean=mu, variance=variance,
-                         residuals=tuple(eps))
+        return ArmaModel(ar=(0.0,), ma=(0.0,), mean=mu, variance=0.0,
+                         residuals=(0.0,) * n, degenerate=True)
     ridge = 0.05 * float(np.dot(y, y))
     values = y.tolist()
-    best = np.array(_nelder_mead(
-        lambda params: _css(params, values, p, ridge), p + q))
+    best = np.array(_nelder_mead(lambda params: _css(params, values, ridge), 2))
     if not np.all(np.isfinite(best)):
         raise ModelFitError("optimizer failed: non-finite parameters")
-    ar, ma = best[:p], best[p:]
-    # Enforce stationarity of the AR polynomial after fitting.
-    shrink = 0
-    while not _ar_stationary(ar):
-        ar *= 0.9
-        shrink += 1
-        if shrink > 60:
-            raise ModelFitError("could not reach a stationary AR polynomial")
+    ar, ma = _stationary_ar(best[0]), best[1]
     eps = np.array(_innovations(ar, ma, values))
     variance = float(np.dot(eps, eps) / n)
-    return ArmaModel(p=p, q=q, ar=tuple(ar), ma=tuple(ma), mean=mu,
-                     variance=variance, residuals=tuple(eps))
+    return ArmaModel(ar=(ar,), ma=(ma,), mean=mu, variance=variance,
+                     residuals=tuple(eps))
 
 
 def _phase_samples(series, phase: str) -> list:
     return [s for s in series.samples if s.phase == phase]
 
 
-def intervention_amplitude(series, noise: Optional[ArmaModel] = None,
-                           settle_s: float = DEFAULT_SETTLE_S):
+def intervention_amplitude(series, settle_s: float = DEFAULT_SETTLE_S):
     """Estimate the IPID increase per spoofed SYN.
 
-    Fits (or reuses) the quiet-phase noise model, whitens both phases with
+    Fits the quiet-phase noise model, whitens both phases with
     it, and regresses the whitened deltas on a whitened phase-step
     regressor.  The perturbation phase only contributes samples recorded
     after ``settle_s`` seconds, once the retransmission pipeline of the
@@ -327,8 +297,7 @@ def intervention_amplitude(series, noise: Optional[ArmaModel] = None,
     if len(steady_diff.deltas) < MIN_STEADY_DELTAS:
         raise PhasesTooShortError("too few usable steady deltas")
 
-    if noise is None:
-        noise = fit_arma(base_diff.deltas)
+    noise = fit_arma(base_diff.deltas)
 
     yb = np.asarray(base_diff.deltas, dtype=float)
     ys = np.asarray(steady_diff.deltas, dtype=float)
@@ -418,11 +387,10 @@ def classify_case(amplitude: float, diagnostics: dict) -> CaseLabel:
     return CaseLabel(ERROR, None, confidence, reason="ambiguous-amplitude")
 
 
-def classify_series(series, noise: Optional[ArmaModel] = None,
-                    settle_s: float = DEFAULT_SETTLE_S) -> CaseLabel:
+def classify_series(series, settle_s: float = DEFAULT_SETTLE_S) -> CaseLabel:
     """Full pipeline; estimation failures become error-case labels."""
     try:
-        amplitude, diagnostics = intervention_amplitude(series, noise, settle_s)
+        amplitude, diagnostics = intervention_amplitude(series, settle_s)
     except ClassifyError as exc:
         return CaseLabel(ERROR, None, 0.0, reason=exc.reason)
     return classify_case(amplitude, diagnostics)

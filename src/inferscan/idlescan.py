@@ -111,16 +111,6 @@ class IpidTimeSeries:
             "server": self.server.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, rec: dict) -> "IpidTimeSeries":
-        return cls(
-            samples=[IpidSample(t, i, ph) for t, i, ph in rec["samples"]],
-            spoof_rate=rec["spoof_rate"],
-            probe_rate=rec["probe_rate"],
-            client=EndpointSpec.from_dict(rec["client"]),
-            server=EndpointSpec.from_dict(rec["server"]),
-        )
-
 
 @dataclass(frozen=True)
 class QualificationResult:

@@ -12,7 +12,6 @@ import threading
 import time
 
 from .transport import (
-    PENDING_HORIZON_NS,
     Clock,
     TcpSegment,
     Transport,
@@ -40,10 +39,9 @@ class LiveTransport(Transport):
     ``egress_unfiltered`` asserts that the local network does not drop
     spoofed return addresses; without it, spoofed crafting is refused.
 
-    The sniffer thread keeps arrivals in ``_arrivals`` until a capture
-    collects them, dropping (and counting in ``expired``) those past the
-    queue's horizon, so a transport that never captures stays bounded.
-    ``_arrivals_lock`` guards ``_arrivals`` and ``expired``.
+    The sniffer thread queues each arrival through ``_enqueue`` under
+    ``_lock``, so the capture queue's horizon bounds a transport that
+    never captures too.
     """
 
     def __init__(self, local_addr: str, authorized: bool = False,
@@ -60,8 +58,6 @@ class LiveTransport(Transport):
         self._recv_sock = socket.socket(socket.AF_INET, socket.SOCK_RAW,
                                         socket.IPPROTO_TCP)
         self._recv_sock.settimeout(0.2)
-        self._arrivals: list = []
-        self._arrivals_lock = threading.Lock()
         self._running = True
         self._sniffer = threading.Thread(target=self._sniff_loop, daemon=True)
         self._sniffer.start()
@@ -84,36 +80,12 @@ class LiveTransport(Transport):
             except Exception:
                 continue
             if seg.dst_addr == self.local_addr:
-                self._arrive(now, seg)
-
-    def _arrive(self, now: int, seg: TcpSegment) -> None:
-        """Keep one sniffed arrival; expire the stale head as ``_enqueue``
-        does, from a capture's start while one is in progress."""
-        since = now if self._window_start is None else self._window_start
-        cutoff = since - PENDING_HORIZON_NS
-        with self._arrivals_lock:
-            arrivals = self._arrivals
-            arrivals.append((now, seg))
-            stale = 0
-            while stale < len(arrivals) and arrivals[stale][0] < cutoff:
-                stale += 1
-            if stale:
-                del arrivals[:stale]
-                self.expired += stale
-
-    def _expire(self, port: int, cutoff: int) -> None:
-        with self._arrivals_lock:  # the sniffer thread counts expiries too
-            super()._expire(port, cutoff)
+                with self._lock:
+                    self._enqueue(now, seg)
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         self._clock.sleep_until(at_ns)
         self._send_sock.sendto(segment_to_wire(seg), (seg.dst_addr, 0))
-
-    def _collect(self, until_ns: int) -> list:
-        self._clock.sleep_until(until_ns)
-        with self._arrivals_lock:
-            out, self._arrivals = self._arrivals, []
-        return out
 
     def close(self) -> None:
         self._running = False

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .simnet import IPID_MODES, FilterRule, Hop, Simulator
-from .transport import NS_PER_SEC
+from .transport import NS_PER_SEC, _check_addr
 
 
 class ScenarioError(ValueError):
@@ -202,18 +202,15 @@ PATH_DEFAULTS = ("path_hops", "path_delay_ms", "path_loss_rate", "path_filtered"
 
 def _load_defaults(scn: Scenario, sec) -> None:
     options = {"client": scn.client_options, "server": scn.server_options}
-    try:
-        for key, text in sec.items():
-            if key in ENDPOINT_DEFAULTS:
-                kind, name, parse = ENDPOINT_DEFAULTS[key]
-                options[kind][name] = parse(text)
-            elif key not in PATH_DEFAULTS:
-                raise ScenarioError(f"unknown key: {key}")
-        if scn.client_options.get("ipid_mode", "global") not in IPID_MODES:
-            raise ScenarioError(f"bad client_ipid_mode: {sec['client_ipid_mode']}")
-        scn.client_server_path = _path_decl(sec, prefix="path_")
-    except ValueError as exc:  # ScenarioError included
-        raise ScenarioError(f"[defaults] {exc}") from exc
+    for key, text in sec.items():
+        if key in ENDPOINT_DEFAULTS:
+            kind, name, parse = ENDPOINT_DEFAULTS[key]
+            options[kind][name] = parse(text)
+        elif key not in PATH_DEFAULTS:
+            raise ScenarioError(f"unknown key: {key}")
+    if scn.client_options.get("ipid_mode", "global") not in IPID_MODES:
+        raise ScenarioError(f"bad client_ipid_mode: {sec['client_ipid_mode']}")
+    scn.client_server_path = _path_decl(sec, prefix="path_")
 
 
 def _floats(text: str) -> list:
@@ -226,79 +223,90 @@ def _intervals_ns(text: str) -> list:
         part = part.strip()
         if not part:
             continue
-        lo, hi = part.split("-", 1)
+        lo, sep, hi = part.partition("-")
+        if not sep:
+            raise ScenarioError(f"bad interval {part!r}: want start-end")
         out.append((int(float(lo) * NS_PER_SEC), int(float(hi) * NS_PER_SEC)))
     return out
 
 
 def loads(text: str) -> Scenario:
+    """Parse a scenario file's text; a malformed file raises ScenarioError,
+    naming the section when one is at fault."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
-    scn = Scenario()
-    if cp.has_section("sim"):
-        sec = cp["sim"]
+    try:
+        cp.read_string(text)
+        scn = Scenario()
+        for section in cp.sections():
+            try:
+                _load_section(scn, section, cp[section])
+            except (ValueError, configparser.Error) as exc:
+                raise ScenarioError(f"[{section}] {_one_line(exc)}") from exc
+    except configparser.Error as exc:
+        raise ScenarioError(_one_line(exc)) from exc
+    return scn
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())  # configparser's messages span lines
+
+
+def _load_section(scn: Scenario, section: str, sec) -> None:
+    words = section.split() or [""]
+    kind = words[0]
+    if section == "sim":
         scn.seed = sec.getint("seed", 0)
         scn.duration_ns = int(sec.getfloat("duration_s", 0.0) * NS_PER_SEC)
         scn.default_delay_ns = int(sec.getfloat("default_delay_ms", 10.0) * 1e6)
         scn.hour0 = sec.getint("hour0", 0)
-    if cp.has_section("defaults"):
-        _load_defaults(scn, cp["defaults"])
-    for section in cp.sections():
-        if section in ("sim", "defaults"):
-            continue
-        words = section.split()
-        kind = words[0]
-        sec = cp[section]
-        if kind in ("client", "server", "monitor"):
-            if len(words) != 2:
-                raise ScenarioError(f"bad host section name: [{section}]")
-            name = words[1]
-            addr = sec.get("addr")
-            if not addr:
-                raise ScenarioError(f"[{section}] missing addr")
-            options: dict = {}
-            if kind == "client":
-                options["ipid_mode"] = sec.get("ipid_mode", "global")
-                if "ipid_start" in sec:
-                    options["ipid_start"] = sec.getint("ipid_start")
-                options["background_rate"] = sec.getfloat("background_rate", 0.0)
-                options["rst_policy"] = sec.getboolean("rst_policy", True)
-            elif kind == "server":
-                ports = [int(p) for p in sec.get("ports", "").split(",") if p.strip()]
-                options["open_ports"] = ports
-                options["backlog_capacity"] = sec.getint("backlog_capacity", 256)
-                options["max_retransmissions"] = sec.getint("max_retransmissions", 5)
-                if "backoff_s" in sec:
-                    options["backoff_s"] = _floats(sec["backoff_s"])
-                if "down_s" in sec:
-                    options["down_intervals"] = _intervals_ns(sec["down_s"])
-            scn.hosts.append(HostDecl(kind=kind, name=name, addr=addr, options=options))
-        elif kind == "path":
-            if len(words) != 3:
-                raise ScenarioError(f"bad path section name: [{section}]")
-            scn.paths.append(_path_decl(sec, a=words[1], b=words[2]))
-        elif kind == "rule":
-            if len(words) != 2:
-                raise ScenarioError(f"bad rule section name: [{section}]")
-            flags_text = sec.get("flags", "").strip()
-            try:
-                scn.rules.append(FilterRule(
-                    name=words[1],
-                    direction=sec.get("direction", "server->client"),
-                    addr=sec.get("addr") or None,
-                    port=sec.getint("port") if "port" in sec else None,
-                    action=sec.get("action", "drop"),
-                    placement_hop=sec.getint("placement_hop", 1),
-                    hours=parse_hours(sec.get("hours", "*")),
-                    flags=(frozenset(f.strip().upper()
-                                     for f in flags_text.split(","))
-                           if flags_text else None),
-                ))
-            except ValueError as exc:  # ScenarioError included
-                raise ScenarioError(f"[{section}] {exc}") from exc
-        else:
-            raise ScenarioError(f"unknown section kind: [{section}]")
-    return scn
+    elif section == "defaults":
+        _load_defaults(scn, sec)
+    elif kind in ("client", "server", "monitor"):
+        if len(words) != 2:
+            raise ScenarioError("bad host section name")
+        addr = sec.get("addr")
+        if not addr:
+            raise ScenarioError("missing addr")
+        _check_addr(addr)
+        options: dict = {}
+        if kind == "client":
+            options["ipid_mode"] = sec.get("ipid_mode", "global")
+            if "ipid_start" in sec:
+                options["ipid_start"] = sec.getint("ipid_start")
+            options["background_rate"] = sec.getfloat("background_rate", 0.0)
+            options["rst_policy"] = sec.getboolean("rst_policy", True)
+        elif kind == "server":
+            ports = [int(p) for p in sec.get("ports", "").split(",") if p.strip()]
+            options["open_ports"] = ports
+            options["backlog_capacity"] = sec.getint("backlog_capacity", 256)
+            options["max_retransmissions"] = sec.getint("max_retransmissions", 5)
+            if "backoff_s" in sec:
+                options["backoff_s"] = _floats(sec["backoff_s"])
+            if "down_s" in sec:
+                options["down_intervals"] = _intervals_ns(sec["down_s"])
+        scn.hosts.append(HostDecl(kind=kind, name=words[1], addr=addr,
+                                  options=options))
+    elif kind == "path":
+        if len(words) != 3:
+            raise ScenarioError("bad path section name")
+        scn.paths.append(_path_decl(sec, a=words[1], b=words[2]))
+    elif kind == "rule":
+        if len(words) != 2:
+            raise ScenarioError("bad rule section name")
+        flags_text = sec.get("flags", "").strip()
+        scn.rules.append(FilterRule(
+            name=words[1],
+            direction=sec.get("direction", "server->client"),
+            addr=sec.get("addr") or None,
+            port=sec.getint("port") if "port" in sec else None,
+            action=sec.get("action", "drop"),
+            placement_hop=sec.getint("placement_hop", 1),
+            hours=parse_hours(sec.get("hours", "*")),
+            flags=(frozenset(f.strip().upper() for f in flags_text.split(","))
+                   if flags_text else None),
+        ))
+    else:
+        raise ScenarioError("unknown section kind")
 
 
 def load(path) -> Scenario:

@@ -428,9 +428,16 @@ class SimClock(Clock):
         if duration_ns > 0:
             self._sim.step(self._sim.now + duration_ns)
 
+    def sleep_until(self, t_ns: int) -> None:
+        # Steps even to the present: a capture of window 0 still takes the
+        # arrivals due now.
+        if t_ns >= self._sim.now:
+            self._sim.step(t_ns)
+
 
 class SimTransport(Transport):
-    """Transport backend attached to a monitor address inside the simulator."""
+    """Transport backend attached to a monitor address inside the simulator;
+    the monitor host queues each arrival as it is delivered."""
 
     supports_spoofing = True
 
@@ -446,10 +453,6 @@ class SimTransport(Transport):
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         self._sim.schedule(at_ns, self._sim._launch, seg, self.local_addr)
-
-    def _collect(self, until_ns: int) -> tuple:
-        self._sim.step(until_ns)
-        return ()  # the monitor host queued each arrival as it happened
 
 
 class Simulator:

@@ -67,11 +67,21 @@ class PrefixTable:
 
     @classmethod
     def from_csv(cls, path) -> "PrefixTable":
+        """Read cidr,label,region rows; a short row or a bad prefix raises
+        ValueError naming the file and line."""
         rows = []
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].startswith("#") or row[0] == "cidr":
                     continue
+                try:
+                    if len(row) < 3:
+                        raise ValueError("want cidr,label,region")
+                    ipaddress.ip_network(row[0].strip())
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: "
+                                     f"{exc}") from exc
                 rows.append((row[0].strip(), row[1].strip(), row[2].strip()))
         return cls(rows)
 

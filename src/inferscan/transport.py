@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 from typing import Iterable, NamedTuple, Optional
 
 NS_PER_SEC = 1_000_000_000
@@ -330,10 +331,13 @@ class PacketLog:
 class Transport:
     """Common backend behavior: crafting, rate pacing, logging, demux.
 
+    A backend hands each arrival to :meth:`_enqueue` as it happens.
     Unclaimed arrivals wait in ``_pending``, one bucket per destination port
     holding ``(arrival, segment)`` in arrival order.  ``expired`` counts
     arrivals dropped unclaimed once they are older than
-    :data:`PENDING_HORIZON_NS`.
+    :data:`PENDING_HORIZON_NS`.  A backend that receives on a thread of its
+    own calls ``_enqueue`` holding ``_lock``, which ``capture`` holds while
+    it expires and claims, but not while it waits.
     """
 
     #: set by subclasses
@@ -348,6 +352,7 @@ class Transport:
         self._open = True
         self._pending: dict[int, list[tuple[int, TcpSegment]]] = {}
         self._window_start: Optional[int] = None  # of the capture in progress
+        self._lock = threading.Lock()
         self.expired = 0
         self._ipid = derive_seed(isn_seed, "ipid", local_addr) & 0xFFFF
 
@@ -358,14 +363,6 @@ class Transport:
         raise NotImplementedError
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
-        raise NotImplementedError
-
-    def _collect(self, until_ns: int) -> Iterable[tuple[int, TcpSegment]]:
-        """Advance to until_ns; return (arrival, segment) pairs not yet queued.
-
-        A backend may instead hand each arrival to :meth:`_enqueue` as it
-        happens, which also bounds the queue of a transport that only sends.
-        """
         raise NotImplementedError
 
     # -- capture queue -------------------------------------------------------
@@ -399,7 +396,8 @@ class Transport:
     @property
     def queued(self) -> int:
         """Arrivals waiting for a capture to claim them."""
-        return sum(map(len, self._pending.values()))
+        with self._lock:
+            return sum(map(len, self._pending.values()))
 
     # -- public API ---------------------------------------------------------
 
@@ -445,7 +443,8 @@ class Transport:
         Only the buckets of the filters' destination ports are searched; a
         filter without one searches them all.  Arrivals in the same
         nanosecond on different ports come back in the filters' port order.
-        A window of 0 inspects what has already arrived without advancing.
+        A window of 0 does not advance the clock; on the simulator it
+        still takes the arrivals due now.
         """
         if not self._open:
             raise TransportClosedError("capture after close")
@@ -453,37 +452,39 @@ class Transport:
         if not filters:
             raise ValueError("capture filter must be non-empty")
         start = self.clock.now_ns()
-        for port in list(self._pending):
-            self._expire(port, start - PENDING_HORIZON_NS)
-        self._window_start = start
+        with self._lock:
+            for port in list(self._pending):
+                self._expire(port, start - PENDING_HORIZON_NS)
+            self._window_start = start
         try:
-            for arrival, seg in self._collect(start + window_ns):
-                self._enqueue(arrival, seg)
+            self.clock.sleep_until(start + window_ns)
         finally:
             self._window_start = None
         ports = dict.fromkeys(f.dst_port for f in filters)
-        if None in ports:
-            ports = list(self._pending)
         hits = []
-        for port in ports:
-            bucket = self._pending.get(port)
-            if bucket is None:
-                continue
-            mine = [f for f in filters if f.dst_port in (port, None)]
-            kept = []
-            for entry in bucket:
-                seg = entry[1]
-                flow = (seg.src_addr, seg.src_port, seg.dst_addr, seg.dst_port)
-                for f in mine:
-                    if f.matches(flow):
-                        hits.append(entry)
-                        break
+        with self._lock:
+            if None in ports:
+                ports = list(self._pending)
+            for port in ports:
+                bucket = self._pending.get(port)
+                if bucket is None:
+                    continue
+                mine = [f for f in filters if f.dst_port in (port, None)]
+                kept = []
+                for entry in bucket:
+                    seg = entry[1]
+                    flow = (seg.src_addr, seg.src_port, seg.dst_addr,
+                            seg.dst_port)
+                    for f in mine:
+                        if f.matches(flow):
+                            hits.append(entry)
+                            break
+                    else:
+                        kept.append(entry)
+                if kept:
+                    self._pending[port] = kept
                 else:
-                    kept.append(entry)
-            if kept:
-                self._pending[port] = kept
-            else:
-                del self._pending[port]
+                    del self._pending[port]
         hits.sort(key=lambda entry: entry[0])  # stable: ties keep port order
         out = [seg.stamped(arrival) for arrival, seg in hits]
         if self._log:

@@ -20,6 +20,7 @@ from inferscan.analytics import (
     grid_sample,
     hop_histogram,
     k_nearest,
+    load_analytics_config,
     pearson,
     spatial_association,
     temporal_association,
@@ -54,6 +55,31 @@ def pearson_oracle(x, y):
     num = n * sxy - sx * sy
     den = math.sqrt(n * sxx - sx * sx) * math.sqrt(n * syy - sy * sy)
     return num / den
+
+
+class TestLoadAnalyticsConfig:
+    def test_reads_the_analytics_section(self, tmp_path):
+        path = tmp_path / "analytics.ini"
+        path.write_text("[analytics]\nk = 3\nexclude_labels = COM, EDU\n")
+        cfg = load_analytics_config(path)
+        assert cfg.k_neighbors == 3
+        assert cfg.exclude_labels == ("COM", "EDU")
+
+    @pytest.mark.parametrize("text", [
+        "[analytics]\nk = 2\n[analytics]\nk = 3\n",  # duplicate section
+        "[analytics]\nk = 2\nk = 3\n",  # duplicate key
+        "k = 2\n",  # no section header
+        "[analytics]\nno equals sign\n",
+        "[analytics]\nk = x\n",
+        "[analytics]\nk = 0\n",
+        "[analytics]\nmax_lag = 100%\n",
+    ])
+    def test_malformed_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "analytics.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"analytics\.ini: ") as info:
+            load_analytics_config(path)
+        assert "\n" not in str(info.value)
 
 
 class TestPearson:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from inferscan import backlog, classify, idlescan, tracer
+from inferscan import backlog, classify, idlescan, livenet, tracer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,6 +36,24 @@ def test_every_wrapped_attribute_belongs_to_its_owner(tracing):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.WRAPPED
                if attr not in vars(owner)]
     assert missing == []
+
+
+def _program_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("inferscan."):
+            yield sub
+        yield from _program_subclasses(sub)
+
+
+def test_no_subclass_hides_a_wrapped_method(tracing):
+    # A subclass's own definition would run instead of the wrapped one, and
+    # the traced run would lose its spans without an error.
+    assert livenet.LiveTransport in set(_program_subclasses(
+        livenet.Transport))
+    hidden = [f"{sub.__name__}.{attr}"
+              for owner, attr, _ in tracing.WRAPPED if isinstance(owner, type)
+              for sub in _program_subclasses(owner) if attr in vars(sub)]
+    assert hidden == []
 
 
 def test_patched_workload_functions_resolve():

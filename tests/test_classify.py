@@ -19,9 +19,9 @@ from inferscan.classify import (
     ModelFitError,
     classify_case,
     classify_series,
-    _ar_stationary,
     _innovations,
     _nelder_mead,
+    _stationary_ar,
     diff_series,
     fit_arma,
     intervention_amplitude,
@@ -98,7 +98,7 @@ class TestFitArma:
                                   NS_PER_SEC):
                 ipids.append(seg.ipid)
         deltas = diff_series(ipids).deltas
-        model = fit_arma(deltas, 1, 1)
+        model = fit_arma(deltas)
         sample_var = float(np.var(deltas))
         assert abs(model.ar[0]) < 0.25
         assert abs(model.ma[0]) < 0.35
@@ -121,13 +121,13 @@ class TestFitArma:
         for _ in range(600):
             prev = 0.6 * prev + rng.gauss(0, 1)
             y.append(prev + 50)
-        model = fit_arma([int(round(v)) for v in y], p=1, q=0)
+        model = fit_arma([int(round(v)) for v in y])
         assert model.ar[0] == pytest.approx(0.6, abs=0.12)
 
     def test_stationarity_enforced(self):
         rng = random.Random(8)
         trend = [int(i + rng.random() * 2) for i in range(80)]  # near unit root
-        model = fit_arma(trend, p=1, q=0)
+        model = fit_arma(trend)
         assert abs(model.ar[0]) < 1.0
 
 
@@ -139,10 +139,32 @@ def scipy_ref():
     return optimize, signal
 
 
-def reference_fit(optimize, signal, deltas, p, q):
+def _ar_stationary(ar: np.ndarray) -> bool:
+    """Whether 1 - ar_1 z - ... - ar_p z^p has all roots outside the unit
+    circle, found with np.roots."""
+    if len(ar) == 0 or not np.any(ar):
+        return True
+    roots = np.roots(np.concatenate(([1.0], -ar))[::-1])
+    return bool(np.all(np.abs(roots) > 1.0))
+
+
+def reference_ar_repair(ar: np.ndarray) -> np.ndarray:
+    """The AR repair as written over np.roots: shrink by 0.9 until
+    stationary, giving up after 60 steps."""
+    ar = ar.copy()
+    shrink = 0
+    while not _ar_stationary(ar):
+        ar *= 0.9
+        shrink += 1
+        if shrink > 60:
+            raise ModelFitError("could not reach a stationary AR polynomial")
+    return ar
+
+
+def reference_fit(optimize, signal, deltas):
     """fit_arma as it was written over scipy: lfilter for the innovations
-    and minimize(method="Nelder-Mead") for the conditional least squares.
-    Returns (ar, ma, variance, residuals)."""
+    and minimize(method="Nelder-Mead") for the conditional least squares
+    of an ARMA(1,1) model.  Returns (ar, ma, variance, residuals)."""
     def innovations(ar, ma, y):
         return signal.lfilter(np.concatenate(([1.0], -ar)),
                               np.concatenate(([1.0], ma)), y)
@@ -150,7 +172,7 @@ def reference_fit(optimize, signal, deltas, p, q):
     def css(params, y, ridge):
         if np.any(np.abs(params) >= 0.99):
             return 1e12 * (1.0 + float(np.sum(np.abs(params))))
-        eps = innovations(params[:p], params[p:], y)
+        eps = innovations(params[:1], params[1:], y)
         value = float(np.dot(eps, eps))
         if not np.isfinite(value):
             return 1e15
@@ -158,32 +180,50 @@ def reference_fit(optimize, signal, deltas, p, q):
 
     x = np.asarray(deltas, dtype=float)
     y = x - float(x.mean())
-    if p == 0 and q == 0:
-        return (), (), float(np.dot(y, y) / len(y)), tuple(y)
     ridge = 0.05 * float(np.dot(y, y))
-    result = optimize.minimize(css, np.zeros(p + q), args=(y, ridge),
+    result = optimize.minimize(css, np.zeros(2), args=(y, ridge),
                                method="Nelder-Mead",
                                options={"xatol": 1e-7, "fatol": 1e-9,
                                         "maxiter": 2000})
     if not result.success or not np.all(np.isfinite(result.x)):
         raise ModelFitError(result.message)
-    ar, ma = result.x[:p].copy(), result.x[p:].copy()
-    shrink = 0
-    while not _ar_stationary(ar):
-        ar *= 0.9
-        shrink += 1
-        if shrink > 60:
-            raise ModelFitError("could not reach a stationary AR polynomial")
+    ar, ma = reference_ar_repair(result.x[:1]), result.x[1:].copy()
     eps = innovations(ar, ma, y)
     return tuple(ar), tuple(ma), float(np.dot(eps, eps) / len(y)), tuple(eps)
+
+
+ONE_ULP_BELOW_1 = 1.0 - 2.0 ** -53
+AR_GRID = [0.0, -0.0, 0.5, -0.5, 0.99, -0.99, ONE_ULP_BELOW_1,
+           -ONE_ULP_BELOW_1, 1.0, -1.0, 1.5, -1.5]
+
+
+class TestStationarityRepair:
+    """The scalar AR(1) repair decides and shrinks as the np.roots one."""
+
+    @pytest.mark.parametrize("ar", AR_GRID)
+    def test_decision_matches_np_roots(self, ar):
+        unchanged = _stationary_ar(ar) == ar
+        assert unchanged == _ar_stationary(np.array([ar]))
+
+    @pytest.mark.parametrize("ar", [1.0, -1.0, 1.5, -1.5, 50.0, -50.0])
+    def test_shrinks_by_the_same_steps(self, ar):
+        # Each further 0.9 step changes the bits, so equal bits mean equal
+        # step counts.
+        expected = reference_ar_repair(np.array([ar]))[0]
+        assert _stationary_ar(ar).hex() == expected.hex() != ar.hex()
+
+    def test_gives_up_after_sixty_steps(self):
+        with pytest.raises(ModelFitError):
+            reference_ar_repair(np.array([1e300]))
+        with pytest.raises(ModelFitError):
+            _stationary_ar(1e300)
 
 
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-coefficients = st.lists(st.floats(-0.98, 0.98, exclude_min=True,
-                                  exclude_max=True), max_size=2)
+coefficients = st.floats(-0.98, 0.98, exclude_min=True, exclude_max=True)
 
 
 @st.composite
@@ -214,22 +254,19 @@ class TestAgainstScipy:
            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_innovations_match_lfilter(self, scipy_ref, ar, ma, y):
         _optimize, signal = scipy_ref
-        expected = signal.lfilter(np.concatenate(([1.0], np.negative(ar))),
-                                  np.concatenate(([1.0], ma)), y)
+        expected = signal.lfilter([1.0, -ar], [1.0, ma], y)
         assert bits(_innovations(ar, ma, y)) == expected.tobytes()
 
-    @pytest.mark.parametrize("p", [0, 1, 2])
-    @pytest.mark.parametrize("q", [0, 1, 2])
     @settings(max_examples=20, deadline=None)
     @given(deltas=delta_sequences())
-    def test_fit_matches_scipy_fit(self, scipy_ref, p, q, deltas):
+    def test_fit_matches_scipy_fit(self, scipy_ref, deltas):
         try:
-            expected = reference_fit(*scipy_ref, deltas, p, q)
+            expected = reference_fit(*scipy_ref, deltas)
         except ModelFitError as exc:
             with pytest.raises(type(exc)):
-                fit_arma(deltas, p, q)
+                fit_arma(deltas)
             return
-        model = fit_arma(deltas, p, q)
+        model = fit_arma(deltas)
         ar, ma, variance, residuals = expected
         assert bits(model.ar) == bits(ar)
         assert bits(model.ma) == bits(ma)

@@ -445,6 +445,31 @@ class TestMalformedInput:
         assert err.startswith("error: ") and "[rule gfw]" in err
         assert "Traceback" not in err
 
+    def test_duplicate_scenario_section(self, workspace, capsys):
+        scen = workspace / "dup.cfg"
+        scen.write_text(TRACE_SCENARIO + "\n[client dest]\naddr = 36.10.0.6\n")
+        code = run(["simulate", "--scenario", scen, "--seed", 1,
+                    "--duration-s", 1, "--out", workspace / "t.jsonl"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "client dest" in line
+
+    @pytest.mark.parametrize("command", ["trace", "analyze"])
+    def test_short_prefix_table_row(self, workspace, capsys, command):
+        table = workspace / "prefixes.csv"
+        table.write_text("cidr,label,region\n10.0.0.0/8,EDU\n")
+        data = workspace / "runs.jsonl"
+        data.write_text("")
+        args = {"trace": ["trace", "--dests", workspace / "dests.csv",
+                          "--scenario", workspace / "trace.cfg"],
+                "analyze": ["analyze", "hops", "--input", data]}[command]
+        code = run(args + ["--prefix-table", table,
+                           "--out", workspace / "out.csv"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert "prefixes.csv, line 2" in line
+
     @pytest.mark.parametrize("what", ["tables", "temporal", "spatial"])
     def test_analyze_rejects_incomplete_payload(self, workspace, capsys, what):
         data = workspace / "bad.jsonl"

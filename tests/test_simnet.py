@@ -515,6 +515,34 @@ hours = 0-5,22-23
             with pytest.raises(scenario.ScenarioError):
                 scenario.loads(f"[defaults]\n{defaults}\n")
 
+    @pytest.mark.parametrize("old, new, section", [
+        ("default_delay_ms = 5", "default_delay_ms = x", "sim"),
+        ("ports = 9001, 9030", "ports = a,b", "server s1"),
+        ("backoff_s = 1, 2, 4, 8", "down_s = 5", "server s1"),
+        ("background_rate = 2.5", "background_rate = fast", "client c1"),
+        ("addr = 36.10.0.5", "addr = notanaddr", "client c1"),
+        ("addr = 198.51.100.9", "addr = 198.51.100", "monitor mm"),
+        ("delay_ms = 30", "delay_ms = x", "path c1 s1"),
+        ("loss_rate = 0.05", "loss_rate = 5%", "path c1 s1"),
+    ])
+    def test_bad_value_names_its_section(self, old, new, section):
+        text = self.SCENARIO.replace(old, new)
+        with pytest.raises(scenario.ScenarioError,
+                           match=rf"^\[{section}\] ") as info:
+            scenario.loads(text)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("text", [
+        SCENARIO + "\n[client c1]\naddr = 36.10.0.6\n",  # duplicate section
+        "seed = 1\n" + SCENARIO,  # no section header
+        SCENARIO.replace("rst_policy = yes", "rst_policy = yes\nrst_policy = no"),
+        SCENARIO.replace("[monitor mm]", "[monitor mm]\nno equals sign"),
+    ])
+    def test_malformed_file_raises_scenario_error(self, text):
+        with pytest.raises(scenario.ScenarioError) as info:
+            scenario.loads(text)
+        assert "\n" not in str(info.value)
+
     def test_duplicate_path_hops_unique(self):
         scn = scenario.loads(self.SCENARIO)
         path = scn.paths[0]

@@ -199,6 +199,14 @@ class TestPrefixTable:
         assert [(str(e.network), e.label, e.region) for e in back.entries] == \
                [(str(e.network), e.label, e.region) for e in table.entries]
 
+    @pytest.mark.parametrize("row", ["10.0.0.0/8,EDU", "10.0.0.0/8",
+                                     "10.0.0.0/33,EDU,CN", "not-a-net,EDU,CN"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "prefixes.csv"
+        path.write_text(f"cidr,label,region\n202.97.0.0/16,COM,CN\n{row}\n")
+        with pytest.raises(ValueError, match=r"prefixes\.csv, line 3: "):
+            PrefixTable.from_csv(path)
+
     def test_label_run_sets_other_on_failure(self):
         run = TracerouteRun(dest=DEST, src_port=9001, flags=("SYN", "ACK"),
                             hops=[HopRecord(1, None, None)],

@@ -283,22 +283,32 @@ class TestCapture:
 
 
 class ScriptedClock(Clock):
-    def __init__(self):
+    """Hands each scripted (arrival, segment) pair to ``deliver`` once time
+    reaches it, as the simulator's monitor host does; like the simulator's
+    clock it delivers what is due now on a sleep to the present."""
+
+    def __init__(self, arrivals, deliver):
         self.t = 0
+        self._script = sorted(arrivals, key=lambda pair: pair[0])
+        self._deliver = deliver
 
     def now_ns(self):
         return self.t
 
     def sleep_ns(self, duration_ns):
-        self.t += duration_ns
+        self.sleep_until(self.t + duration_ns)
+
+    def sleep_until(self, t_ns):
+        while self._script and self._script[0][0] <= t_ns:
+            self._deliver(*self._script.pop(0))
+        self.t = max(self.t, t_ns)
 
 
 class ScriptedTransport(Transport):
     """Backend whose wire delivers a fixed list of (arrival, segment) pairs."""
 
     def __init__(self, arrivals):
-        self._clock = ScriptedClock()
-        self._script = sorted(arrivals, key=lambda pair: pair[0])
+        self._clock = ScriptedClock(arrivals, self._enqueue)
         super().__init__(MM)
 
     @property
@@ -307,12 +317,6 @@ class ScriptedTransport(Transport):
 
     def _dispatch(self, seg, at_ns):
         pass
-
-    def _collect(self, until_ns):
-        self._clock.t = until_ns
-        due = [pair for pair in self._script if pair[0] <= until_ns]
-        self._script = self._script[len(due):]
-        return due
 
 
 def linear_demux(pending, filters):
@@ -399,6 +403,15 @@ class TestCaptureQueue:
         assert len(got) == 3
         assert got[-1].timestamp - got[0].timestamp > PENDING_HORIZON_NS
         assert tr.expired == 0
+
+    def test_zero_window_takes_arrivals_due_now(self):
+        sim = Simulator(seed=3)
+        sender, receiver = sim.attach("100.64.0.1"), sim.attach(MM)
+        sim.add_path("100.64.0.1", MM, delay_ns=0)
+        sim.step(5)
+        sender.send(sender.craft_segment(MM, 40000, ("SYN",), 41000))
+        got = receiver.capture([FlowKey("100.64.0.1", 41000, MM, 40000)], 0)
+        assert [seg.timestamp for seg in got] == [5]
 
     def test_queue_stays_flat_across_campaign_slots(self):
         client = EndpointSpec("36.10.0.5", 0, "client")
@@ -576,14 +589,14 @@ class TestLiveTransport:
 
     @staticmethod
     def arrive(tr, inbox, seq):
-        """Hand the sniffer one reply to MM and wait until it is kept."""
-        before = tr.expired + len(tr._arrivals)
+        """Hand the sniffer one reply to MM and wait until it is queued."""
+        before = tr.expired + tr.queued
         inbox.put(segment_to_wire(reply("36.10.0.5", 443, 40000, seq)))
         deadline = time.monotonic() + 5
         while True:
-            with tr._arrivals_lock:
-                if tr.expired + len(tr._arrivals) > before:
-                    return
+            # expired + queued grows by one per arrival
+            if tr.expired + tr.queued > before:
+                return
             assert time.monotonic() < deadline, "sniffer never kept the arrival"
             time.sleep(0.001)
 
@@ -594,7 +607,7 @@ class TestLiveTransport:
             self.arrive(tr, inbox, i)
         # At 120 s the horizon keeps the arrivals of 60, 90 and 120 s.
         assert tr.expired == 2
-        assert [seg.seq for _, seg in tr._arrivals] == [2, 3, 4]
+        assert [seg.seq for _, seg in tr._pending[40000]] == [2, 3, 4]
         got = tr.capture([FlowKey(None, None, MM, None)], 0)
         assert [(seg.seq, seg.timestamp) for seg in got] == [
             (i, i * 30 * NS_PER_SEC) for i in (2, 3, 4)]
