@@ -25,13 +25,15 @@ from .tracer import (
     LABEL_OTHER,
     PrefixTable,
     STATUS_FINISHED,
-    TraceConfig,
     hops_into_region,
 )
 from .transport import derive_seed
 
 CASE_ORDER = (SERVER_TO_CLIENT_DROP, NO_PACKETS_DROPPED,
               CLIENT_TO_SERVER_DROP, ERROR)
+
+SERVER_TYPE_BY_ROLE = {"tor-relay": "Tor-Relay", "tor-dir": "Tor-Dir",
+                       "web": "Web", "client": "Client"}
 
 TEMPORAL_EXACT = "exact-lag"
 TEMPORAL_WITHIN = "within-lag"
@@ -60,6 +62,28 @@ class SourceSeries:
         return [h for h, c in enumerate(self.hourly_counts) if c > 0]
 
 
+def source_series(idle_rows: list) -> list:
+    """One series of NoPacketsDropped counts per stored client, sorted by
+    address, from ``(slot, (client, role, variant))`` idle rows.
+
+    A client is its stored address and coordinates together, so clients
+    whose addresses were redacted to one prefix stay apart (in order of
+    first appearance) unless they also share their coordinates.
+    """
+    n_slots = max((slot for slot, _ in idle_rows), default=-1) + 1
+    by_client: dict[tuple, SourceSeries] = {}
+    for slot, (client, _role, variant) in idle_rows:
+        series = by_client.get(client)
+        if series is None:
+            addr, lat, lon = client
+            series = SourceSeries(source_id=addr, lat=lat, lon=lon,
+                                  hourly_counts=[0] * n_slots)
+            by_client[client] = series
+        if variant == NO_PACKETS_DROPPED:
+            series.hourly_counts[slot] += 1
+    return [by_client[k] for k in sorted(by_client, key=lambda k: k[0])]
+
+
 @dataclass
 class AnalyticsConfig:
     k_neighbors: int = 1
@@ -80,15 +104,28 @@ class AnalyticsConfig:
             raise ValueError("grid dims must be positive")
 
 
+# The keys an [analytics] section accepts; any other key is an error.
+ANALYTICS_KEYS = ("k", "max_lag", "grid_rows", "grid_cols", "grid_lat0",
+                  "grid_lon0", "exclude_labels", "temporal_mode",
+                  "pair_epoch_s", "prefix_table")
+
+
 def load_analytics_config(path) -> AnalyticsConfig:
-    """Read an [analytics] INI file; a malformed one raises ValueError
-    naming the file."""
+    """Read an [analytics] INI file; a malformed one, or one with another
+    section or a key outside ANALYTICS_KEYS, raises ValueError naming the
+    file."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         cp.read_string(text)
+        for section in cp.sections():
+            if section != "analytics":
+                raise ValueError(f"unknown section: [{section}]")
         sec = cp["analytics"] if cp.has_section("analytics") else cp["DEFAULT"]
+        for key in sec:
+            if key not in ANALYTICS_KEYS:
+                raise ValueError(f"[{sec.name}] unknown key: {key}")
         return AnalyticsConfig(
             k_neighbors=sec.getint("k", 1),
             max_lag=sec.getint("max_lag", 12),
@@ -207,6 +244,18 @@ class CaseRow:
     variant: str
 
 
+def case_rows(idle_rows: Iterable[tuple], table: PrefixTable) -> list:
+    """A CaseRow per ``(slot, (client, role, variant))`` idle row: the
+    client's region by ``table`` and the server's type by its role."""
+    rows = []
+    for _slot, (client, role, variant) in idle_rows:
+        entry = table.lookup(client[0])
+        rows.append(CaseRow(client_region=entry.region if entry else "Other",
+                            server_type=SERVER_TYPE_BY_ROLE.get(role, "Other"),
+                            variant=variant))
+    return rows
+
+
 def case_table(rows: Iterable[CaseRow]) -> dict:
     """Counts of each case per (client region, server type) row."""
     table: dict[tuple, dict] = {}
@@ -313,14 +362,12 @@ def admitted_pairs(pairs: Iterable[tuple]) -> list:
             if rand.status == STATUS_FINISHED and tor.status != STATUS_FINISHED]
 
 
-def hop_histogram(pairs: Iterable[tuple], table: PrefixTable,
-                  trace_cfg: Optional[TraceConfig] = None) -> dict:
+def hop_histogram(pairs: Iterable[tuple], table: PrefixTable) -> dict:
     """Histogram of in-region hop depth over admitted (tor, rand) pairs."""
-    trace_cfg = trace_cfg or TraceConfig()
     hist: dict[int, int] = {}
     for tor, _rand in admitted_pairs(pairs):
         try:
-            depth = hops_into_region(tor, table, trace_cfg)
+            depth = hops_into_region(tor, table)
         except ValueError:
             continue
         hist[depth] = hist.get(depth, 0) + 1

@@ -17,10 +17,10 @@ from typing import Optional
 
 from . import analytics, backlog, idlescan, store, tracer
 from . import scenario as scenario_mod
-from .analytics import AnalyticsConfig, CaseRow, SourceSeries
+from .analytics import AnalyticsConfig
 from .endpoints import EndpointSpec, filter_stable, load_endpoints
 from .idlescan import ScanRoundConfig
-from .tracer import PrefixTable, TraceConfig, TracerouteRun
+from .tracer import PrefixTable, TraceConfig
 from .transport import NS_PER_SEC, TransportError, derive_seed
 
 EXIT_OK = 0
@@ -30,9 +30,6 @@ SEED_ENV = "INFERSCAN_SEED"
 
 DEFAULT_MONITOR_ADDR = "100.64.0.1"
 DEFAULT_VPS_ADDR = "100.64.0.2"
-
-SERVER_TYPE_BY_ROLE = {"tor-relay": "Tor-Relay", "tor-dir": "Tor-Dir",
-                       "web": "Web", "client": "Client"}
 
 GOOD_CITIZENSHIP = """\
 Live probing checklist (all measurements must stay minimally invasive):
@@ -227,7 +224,7 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_prune(args, parser) -> int:
     records = store.load(args.input)
-    outcome = store.prune_campaign(records, read=_check_readable)
+    outcome = store.prune_campaign(records, read=store.read)
     store.export(outcome.admitted, args.out)
     if args.discard_log:
         with open(args.discard_log, "w", encoding="utf-8") as fh:
@@ -243,108 +240,6 @@ def cmd_prune(args, parser) -> int:
     return EXIT_OK
 
 
-# -- analytics wiring ---------------------------------------------------------
-
-def _project(no, rec, read):
-    """``read(payload, slot)`` of record ``rec``, the ``no``-th of its input.
-
-    A bad meta slot or a payload field ``read`` misses raises SchemaError
-    naming the record.
-    """
-    slot = rec.meta.get("slot", 0)
-    if not isinstance(slot, int) or slot < 0:
-        raise store.SchemaError(
-            f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
-    try:
-        return read(rec.payload, slot)
-    except KeyError as exc:
-        raise store.SchemaError(
-            f"record {no} ({rec.kind}) has no payload field {exc}") from exc
-    except TypeError as exc:
-        raise store.SchemaError(
-            f"record {no} ({rec.kind}) has a malformed payload: {exc}"
-        ) from exc
-
-
-def _read(records, kind, read) -> list:
-    """``read(payload, slot)`` of every admitted record of ``kind``."""
-    return [_project(no, rec, read) for no, rec in enumerate(records, 1)
-            if rec.kind == kind and rec.admitted]
-
-
-def _source_row(payload, slot):
-    client = payload["client"]
-    key = (client["addr"], client["lat"], client["lon"])
-    hash(key)  # the key of its series: unhashable fields are malformed
-    return (key, slot,
-            payload["label"]["variant"] == analytics.NO_PACKETS_DROPPED)
-
-
-def _case_reader(table: Optional[PrefixTable]):
-    def row(payload, _slot):
-        entry = table.lookup(payload["client"]["addr"]) if table else None
-        return CaseRow(client_region=entry.region if entry else "Other",
-                       server_type=SERVER_TYPE_BY_ROLE.get(
-                           payload["server"]["role"], "Other"),
-                       variant=payload["label"]["variant"])
-    return row
-
-
-def _trace_pair(payload, _slot):
-    return (TracerouteRun.from_dict(payload["tor"]),
-            TracerouteRun.from_dict(payload["rand"]))
-
-
-def _backlog_payload(payload, _slot):
-    return backlog.BacklogScanRecord.from_dict(payload)
-
-
-# Every projection ``analyze`` reads a record kind through.  ``prune``
-# admits a record only when all of its kind's projections can read it.
-_READERS = {store.KIND_IDLE: (_source_row, _case_reader(None)),
-            store.KIND_BACKLOG: (_backlog_payload,),
-            store.KIND_TRACEROUTE: (_trace_pair,)}
-
-
-def _check_readable(no, rec) -> None:
-    for read in _READERS[rec.kind]:
-        _project(no, rec, read)
-
-
-def _source_series(records) -> list:
-    """One series per stored client, sorted by address.
-
-    A client is its stored address and coordinates together, so clients
-    whose addresses were redacted to one prefix stay apart (in order of
-    first appearance) unless they also share their coordinates.
-    """
-    rows = _read(records, store.KIND_IDLE, _source_row)
-    n_slots = max((slot for _, slot, _ in rows), default=-1) + 1
-    by_client: dict[tuple, SourceSeries] = {}
-    for client, slot, passed in rows:
-        series = by_client.get(client)
-        if series is None:
-            addr, lat, lon = client
-            series = SourceSeries(source_id=addr, lat=lat, lon=lon,
-                                  hourly_counts=[0] * n_slots)
-            by_client[client] = series
-        if passed:
-            series.hourly_counts[slot] += 1
-    return [by_client[k] for k in sorted(by_client, key=lambda k: k[0])]
-
-
-def _case_rows(records, table: Optional[PrefixTable]) -> list:
-    return _read(records, store.KIND_IDLE, _case_reader(table))
-
-
-def _trace_pairs(records) -> list:
-    return _read(records, store.KIND_TRACEROUTE, _trace_pair)
-
-
-def _backlog_payloads(records) -> list:
-    return _read(records, store.KIND_BACKLOG, _backlog_payload)
-
-
 def cmd_analyze(args, parser) -> int:
     cfg = (analytics.load_analytics_config(args.config) if args.config
            else AnalyticsConfig())
@@ -354,8 +249,13 @@ def cmd_analyze(args, parser) -> int:
     records = store.load(args.input)
     what = args.what
     if what in ("temporal", "spatial"):
-        series = analytics.filter_sources(_source_series(records), table,
-                                          cfg.exclude_labels)
+        series = analytics.filter_sources(
+            analytics.source_series(
+                store.read_admitted(records, store.KIND_IDLE)),
+            table, cfg.exclude_labels)
+    elif what in ("hops", "diurnal"):
+        pairs = [pair for _slot, pair in
+                 store.read_admitted(records, store.KIND_TRACEROUTE)]
     if what == "temporal":
         probs = analytics.temporal_association(series, cfg.max_lag,
                                                mode=cfg.temporal_mode)
@@ -371,12 +271,11 @@ def cmd_analyze(args, parser) -> int:
     elif what == "tables":
         _analyze_tables(args, cfg, table, records)
     elif what == "hops":
-        hist = analytics.hop_histogram(_trace_pairs(records), table)
+        hist = analytics.hop_histogram(pairs, table)
         _write_csv(args.out, [["hops_into_region", "count"]]
                    + [[d, hist[d]] for d in sorted(hist)])
     elif what == "diurnal":
-        series = analytics.diurnal_series(_trace_pairs(records),
-                                          count=args.count)
+        series = analytics.diurnal_series(pairs, count=args.count)
         _write_csv(args.out, [["hour", "count"]]
                    + [[h, c] for h, c in enumerate(series)])
     print(f"analysis written to {args.out}")
@@ -385,18 +284,21 @@ def cmd_analyze(args, parser) -> int:
 
 def _analyze_tables(args, cfg, table, records) -> None:
     outputs = []
-    case_rows = _case_rows(records, table)
+    case_rows = analytics.case_rows(
+        store.read_admitted(records, store.KIND_IDLE), table)
     if case_rows:
         outputs.append(("case", analytics.case_table_csv(
             analytics.case_table(case_rows))))
-    backlog_recs = _backlog_payloads(records)
+    backlog_recs = [rec for _slot, rec in
+                    store.read_admitted(records, store.KIND_BACKLOG)]
     if backlog_recs:
         counts, warnings = analytics.contingency_table(
             backlog_recs, epoch_s=cfg.pair_epoch_s)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         outputs.append(("contingency", analytics.contingency_table_csv(counts)))
-    pairs = _trace_pairs(records)
+    pairs = [pair for _slot, pair in
+             store.read_admitted(records, store.KIND_TRACEROUTE)]
     if pairs:
         outputs.append(("traceroute", analytics.traceroute_table_csv(
             analytics.traceroute_table(pairs))))

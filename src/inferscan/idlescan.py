@@ -16,6 +16,7 @@ from . import classify
 from .classify import PHASE_BASE, PHASE_PERTURB, diff_series
 from .endpoints import EndpointSpec, passes_stability_rule
 from .transport import (
+    HOUR_NS,
     NS_PER_SEC,
     FlowKey,
     TcpSegment,
@@ -44,7 +45,6 @@ LIVELINESS_RATE = 5.0  # probes per second during checks
 NOISE_THRESHOLD = 2.0  # median per-interval delta allowed when quiet
 PROBE_SRC_PORT = 39000
 SPOOF_SRC_PORT_BASE = 42000
-HOUR_NS = 3600 * NS_PER_SEC
 
 
 class RoundVoided(Exception):

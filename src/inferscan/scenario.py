@@ -50,7 +50,7 @@ and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
 ``path_hops``, ``path_delay_ms`` (default ``default_delay_ms``),
 ``path_loss_rate`` and ``path_filtered`` give one path that applies lazily
 to every client<->server pair without a ``[path]``, hops listed from the
-client.  No other key is accepted.
+client.  Every section rejects a key it does not know (``SECTION_KEYS``).
 
 A client's ``background_rate`` is a Poisson rate of packets to hosts outside
 the model, each advancing its IP-ID.  A client that nothing has reached for
@@ -199,6 +199,20 @@ ENDPOINT_DEFAULTS = {
 }
 PATH_DEFAULTS = ("path_hops", "path_delay_ms", "path_loss_rate", "path_filtered")
 
+# The keys each section kind accepts; any other key is an error.
+SECTION_KEYS = {
+    "sim": {"seed", "duration_s", "default_delay_ms", "hour0"},
+    "defaults": {*ENDPOINT_DEFAULTS, *PATH_DEFAULTS},
+    "client": {"addr", "ipid_mode", "ipid_start", "background_rate",
+               "rst_policy"},
+    "server": {"addr", "ports", "backlog_capacity", "max_retransmissions",
+               "backoff_s", "down_s"},
+    "monitor": {"addr"},
+    "path": {"hops", "delay_ms", "loss_rate", "filtered"},
+    "rule": {"direction", "addr", "port", "action", "placement_hop", "hours",
+             "flags"},
+}
+
 
 def _load_defaults(scn: Scenario, sec) -> None:
     options = {"client": scn.client_options, "server": scn.server_options}
@@ -206,8 +220,6 @@ def _load_defaults(scn: Scenario, sec) -> None:
         if key in ENDPOINT_DEFAULTS:
             kind, name, parse = ENDPOINT_DEFAULTS[key]
             options[kind][name] = parse(text)
-        elif key not in PATH_DEFAULTS:
-            raise ScenarioError(f"unknown key: {key}")
     if scn.client_options.get("ipid_mode", "global") not in IPID_MODES:
         raise ScenarioError(f"bad client_ipid_mode: {sec['client_ipid_mode']}")
     scn.client_server_path = _path_decl(sec, prefix="path_")
@@ -254,6 +266,10 @@ def _one_line(exc: Exception) -> str:
 def _load_section(scn: Scenario, section: str, sec) -> None:
     words = section.split() or [""]
     kind = words[0]
+    if kind in SECTION_KEYS:
+        for key in sec:
+            if key not in SECTION_KEYS[kind]:
+                raise ScenarioError(f"unknown key: {key}")
     if section == "sim":
         scn.seed = sec.getint("seed", 0)
         scn.duration_ns = int(sec.getfloat("duration_s", 0.0) * NS_PER_SEC)

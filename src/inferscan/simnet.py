@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .transport import (
+    HOUR_NS,
     NS_PER_SEC,
     Clock,
     FlowKey,
@@ -26,8 +27,6 @@ from .transport import (
 
 PASS = "pass"
 DROP = "drop"
-
-HOUR_NS = 3600 * NS_PER_SEC
 
 DEFAULT_BACKLOG_CAPACITY = 256
 DEFAULT_MAX_RETRANSMISSIONS = 5

@@ -3,7 +3,9 @@
 Records are line-delimited JSON.  Each carries a schema version and the
 validity checks its scan round was subject to; a record is admitted exactly
 when every applicable check passed, and ``prune_campaign`` is the one place
-that splits a dataset by that rule.
+that splits a dataset by that rule.  Each kind's payload is built and read
+back here, its reader beside its builder; ``read`` is the one way into a
+payload.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .backlog import REASON_NO_BACKOFF, REASON_NON_DEFAULT, REASON_OFFLINE
+from .backlog import (
+    REASON_NO_BACKOFF,
+    REASON_NON_DEFAULT,
+    REASON_OFFLINE,
+    BacklogScanRecord,
+)
+from .tracer import TracerouteRun
 from .transport import addr_to_int, int_to_addr
 
 SCHEMA_VERSION = 1
@@ -199,7 +207,7 @@ def export(records: Iterable[ScanRecord], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Record builders for the three scan kinds
+# Record builders and readers for the three scan kinds
 # ---------------------------------------------------------------------------
 
 def build_idle_record(result, slot: int) -> ScanRecord:
@@ -217,6 +225,15 @@ def build_idle_record(result, slot: int) -> ScanRecord:
     }
     return ScanRecord(kind=KIND_IDLE, payload=payload, checks=dict(result.checks),
                       meta={"slot": slot})
+
+
+def _read_idle(payload) -> tuple:
+    """``(client, server role, label variant)``; the client is its stored
+    ``(addr, lat, lon)``, the key of its series."""
+    client = payload["client"]
+    key = (client["addr"], client["lat"], client["lon"])
+    hash(key)  # unhashable fields are malformed
+    return key, payload["server"]["role"], payload["label"]["variant"]
 
 
 # The backlog dataset's culling rules, in the order backlog.baseline_probe
@@ -256,3 +273,43 @@ def build_trace_record(tor_run, rand_run, slot: int) -> ScanRecord:
     }
     return ScanRecord(kind=KIND_TRACEROUTE, payload=payload,
                       meta={"slot": slot})
+
+
+def _read_trace(payload) -> tuple:
+    """The ``(filtered, control)`` TracerouteRun pair."""
+    return (TracerouteRun.from_dict(payload["tor"]),
+            TracerouteRun.from_dict(payload["rand"]))
+
+
+_READERS = {KIND_IDLE: _read_idle, KIND_BACKLOG: BacklogScanRecord.from_dict,
+            KIND_TRACEROUTE: _read_trace}
+
+
+def read(no: int, rec: ScanRecord) -> tuple:
+    """``(slot, value)`` of record ``rec``, the ``no``-th of its input.
+
+    The value is an idle record's ``(client, server role, label variant)``,
+    a backlog record's BacklogScanRecord, or a traceroute record's
+    ``(filtered, control)`` TracerouteRun pair.  A bad meta slot or a
+    payload its kind cannot read raises SchemaError naming the record.
+    """
+    slot = rec.meta.get("slot", 0)
+    if not isinstance(slot, int) or slot < 0:
+        raise SchemaError(
+            f"record {no} ({rec.kind}) has a bad meta slot: {slot!r}")
+    reader = _READERS[rec.kind]
+    try:
+        return slot, reader(rec.payload)
+    except KeyError as exc:
+        raise SchemaError(
+            f"record {no} ({rec.kind}) has no payload field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"record {no} ({rec.kind}) has a malformed payload: {exc}"
+        ) from exc
+
+
+def read_admitted(records: Iterable[ScanRecord], kind: str) -> list:
+    """``read`` of every admitted record of ``kind``, in input order."""
+    return [read(no, rec) for no, rec in enumerate(records, 1)
+            if rec.kind == kind and rec.admitted]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .transport import NS_PER_SEC, FlowKey, Transport
+from .transport import HOUR_NS, NS_PER_SEC, FlowKey, Transport
 
 STATUS_FINISHED = "Finished"
 STATUS_STALLED = "Stalled"
@@ -147,9 +147,6 @@ class TraceConfig:
     max_ttl: int = 30
     tor_port: int = TOR_PORT
     rand_port: int = RAND_PORT
-    # Optional per-region RTT sanity bound (ns); hops slower than the bound
-    # are treated as out-of-region mislabels.
-    rtt_bounds: dict = field(default_factory=dict)
 
 
 def run_traceroute(transport: Transport, dest: str, src_port: int,
@@ -207,40 +204,32 @@ def paired_run(transport: Transport, dest: str, hour: int,
     return tor, rand
 
 
-def _hop_entry(hop: HopRecord, table: PrefixTable, cfg: TraceConfig
-               ) -> Optional[PrefixEntry]:
+def _hop_entry(hop: HopRecord, table: PrefixTable) -> Optional[PrefixEntry]:
     """Region-tagged table entry for a hop, or None when out of region."""
     if hop.responder is None:
         return None
     entry = table.lookup(hop.responder)
     if entry is None or entry.region != REGION:
         return None
-    bound = cfg.rtt_bounds.get(entry.region)
-    if bound is not None and hop.rtt_ns is not None and hop.rtt_ns > bound:
-        return None
     return entry
 
 
-def classify_entry(run: TracerouteRun, table: PrefixTable,
-                   cfg: Optional[TraceConfig] = None) -> str:
+def classify_entry(run: TracerouteRun, table: PrefixTable) -> str:
     """Label of the first in-region hop (the route's entry network)."""
-    cfg = cfg or TraceConfig()
     if not run.responding_hops():
         raise ValueError("run has no responding hops")
     for hop in run.hops:
-        entry = _hop_entry(hop, table, cfg)
+        entry = _hop_entry(hop, table)
         if entry is not None:
             return entry.label
     return LABEL_OTHER
 
 
-def hops_into_region(run: TracerouteRun, table: PrefixTable,
-                     cfg: Optional[TraceConfig] = None) -> int:
+def hops_into_region(run: TracerouteRun, table: PrefixTable) -> int:
     """How many in-region hops a stalled run traversed before stopping."""
-    cfg = cfg or TraceConfig()
     if run.status != STATUS_STALLED:
         raise ValueError("hop depth is defined for stalled runs only")
-    count = sum(1 for hop in run.hops if _hop_entry(hop, table, cfg) is not None)
+    count = sum(1 for hop in run.hops if _hop_entry(hop, table) is not None)
     if count < 1:
         raise ValueError("run never entered the region")
     return count
@@ -248,9 +237,13 @@ def hops_into_region(run: TracerouteRun, table: PrefixTable,
 
 def label_run(run: TracerouteRun, table: PrefixTable,
               cfg: Optional[TraceConfig] = None) -> TracerouteRun:
-    """Attach the entry-network label (Other when attribution fails)."""
+    """Attach the entry-network label (Other when attribution fails).
+
+    Attribution uses the prefix table alone, so ``cfg`` is accepted for the
+    campaign's call form and not read.
+    """
     try:
-        run.entry_label = classify_entry(run, table, cfg)
+        run.entry_label = classify_entry(run, table)
     except ValueError:
         run.entry_label = LABEL_OTHER
     return run
@@ -264,8 +257,7 @@ def run_trace_campaign(transport: Transport, dests: list, table: PrefixTable,
     pairs = 0
     for day in range(days):
         for hour in range(hours):
-            slot_start = ((day * 24 + hour) * 3600) * NS_PER_SEC
-            transport.clock.sleep_until(slot_start)
+            transport.clock.sleep_until((day * 24 + hour) * HOUR_NS)
             for dest in dests:
                 tor, rand = paired_run(transport, dest, hour, cfg)
                 label_run(tor, table, cfg)

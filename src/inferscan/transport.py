@@ -19,6 +19,7 @@ import threading
 from typing import Iterable, NamedTuple, Optional
 
 NS_PER_SEC = 1_000_000_000
+HOUR_NS = 3600 * NS_PER_SEC
 
 #: How long an unclaimed arrival stays queued.  The latest reply a check can
 #: still claim is a SYN/ACK retransmission 1+2+4+8+16 = 31 s after its SYN.

@@ -240,7 +240,7 @@ class TestCriterion4TraceroutePlacement:
         for slot in range(6):
             tr.clock.sleep_until(slot * 3600 * NS_PER_SEC)
             pairs.append(paired_run(tr, self.DEST, hour=slot, cfg=cfg))
-        hist = hop_histogram(pairs, table, cfg)
+        hist = hop_histogram(pairs, table)
         mode = max(hist, key=hist.get)
         assert mode == 2
 

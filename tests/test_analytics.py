@@ -73,6 +73,7 @@ class TestLoadAnalyticsConfig:
         "[analytics]\nk = x\n",
         "[analytics]\nk = 0\n",
         "[analytics]\nmax_lag = 100%\n",
+        "[analytic]\nk = 2\n",  # misspelt section
     ])
     def test_malformed_file_names_the_file(self, tmp_path, text):
         path = tmp_path / "analytics.ini"
@@ -80,6 +81,13 @@ class TestLoadAnalyticsConfig:
         with pytest.raises(ValueError, match=r"analytics\.ini: ") as info:
             load_analytics_config(path)
         assert "\n" not in str(info.value)
+
+    def test_unknown_key_names_section_and_key(self, tmp_path):
+        path = tmp_path / "analytics.ini"
+        path.write_text("[analytics]\nmax-lag = 3\n")
+        with pytest.raises(ValueError, match=r"analytics\.ini: \[analytics\] "
+                                             r"unknown key: max-lag$"):
+            load_analytics_config(path)
 
 
 class TestPearson:

@@ -349,6 +349,57 @@ class TestPruneAndAnalyze:
         assert run(["analyze", "tables", "--input", pruned,
                     "--out", workspace / "report.csv"]) == EXIT_OK
 
+    SCAN = ('{{"kind":"{kind}","relay":{{"addr":"203.0.113.5","port":9001,'
+            '"role":"{role}"}},"probe_count":0,"fill_count":0,'
+            '"observed_retransmissions":[],"verdict":"Passes","timestamp":0}}')
+    RUN = ('{{"dest":"36.10.0.5","src_port":{port},"flags":["SYN","ACK"],'
+           '"hops":{hops},"status":"Stalled","hour":0}}')
+
+    @pytest.mark.parametrize("kind, payload, why", [
+        ("BacklogScan", SCAN.format(kind="Bogus", role="tor-relay"),
+         "bad scan kind: Bogus"),
+        ("BacklogScan", SCAN.format(kind="SynScan", role="mail"),
+         "unknown role: 'mail'"),
+        ("Traceroute",
+         '{"dest":"36.10.0.5","hour":0,'
+         f'"tor":{RUN.format(port=9001, hops="[[2,null,null],[1,null,null]]")},'
+         f'"rand":{RUN.format(port=9002, hops="[[1,null,null]]")}}}',
+         "hops must cover strictly increasing TTLs"),
+    ], ids=["scan-kind", "relay-role", "ttl-order"])
+    def test_prune_discards_payload_failing_its_type(self, workspace, capsys,
+                                                     kind, payload, why):
+        data = self.make_data(workspace)
+        with open(data, "a") as fh:
+            fh.write(f'{{"v":1,"kind":"{kind}","payload":{payload},'
+                     '"checks":{}}\n')
+        pruned = workspace / "pruned.jsonl"
+        discards = workspace / "discards.jsonl"
+        code = run(["prune", "--input", data, "--out", pruned,
+                    "--discard-log", discards])
+        assert code == EXIT_OK
+        assert "retained 2/3" in capsys.readouterr().out
+        assert [json.loads(l) for l in discards.read_text().splitlines()] == [
+            {"kind": kind, "failed": [],
+             "payload": f"record 3 ({kind}) has a malformed payload: {why}"}]
+
+    def test_analyze_spatial_reads_config(self, workspace):
+        clients = workspace / "clients3.csv"
+        clients.write_text(
+            (workspace / "clients.csv").read_text()
+            + "36.10.0.7,0,client,23.1,113.3,0,1\n")
+        data = workspace / "data3.jsonl"
+        run(["idle-scan", "--clients", clients,
+             "--servers", workspace / "servers.csv",
+             "--scenario", workspace / "scen.cfg",
+             "--rounds", 3, "--seed", 5, "--out", data])
+        config = workspace / "analytics.ini"
+        config.write_text("[analytics]\nk = 2\n")
+        out = workspace / "spatial.csv"
+        assert run(["analyze", "spatial", "--input", data, "--config", config,
+                    "--out", out]) == EXIT_OK
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [row[0] for row in rows] == ["k", "1", "2"]
+
     def test_analyze_hops_and_diurnal(self, workspace):
         out = workspace / "runs.jsonl"
         run(["trace", "--dests", workspace / "dests.csv",

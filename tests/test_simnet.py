@@ -543,6 +543,16 @@ hours = 0-5,22-23
             scenario.loads(text)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("header, key", [
+        ("[sim]", "seeds"), ("[client c1]", "backround_rate"),
+        ("[server s1]", "port"), ("[monitor mm]", "port"),
+        ("[path c1 s1]", "hop"), ("[rule drop-tor]", "placment_hop")])
+    def test_unknown_key_names_section_and_key(self, header, key):
+        text = self.SCENARIO.replace(header, f"{header}\n{key} = 3")
+        with pytest.raises(scenario.ScenarioError) as info:
+            scenario.loads(text)
+        assert str(info.value) == f"{header} unknown key: {key}"
+
     def test_duplicate_path_hops_unique(self):
         scn = scenario.loads(self.SCENARIO)
         path = scn.paths[0]

@@ -8,6 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inferscan import store
+from inferscan.backlog import BacklogScanRecord, BaselineProfile
+from inferscan.classify import CaseLabel
+from inferscan.endpoints import EndpointSpec
+from inferscan.idlescan import IpidTimeSeries, ScanRoundResult
 from inferscan.store import (
     KINDS,
     KIND_IDLE,
@@ -15,10 +19,14 @@ from inferscan.store import (
     RecordStore,
     ScanRecord,
     SchemaError,
+    build_backlog_record,
+    build_idle_record,
+    build_trace_record,
     prune_campaign,
     redact_addr,
     redact_client_fields,
 )
+from inferscan.tracer import HopRecord, TracerouteRun
 
 
 def idle_record(n=0, passing=True):
@@ -171,6 +179,67 @@ class TestPruneCampaign:
         before = [rec.to_json() for rec in records]
         prune_campaign(records)
         assert [rec.to_json() for rec in records] == before
+
+
+CLIENT = EndpointSpec(addr="36.10.0.5", port=0, role="client",
+                      lat=30.5, lon=114.3)
+RELAY = EndpointSpec(addr="203.0.113.5", port=9001, role="tor-relay",
+                     uptime_days=9.0)
+
+
+class TestReadPath:
+    def built(self):
+        """One record of each kind from its builder, and what each holds."""
+        result = ScanRoundResult(
+            client=CLIENT, server=RELAY,
+            series=IpidTimeSeries(samples=[], spoof_rate=2.0, probe_rate=1.0,
+                                  client=CLIENT, server=RELAY),
+            label=CaseLabel("NoPacketsDropped", amplitude=0.9, confidence=0.95),
+            checks={"client_liveliness": True, "server_liveliness": True},
+            started_at=3, finished_at=4, hour=3)
+        scan = BacklogScanRecord(
+            kind="SynScan", relay=RELAY, probe_count=1, fill_count=145,
+            observed_retransmissions=[5],
+            baseline=BaselineProfile(True, None, 5, (1.0, 2.0, 4.0, 8.0, 16.0)),
+            verdict="Passes", invalid_reason=None, timestamp=7)
+        tor = TracerouteRun(dest=CLIENT.addr, src_port=9001,
+                            flags=("SYN", "ACK"),
+                            hops=[HopRecord(1, "80.1.0.1", 1000),
+                                  HopRecord(2, None, None)],
+                            status="Stalled", hour=3)
+        rand = TracerouteRun(dest=CLIENT.addr, src_port=9002,
+                             flags=("SYN", "ACK"),
+                             hops=[HopRecord(1, "80.1.0.1", 1000),
+                                   HopRecord(2, CLIENT.addr, 2000)],
+                             status="Finished", hour=3)
+        records = [build_idle_record(result, slot=3),
+                   build_backlog_record(scan),
+                   build_trace_record(tor, rand, slot=3)]
+        values = [(3, (("36.10.0.5", 30.5, 114.3), "tor-relay",
+                       "NoPacketsDropped")),
+                  (0, scan), (3, (tor, rand))]
+        return records, values
+
+    def test_built_records_read_back_after_a_round_trip(self):
+        records, values = self.built()
+        loaded = [ScanRecord.from_json(rec.to_json()) for rec in records]
+        assert [store.read(no, rec) for no, rec in enumerate(loaded, 1)] \
+            == values
+        for rec, value in zip(loaded, values):
+            assert store.read_admitted(loaded, rec.kind) == [value]
+        outcome = prune_campaign(loaded, read=store.read)
+        assert outcome.admitted == loaded
+        assert outcome.rejected == [] and outcome.unreadable == {}
+
+    @pytest.mark.parametrize("client", [[], {"addr": "36.10.0.5", "lat": [1],
+                                             "lon": 2}],
+                             ids=["not-a-mapping", "unhashable"])
+    def test_malformed_client_names_the_record(self, client):
+        rec = ScanRecord(kind=KIND_IDLE, payload={"client": client})
+        with pytest.raises(SchemaError,
+                           match=r"^record 4 \(IdleScan\) has a malformed "
+                                 r"payload: "):
+            store.read(4, rec)
 
 
 class TestRedaction:

@@ -10,7 +10,6 @@ from inferscan.tracer import (
     PrefixTable,
     STATUS_FINISHED,
     STATUS_STALLED,
-    TraceConfig,
     TracerouteRun,
     HopRecord,
     classify_entry,
@@ -139,11 +138,6 @@ class TestClassifyEntry:
         run = self.make_run([None, None])
         with pytest.raises(ValueError):
             classify_entry(run, PrefixTable())
-
-    def test_rtt_bound_relabels(self):
-        run = self.make_run(["80.1.0.1", "202.97.0.7"])
-        cfg = TraceConfig(rtt_bounds={"CN": 500})
-        assert classify_entry(run, PrefixTable(), cfg) == LABEL_OTHER
 
     def test_attribution_is_pure(self):
         run = self.make_run(["80.1.0.1", "202.97.0.7"])
