@@ -13,12 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .classify import (
-    CLIENT_TO_SERVER_DROP,
-    ERROR,
-    NO_PACKETS_DROPPED,
-    SERVER_TO_CLIENT_DROP,
-)
+from .classify import NO_PACKETS_DROPPED, VARIANTS
 from .tracer import (
     LABEL_COM,
     LABEL_EDU,
@@ -28,9 +23,6 @@ from .tracer import (
     hops_into_region,
 )
 from .transport import derive_seed
-
-CASE_ORDER = (SERVER_TO_CLIENT_DROP, NO_PACKETS_DROPPED,
-              CLIENT_TO_SERVER_DROP, ERROR)
 
 SERVER_TYPE_BY_ROLE = {"tor-relay": "Tor-Relay", "tor-dir": "Tor-Dir",
                        "web": "Web", "client": "Client"}
@@ -261,7 +253,7 @@ def case_table(rows: Iterable[CaseRow]) -> dict:
     table: dict[tuple, dict] = {}
     for row in rows:
         key = (row.client_region, row.server_type)
-        cell = table.setdefault(key, {v: 0 for v in CASE_ORDER})
+        cell = table.setdefault(key, {v: 0 for v in VARIANTS})
         if row.variant not in cell:
             raise ValueError(f"unknown case variant: {row.variant}")
         cell[row.variant] += 1
@@ -270,14 +262,14 @@ def case_table(rows: Iterable[CaseRow]) -> dict:
 
 def case_table_csv(table: dict) -> list:
     header = ["client_region", "server_type"]
-    for variant in CASE_ORDER:
+    for variant in VARIANTS:
         header += [variant, f"{variant}_pct"]
     out = [header]
     for (region, stype) in sorted(table):
         cell = table[(region, stype)]
         total = sum(cell.values())
         row: list = [region, stype]
-        for variant in CASE_ORDER:
+        for variant in VARIANTS:
             count = cell[variant]
             pct = (100.0 * count / total) if total else 0.0
             row += [count, f"{pct:.2f}"]

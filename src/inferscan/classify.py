@@ -39,6 +39,9 @@ SERVER_TO_CLIENT_DROP = "ServerToClientDrop"
 NO_PACKETS_DROPPED = "NoPacketsDropped"
 CLIENT_TO_SERVER_DROP = "ClientToServerDrop"
 ERROR = "Error"
+#: Every label variant, in the case table's column order.
+VARIANTS = (SERVER_TO_CLIENT_DROP, NO_PACKETS_DROPPED, CLIENT_TO_SERVER_DROP,
+            ERROR)
 
 # Amplitude bands, in IPID increments per spoofed SYN.  The gap between the
 # no-drop band and the client-to-server band is a deliberate rejection zone:

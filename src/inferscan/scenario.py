@@ -284,6 +284,10 @@ def _load_section(scn: Scenario, section: str, sec) -> None:
         if not addr:
             raise ScenarioError("missing addr")
         _check_addr(addr)
+        for other in scn.hosts:
+            if other.addr == addr:
+                raise ScenarioError(
+                    f"addr {addr} already held by [{other.kind} {other.name}]")
         options: dict = {}
         if kind == "client":
             options["ipid_mode"] = sec.get("ipid_mode", "global")

@@ -22,6 +22,7 @@ from .transport import (
     FlowKey,
     TcpSegment,
     Transport,
+    _tuple_new,
     derive_seed,
 )
 
@@ -169,15 +170,17 @@ class _Host:
         self.addr = addr
         self.sent_count = 0
 
-    def on_segment(self, seg: TcpSegment, now: int) -> None:
+    def on_segment(self, now: int, seg: TcpSegment) -> None:
+        """Take one arriving segment; an event, so ``now`` comes first."""
         raise NotImplementedError
 
     def _reply(self, flow: FlowKey, now: int, seq: int, ack: int,
                flags: frozenset, ipid: int) -> None:
         """Send one segment back along the inbound ``flow``."""
         self.sent_count += 1
-        out = TcpSegment(self.addr, flow.src_addr, flow.dst_port, flow.src_port,
-                         seq, ack, flags, 64, ipid, now)
+        out = _tuple_new(TcpSegment, (self.addr, flow.src_addr, flow.dst_port,
+                                      flow.src_port, seq, ack, flags, 64, ipid,
+                                      now))
         self.sim._launch(now, out, self.addr)
 
 
@@ -257,7 +260,7 @@ class SimClient(_Host):
             return value
         return self._rng.getrandbits(16)
 
-    def on_segment(self, seg: TcpSegment, now: int) -> None:
+    def on_segment(self, now: int, seg: TcpSegment) -> None:
         if self._dormant_since is not None:
             self._wake(now)
         self._last_delivery = now
@@ -308,7 +311,8 @@ class SimServer(_Host):
         for entry in self.backlog.values():
             entry.alive = False
         self.backlog.clear()
-        self.sim.emit(now, "host_down", host=self.addr)
+        if self.sim._trace is not None:
+            self.sim.emit(now, "host_down", host=self.addr)
 
     def _is_up(self, now: int) -> bool:
         return not self.down_intervals or not any(
@@ -322,9 +326,10 @@ class SimServer(_Host):
         self._ipid = (self._ipid + 1) & 0xFFFF
         return self._ipid
 
-    def on_segment(self, seg: TcpSegment, now: int) -> None:
+    def on_segment(self, now: int, seg: TcpSegment) -> None:
         if not self._is_up(now):
-            self.sim.emit(now, "drop_offline", host=self.addr)
+            if self.sim._trace is not None:
+                self.sim.emit(now, "drop_offline", host=self.addr)
             return
         flags = seg.flags
         syn, ack, rst = "SYN" in flags, "ACK" in flags, "RST" in flags
@@ -346,13 +351,16 @@ class SimServer(_Host):
         if flow in self.backlog:
             return  # duplicate SYN: entry already pending
         if len(self.backlog) >= self.backlog_capacity:
-            self.sim.emit(now, "drop_backlog_full", host=self.addr)
+            if self.sim._trace is not None:
+                self.sim.emit(now, "drop_backlog_full", host=self.addr)
             return
         entry = BacklogEntry(flow=flow, client_isn=seg.seq,
                              server_isn=self._isn_rng.getrandbits(32), created_at=now)
         self.backlog[flow] = entry
         self.peak_backlog = max(self.peak_backlog, len(self.backlog))
-        self.sim.emit(now, "backlog_insert", host=self.addr, size=len(self.backlog))
+        if self.sim._trace is not None:
+            self.sim.emit(now, "backlog_insert", host=self.addr,
+                          size=len(self.backlog))
         self._send_synack(entry, now)
         self.sim.schedule(now + self.backoff_ns[0], self._retransmit_check, entry)
 
@@ -370,8 +378,9 @@ class SimServer(_Host):
             return
         entry.retransmissions_done += 1
         self._send_synack(entry, now)
-        self.sim.emit(now, "retransmit", host=self.addr,
-                      n=entry.retransmissions_done)
+        if self.sim._trace is not None:
+            self.sim.emit(now, "retransmit", host=self.addr,
+                          n=entry.retransmissions_done)
         done = entry.retransmissions_done
         if done < self.max_retransmissions:
             self.sim.schedule(now + self.backoff_ns[done], self._retransmit_check, entry)
@@ -388,8 +397,9 @@ class SimServer(_Host):
     def _remove(self, entry: BacklogEntry, now: int, reason: str) -> None:
         entry.alive = False
         self.backlog.pop(entry.flow, None)
-        self.sim.emit(now, "backlog_remove", host=self.addr, reason=reason,
-                      size=len(self.backlog))
+        if self.sim._trace is not None:
+            self.sim.emit(now, "backlog_remove", host=self.addr, reason=reason,
+                          size=len(self.backlog))
 
     def _on_rst(self, seg: TcpSegment, now: int) -> None:
         entry = self.backlog.get(seg.flow)
@@ -411,7 +421,7 @@ class _MonitorHost(_Host):
         super().__init__(sim, addr)
         self.deliver: Optional[Callable[[int, TcpSegment], None]] = None
 
-    def on_segment(self, seg: TcpSegment, now: int) -> None:
+    def on_segment(self, now: int, seg: TcpSegment) -> None:
         if self.deliver is not None:
             self.deliver(now, seg)
 
@@ -478,13 +488,13 @@ class Simulator:
     # -- construction --------------------------------------------------------
 
     def add_client(self, addr: str, **kwargs) -> SimClient:
+        self._vacant(addr)
         host = self.hosts[addr] = SimClient(self, addr, **kwargs)
-        self._plans.clear()  # the client<->server path may now apply
         return host
 
     def add_server(self, addr: str, **kwargs) -> SimServer:
+        self._vacant(addr)
         host = self.hosts[addr] = SimServer(self, addr, **kwargs)
-        self._plans.clear()
         return host
 
     def add_monitor(self, addr: str) -> _MonitorHost:
@@ -492,11 +502,19 @@ class Simulator:
         held by a client or server raises ValueError."""
         host = self.hosts.get(addr)
         if host is None:
-            host = _MonitorHost(self, addr)
-            self.hosts[addr] = host
+            self._vacant(addr)
+            host = self.hosts[addr] = _MonitorHost(self, addr)
         if not isinstance(host, _MonitorHost):
             raise ValueError(f"{addr} already assigned to a non-monitor host")
         return host
+
+    def _vacant(self, addr: str) -> None:
+        """Raise ValueError if a host holds ``addr``: route plans bind the
+        host at each address, so an address keeps its first host.  Otherwise
+        clear the plans, since a new host changes routes and receivers."""
+        if addr in self.hosts:
+            raise ValueError(f"{addr} already assigned to a host")
+        self._plans.clear()
 
     def add_path(self, a: str, b: str, hops=(), delay_ns: Optional[int] = None,
                  loss_rate: float = 0.0, filtered: bool = False) -> SimPath:
@@ -561,7 +579,7 @@ class Simulator:
 
     def emit(self, t: int, ev: str, **fields) -> None:
         """Hand one event record to the trace sink; a no-op without one.
-        Hot call sites test ``_trace`` first, to skip building the fields."""
+        Call sites test ``_trace`` first, to skip building the fields."""
         if self._trace is not None:
             self._trace({"t": t, "ev": ev, **fields})
 
@@ -581,18 +599,31 @@ class Simulator:
     def _plan(self, origin: str, dst: str) -> tuple:
         """Route plan from origin to dst, built on first use: the path, its
         ``(hop, physical index, delay from launch, rules)`` steps in travel
-        order, whether any step has rules, the end-to-end delay, and the
-        path's loss generator (None when lossless; both directions share
-        one).  A step's rules are a policy of the rules placed at its
-        index, in policy order, or None when there are none (always on an
-        unfiltered path).  Adding a host or a path, or changing the rules,
-        clears the cache."""
+        order, whether any step has rules, the end-to-end delay, the path's
+        loss generator (None when lossless; both directions share one), and
+        the receiver that takes each arrival as an event.
+
+        A step's rules are a policy of the rules placed at its index that
+        can match a segment to ``dst``, in policy order, or None when there
+        are none (always on an unfiltered path).  Every segment on the plan
+        goes to ``dst``, so a ``client->server`` rule naming another address
+        never matches; ``server->client`` rules match the source, which a
+        spoofed segment sets freely, so they all stay.
+
+        The receiver is the handler of the host at ``dst``.  With a trace
+        sink, or no host there, it is ``_deliver``, which emits the delivery
+        and looks the host up on arrival.  Adding a host or a path, or
+        changing the rules, clears the cache."""
         plan = self._plans.get((origin, dst))
         if plan is None:
             path = self._route(origin, dst)
             direction = 1 if path.a == origin else -1
             legs = path.leg_delays()[::direction]
-            rules = self.policy.rules if path.filtered else ()
+            rules = ()
+            if path.filtered:
+                rules = [rule for rule in self.policy.rules
+                         if rule.direction == "server->client"
+                         or rule.addr in (None, dst)]
             steps, elapsed = [], 0
             for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):
                 elapsed += leg
@@ -605,8 +636,12 @@ class Simulator:
                 if loss is None:
                     loss = self._loss_rngs[(path.a, path.b)] = random.Random(
                         derive_seed(self.seed, "loss", path.a, path.b))
+            host = self.hosts.get(dst)
+            receiver = (host.on_segment if host is not None and self._trace is None
+                        else self._deliver)
             plan = self._plans[(origin, dst)] = (
-                path, tuple(steps), any(step[3] for step in steps), sum(legs), loss)
+                path, tuple(steps), any(step[3] for step in steps), sum(legs), loss,
+                receiver)
         return plan
 
     def _launch(self, at: int, seg: TcpSegment, origin: str) -> None:
@@ -620,9 +655,10 @@ class Simulator:
             self.emit(at, "send", src=seg.src_addr, dst=seg.dst_addr,
                       sport=seg.src_port, dport=seg.dst_port,
                       flags="".join(sorted(seg.flags)), origin=origin)
-        path, steps, ruled, total, loss = self._plan(origin, seg.dst_addr)
+        path, steps, ruled, total, loss, receiver = self._plan(origin, seg.dst_addr)
         if loss is not None and loss.random() < path.loss_rate:
-            self.emit(at, "drop_loss", src=seg.src_addr, dst=seg.dst_addr)
+            if self._trace is not None:
+                self.emit(at, "drop_loss", src=seg.src_addr, dst=seg.dst_addr)
             return
         if ruled or seg.ttl <= len(steps):
             for n, (hop, index, elapsed, rules) in enumerate(steps, 1):
@@ -635,7 +671,7 @@ class Simulator:
                     if self._trace is not None:
                         self.schedule(t, self._emit_rule_drop, seg, index)
                     return
-        self.schedule(at + total, self._deliver, seg)
+        self.schedule(at + total, receiver, seg)
 
     def _emit_rule_drop(self, now: int, seg: TcpSegment, hop: int) -> None:
         self.emit(now, "drop_rule", src=seg.src_addr, dst=seg.dst_addr,
@@ -645,7 +681,9 @@ class Simulator:
                       elapsed: int) -> None:
         """Hop responds to an expired probe; notification carries the probe's
         seq in its ack field (the quoted-header convention) and src_port 0."""
-        self.emit(now, "ttl_exceeded", hop=hop.addr, dst=seg.src_addr, ttl=seg.ttl)
+        if self._trace is not None:
+            self.emit(now, "ttl_exceeded", hop=hop.addr, dst=seg.src_addr,
+                      ttl=seg.ttl)
         reply = TcpSegment(hop.addr, seg.src_addr, 0, seg.src_port, 0, seg.seq,
                            _RST, 64, 0, now)
         # Return trip retraces the forward legs walked so far.
@@ -654,10 +692,11 @@ class Simulator:
     def _deliver(self, now: int, seg: TcpSegment) -> None:
         target = self.hosts.get(seg.dst_addr)
         if target is None:
-            self.emit(now, "drop_unrouted", dst=seg.dst_addr)
+            if self._trace is not None:
+                self.emit(now, "drop_unrouted", dst=seg.dst_addr)
             return
         if self._trace is not None:
             self.emit(now, "deliver", src=seg.src_addr, dst=seg.dst_addr,
                       sport=seg.src_port, dport=seg.dst_port,
                       flags="".join(sorted(seg.flags)), ipid=seg.ipid)
-        target.on_segment(seg, now)
+        target.on_segment(now, seg)

@@ -21,8 +21,9 @@ from .backlog import (
     REASON_OFFLINE,
     BacklogScanRecord,
 )
+from .classify import VARIANTS
 from .tracer import TracerouteRun
-from .transport import addr_to_int, int_to_addr
+from .transport import _check_addr, addr_to_int, int_to_addr
 
 SCHEMA_VERSION = 1
 
@@ -229,11 +230,16 @@ def build_idle_record(result, slot: int) -> ScanRecord:
 
 def _read_idle(payload) -> tuple:
     """``(client, server role, label variant)``; the client is its stored
-    ``(addr, lat, lon)``, the key of its series."""
+    ``(addr, lat, lon)``, the key of its series.  The address must be dotted
+    IPv4 and the variant one of classify's, as ``analyze`` needs."""
     client = payload["client"]
     key = (client["addr"], client["lat"], client["lon"])
     hash(key)  # unhashable fields are malformed
-    return key, payload["server"]["role"], payload["label"]["variant"]
+    _check_addr(key[0])
+    variant = payload["label"]["variant"]
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown label variant: {variant!r}")
+    return key, payload["server"]["role"], variant
 
 
 # The backlog dataset's culling rules, in the order backlog.baseline_probe

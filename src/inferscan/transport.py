@@ -108,7 +108,8 @@ class TcpSegment(NamedTuple):
 
     @property
     def flow(self) -> FlowKey:
-        return FlowKey(self.src_addr, self.src_port, self.dst_addr, self.dst_port)
+        return _tuple_new(FlowKey, (self.src_addr, self.src_port,
+                                    self.dst_addr, self.dst_port))
 
     def has(self, *names: str) -> bool:
         return self.flags.issuperset(names)

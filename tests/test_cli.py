@@ -382,6 +382,29 @@ class TestPruneAndAnalyze:
             {"kind": kind, "failed": [],
              "payload": f"record 3 ({kind}) has a malformed payload: {why}"}]
 
+    @pytest.mark.parametrize("field, value, why", [
+        ("client", "notanaddr", "invalid IPv4 address: 'notanaddr'"),
+        ("label", "Bogus", "unknown label variant: 'Bogus'"),
+    ], ids=["client-addr", "label-variant"])
+    def test_prune_discards_idle_record_analyze_cannot_use(
+            self, workspace, capsys, field, value, why):
+        data = self.make_data(workspace)
+        bad = store.load(data)[0]
+        bad.payload[field]["addr" if field == "client" else "variant"] = value
+        with open(data, "a") as fh:
+            fh.write(bad.to_json() + "\n")
+        pruned = workspace / "pruned.jsonl"
+        discards = workspace / "discards.jsonl"
+        code = run(["prune", "--input", data, "--out", pruned,
+                    "--discard-log", discards])
+        assert code == EXIT_OK
+        assert "retained 2/3" in capsys.readouterr().out
+        assert [json.loads(l) for l in discards.read_text().splitlines()] == [
+            {"kind": "IdleScan", "failed": [],
+             "payload": f"record 3 (IdleScan) has a malformed payload: {why}"}]
+        assert run(["analyze", "tables", "--input", pruned,
+                    "--out", workspace / "report.csv"]) == EXIT_OK
+
     def test_analyze_spatial_reads_config(self, workspace):
         clients = workspace / "clients3.csv"
         clients.write_text(

@@ -8,8 +8,14 @@ import random
 
 import pytest
 
-from conftest import CLIENT_EP, SERVER_EP, build_idle_sim
-from inferscan import idlescan, scenario
+from conftest import (
+    CLIENT_EP,
+    SERVER_EP,
+    VPS_ADDR,
+    build_backlog_sim,
+    build_idle_sim,
+)
+from inferscan import backlog, idlescan, scenario
 from inferscan.endpoints import EndpointSpec
 from inferscan.simnet import (
     DORMANT_AFTER_NS,
@@ -22,7 +28,7 @@ from inferscan.simnet import (
     Simulator,
     effective_retransmissions,
 )
-from inferscan.transport import NS_PER_SEC, FlowKey, TcpSegment
+from inferscan.transport import NS_PER_SEC, FlowKey, PacketLog, TcpSegment
 
 MM = "198.51.100.9"
 
@@ -123,6 +129,30 @@ class TestAddMonitor:
             sim.add_monitor("36.10.0.5")
         with pytest.raises(ValueError, match="non-monitor"):
             sim.attach("36.10.0.5")
+
+    @pytest.mark.parametrize("first", ["client", "server", "monitor"])
+    @pytest.mark.parametrize("second", ["client", "server"])
+    def test_client_and_server_take_only_a_free_address(self, first, second):
+        sim = Simulator(seed=1)
+        host = getattr(sim, f"add_{first}")("36.10.0.5")
+        with pytest.raises(ValueError, match="already assigned"):
+            getattr(sim, f"add_{second}")("36.10.0.5")
+        assert sim.hosts == {"36.10.0.5": host}
+
+    def test_monitor_added_after_traffic_receives_it(self):
+        """The first SYN/ACK finds no host at MM; adding the monitor clears
+        the plan that bound no receiver, so the next one is captured."""
+        sim = Simulator(seed=1)
+        sim.add_server(SERVER, open_ports=[9001])
+        sim.add_path(VPS_ADDR, SERVER, delay_ns=10_000_000)
+        vps = sim.attach(VPS_ADDR)
+        send_syn(vps, src=MM, sport=41000)
+        sim.step(NS_PER_SEC // 2)
+        tr = sim.attach(MM)
+        send_syn(vps, src=MM, sport=41001)
+        got = tr.capture([FlowKey(SERVER, 9001, MM, None)], NS_PER_SEC // 2)
+        assert [seg.dst_port for seg in got] == [41001]
+        assert sim._plans[(SERVER, MM)][5] == sim.hosts[MM].on_segment
 
 
 class TestEffectiveRetransmissions:
@@ -553,6 +583,15 @@ hours = 0-5,22-23
             scenario.loads(text)
         assert str(info.value) == f"{header} unknown key: {key}"
 
+    @pytest.mark.parametrize("kind", ["client", "server", "monitor"])
+    def test_two_hosts_at_one_addr_name_both_sections(self, kind):
+        text = (f"[client c1]\naddr = 36.10.0.5\n"
+                f"[{kind} h2]\naddr = 36.10.0.5\n")
+        with pytest.raises(scenario.ScenarioError) as err:
+            scenario.loads(text)
+        assert str(err.value) == (f"[{kind} h2] addr 36.10.0.5 already held "
+                                  "by [client c1]")
+
     def test_duplicate_path_hops_unique(self):
         scn = scenario.loads(self.SCENARIO)
         path = scn.paths[0]
@@ -644,9 +683,47 @@ class TestPinnedTrace:
         blob = json.dumps(trace, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_TRACE_SHA256
 
-    def test_trace_sink_never_perturbs_the_run(self):
+    def test_trace_sink_never_perturbs_the_run(self, tmp_path):
+        """A sink makes every plan deliver through ``_deliver``, which emits
+        each delivery; without one, plans hand arrivals straight to the
+        host's handler.  Captures, verdicts, series and packet logs agree."""
         assert pinned_scenario(trace=[].append) == pinned_scenario()
         assert pinned_scenario() != []
+        plain = backlog_pair(tmp_path / "backlog")
+        assert backlog_pair(tmp_path / "backlog-traced", [].append) == plain
+        assert [r["verdict"] for r in plain[0][1:]] == ["Passes", "Dropped"]
+        plain = idle_scan(tmp_path / "idle")
+        assert idle_scan(tmp_path / "idle-traced", [].append) == plain
+
+
+def backlog_pair(log_dir, trace=None) -> tuple:
+    """Baseline, SYN scan and RST scan of a relay whose firewall drops RSTs:
+    the records and the bytes of both transports' packet logs."""
+    log_dir.mkdir()
+    sim = build_backlog_sim(drop_syn=False, drop_rst=True, trace=trace)
+    mm, vps = (sim.attach(addr, isn_seed=3, packet_log=PacketLog(
+        log_dir / f"{addr}.jsonl")) for addr in (MM, VPS_ADDR))
+    base = backlog.baseline_probe(mm, SERVER_EP)
+    syn = backlog.syn_scan(mm, vps, SERVER_EP, baseline=base)
+    mm.clock.sleep_ns(80 * NS_PER_SEC)
+    rst = backlog.rst_scan(mm, vps, SERVER_EP, baseline=base,
+                           shared_isn_seed=7)
+    mm.close()
+    vps.close()
+    return ([r.to_dict() for r in (base, syn, rst)],
+            [(log_dir / f"{addr}.jsonl").read_bytes() for addr in (MM, VPS_ADDR)])
+
+
+def idle_scan(log_dir, trace=None) -> tuple:
+    """One idle scan of a noisy client behind a server->client rule: its
+    series and the bytes of the prober's packet log."""
+    log_dir.mkdir()
+    sim = build_idle_sim("s2c", seed=17, noise=1.0, trace=trace)
+    tr = sim.attach(MM, isn_seed=31, packet_log=PacketLog(log_dir / "mm.jsonl"))
+    series = idlescan.run_idle_scan(tr, CLIENT_EP, SERVER_EP,
+                                    idlescan.ScanRoundConfig())
+    tr.close()
+    return series.to_dict(), (log_dir / "mm.jsonl").read_bytes()
 
 
 class TestClientServerPath:
@@ -878,3 +955,59 @@ class TestRulesOnThePath:
         got = [(e["t"], e["sport"], e["dport"], e["hop"]) for e in events
                if e["ev"] == "drop_rule"]
         assert sorted(got) == sorted(expected)
+
+
+@pytest.mark.parametrize("trace", [None, [].append], ids=["plain", "traced"])
+class TestRulesPrunedByDestination:
+    """A plan keeps only the rules that can match a segment to its
+    destination; with or without a sink, drops are those of the policy."""
+
+    HOPS = (Hop("10.9.0.1"), Hop("10.9.0.2", "CN"), Hop("10.9.0.3", "CN"))
+    OTHER = "203.0.113.6"
+
+    def world(self, trace, rules=()):
+        sim = Simulator(seed=6, trace=trace)
+        sim.add_client(CLIENT)
+        for server in (SERVER, self.OTHER):
+            sim.add_server(server, open_ports=[9001])
+        sim.set_client_server_path(hops=self.HOPS, delay_ns=30_000_000,
+                                   filtered=True)
+        sim.policy.rules += rules
+        return sim, sim.attach(MM)
+
+    def held(self, sim, tr, sport) -> list:
+        """Servers that keep the half-open entry of a SYN spoofed from the
+        client: the client's RST to the SYN/ACK, sent toward the server on
+        the filtered path, removes it unless a rule drops that RST."""
+        for server in (SERVER, self.OTHER):
+            send_syn(tr, dst=server, src=CLIENT, sport=sport)
+        sim.step(sim.now + NS_PER_SEC // 2)
+        return [s for s in (SERVER, self.OTHER) if sim.server(s).backlog]
+
+    def test_rule_naming_one_server_spares_the_other(self, trace):
+        sim, tr = self.world(trace, [FilterRule(
+            "c2s", "client->server", addr=SERVER, placement_hop=2)])
+        assert self.held(sim, tr, 41000) == [SERVER]
+
+    def test_rule_without_addr_drops_toward_every_server(self, trace):
+        sim, tr = self.world(trace, [FilterRule(
+            "c2s", "client->server", placement_hop=2)])
+        assert self.held(sim, tr, 41000) == [SERVER, self.OTHER]
+
+    def test_server_to_client_rule_drops_a_spoof_from_another_origin(self, trace):
+        sim, tr = self.world(trace, [FilterRule(
+            "s2c", "server->client", addr=SERVER, placement_hop=2)])
+        sim.add_path(MM, CLIENT, hops=self.HOPS, filtered=True)
+        client = sim.client(CLIENT)
+        for src, answered in ((SERVER, 0), (self.OTHER, 1)):
+            tr.send(tr.craft_segment(CLIENT, 443, ("SYN", "ACK"), 9001,
+                                     src_addr=src))
+            sim.step(sim.now + NS_PER_SEC // 2)
+            assert client.sent_count == answered
+
+    def test_rule_appended_between_steps_applies_from_the_next(self, trace):
+        sim, tr = self.world(trace)
+        assert self.held(sim, tr, 41000) == []
+        sim.policy.rules.append(FilterRule(
+            "c2s", "client->server", addr=SERVER, placement_hop=2))
+        assert self.held(sim, tr, 41001) == [SERVER]
