@@ -9,6 +9,7 @@ identical event traces.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
 from typing import Callable, Optional
@@ -22,6 +23,7 @@ from .transport import (
     FlowKey,
     TcpSegment,
     Transport,
+    _arrival,
     _tuple_new,
     derive_seed,
 )
@@ -283,9 +285,10 @@ class SimServer(_Host):
     """Listening host with a half-open connection backlog.
 
     The backlog never exceeds its capacity; a matching RST or a
-    handshake-completing ACK removes exactly one entry; the retransmission
-    budget is recomputed from current occupancy at every retransmission
-    instant (see :func:`effective_retransmissions`).
+    handshake-completing ACK removes exactly one entry; every retransmission
+    instant reads the retransmission budget of the current occupancy (see
+    :func:`effective_retransmissions`), which ``_budget`` holds: it is
+    recomputed wherever the backlog's size changes.
     """
 
     def __init__(self, sim, addr, open_ports=(), backlog_capacity=DEFAULT_BACKLOG_CAPACITY,
@@ -299,6 +302,7 @@ class SimServer(_Host):
         if len(self.backoff_ns) < max_retransmissions:
             raise ValueError("backoff schedule shorter than max_retransmissions")
         self.backlog: dict[FlowKey, BacklogEntry] = {}
+        self._budget = max_retransmissions  # that of an empty backlog
         self.peak_backlog = 0
         self.down_intervals = tuple(down_intervals)  # (start_ns, end_ns) pairs
         self._ipid = derive_seed(sim.seed, "server-ipid", addr) & 0xFFFF
@@ -311,6 +315,7 @@ class SimServer(_Host):
         for entry in self.backlog.values():
             entry.alive = False
         self.backlog.clear()
+        self._budget = self.max_retransmissions
         if self.sim._trace is not None:
             self.sim.emit(now, "host_down", host=self.addr)
 
@@ -321,6 +326,11 @@ class SimServer(_Host):
     @property
     def occupancy(self) -> float:
         return len(self.backlog) / self.backlog_capacity
+
+    def _resized(self) -> None:
+        """Recompute ``_budget`` after an insert or a removal."""
+        self._budget = effective_retransmissions(self.occupancy,
+                                                 self.max_retransmissions)
 
     def _next_ipid(self) -> int:
         self._ipid = (self._ipid + 1) & 0xFFFF
@@ -357,6 +367,7 @@ class SimServer(_Host):
         entry = BacklogEntry(flow=flow, client_isn=seg.seq,
                              server_isn=self._isn_rng.getrandbits(32), created_at=now)
         self.backlog[flow] = entry
+        self._resized()
         self.peak_backlog = max(self.peak_backlog, len(self.backlog))
         if self.sim._trace is not None:
             self.sim.emit(now, "backlog_insert", host=self.addr,
@@ -372,8 +383,7 @@ class SimServer(_Host):
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
         if not entry.alive or not self._is_up(now):
             return
-        budget = effective_retransmissions(self.occupancy, self.max_retransmissions)
-        if entry.retransmissions_done >= budget:
+        if entry.retransmissions_done >= self._budget:
             self._remove(entry, now, "pruned")
             return
         entry.retransmissions_done += 1
@@ -397,6 +407,7 @@ class SimServer(_Host):
     def _remove(self, entry: BacklogEntry, now: int, reason: str) -> None:
         entry.alive = False
         self.backlog.pop(entry.flow, None)
+        self._resized()
         if self.sim._trace is not None:
             self.sim.emit(now, "backlog_remove", host=self.addr, reason=reason,
                           size=len(self.backlog))
@@ -414,16 +425,22 @@ class SimServer(_Host):
 
 
 class _MonitorHost(_Host):
-    """Unbound measurement address: never auto-responds.  Arrivals go to the
-    attached transport's queue, or are absorbed while none is attached."""
+    """Unbound measurement address: never auto-responds.
+
+    Without a trace sink, a segment launched toward it while a transport is
+    attached goes into that transport's queue at launch, stamped with its
+    arrival time, and takes no event.  Otherwise it arrives as an event
+    here: it goes to the transport attached by then, or is absorbed while
+    none is.
+    """
 
     def __init__(self, sim, addr):
         super().__init__(sim, addr)
-        self.deliver: Optional[Callable[[int, TcpSegment], None]] = None
+        self.transport: Optional[SimTransport] = None
 
     def on_segment(self, now: int, seg: TcpSegment) -> None:
-        if self.deliver is not None:
-            self.deliver(now, seg)
+        if self.transport is not None:
+            self.transport._enqueue(now, seg)
 
 
 class SimClock(Clock):
@@ -445,8 +462,15 @@ class SimClock(Clock):
 
 
 class SimTransport(Transport):
-    """Transport backend attached to a monitor address inside the simulator;
-    the monitor host queues each arrival as it is delivered."""
+    """Transport backend attached to a monitor address inside the simulator.
+
+    Segments launched toward the monitor enter the queue at launch (see
+    :class:`_MonitorHost`); a capture claims only those due by the end of
+    its window.  A transport that attaches to a monitor holding another
+    takes over the arrivals not yet due, as the last one attached receives
+    every later arrival.  A send due now enters the wire at once; a later
+    one waits on the event heap for its slot.
+    """
 
     supports_spoofing = True
 
@@ -454,14 +478,34 @@ class SimTransport(Transport):
         self._sim = sim
         self._clock = SimClock(sim)
         super().__init__(local_addr=local_addr, **kwargs)
-        sim.add_monitor(local_addr).deliver = self._enqueue
+        monitor = sim.add_monitor(local_addr)
+        if monitor.transport is not None:
+            self._take_over(monitor.transport)
+        monitor.transport = self
 
     @property
     def clock(self) -> Clock:
         return self._clock
 
+    def _take_over(self, other: "SimTransport") -> None:
+        """Move the arrivals not yet due from ``other``'s queue to this one."""
+        now = self._sim.now
+        for port, bucket in list(other._pending.items()):
+            due = bisect_right(bucket, now, key=_arrival)
+            for arrival, seg in bucket[due:]:
+                self._enqueue(arrival, seg)
+            if due:
+                del bucket[due:]
+            else:
+                del other._pending[port]
+
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
-        self._sim.schedule(at_ns, self._sim._launch, seg, self.local_addr)
+        sim = self._sim
+        if at_ns == sim.now:
+            sim._sync_rules()
+            sim._launch(at_ns, seg, self.local_addr)
+        else:
+            sim.schedule(at_ns, sim._launch, seg, self.local_addr)
 
 
 class Simulator:
@@ -559,20 +603,27 @@ class Simulator:
     def step(self, until: int) -> None:
         """Process all events with timestamp <= until.
 
-        ``policy.rules`` may change between steps: a change clears the
-        route plans, which hold each hop's rules."""
+        ``policy.rules`` may change between steps (see :meth:`_sync_rules`).
+        """
         if until < self.now:
             raise ValueError("cannot step backwards")
-        rules = tuple(self.policy.rules)
-        if rules != self._rules:
-            self._rules = rules
-            self._plans.clear()
+        self._sync_rules()
         heap = self._heap
         while heap and heap[0][0] <= until:
             t, _, fn, args = heappop(heap)
             self.now = t
             fn(t, *args)
         self.now = until
+
+    def _sync_rules(self) -> None:
+        """Clear the route plans, which hold each hop's rules, if
+        ``policy.rules`` changed since they were built.  ``step`` checks
+        first, and so does a transport's send due now before it enters the
+        wire: a segment meets the rules in force when it is launched."""
+        rules = tuple(self.policy.rules)
+        if rules != self._rules:
+            self._rules = rules
+            self._plans.clear()
 
     def hour_at(self, t: int) -> int:
         return int((t // HOUR_NS + self.hour0) % 24)
@@ -597,11 +648,14 @@ class Simulator:
         return SimPath(a=origin, b=dst, one_way_delay_ns=self.default_delay_ns)
 
     def _plan(self, origin: str, dst: str) -> tuple:
-        """Route plan from origin to dst, built on first use: the path, its
-        ``(hop, physical index, delay from launch, rules)`` steps in travel
-        order, whether any step has rules, the end-to-end delay, the path's
-        loss generator (None when lossless; both directions share one), and
-        the receiver that takes each arrival as an event.
+        """Build and cache the route plan from origin to dst; ``_launch``
+        reads ``_plans`` and calls here on a miss.  A plan holds the path,
+        its ``(hop, physical index, delay from launch, rules)`` steps in
+        travel order, whether any step has rules, the end-to-end delay, the
+        path's loss generator (None when lossless; both directions share
+        one), the receiver that takes an arrival as an event, and the
+        monitor host whose transport takes arrivals at launch instead (None
+        when ``dst`` holds no monitor, or a trace sink is attached).
 
         A step's rules are a policy of the rules placed at its index that
         can match a segment to ``dst``, in policy order, or None when there
@@ -612,36 +666,35 @@ class Simulator:
 
         The receiver is the handler of the host at ``dst``.  With a trace
         sink, or no host there, it is ``_deliver``, which emits the delivery
-        and looks the host up on arrival.  Adding a host or a path, or
-        changing the rules, clears the cache."""
-        plan = self._plans.get((origin, dst))
-        if plan is None:
-            path = self._route(origin, dst)
-            direction = 1 if path.a == origin else -1
-            legs = path.leg_delays()[::direction]
-            rules = ()
-            if path.filtered:
-                rules = [rule for rule in self.policy.rules
-                         if rule.direction == "server->client"
-                         or rule.addr in (None, dst)]
-            steps, elapsed = [], 0
-            for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):
-                elapsed += leg
-                here = [rule for rule in rules if rule.placement_hop == index]
-                steps.append((hop, index, elapsed,
-                              FirewallPolicy(here) if here else None))
-            loss = None
-            if path.loss_rate > 0:
-                loss = self._loss_rngs.get((path.a, path.b))
-                if loss is None:
-                    loss = self._loss_rngs[(path.a, path.b)] = random.Random(
-                        derive_seed(self.seed, "loss", path.a, path.b))
-            host = self.hosts.get(dst)
-            receiver = (host.on_segment if host is not None and self._trace is None
-                        else self._deliver)
-            plan = self._plans[(origin, dst)] = (
-                path, tuple(steps), any(step[3] for step in steps), sum(legs), loss,
-                receiver)
+        and looks the host up on arrival.  A monitor's receiver serves the
+        segments launched while no transport is attached to it.  Adding a
+        host or a path, or changing the rules, clears the cache."""
+        path = self._route(origin, dst)
+        direction = 1 if path.a == origin else -1
+        legs = path.leg_delays()[::direction]
+        rules = ()
+        if path.filtered:
+            rules = [rule for rule in self.policy.rules
+                     if rule.direction == "server->client"
+                     or rule.addr in (None, dst)]
+        steps, elapsed = [], 0
+        for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):
+            elapsed += leg
+            here = [rule for rule in rules if rule.placement_hop == index]
+            steps.append((hop, index, elapsed,
+                          FirewallPolicy(here) if here else None))
+        loss = None
+        if path.loss_rate > 0:
+            loss = self._loss_rngs.get((path.a, path.b))
+            if loss is None:
+                loss = self._loss_rngs[(path.a, path.b)] = random.Random(
+                    derive_seed(self.seed, "loss", path.a, path.b))
+        host = self.hosts.get(dst)
+        untraced = host is not None and self._trace is None
+        plan = self._plans[(origin, dst)] = (
+            path, tuple(steps), any(step[3] for step in steps), sum(legs), loss,
+            host.on_segment if untraced else self._deliver,
+            host if untraced and type(host) is _MonitorHost else None)
         return plan
 
     def _launch(self, at: int, seg: TcpSegment, origin: str) -> None:
@@ -649,13 +702,18 @@ class Simulator:
 
         Routing uses the physical origin, not the header source, so spoofed
         segments travel the sender's path.  The whole traversal is resolved
-        here; outcome events are scheduled at their future times.
+        here; outcome events are scheduled at their future times, and an
+        arrival at a monitor goes into its transport's queue at once (see
+        :class:`_MonitorHost`).
         """
         if self._trace is not None:
             self.emit(at, "send", src=seg.src_addr, dst=seg.dst_addr,
                       sport=seg.src_port, dport=seg.dst_port,
                       flags="".join(sorted(seg.flags)), origin=origin)
-        path, steps, ruled, total, loss, receiver = self._plan(origin, seg.dst_addr)
+        plan = self._plans.get((origin, seg.dst_addr))
+        if plan is None:
+            plan = self._plan(origin, seg.dst_addr)
+        path, steps, ruled, total, loss, receiver, monitor = plan
         if loss is not None and loss.random() < path.loss_rate:
             if self._trace is not None:
                 self.emit(at, "drop_loss", src=seg.src_addr, dst=seg.dst_addr)
@@ -671,7 +729,10 @@ class Simulator:
                     if self._trace is not None:
                         self.schedule(t, self._emit_rule_drop, seg, index)
                     return
-        self.schedule(at + total, receiver, seg)
+        if monitor is not None and monitor.transport is not None:
+            monitor.transport._enqueue(at + total, seg)
+        else:
+            self.schedule(at + total, receiver, seg)
 
     def _emit_rule_drop(self, now: int, seg: TcpSegment, hop: int) -> None:
         self.emit(now, "drop_rule", src=seg.src_addr, dst=seg.dst_addr,
@@ -686,8 +747,14 @@ class Simulator:
                       ttl=seg.ttl)
         reply = TcpSegment(hop.addr, seg.src_addr, 0, seg.src_port, 0, seg.seq,
                            _RST, 64, 0, now)
-        # Return trip retraces the forward legs walked so far.
-        self.schedule(now + elapsed, self._deliver, reply)
+        # Return trip retraces the forward legs walked so far.  A reply to a
+        # monitor takes the same way into its queue as a launched segment.
+        target = self.hosts.get(seg.src_addr)
+        if (self._trace is None and type(target) is _MonitorHost
+                and target.transport is not None):
+            target.transport._enqueue(now + elapsed, reply)
+        else:
+            self.schedule(now + elapsed, self._deliver, reply)
 
     def _deliver(self, now: int, seg: TcpSegment) -> None:
         target = self.hosts.get(seg.dst_addr)

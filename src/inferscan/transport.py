@@ -6,8 +6,9 @@ for live use.  Scan logic is written against :class:`Transport` and a
 :class:`Clock`, so the same code runs on virtual or wall-clock time.
 
 Arrivals wait in a queue indexed by destination port (the prober's own
-port) until a capture claims them; callers sharing a transport own disjoint
-flow filters.  Arrivals older than :data:`PENDING_HORIZON_NS` are expired.
+port), in arrival order, until a capture claims them once they are due;
+callers sharing a transport own disjoint flow filters.  Arrivals older than
+:data:`PENDING_HORIZON_NS` are expired.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import socket
 import struct
 import threading
+from bisect import bisect_right, insort_right
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 NS_PER_SEC = 1_000_000_000
@@ -28,8 +31,17 @@ PENDING_HORIZON_NS = 60 * NS_PER_SEC
 FLAG_BITS = {"SYN": 0x02, "ACK": 0x10, "RST": 0x04, "FIN": 0x01}
 _FLAG_NAMES = frozenset(FLAG_BITS)
 
+#: How many valid addresses ``_check_addr`` remembers.  A scan crafts its
+#: segments between a few addresses, so each is parsed once, not per segment.
+ADDR_MEMO_SIZE = 256
+
 # Builds a named tuple from a finished tuple, without its Python-level __new__.
 _tuple_new = tuple.__new__
+
+# Sort key of a capture-queue entry ``(arrival, segment)``.
+_arrival = itemgetter(0)
+
+_valid_addrs: dict = {}  # the memo of _check_addr, oldest first
 
 
 class TransportError(Exception):
@@ -49,12 +61,23 @@ class InvalidSegmentError(TransportError, ValueError):
 
 
 def _check_addr(addr: str) -> str:
+    """``addr`` if it is a dotted-quad IPv4 address, else raise
+    InvalidSegmentError.  Remembers up to ADDR_MEMO_SIZE valid addresses;
+    only a plain ``str`` is looked up, so any other input, unhashable ones
+    included, is parsed and fails as it always did."""
+    plain = type(addr) is str
+    if plain and addr in _valid_addrs:
+        return addr
     try:
         socket.inet_aton(addr)
     except (OSError, TypeError) as exc:
         raise InvalidSegmentError(f"invalid IPv4 address: {addr!r}") from exc
     if addr.count(".") != 3:
         raise InvalidSegmentError(f"invalid IPv4 address: {addr!r}")
+    if plain:
+        if len(_valid_addrs) >= ADDR_MEMO_SIZE:
+            del _valid_addrs[next(iter(_valid_addrs))]
+        _valid_addrs[addr] = None
     return addr
 
 
@@ -143,12 +166,12 @@ def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  The JSON record round-trips every field (this is the packet
-# log format); the wire codec emits minimal IPv4+TCP headers for live use.
+# Serialization.  The packet log writes one JSON record of every field per
+# segment; the wire codec emits minimal IPv4+TCP headers for live use.
 # ---------------------------------------------------------------------------
 
 def _segment_record(seg: TcpSegment) -> dict:
-    """The JSON record of ``seg``, before encoding."""
+    """The packet-log record of ``seg``, before encoding."""
     return {
         "src_addr": seg.src_addr,
         "src_port": seg.src_port,
@@ -165,26 +188,6 @@ def _segment_record(seg: TcpSegment) -> dict:
 
 def _dumps(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
-
-def segment_to_json(seg: TcpSegment) -> str:
-    return _dumps(_segment_record(seg))
-
-
-def segment_from_json(line: str) -> TcpSegment:
-    rec = json.loads(line)
-    return TcpSegment(
-        src_addr=rec["src_addr"],
-        dst_addr=rec["dst_addr"],
-        src_port=rec["src_port"],
-        dst_port=rec["dst_port"],
-        seq=rec["seq"],
-        ack=rec["ack"],
-        flags=frozenset(rec["flags"]),
-        ttl=rec["ttl"],
-        ipid=rec["ipid"],
-        timestamp=rec["timestamp"],
-    )
 
 
 def _inet_checksum(data: bytes) -> int:
@@ -333,13 +336,17 @@ class PacketLog:
 class Transport:
     """Common backend behavior: crafting, rate pacing, logging, demux.
 
-    A backend hands each arrival to :meth:`_enqueue` as it happens.
-    Unclaimed arrivals wait in ``_pending``, one bucket per destination port
-    holding ``(arrival, segment)`` in arrival order.  ``expired`` counts
-    arrivals dropped unclaimed once they are older than
-    :data:`PENDING_HORIZON_NS`.  A backend that receives on a thread of its
-    own calls ``_enqueue`` holding ``_lock``, which ``capture`` holds while
-    it expires and claims, but not while it waits.
+    A backend hands each arrival to :meth:`_enqueue`: the live backend as
+    it happens, the simulator as soon as the segment is launched, stamped
+    with the time it will arrive.  Unclaimed arrivals wait in ``_pending``,
+    one bucket per destination port holding ``(arrival, segment)`` in
+    arrival order, ties in the order they were queued.  An arrival is due
+    once the clock reaches it; only due arrivals are counted by ``queued``
+    or claimed by ``capture``.  ``expired`` counts arrivals dropped
+    unclaimed once they are older than :data:`PENDING_HORIZON_NS`.  A
+    backend that receives on a thread of its own calls ``_enqueue`` holding
+    ``_lock``, which ``capture`` holds while it expires and claims, but not
+    while it waits.
     """
 
     #: set by subclasses
@@ -370,17 +377,29 @@ class Transport:
     # -- capture queue -------------------------------------------------------
 
     def _enqueue(self, arrival: int, seg: TcpSegment) -> None:
-        """Queue one arrival and expire the stale head of its bucket.
+        """Queue ``seg``, due at ``arrival``, and expire the stale head of
+        its bucket.
 
+        The entry goes after every queued one due no later, so a bucket
+        stays in arrival order with ties in the order they were queued.
         During a capture the horizon counts back from the capture's start,
-        otherwise from this arrival.
+        otherwise from the earlier of now and ``arrival`` (the simulator
+        queues at launch, before the arrival; the live backend just after
+        it).  A head less than a horizon older than ``arrival`` is therefore
+        kept without reading the clock.
         """
         bucket = self._pending.get(seg.dst_port)
+        entry = (arrival, seg)
         if bucket is None:
-            bucket = self._pending[seg.dst_port] = []
-        bucket.append((arrival, seg))
-        since = arrival if self._window_start is None else self._window_start
-        if bucket[0][0] < since - PENDING_HORIZON_NS:
+            self._pending[seg.dst_port] = [entry]
+            return
+        if bucket[-1][0] <= arrival:
+            bucket.append(entry)
+        else:
+            insort_right(bucket, entry, key=_arrival)
+        if bucket[0][0] < arrival - PENDING_HORIZON_NS:
+            since = (min(arrival, self.clock.now_ns())
+                     if self._window_start is None else self._window_start)
             self._expire(seg.dst_port, since - PENDING_HORIZON_NS)
 
     def _expire(self, port: int, cutoff: int) -> None:
@@ -397,9 +416,12 @@ class Transport:
 
     @property
     def queued(self) -> int:
-        """Arrivals waiting for a capture to claim them."""
+        """Due arrivals waiting for a capture to claim them; those still on
+        their way are not counted."""
         with self._lock:
-            return sum(map(len, self._pending.values()))
+            now = self.clock.now_ns()
+            return sum(bisect_right(bucket, now, key=_arrival)
+                       for bucket in self._pending.values())
 
     # -- public API ---------------------------------------------------------
 
@@ -440,8 +462,10 @@ class Transport:
     def capture(self, flows: Iterable[FlowKey], window_ns: int) -> list[TcpSegment]:
         """Advance by window_ns; return matching arrivals in arrival order.
 
-        Non-matching segments stay queued for other callers' filters, until
-        they are more than PENDING_HORIZON_NS older than this call's start.
+        Only arrivals due by the end of the window, the clock's time once
+        it has waited, are claimed; later ones stay queued.  Non-matching
+        segments stay queued for other callers' filters, until they are
+        more than PENDING_HORIZON_NS older than a capture's start.
         Only the buckets of the filters' destination ports are searched; a
         filter without one searches them all.  Arrivals in the same
         nanosecond on different ports come back in the filters' port order.
@@ -465,6 +489,7 @@ class Transport:
         ports = dict.fromkeys(f.dst_port for f in filters)
         hits = []
         with self._lock:
+            end = self.clock.now_ns()
             if None in ports:
                 ports = list(self._pending)
             for port in ports:
@@ -472,8 +497,9 @@ class Transport:
                 if bucket is None:
                     continue
                 mine = [f for f in filters if f.dst_port in (port, None)]
+                due = bisect_right(bucket, end, key=_arrival)
                 kept = []
-                for entry in bucket:
+                for entry in bucket[:due]:
                     seg = entry[1]
                     flow = (seg.src_addr, seg.src_port, seg.dst_addr,
                             seg.dst_port)
@@ -483,11 +509,12 @@ class Transport:
                             break
                     else:
                         kept.append(entry)
+                kept += bucket[due:]
                 if kept:
                     self._pending[port] = kept
                 else:
                     del self._pending[port]
-        hits.sort(key=lambda entry: entry[0])  # stable: ties keep port order
+        hits.sort(key=_arrival)  # stable: ties keep port order
         out = [seg.stamped(arrival) for arrival, seg in hits]
         if self._log:
             for seg in out:

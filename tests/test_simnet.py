@@ -119,8 +119,8 @@ class TestAddMonitor:
         sim = Simulator(seed=1)
         host = sim.add_monitor(MM)
         assert sim.add_monitor(MM) is host
-        sim.attach(MM)  # takes over the monitor a scenario declared
-        assert sim.hosts[MM] is host and host.deliver is not None
+        tr = sim.attach(MM)  # takes over the monitor a scenario declared
+        assert sim.hosts[MM] is host and host.transport is tr
 
     def test_client_address_refused(self):
         sim = Simulator(seed=1)
@@ -141,7 +141,8 @@ class TestAddMonitor:
 
     def test_monitor_added_after_traffic_receives_it(self):
         """The first SYN/ACK finds no host at MM; adding the monitor clears
-        the plan that bound no receiver, so the next one is captured."""
+        the plan that bound no receiver, so the next one is captured, and so
+        is every later retransmission, the first flow's included."""
         sim = Simulator(seed=1)
         sim.add_server(SERVER, open_ports=[9001])
         sim.add_path(VPS_ADDR, SERVER, delay_ns=10_000_000)
@@ -152,7 +153,88 @@ class TestAddMonitor:
         send_syn(vps, src=MM, sport=41001)
         got = tr.capture([FlowKey(SERVER, 9001, MM, None)], NS_PER_SEC // 2)
         assert [seg.dst_port for seg in got] == [41001]
-        assert sim._plans[(SERVER, MM)][5] == sim.hosts[MM].on_segment
+        got = tr.capture([FlowKey(SERVER, 9001, MM, None)], NS_PER_SEC)
+        assert [seg.dst_port for seg in got] == [41000, 41001]
+
+
+class TestArrivalsAtLaunch:
+    """Without a sink, a segment launched toward a monitor enters its
+    transport's queue at launch, stamped with its arrival time; a capture
+    claims only what is due by the end of its window."""
+
+    NEAR, NEAR_TOO, FAR = "36.10.0.5", "36.10.0.6", "36.10.0.7"
+
+    def world(self, trace=None):
+        sim = Simulator(seed=8, trace=trace)
+        for client, delay_ms in ((self.NEAR, 5), (self.NEAR_TOO, 5), (self.FAR, 30)):
+            sim.add_client(client)
+            sim.add_path(MM, client, delay_ns=delay_ms * 1_000_000)
+        return sim, sim.attach(MM)
+
+    @staticmethod
+    def probe(tr, client, sport=40000):
+        """A SYN/ACK that the client answers with an RST to ``sport``."""
+        tr.send(tr.craft_segment(client, 443, ("SYN", "ACK"), sport))
+
+    @pytest.mark.parametrize("trace", [None, [].append], ids=["plain", "traced"])
+    @pytest.mark.parametrize("first", [NEAR, NEAR_TOO])
+    def test_arrival_order_with_ties_in_launch_order(self, trace, first):
+        """The far client's RST is launched first but due last; the two
+        near ones are due at the same nanosecond."""
+        sim, tr = self.world(trace)
+        second = self.NEAR_TOO if first == self.NEAR else self.NEAR
+        self.probe(tr, self.FAR)  # RST launched at 30 ms, due at 60 ms
+        tr.clock.sleep_ns(40_000_000)
+        self.probe(tr, first)  # RST launched at 45 ms, due at 50 ms
+        self.probe(tr, second)  # launched next, due at the same nanosecond
+        port = [FlowKey(None, None, MM, 40000)]
+        got = [[(seg.src_addr, seg.timestamp) for seg in tr.capture(port, window)]
+               for window in (15_000_000, NS_PER_SEC)]
+        assert got == [[(first, 50_000_000), (second, 50_000_000)],
+                       [(self.FAR, 60_000_000)]]
+
+    def test_capture_leaves_what_is_due_after_its_end(self):
+        sim, tr = self.world()
+        flow = FlowKey(self.FAR, 443, MM, 40000)
+        self.probe(tr, self.FAR)
+        assert tr.capture([flow], 59_999_999) == []
+        assert tr.queued == 0  # launched at 30 ms, due at 60 ms
+        sim.step(60_000_000)
+        assert tr.queued == 1
+        got = tr.capture([flow], 0)
+        assert [seg.timestamp for seg in got] == [60_000_000]
+        assert tr.queued == 0
+
+    @pytest.mark.parametrize("earlier", [False, True],
+                             ids=["first-transport", "second-transport"])
+    def test_transport_attached_in_flight_captures(self, earlier):
+        """A SYN/ACK in flight to MM goes to the transport attached to MM
+        when it arrives, whether or not another was attached at launch."""
+        sim = Simulator(seed=1)
+        sim.add_server(SERVER, open_ports=[9001])
+        old = sim.attach(MM) if earlier else sim.add_monitor(MM)
+        vps = sim.attach(VPS_ADDR)
+        send_syn(vps, src=MM, sport=41000)
+        sim.step(15_000_000)  # the SYN/ACK left at 10 ms, arrives at 20 ms
+        tr = sim.attach(MM)
+        flow = FlowKey(SERVER, 9001, MM, 41000)
+        got = tr.capture([flow], 10_000_000)
+        assert [seg.timestamp for seg in got] == [20_000_000]
+        if earlier:
+            assert old.capture([flow], 0) == [] and old.queued == 0
+
+    @pytest.mark.parametrize("trace", [None, [].append], ids=["plain", "traced"])
+    def test_send_due_now_meets_the_rules_in_force_at_the_send(self, trace):
+        sim = Simulator(seed=3, trace=trace)
+        server = sim.add_server(SERVER, open_ports=[9001])
+        sim.add_path(MM, SERVER, hops=[Hop("10.9.0.1")], filtered=True)
+        tr = sim.attach(MM)
+        send_syn(tr, sport=41000)
+        sim.policy.rules.append(FilterRule(
+            "syn", "client->server", addr=SERVER, flags=frozenset(["SYN"])))
+        send_syn(tr, sport=41001)
+        sim.step(NS_PER_SEC // 2)
+        assert [flow.src_port for flow in server.backlog] == [41000]
 
 
 class TestEffectiveRetransmissions:
@@ -251,6 +333,29 @@ class TestBacklog:
         sim.step(NS_PER_SEC)
         assert srv.peak_backlog == 16
         assert any(e["ev"] == "drop_backlog_full" for e in events)
+
+    def test_budget_follows_every_change_in_size(self):
+        """``_budget`` is recomputed only where the backlog's size changes;
+        after every insert, removal and restart it equals the budget of the
+        current occupancy, as reading it afresh would give."""
+        rng = random.Random(12)
+        sim = Simulator(seed=12)
+        srv = sim.add_server(SERVER, open_ports=[9001], backlog_capacity=8)
+        for i in range(600):
+            op = rng.choice(("syn", "syn", "syn", "remove", "down", "step"))
+            if op == "syn":
+                srv.on_segment(sim.now, TcpSegment(
+                    CLIENT, SERVER, 41000 + i, 9001, i, 0, frozenset(["SYN"]),
+                    64, 0, sim.now))
+            elif op == "remove" and srv.backlog:
+                entry = rng.choice(list(srv.backlog.values()))
+                srv._remove(entry, sim.now, "rst")
+            elif op == "down":
+                srv._go_down(sim.now)
+            else:  # retransmission checks prune and expire entries
+                sim.step(sim.now + rng.randrange(4 * NS_PER_SEC))
+            assert srv._budget == effective_retransmissions(
+                srv.occupancy, srv.max_retransmissions)
 
     def test_rst_removes_exactly_matching_entry(self):
         sim = Simulator(seed=3)

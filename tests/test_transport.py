@@ -14,7 +14,9 @@ from conftest import MM_ADDR, SERVER_EP
 from inferscan.endpoints import EndpointSpec
 from inferscan.idlescan import run_idle_campaign
 from inferscan.simnet import FilterRule, Hop, Simulator
+from inferscan import transport as transport_mod
 from inferscan.transport import (
+    ADDR_MEMO_SIZE,
     FLAG_BITS,
     NS_PER_SEC,
     PENDING_HORIZON_NS,
@@ -30,9 +32,7 @@ from inferscan.transport import (
     _splitmix64,
     derive_seed,
     int_to_addr,
-    segment_from_json,
     segment_from_wire,
-    segment_to_json,
     segment_to_wire,
     validate_segment,
 )
@@ -114,6 +114,23 @@ class TestCraft:
             tr.craft_segment(dst_addr="not-an-ip", dst_port=80,
                              flags=("SYN",))
 
+    @pytest.mark.parametrize("addr", [["203.0.113.5"], {"a": 1}, None, 7,
+                                      b"203.0.113.5", "203.0.113", "1.2.3.4.5"])
+    def test_bad_address_raises_invalid_segment(self, addr):
+        """Unhashable inputs included: the memo looks up plain strings only."""
+        _, tr = make_transport()
+        for _ in range(2):
+            with pytest.raises(InvalidSegmentError):
+                tr.craft_segment(dst_addr=addr, dst_port=80, flags=("SYN",))
+
+    def test_address_memo_stays_bounded(self):
+        _, tr = make_transport()
+        for i in range(ADDR_MEMO_SIZE + 50):
+            tr.craft_segment(int_to_addr(0x0A000000 + i), 80, ("SYN",))
+        assert len(transport_mod._valid_addrs) <= ADDR_MEMO_SIZE
+        with pytest.raises(InvalidSegmentError):
+            tr.craft_segment("10.0.0", 80, ("SYN",))
+
     def test_seq_comes_from_isn_generator(self):
         _, tr = make_transport(isn_seed=55)
         segs = [tr.craft_segment(dst_addr="203.0.113.5",
@@ -138,12 +155,6 @@ class TestCraft:
 
 
 class TestSerialization:
-    def test_json_round_trip_random(self):
-        rng = random.Random(42)
-        for _ in range(300):
-            seg = random_segment(rng)
-            assert segment_from_json(segment_to_json(seg)) == seg
-
     def test_wire_round_trip_wire_fields(self):
         rng = random.Random(43)
         for _ in range(200):
@@ -153,9 +164,8 @@ class TestSerialization:
             assert back == seg
 
     @given(valid_segments)
-    def test_json_round_trip_property(self, seg):
+    def test_validate_accepts_every_valid_segment(self, seg):
         assert validate_segment(seg, crafted=False) is seg
-        assert segment_from_json(segment_to_json(seg)) == seg
 
     @given(valid_segments)
     def test_wire_round_trip_property(self, seg):
