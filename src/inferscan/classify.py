@@ -16,9 +16,17 @@ importing ``scipy.signal`` and ``scipy.optimize`` added about 1.3 s and
 match scipy exactly, operation for operation, so that a fit gives the same
 bits as ``scipy.optimize.minimize(..., method="Nelder-Mead")`` over
 ``scipy.signal.lfilter``; ``tests/test_classify.py`` checks this against
-scipy when it is installed.  Where numpy's order of summation or sorting
-could differ from plain Python, they keep numpy (``np.dot``, ``np.sum``,
-``np.argsort``).
+scipy when it is installed, and pins the bits of fixed fits without it.
+Two rules keep the bits:
+
+- Sums of squares stay ``np.dot`` over arrays, as scipy computes them.
+  OpenBLAS's ``ddot`` uses fused multiply-adds, so neither a Python sum
+  nor ``a * a + b * b`` gives its last bit.  Each sum converts its operand
+  to an array once.
+- The simplex is ranked with ``sorted`` only when the ranked values are
+  strictly increasing, so that the order is unique and is
+  ``np.argsort``'s.  A tie, a signed zero or a NaN ranks with
+  ``np.argsort``, whose SIMD sorts need not be stable, as scipy does.
 """
 
 from __future__ import annotations
@@ -150,15 +158,43 @@ def _stationary_ar(ar: float) -> float:
 
 
 def _css(params: list, y: list, ridge: float) -> float:
-    if any(abs(v) >= 0.99 for v in params):
+    ar, ma = params
+    if abs(ar) >= 0.99 or abs(ma) >= 0.99:
         return 1e12 * (1.0 + float(np.sum(np.abs(params))))
-    eps = _innovations(params[0], params[1], y)
+    eps = np.array(_innovations(ar, ma, y))
     value = float(np.dot(eps, eps))
     if not math.isfinite(value):
         return 1e15
     # Mixed models on white noise have a flat ridge where the AR and MA
     # terms cancel; a small penalty settles it at the origin.
-    return value + ridge * float(np.dot(params, params))
+    coef = np.array(params)
+    return value + ridge * float(np.dot(coef, coef))
+
+
+def _converged(sim: list, fsim: list) -> bool:
+    """scipy's stopping test, ``max(spread) <= 1e-7 and max(gap) <= 1e-9``.
+
+    The spreads are ``abs(v[i] - best[i])`` over each other vertex and
+    coordinate, the gaps ``abs(fsim[0] - f)`` over each other value.  The
+    loops stop at the first failure.  ``max`` keeps a NaN in first place
+    and passes over a later one, so only a first NaN fails the test.
+    """
+    best = sim[0]
+    first = True
+    for v in sim[1:]:
+        for x, b in zip(v, best):
+            d = abs(x - b)
+            if d > 1e-7 or (first and d != d):
+                return False
+            first = False
+    f0 = fsim[0]
+    first = True
+    for f in fsim[1:]:
+        d = abs(f0 - f)
+        if d > 1e-9 or (first and d != d):
+            return False
+        first = False
+    return True
 
 
 def _nelder_mead(func, n: int, maxiter: int = 2000) -> list:
@@ -179,17 +215,23 @@ def _nelder_mead(func, n: int, maxiter: int = 2000) -> list:
     fsim = [func(v) for v in sim]
 
     def by_value():
-        # np.argsort, not sorted(): ties must break as scipy breaks them.
-        order = np.argsort(fsim)
-        return [sim[i] for i in order], [fsim[i] for i in order]
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        ranked = [fsim[i] for i in order]
+        for a, b in zip(ranked, ranked[1:]):
+            if not a < b:
+                # A tie, a signed zero or a NaN: the order is not unique,
+                # and np.argsort's, which need not be stable, is scipy's.
+                order = np.argsort(fsim)
+                ranked = [fsim[i] for i in order]
+                break
+        return [sim[i] for i in order], ranked
 
     sim, fsim = by_value()
     sim, fsim = by_value()  # scipy sorts the first simplex twice
     iterations = 1
     while iterations < maxiter:
         best, worst = sim[0], sim[-1]
-        if (max(abs(v[i] - best[i]) for v in sim[1:] for i in range(n))
-                <= 1e-7 and max(abs(fsim[0] - f) for f in fsim[1:]) <= 1e-9):
+        if _converged(sim, fsim):
             break
         xbar = []
         for i in range(n):

@@ -6,6 +6,8 @@ import csv
 from dataclasses import dataclass, asdict
 from typing import Iterable
 
+from .transport import _check_addr
+
 ROLES = ("client", "tor-relay", "tor-dir", "web")
 
 MIN_RELAY_UPTIME_DAYS = 5.0
@@ -43,8 +45,8 @@ class EndpointSpec:
 def load_endpoints(path) -> list:
     """Read an endpoint CSV: addr,port,role,lat,lon,uptime_days,stable_flag.
 
-    A missing addr, port or role column, or a value that does not parse,
-    raises EndpointError.
+    A missing addr, port or role column, a value that does not parse, or an
+    addr that is not a canonical dotted quad raises EndpointError.
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -52,7 +54,7 @@ def load_endpoints(path) -> list:
         for row in reader:
             try:
                 out.append(EndpointSpec(
-                    addr=row["addr"].strip(),
+                    addr=_check_addr(row["addr"].strip()),
                     port=int(row["port"] or 0),
                     role=row["role"].strip(),
                     lat=float(row.get("lat") or 0.0),

@@ -403,13 +403,16 @@ class CampaignSummary:
     completed: int = 0
     voided: int = 0
     void_reasons: list = field(default_factory=list)
+    slots: int = 0  # slots run: at most the larger side of the schedule
 
 
 def run_idle_campaign(transport: Transport, clients: list, servers: list,
                       cfg: Optional[ScanRoundConfig] = None, seed: int = 0,
                       slots: int = 1, on_result=None) -> CampaignSummary:
     """Drive the bipartite schedule over `slots` hourly rounds; slot k
-    starts at campaign hour k.
+    starts at campaign hour k.  The schedule ends once every pair is
+    measured, after as many slots as the larger of the two sides, so
+    ``summary.slots`` may be fewer than ``slots``.
 
     Assignments inside a slot are address-disjoint by construction; on the
     simulator backend they run back-to-back in deterministic order.
@@ -421,6 +424,7 @@ def run_idle_campaign(transport: Transport, clients: list, servers: list,
     clock = transport.clock
     for a in schedule_bipartite(clients, servers, seed, max_slots=slots):
         clock.sleep_until(a.slot * HOUR_NS)
+        summary.slots = a.slot + 1
         try:
             result = run_scan_round(transport, a.client, a.server, cfg,
                                     hour=a.hour)

@@ -122,8 +122,7 @@ def redact_client_fields(record: ScanRecord, bits: int) -> ScanRecord:
 class RecordStore:
     """Append-only JSONL writer; one designated writer per file.
 
-    Appends are safe from concurrent workers (serialized internally);
-    offsets are strictly increasing record indices.
+    Appends are safe from concurrent workers (serialized internally).
     """
 
     def __init__(self, path, redact_client_bits: int = 0):
@@ -131,19 +130,15 @@ class RecordStore:
         self.redact_client_bits = redact_client_bits
         self._lock = threading.Lock()
         self._fh = open(path, "a", encoding="utf-8")
-        self._count = 0
 
-    def append(self, record: ScanRecord) -> int:
+    def append(self, record: ScanRecord) -> None:
         if not isinstance(record, ScanRecord):
             raise SchemaError("append expects a ScanRecord")
         if self.redact_client_bits:
             record = redact_client_fields(record, self.redact_client_bits)
         line = record.to_json()
         with self._lock:
-            offset = self._count
             self._fh.write(line + "\n")
-            self._count += 1
-        return offset
 
     def close(self) -> None:
         with self._lock:

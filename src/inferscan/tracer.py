@@ -85,13 +85,6 @@ class PrefixTable:
                 rows.append((row[0].strip(), row[1].strip(), row[2].strip()))
         return cls(rows)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cidr", "label", "region"])
-            for e in self.entries:
-                writer.writerow([str(e.network), e.label, e.region])
-
 
 @dataclass(frozen=True)
 class HopRecord:

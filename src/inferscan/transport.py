@@ -61,18 +61,22 @@ class InvalidSegmentError(TransportError, ValueError):
 
 
 def _check_addr(addr: str) -> str:
-    """``addr`` if it is a dotted-quad IPv4 address, else raise
-    InvalidSegmentError.  Remembers up to ADDR_MEMO_SIZE valid addresses;
-    only a plain ``str`` is looked up, so any other input, unhashable ones
-    included, is parsed and fails as it always did."""
+    """``addr`` if it is a canonical dotted-quad IPv4 address, the form
+    ``socket.inet_ntoa`` writes, else raise InvalidSegmentError.
+    ``inet_aton`` alone would also take ``010.0.0.1`` (octal, 8.0.0.1),
+    ``1.2.3.0x10`` (hex) and ``1.2.3.4 x`` (text after a space ignored),
+    which name the same host as their canonical form on the wire but not
+    in the simulator or the records.  Remembers up to ADDR_MEMO_SIZE valid
+    addresses; only a plain ``str`` is looked up, so any other input,
+    unhashable ones included, is parsed and fails as it always did."""
     plain = type(addr) is str
     if plain and addr in _valid_addrs:
         return addr
     try:
-        socket.inet_aton(addr)
-    except (OSError, TypeError) as exc:
+        canonical = socket.inet_ntoa(socket.inet_aton(addr))
+    except (OSError, TypeError, ValueError) as exc:
         raise InvalidSegmentError(f"invalid IPv4 address: {addr!r}") from exc
-    if addr.count(".") != 3:
+    if canonical != addr:
         raise InvalidSegmentError(f"invalid IPv4 address: {addr!r}")
     if plain:
         if len(_valid_addrs) >= ADDR_MEMO_SIZE:

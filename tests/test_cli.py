@@ -11,6 +11,7 @@ import pytest
 
 import inferscan
 from inferscan import store
+from inferscan.endpoints import EndpointError, load_endpoints
 from inferscan.cli import EXIT_OK, build_parser, main
 
 SCENARIO = """\
@@ -114,6 +115,24 @@ class TestIdleScanCommand:
              "--rounds", 2, "--seed", 5, "--out", out])
         addrs = {rec.payload["server"]["addr"] for rec in store.load(out)}
         assert addrs == {"203.0.113.5"}
+
+    def test_rounds_past_the_schedule_say_so(self, workspace, capsys):
+        # Two clients and one admitted server: every pair is measured in
+        # two slots, so --rounds 5 runs two and writes what --rounds 2 does.
+        outs, notes = [], []
+        for rounds in (2, 5):
+            out = workspace / f"r{rounds}.jsonl"
+            assert run(["idle-scan", "--clients", workspace / "clients.csv",
+                        "--servers", workspace / "servers.csv",
+                        "--scenario", workspace / "scen.cfg",
+                        "--rounds", rounds, "--seed", 5,
+                        "--out", out]) == EXIT_OK
+            outs.append(out.read_bytes())
+            notes.append([line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("note:")])
+        assert outs[0] == outs[1]
+        assert notes == [[], ["note: ran 2 of 5 slots; the schedule ends "
+                              "once each client-server pair is measured"]]
 
     def test_redaction_flag(self, workspace):
         out = workspace / "red.jsonl"
@@ -506,6 +525,26 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "noaddr.csv" in err and "line 2" in err and "addr" in err
+
+    @pytest.mark.parametrize("addr", ["010.0.0.1", "1.2.3.0x10", "1.2.3.4 x"])
+    def test_endpoint_csv_non_canonical_addr(self, workspace, capsys, addr):
+        clients = workspace / "octal.csv"
+        clients.write_text(f"addr,port,role\n36.10.0.5,0,client\n"
+                           f"{addr},0,client\n")
+        with pytest.raises(EndpointError) as info:
+            load_endpoints(clients)
+        assert str(info.value) == (f"{clients}, line 3: invalid IPv4 "
+                                   f"address: {addr!r}")
+        code = run(["qualify", "--clients", clients,
+                    "--scenario", workspace / "scen.cfg",
+                    "--out", workspace / "q.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_endpoint_csv_padded_addr_loads_canonical(self, workspace):
+        clients = workspace / "padded.csv"
+        clients.write_text("addr,port,role\n36.10.0.5 ,0,client\n")
+        assert [ep.addr for ep in load_endpoints(clients)] == ["36.10.0.5"]
 
 
     @pytest.mark.parametrize("hours", ["3-25", "24"])

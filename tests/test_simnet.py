@@ -657,6 +657,9 @@ hours = 0-5,22-23
         ("background_rate = 2.5", "background_rate = fast", "client c1"),
         ("addr = 36.10.0.5", "addr = notanaddr", "client c1"),
         ("addr = 198.51.100.9", "addr = 198.51.100", "monitor mm"),
+        ("addr = 36.10.0.5", "addr = 036.10.0.5", "client c1"),
+        ("addr = 203.0.113.5", "addr = 203.0.113.0x5", "server s1"),
+        ("addr = 198.51.100.9", "addr = 198.51.100.9 x", "monitor mm"),
         ("delay_ms = 30", "delay_ms = x", "path c1 s1"),
         ("loss_rate = 0.05", "loss_rate = 5%", "path c1 s1"),
     ])
@@ -666,6 +669,11 @@ hours = 0-5,22-23
                            match=rf"^\[{section}\] ") as info:
             scenario.loads(text)
         assert "\n" not in str(info.value)
+
+    def test_padded_addr_loads_canonical(self):
+        # configparser strips the value, so "1.2.3.4 " reads as 1.2.3.4.
+        text = self.SCENARIO.replace("addr = 36.10.0.5", "addr = 36.10.0.5 ")
+        assert scenario.loads(text).build().client("36.10.0.5")
 
     @pytest.mark.parametrize("text", [
         SCENARIO + "\n[client c1]\naddr = 36.10.0.6\n",  # duplicate section

@@ -104,13 +104,15 @@ class TestScanRecord:
 
 
 class TestRecordStore:
-    def test_offsets_strictly_increasing(self, tmp_path):
+    def test_records_load_in_append_order(self, tmp_path):
         path = tmp_path / "data.jsonl"
         with RecordStore(path) as rs:
-            assert rs.append(idle_record(0)) == 0
-            assert rs.append(idle_record(1)) == 1
-            assert rs.append(idle_record(2)) == 2
-        assert len(store.load(path)) == 3
+            for n in range(3):
+                rs.append(idle_record(n))
+        with RecordStore(path) as rs:  # reopening appends after them
+            for n in (7, 4):
+                rs.append(idle_record(n))
+        assert [rec.meta["slot"] for rec in store.load(path)] == [0, 1, 2, 7, 4]
 
     def test_append_rejects_non_records(self, tmp_path):
         with RecordStore(tmp_path / "d.jsonl") as rs:

@@ -4,6 +4,7 @@ import pytest
 
 from inferscan.simnet import FilterRule, Hop, Simulator
 from inferscan.tracer import (
+    DEFAULT_PREFIX_ROWS,
     LABEL_COM,
     LABEL_EDU,
     LABEL_OTHER,
@@ -187,8 +188,11 @@ class TestPrefixTable:
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "prefixes.csv"
+        path.write_text("cidr,label,region\n# the built-in table\n\n"
+                        + "".join(f"{cidr}, {label} ,{region}\n"
+                                  for cidr, label, region
+                                  in DEFAULT_PREFIX_ROWS))
         table = PrefixTable()
-        table.to_csv(path)
         back = PrefixTable.from_csv(path)
         assert [(str(e.network), e.label, e.region) for e in back.entries] == \
                [(str(e.network), e.label, e.region) for e in table.entries]

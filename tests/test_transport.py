@@ -29,6 +29,7 @@ from inferscan.transport import (
     TcpSegment,
     Transport,
     TransportClosedError,
+    _check_addr,
     _splitmix64,
     derive_seed,
     int_to_addr,
@@ -122,6 +123,22 @@ class TestCraft:
         for _ in range(2):
             with pytest.raises(InvalidSegmentError):
                 tr.craft_segment(dst_addr=addr, dst_port=80, flags=("SYN",))
+
+    # inet_aton reads these as 8.0.0.1, 1.2.3.16 and 1.2.3.4.
+    NON_CANONICAL = ["010.0.0.1", "1.2.3.0x10", "1.2.3.4 ", "1.2.3.4 x",
+                     "1.2.3.4\n", "1.2.3.4\x00"]
+
+    @pytest.mark.parametrize("addr", NON_CANONICAL)
+    def test_non_canonical_address_rejected(self, addr):
+        for _ in range(2):  # the second call would find a memoised address
+            with pytest.raises(InvalidSegmentError, match="invalid IPv4"):
+                _check_addr(addr)
+
+    @pytest.mark.parametrize("addr", ["0.0.0.0", "10.0.0.1",
+                                      "255.255.255.255", "203.0.113.5"])
+    def test_canonical_address_accepted(self, addr):
+        assert _check_addr(addr) == addr == socket.inet_ntoa(
+            socket.inet_aton(addr))
 
     def test_address_memo_stays_bounded(self):
         _, tr = make_transport()
