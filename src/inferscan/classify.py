@@ -8,6 +8,10 @@ explicit error case).
 
 All functions are pure; they only read the attributes of the series
 object they are given (``samples``, ``spoof_rate``, ``probe_rate``).
+Each function that needs numpy imports it where it runs, so a process
+that never fits a model, such as a backlog scan or an analysis, never
+loads numpy (about 0.13 s and 13 MB of start-up on a shared 2-vCPU
+Xeon).
 
 The ARMA fit is in-house rather than scipy's ``lfilter`` and Nelder-Mead:
 importing ``scipy.signal`` and ``scipy.optimize`` added about 1.3 s and
@@ -33,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 IPID_MOD = 65536
 FORWARD_LIMIT = 32768  # deltas at or past this are reorder artifacts
@@ -123,6 +128,7 @@ class ArmaModel:
 
     def whiten(self, values: np.ndarray) -> np.ndarray:
         """Apply the innovation filter with zero initial conditions."""
+        import numpy as np
         return np.array(_innovations(
             self.ar[0], self.ma[0], np.asarray(values, dtype=float).tolist()))
 
@@ -158,6 +164,7 @@ def _stationary_ar(ar: float) -> float:
 
 
 def _css(params: list, y: list, ridge: float) -> float:
+    import numpy as np
     ar, ma = params
     if abs(ar) >= 0.99 or abs(ma) >= 0.99:
         return 1e12 * (1.0 + float(np.sum(np.abs(params))))
@@ -221,6 +228,7 @@ def _nelder_mead(func, n: int, maxiter: int = 2000) -> list:
             if not a < b:
                 # A tie, a signed zero or a NaN: the order is not unique,
                 # and np.argsort's, which need not be stable, is scipy's.
+                import numpy as np
                 order = np.argsort(fsim)
                 ranked = [fsim[i] for i in order]
                 break
@@ -285,6 +293,7 @@ def fit_arma(deltas: Sequence[int]) -> ArmaModel:
     input yields a degenerate model with zero variance.  Raises
     ModelFitError when the optimizer fails to converge.
     """
+    import numpy as np
     x = np.asarray(deltas, dtype=float)
     n = len(x)
     if n < MIN_DELTAS_FOR_FIT:
@@ -344,6 +353,7 @@ def intervention_amplitude(series, settle_s: float = DEFAULT_SETTLE_S):
 
     noise = fit_arma(base_diff.deltas)
 
+    import numpy as np
     yb = np.asarray(base_diff.deltas, dtype=float)
     ys = np.asarray(steady_diff.deltas, dtype=float)
     ratio = series.spoof_rate / series.probe_rate
@@ -421,7 +431,7 @@ def classify_case(amplitude: float, diagnostics: dict) -> CaseLabel:
     explicit rejection zone and come back as the error case.
     """
     confidence = _confidence(diagnostics.get("residual_variance", 0.0))
-    if not np.isfinite(amplitude):
+    if not math.isfinite(amplitude):
         return CaseLabel(ERROR, None, 0.0, reason="non-finite-amplitude")
     if amplitude < THRESHOLD_S2C:
         return CaseLabel(SERVER_TO_CLIENT_DROP, amplitude, confidence)

@@ -141,10 +141,6 @@ def cmd_idle_scan(args, parser) -> int:
         transport, clients, servers, scan, seed=seed,
         slots=args.rounds, on_result=on_result)
     record_store.close()
-    if summary.slots < args.rounds:
-        print(f"note: ran {summary.slots} of {args.rounds} slots; the "
-              "schedule ends once each client-server pair is measured",
-              file=sys.stderr)
     print(f"completed {summary.completed} rounds, voided {summary.voided}; "
           f"records in {args.out}")
     return EXIT_OK

@@ -45,8 +45,9 @@ class EndpointSpec:
 def load_endpoints(path) -> list:
     """Read an endpoint CSV: addr,port,role,lat,lon,uptime_days,stable_flag.
 
-    A missing addr, port or role column, a value that does not parse, or an
-    addr that is not a canonical dotted quad raises EndpointError.
+    A missing addr, port or role column, a value that does not parse, an
+    addr that is not a canonical dotted quad, or a port outside 0-65535
+    raises EndpointError.
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -55,7 +56,7 @@ def load_endpoints(path) -> list:
             try:
                 out.append(EndpointSpec(
                     addr=_check_addr(row["addr"].strip()),
-                    port=int(row["port"] or 0),
+                    port=_check_port(int(row["port"] or 0)),
                     role=row["role"].strip(),
                     lat=float(row.get("lat") or 0.0),
                     lon=float(row.get("lon") or 0.0),
@@ -69,6 +70,12 @@ def load_endpoints(path) -> list:
             except ValueError as exc:
                 raise EndpointError(f"{path}, line {reader.line_num}: {exc}") from exc
     return out
+
+
+def _check_port(port: int) -> int:
+    if not 0 <= port <= 0xFFFF:
+        raise ValueError(f"port out of range: {port}")
+    return port
 
 
 def passes_stability_rule(ep: EndpointSpec,

@@ -368,11 +368,16 @@ class Assignment:
 
 def schedule_bipartite(clients: list, servers: list, seed: int = 0,
                        max_slots: Optional[int] = None) -> Iterable[Assignment]:
-    """Assignment stream covering every (client, server) pair.
+    """Hourly assignment stream over the (client, server) pairs.
 
     Each hour slot carries a matching: no two assignments in the same slot
-    share an address, so the whole slot may run concurrently.  Order inside
-    a slot is shuffled per hour; the stream is a pure function of the seed.
+    share an address, so the whole slot may run concurrently.  With L the
+    larger side, slot k (day k // 24, hour k % 24) uses matching rotation
+    (hour + day) mod L.  So 24 * L slots measure every pair once in each
+    hour of the day, and when L <= 24 the first L slots measure every pair
+    once.  The stream runs ``max_slots`` slots, or L when it is None.
+    Order inside a slot is shuffled per slot; the stream is a pure
+    function of the seed.
     """
     if not clients or not servers:
         raise ValueError("need at least one client and one server")
@@ -383,13 +388,12 @@ def schedule_bipartite(clients: list, servers: list, seed: int = 0,
     rng.shuffle(servers)
     swap = len(clients) > len(servers)
     small, large = (servers, clients) if swap else (clients, servers)
-    slots_needed = len(large)
-    if max_slots is not None:
-        slots_needed = min(slots_needed, max_slots)
-    for slot in range(slots_needed):
+    n_large = len(large)
+    for slot in range(n_large if max_slots is None else max_slots):
+        rotation = (slot % 24 + slot // 24) % n_large
         pairs = []
         for i, side_a in enumerate(small):
-            side_b = large[(i + slot) % len(large)]
+            side_b = large[(i + rotation) % n_large]
             pairs.append((side_b, side_a) if swap else (side_a, side_b))
         hour_rng = random.Random(derive_seed(seed, "hour-order", slot))
         hour_rng.shuffle(pairs)
@@ -403,16 +407,13 @@ class CampaignSummary:
     completed: int = 0
     voided: int = 0
     void_reasons: list = field(default_factory=list)
-    slots: int = 0  # slots run: at most the larger side of the schedule
 
 
 def run_idle_campaign(transport: Transport, clients: list, servers: list,
                       cfg: Optional[ScanRoundConfig] = None, seed: int = 0,
                       slots: int = 1, on_result=None) -> CampaignSummary:
     """Drive the bipartite schedule over `slots` hourly rounds; slot k
-    starts at campaign hour k.  The schedule ends once every pair is
-    measured, after as many slots as the larger of the two sides, so
-    ``summary.slots`` may be fewer than ``slots``.
+    starts at campaign hour k.
 
     Assignments inside a slot are address-disjoint by construction; on the
     simulator backend they run back-to-back in deterministic order.
@@ -424,7 +425,6 @@ def run_idle_campaign(transport: Transport, clients: list, servers: list,
     clock = transport.clock
     for a in schedule_bipartite(clients, servers, seed, max_slots=slots):
         clock.sleep_until(a.slot * HOUR_NS)
-        summary.slots = a.slot + 1
         try:
             result = run_scan_round(transport, a.client, a.server, cfg,
                                     hour=a.hour)

@@ -12,9 +12,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .transport import (
     HOUR_NS,
@@ -27,6 +25,9 @@ from .transport import (
     _tuple_new,
     derive_seed,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PASS = "pass"
 DROP = "drop"
@@ -233,6 +234,7 @@ class SimClient(_Host):
     def _wake(self, now: int) -> None:
         """Count the noise sent since going dormant, then resume the ticks."""
         if self._catchup_rng is None:
+            import numpy as np  # here, so a run with no wake never loads it
             self._catchup_rng = np.random.default_rng(
                 derive_seed(self.sim.seed, "noise-catchup", self.addr))
         span_s = (now - self._dormant_since) / NS_PER_SEC

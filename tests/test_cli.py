@@ -116,10 +116,10 @@ class TestIdleScanCommand:
         addrs = {rec.payload["server"]["addr"] for rec in store.load(out)}
         assert addrs == {"203.0.113.5"}
 
-    def test_rounds_past_the_schedule_say_so(self, workspace, capsys):
-        # Two clients and one admitted server: every pair is measured in
-        # two slots, so --rounds 5 runs two and writes what --rounds 2 does.
-        outs, notes = [], []
+    def test_rounds_run_every_slot(self, workspace):
+        # Two clients and one admitted server: one pair per slot, and the
+        # schedule runs past the two slots that measure each pair once.
+        outs = {}
         for rounds in (2, 5):
             out = workspace / f"r{rounds}.jsonl"
             assert run(["idle-scan", "--clients", workspace / "clients.csv",
@@ -127,12 +127,10 @@ class TestIdleScanCommand:
                         "--scenario", workspace / "scen.cfg",
                         "--rounds", rounds, "--seed", 5,
                         "--out", out]) == EXIT_OK
-            outs.append(out.read_bytes())
-            notes.append([line for line in capsys.readouterr().err.splitlines()
-                          if line.startswith("note:")])
-        assert outs[0] == outs[1]
-        assert notes == [[], ["note: ran 2 of 5 slots; the schedule ends "
-                              "once each client-server pair is measured"]]
+            outs[rounds] = out
+        assert [rec.meta["slot"] for rec in store.load(outs[5])] == [0, 1, 2,
+                                                                     3, 4]
+        assert outs[5].read_bytes().startswith(outs[2].read_bytes())
 
     def test_redaction_flag(self, workspace):
         out = workspace / "red.jsonl"
@@ -541,6 +539,28 @@ class TestMalformedInput:
         assert code == 1
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_endpoint_csv_port_out_of_range(self, workspace, capsys, port):
+        servers = workspace / "badport.csv"
+        servers.write_text("addr,port,role,uptime_days\n"
+                           "203.0.113.5,9001,tor-relay,12\n"
+                           f"203.0.113.6,{port},tor-relay,12\n")
+        with pytest.raises(EndpointError) as info:
+            load_endpoints(servers)
+        assert str(info.value) == (f"{servers}, line 3: port out of range: "
+                                   f"{int(port)}")
+        code = run(["idle-scan", "--clients", workspace / "clients.csv",
+                    "--servers", servers, "--scenario", workspace / "scen.cfg",
+                    "--out", workspace / "i.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_endpoint_csv_port_bounds_load(self, workspace):
+        servers = workspace / "ports.csv"
+        servers.write_text("addr,port,role\n203.0.113.5,0,web\n"
+                           "203.0.113.6,65535,web\n")
+        assert [ep.port for ep in load_endpoints(servers)] == [0, 65535]
+
     def test_endpoint_csv_padded_addr_loads_canonical(self, workspace):
         clients = workspace / "padded.csv"
         clients.write_text("addr,port,role\n36.10.0.5 ,0,client\n")
@@ -619,14 +639,55 @@ class TestMalformedInput:
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_out(self):
+    def child_prints(self, code, cwd=None):
+        """The last line ``code`` prints when run in a fresh interpreter."""
         src = Path(inferscan.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        child = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, inferscan.cli; print('scipy' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert child.stdout.strip() == "False"
+        child = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                               env=env, cwd=cwd, capture_output=True,
+                               text=True, check=True)
+        return child.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_leaves_scipy_out(self):
+        assert self.child_prints(
+            "import inferscan.cli; print('scipy' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_numpy_out(self):
+        assert self.child_prints(
+            "import inferscan.cli; print('numpy' in sys.modules)") == "False"
+
+    def run_cli(self, workspace, args):
+        """(exit code, whether numpy was loaded) of ``main(args)``, alone."""
+        return self.child_prints(
+            "from inferscan.cli import main\n"
+            f"code = main({[str(a) for a in args]!r})\n"
+            "print(code, 'numpy' in sys.modules)", cwd=workspace)
+
+    def test_backlog_scan_leaves_numpy_out(self, workspace):
+        assert self.run_cli(workspace, [
+            "backlog-scan", "--kind", "syn", "--relay", "203.0.113.5:9001",
+            "--scenario", "scen.cfg", "--seed", 7,
+            "--out", "backlog.jsonl"]) == "0 False"
+
+    def test_prune_and_analyze_leave_numpy_out(self, workspace):
+        data = TestPruneAndAnalyze().make_data(workspace)
+        (workspace / "prefixes.csv").write_text(
+            "cidr,label,region\n36.0.0.0/8,CLIENT,CN\n")
+        assert self.run_cli(workspace, [
+            "prune", "--input", data, "--out", "pruned.jsonl"]) == "0 False"
+        assert self.run_cli(workspace, [
+            "analyze", "tables", "--input", "pruned.jsonl",
+            "--prefix-table", "prefixes.csv",
+            "--out", "report.csv"]) == "0 False"
+        assert (workspace / "report.csv").read_text().startswith(
+            "client_region")
+
+    def test_idle_scan_loads_numpy_to_fit(self, workspace):
+        assert self.run_cli(workspace, [
+            "idle-scan", "--clients", "clients.csv", "--servers",
+            "servers.csv", "--scenario", "scen.cfg", "--rounds", 1,
+            "--seed", 5, "--out", "data.jsonl"]) == "0 True"
+        assert len(store.load(workspace / "data.jsonl")) == 1
 
 
 class TestUsageAndGuardrails:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -244,6 +245,47 @@ class TestScheduleBipartite:
         for slot in {a.slot for a in plan}:
             in_slot = [a for a in plan if a.slot == slot]
             assert len({a.server.addr for a in in_slot}) == len(in_slot)
+
+    @pytest.mark.parametrize("n_clients,n_servers", [(2, 1), (3, 5), (7, 4),
+                                                     (5, 26), (30, 3)])
+    def test_every_pair_in_every_hour(self, n_clients, n_servers):
+        clients, servers = self.clients(n_clients), self.servers(n_servers)
+        n_large = max(n_clients, n_servers)
+        slots = 24 * n_large
+        plan = list(schedule_bipartite(clients, servers, seed=5,
+                                       max_slots=slots))
+        by_slot = {}
+        for a in plan:
+            assert a.hour == a.slot % 24
+            by_slot.setdefault(a.slot, []).append(a)
+        assert sorted(by_slot) == list(range(slots))
+        for in_slot in by_slot.values():
+            assert len(in_slot) == min(n_clients, n_servers)
+            addrs = ([a.client.addr for a in in_slot]
+                     + [a.server.addr for a in in_slot])
+            assert len(addrs) == len(set(addrs))
+        seen = Counter((a.client.addr, a.server.addr, a.hour) for a in plan)
+        assert len(seen) == n_clients * n_servers * 24
+        assert set(seen.values()) == {1}
+
+    @pytest.mark.parametrize("max_slots", [0, 1, 3, 25, 49])
+    def test_any_number_of_slots(self, max_slots):
+        plan = list(schedule_bipartite(self.clients(2), self.servers(3),
+                                       seed=1, max_slots=max_slots))
+        assert len(plan) == 2 * max_slots
+        assert {a.slot for a in plan} == set(range(max_slots))
+
+    def test_first_day_keeps_its_matchings(self):
+        # Slots k < 24 use rotation k mod L: the day shifts the rotation
+        # only from slot 24 on.
+        args = (self.clients(3), self.servers(5))
+        day = list(schedule_bipartite(*args, seed=8, max_slots=24))
+        assert day[:15] == list(schedule_bipartite(*args, seed=8))
+        by_slot = {}
+        for a in day:
+            by_slot.setdefault(a.slot, set()).add((a.client.addr,
+                                                   a.server.addr))
+        assert all(by_slot[k] == by_slot[k % 5] for k in range(24))
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
