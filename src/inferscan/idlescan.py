@@ -372,10 +372,10 @@ def schedule_bipartite(clients: list, servers: list, seed: int = 0,
 
     Each hour slot carries a matching: no two assignments in the same slot
     share an address, so the whole slot may run concurrently.  With L the
-    larger side, slot k (day k // 24, hour k % 24) uses matching rotation
-    (hour + day) mod L.  So 24 * L slots measure every pair once in each
-    hour of the day, and when L <= 24 the first L slots measure every pair
-    once.  The stream runs ``max_slots`` slots, or L when it is None.
+    larger side, slot k uses matching rotation ``_rotation(k, L)``.  So 24 *
+    L slots measure every pair once in each hour of the day, and the first
+    L slots measure every pair once.  The stream runs ``max_slots`` slots,
+    or L when it is None.
     Order inside a slot is shuffled per slot; the stream is a pure
     function of the seed.
     """
@@ -390,7 +390,7 @@ def schedule_bipartite(clients: list, servers: list, seed: int = 0,
     small, large = (servers, clients) if swap else (clients, servers)
     n_large = len(large)
     for slot in range(n_large if max_slots is None else max_slots):
-        rotation = (slot % 24 + slot // 24) % n_large
+        rotation = _rotation(slot, n_large)
         pairs = []
         for i, side_a in enumerate(small):
             side_b = large[(i + rotation) % n_large]
@@ -400,6 +400,25 @@ def schedule_bipartite(clients: list, servers: list, seed: int = 0,
         for client, server in pairs:
             yield Assignment(slot=slot, hour=slot % 24, client=client,
                              server=server)
+
+
+def _rotation(slot: int, n: int) -> int:
+    """Matching rotation of ``slot`` (day d, hour h) over ``n`` rotations.
+
+    For n <= 24 it is (h + d) mod n.  For n > 24, hour h runs through its
+    rotations h, h + 24, h + 48, ... below n first, so slot k < n takes
+    rotation k, and then through the others in increasing order; the cycle
+    repeats every n days.
+    """
+    day, hour = divmod(slot, 24)
+    if n <= 24:
+        return (hour + day) % n
+    day %= n
+    if 24 * day + hour < n:
+        return 24 * day + hour
+    first_days = -(-(n - hour) // 24)  # days on rotations congruent to h
+    q, r = divmod(day - first_days, 23)
+    return 24 * q + r + (r >= hour)
 
 
 @dataclass

@@ -51,6 +51,9 @@ and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
 ``path_loss_rate`` and ``path_filtered`` give one path that applies lazily
 to every client<->server pair without a ``[path]``, hops listed from the
 client.  Every section rejects a key it does not know (``SECTION_KEYS``).
+Every address, hop and rule addresses included, must be a canonical dotted
+quad, and every port must lie in 0-65535; a bad value raises ScenarioError
+naming its section.
 
 A client's ``background_rate`` is a Poisson rate of packets to hosts outside
 the model, each advancing its IP-ID.  A client that nothing has reached for
@@ -65,6 +68,7 @@ import configparser
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .endpoints import _check_port
 from .simnet import IPID_MODES, FilterRule, Hop, Simulator
 from .transport import NS_PER_SEC, _check_addr
 
@@ -174,7 +178,7 @@ def _parse_hops(text: str) -> list:
         addr = parts[0]
         region = parts[1] if len(parts) > 1 else ""
         delay = int(float(parts[2]) * 1e6) if len(parts) > 2 else None
-        hops.append(Hop(addr=addr, region=region, delay_ns=delay))
+        hops.append(Hop(addr=_check_addr(addr), region=region, delay_ns=delay))
     return hops
 
 
@@ -296,7 +300,8 @@ def _load_section(scn: Scenario, section: str, sec) -> None:
             options["background_rate"] = sec.getfloat("background_rate", 0.0)
             options["rst_policy"] = sec.getboolean("rst_policy", True)
         elif kind == "server":
-            ports = [int(p) for p in sec.get("ports", "").split(",") if p.strip()]
+            ports = [_check_port(int(p)) for p in sec.get("ports", "").split(",")
+                     if p.strip()]
             options["open_ports"] = ports
             options["backlog_capacity"] = sec.getint("backlog_capacity", 256)
             options["max_retransmissions"] = sec.getint("max_retransmissions", 5)
@@ -317,8 +322,8 @@ def _load_section(scn: Scenario, section: str, sec) -> None:
         scn.rules.append(FilterRule(
             name=words[1],
             direction=sec.get("direction", "server->client"),
-            addr=sec.get("addr") or None,
-            port=sec.getint("port") if "port" in sec else None,
+            addr=_check_addr(sec["addr"]) if sec.get("addr") else None,
+            port=_check_port(sec.getint("port")) if "port" in sec else None,
             action=sec.get("action", "drop"),
             placement_hop=sec.getint("placement_hop", 1),
             hours=parse_hours(sec.get("hours", "*")),

@@ -9,7 +9,6 @@ identical event traces.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
 from typing import TYPE_CHECKING, Callable, Optional
@@ -21,7 +20,6 @@ from .transport import (
     FlowKey,
     TcpSegment,
     Transport,
-    _arrival,
     _tuple_new,
     derive_seed,
 )
@@ -429,11 +427,11 @@ class SimServer(_Host):
 class _MonitorHost(_Host):
     """Unbound measurement address: never auto-responds.
 
-    Without a trace sink, a segment launched toward it while a transport is
-    attached goes into that transport's queue at launch, stamped with its
-    arrival time, and takes no event.  Otherwise it arrives as an event
-    here: it goes to the transport attached by then, or is absorbed while
-    none is.
+    A segment bound for it settles when it is launched: it goes into the
+    attached transport's queue, stamped with its arrival time, or is
+    absorbed while no transport is attached.  A trace sink changes nothing
+    here; it only gets a ``deliver`` event at the arrival time, which ends
+    in this host's handler and does nothing.
     """
 
     def __init__(self, sim, addr):
@@ -441,8 +439,7 @@ class _MonitorHost(_Host):
         self.transport: Optional[SimTransport] = None
 
     def on_segment(self, now: int, seg: TcpSegment) -> None:
-        if self.transport is not None:
-            self.transport._enqueue(now, seg)
+        pass
 
 
 class SimClock(Clock):
@@ -468,10 +465,9 @@ class SimTransport(Transport):
 
     Segments launched toward the monitor enter the queue at launch (see
     :class:`_MonitorHost`); a capture claims only those due by the end of
-    its window.  A transport that attaches to a monitor holding another
-    takes over the arrivals not yet due, as the last one attached receives
-    every later arrival.  A send due now enters the wire at once; a later
-    one waits on the event heap for its slot.
+    its window.  A monitor takes one transport: attaching a second raises
+    ValueError.  A send due now enters the wire at once; a later one waits
+    on the event heap for its slot.
     """
 
     supports_spoofing = True
@@ -482,24 +478,12 @@ class SimTransport(Transport):
         super().__init__(local_addr=local_addr, **kwargs)
         monitor = sim.add_monitor(local_addr)
         if monitor.transport is not None:
-            self._take_over(monitor.transport)
+            raise ValueError(f"{local_addr} already has a transport attached")
         monitor.transport = self
 
     @property
     def clock(self) -> Clock:
         return self._clock
-
-    def _take_over(self, other: "SimTransport") -> None:
-        """Move the arrivals not yet due from ``other``'s queue to this one."""
-        now = self._sim.now
-        for port, bucket in list(other._pending.items()):
-            due = bisect_right(bucket, now, key=_arrival)
-            for arrival, seg in bucket[due:]:
-                self._enqueue(arrival, seg)
-            if due:
-                del bucket[due:]
-            else:
-                del other._pending[port]
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         sim = self._sim
@@ -656,8 +640,8 @@ class Simulator:
         travel order, whether any step has rules, the end-to-end delay, the
         path's loss generator (None when lossless; both directions share
         one), the receiver that takes an arrival as an event, and the
-        monitor host whose transport takes arrivals at launch instead (None
-        when ``dst`` holds no monitor, or a trace sink is attached).
+        monitor host at ``dst``, where arrivals settle at launch (None when
+        ``dst`` holds no monitor).
 
         A step's rules are a policy of the rules placed at its index that
         can match a segment to ``dst``, in policy order, or None when there
@@ -668,9 +652,9 @@ class Simulator:
 
         The receiver is the handler of the host at ``dst``.  With a trace
         sink, or no host there, it is ``_deliver``, which emits the delivery
-        and looks the host up on arrival.  A monitor's receiver serves the
-        segments launched while no transport is attached to it.  Adding a
-        host or a path, or changing the rules, clears the cache."""
+        and looks the host up on arrival; only a sink schedules it for a
+        monitor.  Adding a host or a path, or changing the rules, clears the
+        cache."""
         path = self._route(origin, dst)
         direction = 1 if path.a == origin else -1
         legs = path.leg_delays()[::direction]
@@ -696,7 +680,7 @@ class Simulator:
         plan = self._plans[(origin, dst)] = (
             path, tuple(steps), any(step[3] for step in steps), sum(legs), loss,
             host.on_segment if untraced else self._deliver,
-            host if untraced and type(host) is _MonitorHost else None)
+            host if type(host) is _MonitorHost else None)
         return plan
 
     def _launch(self, at: int, seg: TcpSegment, origin: str) -> None:
@@ -705,8 +689,7 @@ class Simulator:
         Routing uses the physical origin, not the header source, so spoofed
         segments travel the sender's path.  The whole traversal is resolved
         here; outcome events are scheduled at their future times, and an
-        arrival at a monitor goes into its transport's queue at once (see
-        :class:`_MonitorHost`).
+        arrival at a monitor settles at once (see :class:`_MonitorHost`).
         """
         if self._trace is not None:
             self.emit(at, "send", src=seg.src_addr, dst=seg.dst_addr,
@@ -731,10 +714,12 @@ class Simulator:
                     if self._trace is not None:
                         self.schedule(t, self._emit_rule_drop, seg, index)
                     return
-        if monitor is not None and monitor.transport is not None:
-            monitor.transport._enqueue(at + total, seg)
-        else:
-            self.schedule(at + total, receiver, seg)
+        if monitor is not None:
+            if monitor.transport is not None:
+                monitor.transport._enqueue(at + total, seg)
+            if self._trace is None:
+                return
+        self.schedule(at + total, receiver, seg)
 
     def _emit_rule_drop(self, now: int, seg: TcpSegment, hop: int) -> None:
         self.emit(now, "drop_rule", src=seg.src_addr, dst=seg.dst_addr,
@@ -750,13 +735,14 @@ class Simulator:
         reply = TcpSegment(hop.addr, seg.src_addr, 0, seg.src_port, 0, seg.seq,
                            _RST, 64, 0, now)
         # Return trip retraces the forward legs walked so far.  A reply to a
-        # monitor takes the same way into its queue as a launched segment.
+        # monitor settles at once, as a launched segment does.
         target = self.hosts.get(seg.src_addr)
-        if (self._trace is None and type(target) is _MonitorHost
-                and target.transport is not None):
-            target.transport._enqueue(now + elapsed, reply)
-        else:
-            self.schedule(now + elapsed, self._deliver, reply)
+        if type(target) is _MonitorHost:
+            if target.transport is not None:
+                target.transport._enqueue(now + elapsed, reply)
+            if self._trace is None:
+                return
+        self.schedule(now + elapsed, self._deliver, reply)
 
     def _deliver(self, now: int, seg: TcpSegment) -> None:
         target = self.hosts.get(seg.dst_addr)

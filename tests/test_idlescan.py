@@ -247,7 +247,7 @@ class TestScheduleBipartite:
             assert len({a.server.addr for a in in_slot}) == len(in_slot)
 
     @pytest.mark.parametrize("n_clients,n_servers", [(2, 1), (3, 5), (7, 4),
-                                                     (5, 26), (30, 3)])
+                                                     (5, 26), (30, 3), (1, 48)])
     def test_every_pair_in_every_hour(self, n_clients, n_servers):
         clients, servers = self.clients(n_clients), self.servers(n_servers)
         n_large = max(n_clients, n_servers)
@@ -267,6 +267,8 @@ class TestScheduleBipartite:
         seen = Counter((a.client.addr, a.server.addr, a.hour) for a in plan)
         assert len(seen) == n_clients * n_servers * 24
         assert set(seen.values()) == {1}
+        first = {(a.client.addr, a.server.addr) for a in plan if a.slot < n_large}
+        assert len(first) == n_clients * n_servers
 
     @pytest.mark.parametrize("max_slots", [0, 1, 3, 25, 49])
     def test_any_number_of_slots(self, max_slots):

@@ -119,7 +119,7 @@ class TestAddMonitor:
         sim = Simulator(seed=1)
         host = sim.add_monitor(MM)
         assert sim.add_monitor(MM) is host
-        tr = sim.attach(MM)  # takes over the monitor a scenario declared
+        tr = sim.attach(MM)  # attaches to the monitor a scenario declared
         assert sim.hosts[MM] is host and host.transport is tr
 
     def test_client_address_refused(self):
@@ -158,9 +158,10 @@ class TestAddMonitor:
 
 
 class TestArrivalsAtLaunch:
-    """Without a sink, a segment launched toward a monitor enters its
-    transport's queue at launch, stamped with its arrival time; a capture
-    claims only what is due by the end of its window."""
+    """A segment launched toward a monitor settles at launch, with or
+    without a sink: it enters the attached transport's queue, stamped with
+    its arrival time, or is absorbed while no transport is attached.  A
+    capture claims only what is due by the end of its window."""
 
     NEAR, NEAR_TOO, FAR = "36.10.0.5", "36.10.0.6", "36.10.0.7"
 
@@ -205,23 +206,39 @@ class TestArrivalsAtLaunch:
         assert [seg.timestamp for seg in got] == [60_000_000]
         assert tr.queued == 0
 
-    @pytest.mark.parametrize("earlier", [False, True],
-                             ids=["first-transport", "second-transport"])
-    def test_transport_attached_in_flight_captures(self, earlier):
-        """A SYN/ACK in flight to MM goes to the transport attached to MM
-        when it arrives, whether or not another was attached at launch."""
+    def test_second_transport_refused(self):
+        """A monitor takes one transport; the first keeps capturing."""
         sim = Simulator(seed=1)
         sim.add_server(SERVER, open_ports=[9001])
-        old = sim.attach(MM) if earlier else sim.add_monitor(MM)
+        tr = sim.attach(MM)
+        vps = sim.attach(VPS_ADDR)
+        send_syn(vps, src=MM, sport=41000)
+        sim.step(15_000_000)  # the SYN/ACK left at 10 ms, arrives at 20 ms
+        with pytest.raises(ValueError, match="already has a transport"):
+            sim.attach(MM)
+        got = tr.capture([FlowKey(SERVER, 9001, MM, 41000)], 10_000_000)
+        assert [seg.timestamp for seg in got] == [20_000_000]
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_arrival_launched_without_a_transport_is_absorbed(self, traced):
+        """A SYN/ACK launched toward a monitor with no transport is gone by
+        the time one attaches, yet a sink still records its delivery; the
+        retransmission launched after the attach is captured."""
+        events = []
+        sim = Simulator(seed=1, trace=events.append if traced else None)
+        sim.add_server(SERVER, open_ports=[9001])
+        sim.add_monitor(MM)
         vps = sim.attach(VPS_ADDR)
         send_syn(vps, src=MM, sport=41000)
         sim.step(15_000_000)  # the SYN/ACK left at 10 ms, arrives at 20 ms
         tr = sim.attach(MM)
         flow = FlowKey(SERVER, 9001, MM, 41000)
-        got = tr.capture([flow], 10_000_000)
-        assert [seg.timestamp for seg in got] == [20_000_000]
-        if earlier:
-            assert old.capture([flow], 0) == [] and old.queued == 0
+        assert tr.capture([flow], 10_000_000) == []
+        got = tr.capture([flow], 2 * NS_PER_SEC)
+        assert [seg.timestamp for seg in got] == [1_020_000_000]
+        if traced:
+            assert [e["t"] for e in events if e["ev"] == "deliver"
+                    and e["dst"] == MM] == [20_000_000, 1_020_000_000]
 
     @pytest.mark.parametrize("trace", [None, [].append], ids=["plain", "traced"])
     def test_send_due_now_meets_the_rules_in_force_at_the_send(self, trace):
@@ -646,7 +663,8 @@ hours = 0-5,22-23
             scenario.loads("[client c1]\nipid_mode = global\n")
         for defaults in ("path_hop = 10.9.0.1", "path_filtered = maybe",
                          "client_ipid_mode = sequential",
-                         "server_backlog_capacity = many"):
+                         "server_backlog_capacity = many",
+                         "path_hops = 10.9.0.x"):
             with pytest.raises(scenario.ScenarioError):
                 scenario.loads(f"[defaults]\n{defaults}\n")
 
@@ -662,6 +680,13 @@ hours = 0-5,22-23
         ("addr = 198.51.100.9", "addr = 198.51.100.9 x", "monitor mm"),
         ("delay_ms = 30", "delay_ms = x", "path c1 s1"),
         ("loss_rate = 0.05", "loss_rate = 5%", "path c1 s1"),
+        ("hops = 10.9.0.1,", "hops = 10.9.0.x,", "path c1 s1"),
+        ("hops = 10.9.0.1,", "hops = 010.9.0.1,", "path c1 s1"),
+        ("server->client\naddr = 203.0.113.5", "server->client\naddr = 203.0.113.05",
+         "rule drop-tor"),
+        ("ports = 9001, 9030", "ports = 70000, 9030", "server s1"),
+        ("ports = 9001, 9030", "ports = 9001, -1", "server s1"),
+        ("port = 9001\n", "port = 70000\n", "rule drop-tor"),
     ])
     def test_bad_value_names_its_section(self, old, new, section):
         text = self.SCENARIO.replace(old, new)
@@ -797,9 +822,11 @@ class TestPinnedTrace:
         assert hashlib.sha256(blob).hexdigest() == PINNED_TRACE_SHA256
 
     def test_trace_sink_never_perturbs_the_run(self, tmp_path):
-        """A sink makes every plan deliver through ``_deliver``, which emits
-        each delivery; without one, plans hand arrivals straight to the
-        host's handler.  Captures, verdicts, series and packet logs agree."""
+        """A sink makes every plan to a client or server deliver through
+        ``_deliver``, which emits each delivery; without one, plans hand
+        arrivals straight to the host's handler.  Arrivals at a monitor
+        settle at launch either way.  Captures, verdicts, series and packet
+        logs agree."""
         assert pinned_scenario(trace=[].append) == pinned_scenario()
         assert pinned_scenario() != []
         plain = backlog_pair(tmp_path / "backlog")
