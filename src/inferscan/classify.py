@@ -13,24 +13,11 @@ that never fits a model, such as a backlog scan or an analysis, never
 loads numpy (about 0.13 s and 13 MB of start-up on a shared 2-vCPU
 Xeon).
 
-The ARMA fit is in-house rather than scipy's ``lfilter`` and Nelder-Mead:
-importing ``scipy.signal`` and ``scipy.optimize`` added about 1.3 s and
-75 MB of resident memory to every process that imports the CLI (scipy
-1.17 on a shared 2-vCPU Xeon), most of its start-up.  The two helpers must
-match scipy exactly, operation for operation, so that a fit gives the same
-bits as ``scipy.optimize.minimize(..., method="Nelder-Mead")`` over
-``scipy.signal.lfilter``; ``tests/test_classify.py`` checks this against
-scipy when it is installed, and pins the bits of fixed fits without it.
-Two rules keep the bits:
-
-- Sums of squares stay ``np.dot`` over arrays, as scipy computes them.
-  OpenBLAS's ``ddot`` uses fused multiply-adds, so neither a Python sum
-  nor ``a * a + b * b`` gives its last bit.  Each sum converts its operand
-  to an array once.
-- The simplex is ranked with ``sorted`` only when the ranked values are
-  strictly increasing, so that the order is unique and is
-  ``np.argsort``'s.  A tie, a signed zero or a NaN ranks with
-  ``np.argsort``, whose SIMD sorts need not be stable, as scipy does.
+The noise model is the Hannan-Rissanen estimate of an ARMA(1,1) process
+(Hannan & Rissanen, Biometrika 69(1), 1982): two ordinary least-squares
+regressions, with no optimizer and no starting point.  A long AR fit gives
+residual estimates, and each delta is then regressed on the previous delta
+and the previous residual estimate.
 """
 
 from __future__ import annotations
@@ -67,6 +54,8 @@ THRESHOLD_C2S_UPPER = 8.0
 DEFAULT_SETTLE_S = 32.0  # covers the longest default retransmission span
 MIN_DELTAS_FOR_FIT = 20
 MIN_STEADY_DELTAS = 6
+LONG_AR_ORDER = 10  # largest order of the fit's first, long AR regression
+COEF_LIMIT = 0.98  # fitted AR and MA coefficients are clipped to +-this
 
 
 class ClassifyError(Exception):
@@ -134,19 +123,14 @@ class ArmaModel:
 
 
 def _innovations(ar: float, ma: float, y) -> list:
-    """Innovations of ``y`` under ARMA(1,1) coefficients ``ar`` and ``ma``.
-
-    This is ``scipy.signal.lfilter([1, -ar], [1, ma], y)`` from zero state:
-    its direct-form-II-transposed recursion, every product and sum in
-    lfilter's order.
-    """
-    b1, a1 = -float(ar), float(ma)
+    """Innovations of ``y`` under ARMA(1,1) coefficients ``ar`` and ``ma``:
+    e_t = y_t - ar * y_{t-1} - ma * e_{t-1}, from zero state."""
     out = []
-    z = 0.0
+    prev_y = prev_e = 0.0
     for x in y:
-        e = z + x
-        z = x * b1 - e * a1
-        out.append(e)
+        prev_e = x - ar * prev_y - ma * prev_e
+        prev_y = x
+        out.append(prev_e)
     return out
 
 
@@ -163,135 +147,25 @@ def _stationary_ar(ar: float) -> float:
     raise ModelFitError("could not reach a stationary AR polynomial")
 
 
-def _css(params: list, y: list, ridge: float) -> float:
+def _least_squares(design, target):
+    """Least-squares coefficients, the minimum-norm ones when ``design`` is
+    rank-deficient (a lone outlier at either end of a flat series makes its
+    columns collinear); ModelFitError when the solver fails."""
     import numpy as np
-    ar, ma = params
-    if abs(ar) >= 0.99 or abs(ma) >= 0.99:
-        return 1e12 * (1.0 + float(np.sum(np.abs(params))))
-    eps = np.array(_innovations(ar, ma, y))
-    value = float(np.dot(eps, eps))
-    if not math.isfinite(value):
-        return 1e15
-    # Mixed models on white noise have a flat ridge where the AR and MA
-    # terms cancel; a small penalty settles it at the origin.
-    coef = np.array(params)
-    return value + ridge * float(np.dot(coef, coef))
-
-
-def _converged(sim: list, fsim: list) -> bool:
-    """scipy's stopping test, ``max(spread) <= 1e-7 and max(gap) <= 1e-9``.
-
-    The spreads are ``abs(v[i] - best[i])`` over each other vertex and
-    coordinate, the gaps ``abs(fsim[0] - f)`` over each other value.  The
-    loops stop at the first failure.  ``max`` keeps a NaN in first place
-    and passes over a later one, so only a first NaN fails the test.
-    """
-    best = sim[0]
-    first = True
-    for v in sim[1:]:
-        for x, b in zip(v, best):
-            d = abs(x - b)
-            if d > 1e-7 or (first and d != d):
-                return False
-            first = False
-    f0 = fsim[0]
-    first = True
-    for f in fsim[1:]:
-        d = abs(f0 - f)
-        if d > 1e-9 or (first and d != d):
-            return False
-        first = False
-    return True
-
-
-def _nelder_mead(func, n: int, maxiter: int = 2000) -> list:
-    """Minimise ``func`` over n parameters from the origin.
-
-    scipy's ``_minimize_neldermead`` with its defaults (reflection 1,
-    expansion 2, contraction 0.5, shrink 0.5, a first simplex stepping
-    0.00025 along each axis), xatol 1e-7, fatol 1e-9 and no cap on
-    evaluations, in its order of operations.  Returns the best vertex;
-    raises ModelFitError when ``maxiter`` iterations pass without
-    convergence.
-    """
-    sim = [[0.0] * n]
-    for k in range(n):
-        vertex = [0.0] * n
-        vertex[k] = 0.00025
-        sim.append(vertex)
-    fsim = [func(v) for v in sim]
-
-    def by_value():
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        ranked = [fsim[i] for i in order]
-        for a, b in zip(ranked, ranked[1:]):
-            if not a < b:
-                # A tie, a signed zero or a NaN: the order is not unique,
-                # and np.argsort's, which need not be stable, is scipy's.
-                import numpy as np
-                order = np.argsort(fsim)
-                ranked = [fsim[i] for i in order]
-                break
-        return [sim[i] for i in order], ranked
-
-    sim, fsim = by_value()
-    sim, fsim = by_value()  # scipy sorts the first simplex twice
-    iterations = 1
-    while iterations < maxiter:
-        best, worst = sim[0], sim[-1]
-        if _converged(sim, fsim):
-            break
-        xbar = []
-        for i in range(n):
-            total = best[i]
-            for v in sim[1:-1]:
-                total += v[i]
-            xbar.append(total / n)
-        xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-            fxe = func(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            shrink = False
-            if fxr < fsim[-1]:
-                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = func(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                fxcc = func(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = func(sim[j])
-        iterations += 1
-        sim, fsim = by_value()
-    if iterations >= maxiter:
-        raise ModelFitError("optimizer failed: maximum number of iterations "
-                            "exceeded")
-    return sim[0]
+    try:
+        return np.linalg.lstsq(design, target, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ModelFitError(f"singular regression: {exc}") from exc
 
 
 def fit_arma(deltas: Sequence[int]) -> ArmaModel:
-    """Conditional-least-squares ARMA(1,1) fit of a delta sequence.
+    """Hannan-Rissanen ARMA(1,1) fit of a delta sequence.
 
-    Deterministic (Nelder-Mead from the origin, no randomness).  Constant
-    input yields a degenerate model with zero variance.  Raises
-    ModelFitError when the optimizer fails to converge.
+    An AR(m) least-squares fit, m = min(LONG_AR_ORDER, n // 4), gives
+    residual estimates e; y_t is then regressed on y_{t-1} and e_{t-1}.
+    The two coefficients are clipped to +-COEF_LIMIT and the AR one made
+    stationary; the residuals and variance are the innovations under them.
+    Constant input yields a degenerate model with zero variance.
     """
     import numpy as np
     x = np.asarray(deltas, dtype=float)
@@ -303,13 +177,13 @@ def fit_arma(deltas: Sequence[int]) -> ArmaModel:
     if not np.any(y):
         return ArmaModel(ar=(0.0,), ma=(0.0,), mean=mu, variance=0.0,
                          residuals=(0.0,) * n, degenerate=True)
-    ridge = 0.05 * float(np.dot(y, y))
-    values = y.tolist()
-    best = np.array(_nelder_mead(lambda params: _css(params, values, ridge), 2))
-    if not np.all(np.isfinite(best)):
-        raise ModelFitError("optimizer failed: non-finite parameters")
-    ar, ma = _stationary_ar(best[0]), best[1]
-    eps = np.array(_innovations(ar, ma, values))
+    m = min(LONG_AR_ORDER, n // 4)
+    lags = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
+    long_resid = y[m:] - lags @ _least_squares(lags, y[m:])
+    design = np.column_stack([y[m:-1], long_resid[:-1]])
+    coef = np.clip(_least_squares(design, y[m + 1:]), -COEF_LIMIT, COEF_LIMIT)
+    ar, ma = _stationary_ar(float(coef[0])), float(coef[1])
+    eps = np.array(_innovations(ar, ma, y.tolist()))
     variance = float(np.dot(eps, eps) / n)
     return ArmaModel(ar=(ar,), ma=(ma,), mean=mu, variance=variance,
                      residuals=tuple(eps))

@@ -52,8 +52,8 @@ and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
 to every client<->server pair without a ``[path]``, hops listed from the
 client.  Every section rejects a key it does not know (``SECTION_KEYS``).
 Every address, hop and rule addresses included, must be a canonical dotted
-quad, and every port must lie in 0-65535; a bad value raises ScenarioError
-naming its section.
+quad, every port must lie in 0-65535, and every hop delay must be a finite
+number of ms >= 0; a bad value raises ScenarioError naming its section.
 
 A client's ``background_rate`` is a Poisson rate of packets to hosts outside
 the model, each advancing its IP-ID.  A client that nothing has reached for
@@ -65,6 +65,7 @@ once a minute keeps its exact per-packet stream.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -168,7 +169,7 @@ def parse_hours(text: str) -> Optional[tuple]:
     return tuple(mask)
 
 
-def _parse_hops(text: str) -> list:
+def _parse_hops(text: str, key: str) -> list:
     hops = []
     for item in text.split(","):
         item = item.strip()
@@ -177,7 +178,13 @@ def _parse_hops(text: str) -> list:
         parts = item.split("@")
         addr = parts[0]
         region = parts[1] if len(parts) > 1 else ""
-        delay = int(float(parts[2]) * 1e6) if len(parts) > 2 else None
+        delay = None
+        if len(parts) > 2:
+            delay_ms = float(parts[2])
+            if not 0 <= delay_ms < math.inf:  # NaN fails too
+                raise ScenarioError(f"{key}: hop delay {parts[2]!r} is not "
+                                    f"a finite number of ms >= 0")
+            delay = int(delay_ms * 1e6)
         hops.append(Hop(addr=_check_addr(addr), region=region, delay_ns=delay))
     return hops
 
@@ -186,7 +193,8 @@ def _path_decl(sec, prefix: str = "", a: str = "", b: str = "") -> PathDecl:
     """A [path] section's keys, or the [defaults] ones under ``path_``."""
     delay_key = prefix + "delay_ms"
     return PathDecl(
-        a=a, b=b, hops=_parse_hops(sec.get(prefix + "hops", "")),
+        a=a, b=b, hops=_parse_hops(sec.get(prefix + "hops", ""),
+                                   prefix + "hops"),
         delay_ns=(int(sec.getfloat(delay_key) * 1e6) if delay_key in sec
                   else None),
         loss_rate=sec.getfloat(prefix + "loss_rate", 0.0),

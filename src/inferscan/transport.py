@@ -305,7 +305,13 @@ class Clock:
 
 
 class FlowRateLimiter:
-    """Paces sends to at most `rate` segments per second per flow."""
+    """Paces sends to at most `rate` segments per second per flow.
+
+    A flow's next free slot at or before now gives the same slot as no
+    entry, and the clock does not run backward, so such entries are
+    dropped whenever the table has doubled since the last sweep: its size
+    tracks the flows with sends still pending, not every flow ever used.
+    """
 
     def __init__(self, rate: float = 10.0):
         if rate <= 0:
@@ -313,11 +319,16 @@ class FlowRateLimiter:
         self.rate = rate
         self._interval_ns = int(NS_PER_SEC / rate)
         self._next_free: dict[FlowKey, int] = {}
+        self._sweep_at = 2
 
     def reserve(self, flow: FlowKey, now_ns: int) -> int:
         """Return the send slot for this flow: now, or its next free slot."""
-        slot = max(now_ns, self._next_free.get(flow, 0))
-        self._next_free[flow] = slot + self._interval_ns
+        next_free = self._next_free
+        slot = max(now_ns, next_free.get(flow, 0))
+        next_free[flow] = slot + self._interval_ns
+        if len(next_free) >= self._sweep_at:
+            self._next_free = {f: t for f, t in next_free.items() if t > now_ns}
+            self._sweep_at = 2 * len(self._next_free)
         return slot
 
 

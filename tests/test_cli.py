@@ -578,6 +578,17 @@ class TestMalformedInput:
         assert err.startswith("error: ") and "[rule gfw]" in err
         assert "Traceback" not in err
 
+    def test_negative_hop_delay(self, workspace, capsys):
+        scen = workspace / "badhop.cfg"
+        scen.write_text(TRACE_SCENARIO.replace("202.97.0.1@CN",
+                                               "202.97.0.1@CN@-50"))
+        code = run(["simulate", "--scenario", scen, "--seed", 1,
+                    "--duration-s", 1, "--out", workspace / "t.jsonl"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: [path relay dest] hops: ")
+        assert "'-50'" in line
+
     def test_duplicate_scenario_section(self, workspace, capsys):
         scen = workspace / "dup.cfg"
         scen.write_text(TRACE_SCENARIO + "\n[client dest]\naddr = 36.10.0.6\n")

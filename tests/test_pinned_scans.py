@@ -27,7 +27,7 @@ from inferscan.transport import NS_PER_SEC, PacketLog
 
 BACKLOG_SHA256 = "fc2fdbcb77f4e6a05a0a3661021d1b086c4a40219d5be4a10de8b9bb9ac14e75"
 EDGE_SHA256 = "095c3b349fb681ac4ba35a1dddf60059496f273bdf3364bf970dfd8179020b92"
-IDLE_ROUND_SHA256 = "525b3961d2f83d794d5d332ff8a5537753762ee8dde2aa542621c0b2821a9cf0"
+IDLE_ROUND_SHA256 = "21d47bc286f5bb736997d085a17634567ecdba63f7695f20867a3d57fb30c5f1"
 QUALIFY_SHA256 = "993a69856b244bcab8008c82c95abd1e2e9fa0a882ba437b25bebb7c5b8e3bb8"
 
 

@@ -695,6 +695,28 @@ hours = 0-5,22-23
             scenario.loads(text)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("delay", ["-50", "-0.001", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("old, new, prefix", [
+        ("hops = 10.9.0.1,", "hops = 10.9.0.1@CN@{},", "[path c1 s1] hops: "),
+        ("[monitor mm]", "[defaults]\npath_hops = 10.9.0.1@CN@{}\n\n[monitor mm]",
+         "[defaults] path_hops: "),
+    ], ids=["path", "defaults"])
+    def test_bad_hop_delay_names_section_and_key(self, delay, old, new, prefix):
+        # A negative delay would answer a TTL-expiring probe before it was
+        # sent.
+        text = self.SCENARIO.replace(old, new.format(delay))
+        with pytest.raises(scenario.ScenarioError) as info:
+            scenario.loads(text)
+        message = str(info.value)
+        assert message.startswith(prefix) and repr(delay) in message
+        assert "\n" not in message
+
+    def test_hop_delays_load_from_zero(self):
+        text = self.SCENARIO.replace("10.9.0.1, 10.9.0.2@CN",
+                                     "10.9.0.1@@0, 10.9.0.2@CN@2.5")
+        hops = scenario.loads(text).paths[0].hops
+        assert [hop.delay_ns for hop in hops] == [0, 2_500_000]
+
     def test_padded_addr_loads_canonical(self):
         # configparser strips the value, so "1.2.3.4 " reads as 1.2.3.4.
         text = self.SCENARIO.replace("addr = 36.10.0.5", "addr = 36.10.0.5 ")

@@ -464,6 +464,48 @@ class TestCaptureQueue:
         assert 0 < queued[1] <= queued[0]
 
 
+class TestFlowRateLimiter:
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 150_000_000)),
+                    max_size=200))
+    def test_sweeps_never_change_a_slot(self, sends):
+        limiter, next_free, now = FlowRateLimiter(rate=10.0), {}, 0
+        for port, wait in sends:
+            now += wait
+            flow = FlowKey(MM, port, "36.10.0.5", 443)
+            expected = max(now, next_free.get(flow, 0))
+            next_free[flow] = expected + NS_PER_SEC // 10
+            assert limiter.reserve(flow, now) == expected
+
+    def test_size_tracks_pending_flows_not_pairs(self):
+        """Over 4 pairs or 8, the table stays under twice the most flows
+        ever pending at once, far below the flows the campaign used."""
+        client = EndpointSpec("36.10.0.5", 0, "client")
+        for pairs in (4, 8):
+            servers = [replace(SERVER_EP, addr=f"203.0.113.{i}")
+                       for i in range(5, 5 + pairs)]
+            sim = Simulator(seed=9)
+            sim.add_client(client.addr, ipid_start=500)
+            for server in servers:
+                sim.add_server(server.addr, open_ports=[9001])
+            tr = sim.attach(MM_ADDR)
+            limiter, flows, peak = tr._limiter, set(), 0
+            reserve = limiter.reserve
+
+            def counting_reserve(flow, now_ns):
+                nonlocal peak
+                slot = reserve(flow, now_ns)
+                flows.add(flow)
+                peak = max(peak, sum(t > now_ns
+                                     for t in limiter._next_free.values()))
+                return slot
+
+            limiter.reserve = counting_reserve
+            summary = run_idle_campaign(tr, [client], servers, seed=2,
+                                        slots=pairs)
+            assert summary.completed == pairs
+            assert len(limiter._next_free) < 2 * peak < len(flows)
+
+
 class TestFlowKey:
     def test_exact_equality(self):
         a = FlowKey("1.2.3.4", 1, "5.6.7.8", 2)
