@@ -94,6 +94,9 @@ class AnalyticsConfig:
             raise ValueError("K must be >= 1")
         if self.grid_rows <= 0 or self.grid_cols <= 0:
             raise ValueError("grid dims must be positive")
+        if self.pair_epoch_s < 1:
+            raise ValueError(f"pair_epoch_s must be >= 1, got "
+                             f"{self.pair_epoch_s}")
 
 
 # The keys an [analytics] section accepts; any other key is an error.

@@ -8,26 +8,26 @@ explicit error case).
 
 All functions are pure; they only read the attributes of the series
 object they are given (``samples``, ``spoof_rate``, ``probe_rate``).
-Each function that needs numpy imports it where it runs, so a process
-that never fits a model, such as a backlog scan or an analysis, never
-loads numpy (about 0.13 s and 13 MB of start-up on a shared 2-vCPU
-Xeon).
+The arithmetic is plain Python floats, summed with ``math.fsum``, so a fit
+gives the same bits on every platform and Python version.
 
 The noise model is the Hannan-Rissanen estimate of an ARMA(1,1) process
 (Hannan & Rissanen, Biometrika 69(1), 1982): two ordinary least-squares
 regressions, with no optimizer and no starting point.  A long AR fit gives
 residual estimates, and each delta is then regressed on the previous delta
-and the previous residual estimate.
+and the previous residual estimate.  Both regressions, and the final
+[intercept, step] one, give the least-squares answer of minimum norm, with
+a rank cut relative to the design's scale as SVD solvers make it (see
+``_long_ar_residuals`` and ``_lstsq2``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from operator import mul
+from typing import Optional, Sequence
 
 IPID_MOD = 65536
 FORWARD_LIMIT = 32768  # deltas at or past this are reorder artifacts
@@ -56,6 +56,7 @@ MIN_DELTAS_FOR_FIT = 20
 MIN_STEADY_DELTAS = 6
 LONG_AR_ORDER = 10  # largest order of the fit's first, long AR regression
 COEF_LIMIT = 0.98  # fitted AR and MA coefficients are clipped to +-this
+_EPS = sys.float_info.epsilon
 
 
 class ClassifyError(Exception):
@@ -115,11 +116,9 @@ class ArmaModel:
     residuals: tuple
     degenerate: bool = False
 
-    def whiten(self, values: np.ndarray) -> np.ndarray:
+    def whiten(self, values: Sequence[float]) -> list:
         """Apply the innovation filter with zero initial conditions."""
-        import numpy as np
-        return np.array(_innovations(
-            self.ar[0], self.ma[0], np.asarray(values, dtype=float).tolist()))
+        return _innovations(self.ar[0], self.ma[0], values)
 
 
 def _innovations(ar: float, ma: float, y) -> list:
@@ -138,7 +137,7 @@ def _stationary_ar(ar: float) -> float:
     """``ar`` shrunk by 0.9 until 1 - ar z is stationary, at most 60 times.
 
     The polynomial's root is 1/ar (none when ar is 0), and it must lie
-    outside the unit circle; the test is on 1/ar, as ``np.roots`` makes it.
+    outside the unit circle; the test is on the computed root 1/ar.
     """
     for _ in range(61):
         if ar == 0 or abs(1 / ar) > 1.0:
@@ -147,15 +146,95 @@ def _stationary_ar(ar: float) -> float:
     raise ModelFitError("could not reach a stationary AR polynomial")
 
 
-def _least_squares(design, target):
-    """Least-squares coefficients, the minimum-norm ones when ``design`` is
-    rank-deficient (a lone outlier at either end of a flat series makes its
-    columns collinear); ModelFitError when the solver fails."""
-    import numpy as np
-    try:
-        return np.linalg.lstsq(design, target, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise ModelFitError(f"singular regression: {exc}") from exc
+def _dot(a, b) -> float:
+    """Sum of the products of ``a`` and ``b``, correctly rounded."""
+    return math.fsum(map(mul, a, b))
+
+
+def _long_ar_residuals(x: Sequence[int], y: list, m: int) -> list:
+    """Residuals of the least-squares regression of y[m:] on its m lags.
+
+    The residual is the projection off the span of the lags, whatever
+    coefficients reach it, so a Cholesky factor of the Gram matrix that
+    skips dependent lags gives it.  The Gram matrix is built from
+    z = n x - sum(x) = n y, which is integral for integer deltas, so it is
+    exact; each entry past the first row comes from the one up and to the
+    left in O(1).  A column whose pivot (its squared length off the columns
+    kept before it) is at most eps max(M, N) times its squared length is
+    dependent; a dependent target leaves residuals of exactly zero.
+    """
+    n = len(x)
+    total = sum(x)
+    z = [n * v - total for v in x]
+    # gram[j][k], j <= k, is the product of columns j and k, where column k
+    # is z[m - k:n - k]: column 0 is the target, column k its lag k.
+    gram = [[sum(map(mul, z[m:], z[m - k:n - k])) for k in range(m + 1)]]
+    for j in range(m):
+        up, head, tail = gram[j], z[m - j - 1], z[n - j - 1]
+        gram.append([0] * (j + 1) + [
+            up[k] + head * z[m - k - 1] - tail * z[n - k - 1]
+            for k in range(j, m)])
+    cut = _EPS * max(n - m, m)
+    kept, factor = [], []  # kept lags, and their rows of the factor
+    for j in (*range(1, m + 1), 0):
+        row = []
+        for p, i in enumerate(kept):
+            g = gram[i][j] if i < j else gram[j][i]
+            row.append((g - _dot(row, factor[p])) / factor[p][p])
+        pivot = gram[j][j] - math.fsum(v * v for v in row)
+        if pivot <= cut * gram[j][j]:
+            if j == 0:
+                return [0.0] * (n - m)
+            continue
+        if j == 0:
+            break
+        row.append(math.sqrt(pivot))
+        kept.append(j)
+        factor.append(row)
+    coef = [0.0] * len(kept)
+    for p in reversed(range(len(kept))):
+        later = math.fsum(factor[q][p] * coef[q]
+                          for q in range(p + 1, len(kept)))
+        coef[p] = (row[p] - later) / factor[p][p]
+    resid = y[m:]
+    for k, c in zip(kept, coef):
+        resid = [r - c * v for r, v in zip(resid, y[m - k:n - k])]
+    return resid
+
+
+def _lstsq2(u: list, v: list, target: list) -> tuple:
+    """Minimum-norm least-squares coefficients of ``target`` on the columns
+    ``u`` and ``v``, and the rank: (coef_u, coef_v, rank).
+
+    A Gram-Schmidt step from the longer column gives the triangular factor
+    [[r11, r12], [0, r22]], whose singular values have product r11 r22 and
+    squares summing to its squared Frobenius norm.  Taking the smaller one
+    as that product over the larger keeps it accurate to rounding; from the
+    2x2 Gram matrix ac - b^2 would cancel to about sqrt(eps), so an exactly
+    collinear pair would pass the rank cut.
+    """
+    uu, vv = _dot(u, u), _dot(v, v)
+    if vv > uu:
+        coef_v, coef_u, rank = _lstsq2(v, u, target)
+        return coef_u, coef_v, rank
+    if uu == 0:
+        return 0.0, 0.0, 0
+    r11 = math.sqrt(uu)
+    q = [a / r11 for a in u]
+    r12 = _dot(q, v)
+    w = [b - r12 * a for a, b in zip(q, v)]
+    r22 = math.sqrt(_dot(w, w))
+    frob = uu + r12 * r12 + r22 * r22
+    det = r11 * r22
+    large = math.sqrt((frob + math.sqrt(max(frob * frob - 4 * det * det,
+                                            0.0))) / 2)
+    qt = _dot(q, target)
+    if det / large <= _EPS * max(len(target), 2) * large:
+        # The rank-1 factor [r11, r12]: its minimum-norm solution.
+        scale = qt / (uu + r12 * r12)
+        return r11 * scale, r12 * scale, 1
+    coef_v = _dot(w, target) / (r22 * r22)
+    return (qt - r12 * coef_v) / r11, coef_v, 2
 
 
 def fit_arma(deltas: Sequence[int]) -> ArmaModel:
@@ -167,25 +246,22 @@ def fit_arma(deltas: Sequence[int]) -> ArmaModel:
     stationary; the residuals and variance are the innovations under them.
     Constant input yields a degenerate model with zero variance.
     """
-    import numpy as np
-    x = np.asarray(deltas, dtype=float)
-    n = len(x)
+    n = len(deltas)
     if n < MIN_DELTAS_FOR_FIT:
         raise ValueError(f"need >= {MIN_DELTAS_FOR_FIT} usable deltas, got {n}")
-    mu = float(x.mean())
-    y = x - mu
-    if not np.any(y):
+    mu = math.fsum(deltas) / n
+    y = [v - mu for v in deltas]
+    if not any(y):
         return ArmaModel(ar=(0.0,), ma=(0.0,), mean=mu, variance=0.0,
                          residuals=(0.0,) * n, degenerate=True)
     m = min(LONG_AR_ORDER, n // 4)
-    lags = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
-    long_resid = y[m:] - lags @ _least_squares(lags, y[m:])
-    design = np.column_stack([y[m:-1], long_resid[:-1]])
-    coef = np.clip(_least_squares(design, y[m + 1:]), -COEF_LIMIT, COEF_LIMIT)
-    ar, ma = _stationary_ar(float(coef[0])), float(coef[1])
-    eps = np.array(_innovations(ar, ma, y.tolist()))
-    variance = float(np.dot(eps, eps) / n)
-    return ArmaModel(ar=(ar,), ma=(ma,), mean=mu, variance=variance,
+    long_resid = _long_ar_residuals(deltas, y, m)
+    ar, ma, _ = _lstsq2(y[m:-1], long_resid[:-1], y[m + 1:])
+    ar = _stationary_ar(min(max(ar, -COEF_LIMIT), COEF_LIMIT))
+    ma = min(max(ma, -COEF_LIMIT), COEF_LIMIT)
+    eps = _innovations(ar, ma, y)
+    return ArmaModel(ar=(ar,), ma=(ma,), mean=mu,
+                     variance=math.fsum(e * e for e in eps) / n,
                      residuals=tuple(eps))
 
 
@@ -227,12 +303,10 @@ def intervention_amplitude(series, settle_s: float = DEFAULT_SETTLE_S):
 
     noise = fit_arma(base_diff.deltas)
 
-    import numpy as np
-    yb = np.asarray(base_diff.deltas, dtype=float)
-    ys = np.asarray(steady_diff.deltas, dtype=float)
+    yb, ys = base_diff.deltas, steady_diff.deltas
     ratio = series.spoof_rate / series.probe_rate
 
-    if noise.degenerate and np.ptp(yb) == 0 and np.ptp(ys) == 0:
+    if noise.degenerate and len(set(yb)) == 1 and len(set(ys)) == 1:
         # Noiseless runs: the mean difference is exact; skip the solver so
         # integer arithmetic survives untouched.
         step = float(ys[0] - yb[0])
@@ -241,27 +315,19 @@ def intervention_amplitude(series, settle_s: float = DEFAULT_SETTLE_S):
     else:
         # Whiten each phase independently (the phases are not contiguous
         # once the settle window is dropped), then solve the two-column
-        # least squares [intercept, step].
-        wyb, wys = noise.whiten(yb), noise.whiten(ys)
-        wib = noise.whiten(np.ones_like(yb))
-        wis = noise.whiten(np.ones_like(ys))
-        wxs = wis  # step regressor is 0 over base, 1 over steady
-        design = np.column_stack([
-            np.concatenate([wib, wis]),
-            np.concatenate([np.zeros_like(wyb), wxs]),
-        ])
-        target = np.concatenate([wyb, wys])
-        try:
-            coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise WhiteningError(str(exc)) from exc
-        if rank < 2 or not np.all(np.isfinite(coef)):
+        # least squares [intercept, step]; the step regressor is 0 over
+        # base, 1 over steady.
+        wis = noise.whiten([1.0] * len(ys))
+        intercept = noise.whiten([1.0] * len(yb)) + wis
+        stepcol = [0.0] * len(yb) + wis
+        target = noise.whiten(yb) + noise.whiten(ys)
+        level, step, rank = _lstsq2(intercept, stepcol, target)
+        if rank < 2 or not (math.isfinite(level) and math.isfinite(step)):
             raise WhiteningError("rank-deficient whitened design")
-        step = float(coef[1])
         amplitude = step / ratio
-        fitted = design @ coef
-        resid = target - fitted
-        residual_var = float(np.dot(resid, resid) / len(resid))
+        residual_var = math.fsum(
+            (t - level * a - step * b) ** 2
+            for t, a, b in zip(target, intercept, stepcol)) / len(target)
 
     diagnostics = {
         "step_per_interval": step,

@@ -52,8 +52,9 @@ and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
 to every client<->server pair without a ``[path]``, hops listed from the
 client.  Every section rejects a key it does not know (``SECTION_KEYS``).
 Every address, hop and rule addresses included, must be a canonical dotted
-quad, every port must lie in 0-65535, and every hop delay must be a finite
-number of ms >= 0; a bad value raises ScenarioError naming its section.
+quad, every port must lie in 0-65535, and every delay and background rate,
+hop delays included, must be a finite number >= 0; a bad value raises
+ScenarioError naming its section.
 
 A client's ``background_rate`` is a Poisson rate of packets to hosts outside
 the model, each advancing its IP-ID.  A client that nothing has reached for
@@ -169,6 +170,25 @@ def parse_hours(text: str) -> Optional[tuple]:
     return tuple(mask)
 
 
+def _finite(text: str) -> float:
+    """``text`` as a finite float >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{text.strip()!r} is not a finite number >= 0")
+    return value
+
+
+def _get_finite(sec, key: str, default=None):
+    """``sec[key]`` as by :func:`_finite`, or ``default`` when it is absent;
+    a bad value raises ScenarioError naming the key."""
+    if key not in sec:
+        return default
+    try:
+        return _finite(sec[key])
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}") from None
+
+
 def _parse_hops(text: str, key: str) -> list:
     hops = []
     for item in text.split(","):
@@ -180,23 +200,21 @@ def _parse_hops(text: str, key: str) -> list:
         region = parts[1] if len(parts) > 1 else ""
         delay = None
         if len(parts) > 2:
-            delay_ms = float(parts[2])
-            if not 0 <= delay_ms < math.inf:  # NaN fails too
-                raise ScenarioError(f"{key}: hop delay {parts[2]!r} is not "
-                                    f"a finite number of ms >= 0")
-            delay = int(delay_ms * 1e6)
+            try:
+                delay = int(_finite(parts[2]) * 1e6)
+            except ValueError as exc:
+                raise ScenarioError(f"{key}: hop delay {exc}") from None
         hops.append(Hop(addr=_check_addr(addr), region=region, delay_ns=delay))
     return hops
 
 
 def _path_decl(sec, prefix: str = "", a: str = "", b: str = "") -> PathDecl:
     """A [path] section's keys, or the [defaults] ones under ``path_``."""
-    delay_key = prefix + "delay_ms"
+    delay_ms = _get_finite(sec, prefix + "delay_ms")
     return PathDecl(
         a=a, b=b, hops=_parse_hops(sec.get(prefix + "hops", ""),
                                    prefix + "hops"),
-        delay_ns=(int(sec.getfloat(delay_key) * 1e6) if delay_key in sec
-                  else None),
+        delay_ns=None if delay_ms is None else int(delay_ms * 1e6),
         loss_rate=sec.getfloat(prefix + "loss_rate", 0.0),
         filtered=sec.getboolean(prefix + "filtered", False),
     )
@@ -205,7 +223,7 @@ def _path_decl(sec, prefix: str = "", a: str = "", b: str = "") -> PathDecl:
 # [defaults] endpoint key -> (host kind, add_client/add_server keyword, parser)
 ENDPOINT_DEFAULTS = {
     "client_ipid_mode": ("client", "ipid_mode", str),
-    "client_background_rate": ("client", "background_rate", float),
+    "client_background_rate": ("client", "background_rate", _finite),
     "server_backlog_capacity": ("server", "backlog_capacity", int),
     "server_max_retransmissions": ("server", "max_retransmissions", int),
 }
@@ -231,7 +249,10 @@ def _load_defaults(scn: Scenario, sec) -> None:
     for key, text in sec.items():
         if key in ENDPOINT_DEFAULTS:
             kind, name, parse = ENDPOINT_DEFAULTS[key]
-            options[kind][name] = parse(text)
+            try:
+                options[kind][name] = parse(text)
+            except ValueError as exc:
+                raise ScenarioError(f"{key}: {exc}") from None
     if scn.client_options.get("ipid_mode", "global") not in IPID_MODES:
         raise ScenarioError(f"bad client_ipid_mode: {sec['client_ipid_mode']}")
     scn.client_server_path = _path_decl(sec, prefix="path_")
@@ -285,7 +306,8 @@ def _load_section(scn: Scenario, section: str, sec) -> None:
     if section == "sim":
         scn.seed = sec.getint("seed", 0)
         scn.duration_ns = int(sec.getfloat("duration_s", 0.0) * NS_PER_SEC)
-        scn.default_delay_ns = int(sec.getfloat("default_delay_ms", 10.0) * 1e6)
+        scn.default_delay_ns = int(_get_finite(sec, "default_delay_ms", 10.0)
+                                   * 1e6)
         scn.hour0 = sec.getint("hour0", 0)
     elif section == "defaults":
         _load_defaults(scn, sec)
@@ -305,7 +327,8 @@ def _load_section(scn: Scenario, section: str, sec) -> None:
             options["ipid_mode"] = sec.get("ipid_mode", "global")
             if "ipid_start" in sec:
                 options["ipid_start"] = sec.getint("ipid_start")
-            options["background_rate"] = sec.getfloat("background_rate", 0.0)
+            options["background_rate"] = _get_finite(sec, "background_rate",
+                                                     0.0)
             options["rst_policy"] = sec.getboolean("rst_policy", True)
         elif kind == "server":
             ports = [_check_port(int(p)) for p in sec.get("ports", "").split(",")

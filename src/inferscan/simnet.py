@@ -8,10 +8,11 @@ identical event traces.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .transport import (
     HOUR_NS,
@@ -23,9 +24,6 @@ from .transport import (
     _tuple_new,
     derive_seed,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PASS = "pass"
 DROP = "drop"
@@ -185,6 +183,43 @@ class _Host:
         self.sim._launch(now, out, self.addr)
 
 
+def _poisson(rng: random.Random, lam: float) -> int:
+    """One Poisson(``lam``) draw from ``rng``, exact in distribution and
+    O(1) at any ``lam``: inversion below 10, and at and above it the PTRS
+    transformed rejection of Hormann ("The transformed rejection method for
+    generating Poisson random variables", Insurance: Mathematics and
+    Economics 12(1), 1993), with its constants."""
+    if not 0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {lam!r}")
+    if lam < 10:
+        k, pmf = 0, math.exp(-lam)
+        cdf, u = pmf, rng.random()
+        while u > cdf and pmf > 0:  # pmf underflows only in the far tail
+            k += 1
+            pmf *= lam / k
+            cdf += pmf
+        return k
+    slam, loglam = math.sqrt(lam), math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        if us == 0:
+            continue  # u = -0.5 maps to no k
+        k = math.floor((2 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return k
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if v == 0 or (math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
+                      <= -lam + k * loglam - math.lgamma(k + 1)):
+            return k
+
+
 class SimClient(_Host):
     """End host probed by idle scans.
 
@@ -199,6 +234,9 @@ class SimClient(_Host):
         super().__init__(sim, addr)
         if ipid_mode not in IPID_MODES:
             raise ValueError(f"bad ipid_mode: {ipid_mode}")
+        if not 0 <= background_rate < math.inf:  # NaN fails too
+            raise ValueError(f"background_rate must be a finite rate >= 0, "
+                             f"got {background_rate!r}")
         self.ipid_mode = ipid_mode
         self.background_rate = background_rate
         self.rst_policy = rst_policy
@@ -209,7 +247,7 @@ class SimClient(_Host):
         self._noise_flow = FlowKey("0.0.0.0", 0, addr, 0)
         self._last_delivery = sim.now
         self._dormant_since: Optional[int] = None
-        self._catchup_rng: Optional[np.random.Generator] = None
+        self._catchup_rng: Optional[random.Random] = None
         if background_rate > 0:
             self._schedule_noise(sim.now)
 
@@ -232,11 +270,10 @@ class SimClient(_Host):
     def _wake(self, now: int) -> None:
         """Count the noise sent since going dormant, then resume the ticks."""
         if self._catchup_rng is None:
-            import numpy as np  # here, so a run with no wake never loads it
-            self._catchup_rng = np.random.default_rng(
+            self._catchup_rng = random.Random(
                 derive_seed(self.sim.seed, "noise-catchup", self.addr))
         span_s = (now - self._dormant_since) / NS_PER_SEC
-        n = int(self._catchup_rng.poisson(self.background_rate * span_s))
+        n = _poisson(self._catchup_rng, self.background_rate * span_s)
         self._dormant_since = None
         self.sent_count += n
         if self.ipid_mode != "random":

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import CLIENT_EP, SERVER_EP, MM_ADDR, build_idle_sim
 from inferscan.classify import (
     CLIENT_TO_SERVER_DROP,
+    COEF_LIMIT,
     ERROR,
+    LONG_AR_ORDER,
     NO_PACKETS_DROPPED,
     PHASE_BASE,
     PHASE_PERTURB,
@@ -23,6 +25,7 @@ from inferscan.classify import (
     classify_case,
     classify_series,
     _innovations,
+    _lstsq2,
     _stationary_ar,
     diff_series,
     fit_arma,
@@ -240,7 +243,7 @@ class TestHannanRissanen:
         y = np.asarray(deltas, dtype=float)
         eps = _innovations(model.ar[0], model.ma[0], (y - y.mean()).tolist())
         assert bits(model.residuals) == bits(eps)
-        assert model.variance == float(np.dot(eps, eps) / len(deltas))
+        assert model.variance == math.fsum(e * e for e in eps) / len(deltas)
 
     def test_lone_outlier_anywhere_fits(self):
         # An outlier among the first or last deltas makes a regression
@@ -251,17 +254,86 @@ class TestHannanRissanen:
             model = fit_arma(deltas)
             assert all(math.isfinite(v) for v in model.residuals)
 
-    def test_failed_solver_is_a_model_fit_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        monkeypatch.setattr(np.linalg, "lstsq", fail)
-        with pytest.raises(ModelFitError):
-            fit_arma([1, 2] * 15)
-        rng = random.Random(13)
-        series = make_series([1 + rng.randrange(3) for _ in range(40)],
-                             [13] * 20)
-        label = classify_series(series, settle_s=0.0)
-        assert (label.variant, label.reason) == (ERROR, "model-fit-failed")
+
+def reference_fit(deltas):
+    """The fit as written over numpy.linalg.lstsq, for a non-constant
+    sequence: (ar, ma, variance, residuals)."""
+    x = np.asarray(deltas, dtype=float)
+    n = len(x)
+    y = x - x.mean()
+    m = min(LONG_AR_ORDER, n // 4)
+    lags = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
+    long_resid = y[m:] - lags @ np.linalg.lstsq(lags, y[m:], rcond=None)[0]
+    design = np.column_stack([y[m:-1], long_resid[:-1]])
+    coef = np.clip(np.linalg.lstsq(design, y[m + 1:], rcond=None)[0],
+                   -COEF_LIMIT, COEF_LIMIT)
+    ar, ma = _stationary_ar(float(coef[0])), float(coef[1])
+    eps = np.array(_innovations(ar, ma, y.tolist()))
+    return ar, ma, float(np.dot(eps, eps) / n), eps
+
+
+# Fixed before the first comparison.  The two solvers round differently
+# (an SVD against an exact Gram matrix and Gram-Schmidt), which moves the
+# fit by about 1e-13 on these series; a different estimator, or a different
+# rank decision on a collinear design, moves it by far more.
+FIT_TOLERANCE = 1e-9
+
+
+def assert_matches_reference(deltas):
+    ar, ma, variance, residuals = reference_fit(deltas)
+    model = fit_arma(deltas)
+    assert abs(model.ar[0] - ar) <= FIT_TOLERANCE, deltas
+    assert abs(model.ma[0] - ma) <= FIT_TOLERANCE, deltas
+    assert abs(model.variance - variance) <= FIT_TOLERANCE * max(1.0, variance)
+    scale = 1.0 + max(abs(d - model.mean) for d in deltas)
+    assert max(abs(a - b) for a, b in zip(model.residuals, residuals)) \
+        <= FIT_TOLERANCE * scale
+
+
+@st.composite
+def flat_with_outlier(draw):
+    """A constant delta sequence with one other value anywhere: the series
+    whose regressions are rank-deficient."""
+    n = draw(st.integers(20, 120))
+    level = draw(st.integers(0, 5))
+    deltas = [level] * n
+    deltas[draw(st.integers(0, n - 1))] = draw(
+        st.integers(0, 12).filter(lambda v: v != level))
+    return deltas
+
+
+class TestMatchesLeastSquaresReference:
+    @settings(max_examples=300, deadline=None)
+    @given(deltas=st.one_of(delta_sequences(), flat_with_outlier()))
+    def test_fit_matches_reference(self, deltas):
+        assert_matches_reference(deltas)
+
+    @pytest.mark.parametrize("n", [20, 21, 23, 59, 60, 97])
+    def test_lone_outlier_at_every_position(self, n):
+        for where in range(n):
+            for level, outlier in ((1, 2), (3, 0)):
+                deltas = [level] * n
+                deltas[where] = outlier
+                assert_matches_reference(deltas)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10, 60).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-20, 20), min_size=n, max_size=n)] * 3)),
+           st.sampled_from(["free", "multiple", "zero"]), st.integers(-5, 5))
+    def test_two_column_solve_matches_lstsq(self, columns, shape, factor):
+        u, v, target = columns
+        if shape == "multiple":
+            v = [factor * a for a in u]
+        elif shape == "zero":
+            v = [0] * len(u)
+        u, v, target = ([float(a) for a in col] for col in (u, v, target))
+        coef, _, rank, _ = np.linalg.lstsq(np.column_stack([u, v]), target,
+                                           rcond=None)
+        got = _lstsq2(u, v, target)
+        assert got[2] == rank
+        scale = 1.0 + float(np.max(np.abs(coef)))
+        assert max(abs(got[0] - coef[0]), abs(got[1] - coef[1])) \
+            <= FIT_TOLERANCE * scale
 
 
 def residual_digest(residuals) -> str:
@@ -276,38 +348,38 @@ PINNED_FITS = [
     ([1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 2, 1, 1, 1,
       1, 1, 1, 2, 1, 2, 3, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 3, 1,
       2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1],
-     "0x1.4b46aa15d956bp-2", "-0x1.eaa8cd4098ef5p-2", "0x1.386177081793ep-2",
-     "0abcaba410db9f8c"),
+     "0x1.4b46aa15d9571p-2", "-0x1.eaa8cd4098ef9p-2", "0x1.386177081793dp-2",
+     "b552e6ebc06f6e7d"),
     ([1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
       1, 1, 2, 1, 2, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
       1, 2, 1, 2, 1, 1, 1, 1, 2, 2, 1],
-     "0x1.d605c6db6a1d0p-7", "-0x1.9c8171d94923ep-4", "0x1.64ccb3d00afffp-3",
-     "4271e9f0e313f977"),
+     "0x1.d605c6db6a19ap-7", "-0x1.9c8171d949234p-4", "0x1.64ccb3d00afffp-3",
+     "a41eddb92293a60c"),
     ([2, 1, 2, 1, 0, 1, 2, 0, 2, 0, 1, 1, 2, 2, 2, 1, 1, 2, 1, 0, 1, 0, 0, 1,
       1, 1, 1, 1, 2, 1, 1, 0, 2, 1, 2, 0, 1, 0, 2, 1, 1, 1, 1, 2, 0, 1, 0, 1,
       2, 2, 0, 1, 1, 2],
-     "-0x1.4ed3ecce1f8fep-6", "-0x1.95d2b6ade1de8p-5", "0x1.028e4c0f2fb2dp-1",
-     "f113ff29ab16eced"),
+     "-0x1.4ed3ecce1f942p-6", "-0x1.95d2b6ade1dbbp-5", "0x1.028e4c0f2fb2dp-1",
+     "1f057fea69a92f16"),
     ([9, 10, 5, 6, 2, 5, 4, 9, 5, 9, 8, 6, 10, 12, 14, 5, 6, 12, 11, 7, 10, 8,
       5, 6, 6, 10, 12, 7, 7, 8, 5, 12, 7, 8, 6, 4, 3, 1, 6, 6, 6, 9, 12, 7,
       10, 9, 15, 9, 5, 7, 4, 5, 5, 7, 11, 11, 11],
-     "0x1.c7b440d556611p-2", "-0x1.af73c1eb94da5p-4", "0x1.ec9511e109c7ep+2",
-     "25f0f0ba550cc31c"),
+     "0x1.c7b440d55661bp-2", "-0x1.af73c1eb94dd2p-4", "0x1.ec9511e109c7ep+2",
+     "3866a452bce0416d"),
     ([1, 2, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 2, 1, 1, 1,
       1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 2, 2, 4, 1, 2, 1, 1, 1, 1, 1, 2,
       3, 1, 3, 1, 2, 1, 2, 1, 1, 2, 2],
-     "-0x1.89b72992744c7p-3", "0x1.24e7fc8149a8bp-2", "0x1.bcc23f2ef13f7p-2",
-     "b31297cbea99b6a6"),
+     "-0x1.89b72992744cdp-3", "0x1.24e7fc8149a8ep-2", "0x1.bcc23f2ef13f7p-2",
+     "0f6bf00ebb479b4d"),
     ([1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 2, 2, 1, 1, 1, 1, 2, 1, 3, 3, 2, 2,
       2, 1, 1, 2, 2, 2, 1, 1, 1, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1, 4, 3, 1,
       2, 1, 1, 1, 3, 3, 1, 2, 1, 1, 1],
-     "0x1.0b8dfa27f36a7p-2", "-0x1.3e4aed0d774dbp-3", "0x1.04f8b66927364p-1",
-     "ac7bcba8887f90a4"),
+     "0x1.0b8dfa27f36a9p-2", "-0x1.3e4aed0d774e1p-3", "0x1.04f8b66927364p-1",
+     "190da93576a1f516"),
     ([1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-     "0x1.f5c28f5c28f5cp-1", "-0x1.f5c28f5c28f5cp-1", "0x1.851eb851eb855p-5",
+     "0x1.f5c28f5c28f5cp-1", "-0x1.f5c28f5c28f5cp-1", "0x1.851eb851eb852p-5",
      "f631612f08afc2ba"),
     ([1] * 46 + [2] + [1] * 13,
-     "0x1.f5c28f5c28f5cp-1", "-0x1.f5c28f5c28f5cp-1", "0x1.0c83fb72ea620p-6",
+     "0x1.f5c28f5c28f5cp-1", "-0x1.f5c28f5c28f5cp-1", "0x1.0c83fb72ea61ep-6",
      "88266e3544f353b0"),
 ]
 

@@ -589,6 +589,46 @@ class TestMalformedInput:
         assert line.startswith("error: [path relay dest] hops: ")
         assert "'-50'" in line
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("delay_ms = 60", "delay_ms = inf", "[path relay dest] delay_ms: 'inf'"),
+        ("default_delay_ms = 10", "default_delay_ms = -5",
+         "[sim] default_delay_ms: '-5'"),
+        ("[rule gfw]", "[defaults]\npath_delay_ms = nan\n\n[rule gfw]",
+         "[defaults] path_delay_ms: 'nan'"),
+        ("addr = 36.10.0.5", "addr = 36.10.0.5\nbackground_rate = nan",
+         "[client dest] background_rate: 'nan'"),
+        ("[rule gfw]", "[defaults]\nclient_background_rate = -3\n\n[rule gfw]",
+         "[defaults] client_background_rate: '-3'"),
+    ], ids=["path-delay", "sim-delay", "defaults-delay", "client-rate",
+            "defaults-rate"])
+    def test_delay_or_rate_not_finite_and_nonnegative(
+            self, workspace, capsys, old, new, message):
+        # An infinite delay used to end in a bare OverflowError, and a NaN
+        # or negative rate loaded as a noiseless client.
+        scen = workspace / "badvalue.cfg"
+        scen.write_text(TRACE_SCENARIO.replace(old, new, 1))
+        code = run(["simulate", "--scenario", scen, "--seed", 1,
+                    "--duration-s", 1, "--out", workspace / "t.jsonl"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {message} is not a finite number")
+
+    def test_pair_epoch_below_one(self, workspace, capsys):
+        # A zero epoch used to end in a bare ZeroDivisionError once a
+        # backlog record reached the contingency table.
+        data, config = workspace / "backlog.jsonl", workspace / "epoch.ini"
+        assert run(["backlog-scan", "--kind", "syn",
+                    "--relay", "203.0.113.5:9001",
+                    "--scenario", workspace / "scen.cfg", "--seed", 7,
+                    "--out", data]) == EXIT_OK
+        config.write_text("[analytics]\npair_epoch_s = 0\n")
+        capsys.readouterr()
+        code = run(["analyze", "tables", "--input", data, "--config", config,
+                    "--out", workspace / "report.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: pair_epoch_s must be >= 1, got 0\n")
+
     def test_duplicate_scenario_section(self, workspace, capsys):
         scen = workspace / "dup.cfg"
         scen.write_text(TRACE_SCENARIO + "\n[client dest]\naddr = 36.10.0.6\n")
@@ -693,12 +733,35 @@ class TestImports:
         assert (workspace / "report.csv").read_text().startswith(
             "client_region")
 
-    def test_idle_scan_loads_numpy_to_fit(self, workspace):
-        assert self.run_cli(workspace, [
-            "idle-scan", "--clients", "clients.csv", "--servers",
-            "servers.csv", "--scenario", "scen.cfg", "--rounds", 1,
-            "--seed", 5, "--out", "data.jsonl"]) == "0 True"
-        assert len(store.load(workspace / "data.jsonl")) == 1
+    def test_idle_scan_and_simulate_run_without_numpy(self, tmp_path):
+        # The smoke scenario's 2x2 campaign fits a model every round, and
+        # its second round of each slot wakes a dormant noisy client;
+        # simulate plays the declared noisy client's ticks into dormancy.
+        smoke = Path(__file__).resolve().parent / "smoke"
+        idle_scan = ["idle-scan", "--clients", smoke / "clients.csv",
+                     "--servers", smoke / "servers.csv",
+                     "--scenario", smoke / "scenario.cfg", "--rounds", 2,
+                     "--out", "data.jsonl"]
+        simulate = ["simulate", "--scenario", smoke / "scenario.cfg",
+                    "--out", "events.jsonl"]
+        assert self.child_prints(
+            'sys.modules["numpy"] = None  # any import of numpy fails\n'
+            "from inferscan import classify, simnet\n"
+            "from inferscan.cli import main\n"
+            "calls = []\n"
+            "def counted(fn):\n"
+            "    def wrapper(*args):\n"
+            "        calls.append(fn.__name__)\n"
+            "        return fn(*args)\n"
+            "    return wrapper\n"
+            "classify.fit_arma = counted(classify.fit_arma)\n"
+            "simnet.SimClient._wake = counted(simnet.SimClient._wake)\n"
+            f"codes = [main({[str(a) for a in idle_scan]!r}),\n"
+            f"         main({[str(a) for a in simulate]!r})]\n"
+            "print(*codes, calls.count('fit_arma'), calls.count('_wake'))",
+            cwd=tmp_path) == "0 0 4 3"
+        assert len(store.load(tmp_path / "data.jsonl")) == 4
+        assert '"noise"' in (tmp_path / "events.jsonl").read_text()
 
 
 class TestUsageAndGuardrails:

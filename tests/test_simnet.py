@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from inferscan.simnet import (
     FirewallPolicy,
     Hop,
     Simulator,
+    _poisson,
     effective_retransmissions,
 )
 from inferscan.transport import NS_PER_SEC, FlowKey, PacketLog, TcpSegment
@@ -589,6 +591,67 @@ class TestClient:
         assert got[0].seq == seg.ack
 
 
+# Fixed before the first run: draws per mean, seeds, and bounds.
+POISSON_DRAWS = 20_000
+POISSON_MEANS = [0, 0.3, 3, 9.99, 10, 30, 1_800, 432_000]
+CHI_SQUARE_Z = 3.0902  # the upper 0.1 % point of the standard normal
+
+
+def poisson_draws(lam, seed):
+    rng = random.Random(seed)
+    return [_poisson(rng, lam) for _ in range(POISSON_DRAWS)]
+
+
+def chi_square_critical(df):
+    """Wilson-Hilferty approximation of the chi-square upper 0.1 % point."""
+    h = 2.0 / (9 * df)
+    return df * (1 - h + CHI_SQUARE_Z * math.sqrt(h)) ** 3
+
+
+class TestPoisson:
+    """Inversion below a mean of 10 and PTRS from 10 up."""
+
+    @pytest.mark.parametrize("lam", POISSON_MEANS)
+    def test_mean_and_variance(self, lam):
+        # Each within 5 standard errors: the mean's is sqrt(lam / n), the
+        # sample variance's sqrt((lam + 2 lam^2) / n) for a Poisson law.
+        draws = poisson_draws(lam, seed=1000 + POISSON_MEANS.index(lam))
+        n = len(draws)
+        mean = math.fsum(draws) / n
+        variance = math.fsum((d - mean) ** 2 for d in draws) / (n - 1)
+        assert all(isinstance(d, int) and d >= 0 for d in draws)
+        assert abs(mean - lam) <= 5 * math.sqrt(lam / n)
+        assert abs(variance - lam) <= 5 * math.sqrt((lam + 2 * lam * lam) / n)
+
+    @pytest.mark.parametrize("lam, seed", [(3, 7), (30, 8)])
+    def test_chi_square_against_the_pmf(self, lam, seed):
+        # One bin per k from lo to hi, the ks expected at least 5 times;
+        # the end bins also hold the tails beyond them.
+        draws = poisson_draws(lam, seed)
+        pmf = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+               for k in range(4 * lam + 40)]
+        ks = [k for k, p in enumerate(pmf) if POISSON_DRAWS * p >= 5]
+        lo, hi = ks[0], ks[-1]
+        expected = ([math.fsum(pmf[:lo + 1])] + pmf[lo + 1:hi]
+                    + [1 - math.fsum(pmf[:hi])])
+        observed = [0] * len(expected)
+        for d in draws:
+            observed[min(max(d, lo), hi) - lo] += 1
+        stat = sum((o - POISSON_DRAWS * e) ** 2 / (POISSON_DRAWS * e)
+                   for o, e in zip(observed, expected))
+        assert stat <= chi_square_critical(len(expected) - 1)
+
+    @pytest.mark.parametrize("lam", [-3, -1e-9, math.nan, math.inf])
+    def test_mean_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError):
+            _poisson(random.Random(1), lam)
+
+    @pytest.mark.parametrize("rate", [-3, math.nan, math.inf])
+    def test_client_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="background_rate"):
+            Simulator(seed=1).add_client("36.10.0.5", background_rate=rate)
+
+
 class TestScenarioFiles:
     SCENARIO = """
 [sim]
@@ -694,6 +757,28 @@ hours = 0-5,22-23
                            match=rf"^\[{section}\] ") as info:
             scenario.loads(text)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("value", ["nan", "-3", "inf"])
+    @pytest.mark.parametrize("old, new, prefix", [
+        ("background_rate = 2.5", "background_rate = {}",
+         "[client c1] background_rate: "),
+        ("[monitor mm]", "[defaults]\nclient_background_rate = {}\n\n"
+         "[monitor mm]", "[defaults] client_background_rate: "),
+        ("delay_ms = 30", "delay_ms = {}", "[path c1 s1] delay_ms: "),
+        ("default_delay_ms = 5", "default_delay_ms = {}",
+         "[sim] default_delay_ms: "),
+        ("[monitor mm]", "[defaults]\npath_delay_ms = {}\n\n[monitor mm]",
+         "[defaults] path_delay_ms: "),
+    ], ids=["client-rate", "defaults-rate", "path-delay", "sim-delay",
+            "defaults-delay"])
+    def test_bad_rate_or_delay_names_section_and_key(self, value, old, new,
+                                                     prefix):
+        text = self.SCENARIO.replace(old, new.format(value), 1)
+        with pytest.raises(scenario.ScenarioError) as info:
+            scenario.loads(text)
+        message = str(info.value)
+        assert message.startswith(prefix + repr(value))
+        assert "\n" not in message
 
     @pytest.mark.parametrize("delay", ["-50", "-0.001", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("old, new, prefix", [
