@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .classify import NO_PACKETS_DROPPED, VARIANTS
+from .scenario import AT_LEAST_1, Key, ScenarioError, read_section
 from .tracer import (
     LABEL_COM,
     LABEL_EDU,
@@ -99,17 +100,24 @@ class AnalyticsConfig:
                              f"{self.pair_epoch_s}")
 
 
-# The keys an [analytics] section accepts; any other key is an error.
-ANALYTICS_KEYS = ("k", "max_lag", "grid_rows", "grid_cols", "grid_lat0",
-                  "grid_lon0", "exclude_labels", "temporal_mode",
-                  "pair_epoch_s", "prefix_table")
+# The keys of an analytics file's one [analytics] section.
+ANALYTICS = {
+    "k": Key("k_neighbors", int, AT_LEAST_1, 1),
+    "max_lag": Key("max_lag", int, AT_LEAST_1, 12),
+    "exclude_labels": Key("exclude_labels", str,
+                          {LABEL_COM, LABEL_EDU, LABEL_OTHER}, (), many=True),
+    "temporal_mode": Key("temporal_mode", str,
+                         {TEMPORAL_EXACT, TEMPORAL_WITHIN}, TEMPORAL_EXACT),
+    "pair_epoch_s": Key("pair_epoch_s", int, AT_LEAST_1, 3600),
+    "prefix_table": Key("prefix_table_path", lambda text: text or None),
+}
 
 
 def load_analytics_config(path) -> AnalyticsConfig:
-    """Read an [analytics] INI file; a malformed one, or one with another
-    section or a key outside ANALYTICS_KEYS, raises ValueError naming the
-    file."""
-    cp = configparser.ConfigParser()
+    """Read an analytics INI file by ANALYTICS.  A malformed file, or one
+    with another section, raises ValueError naming the file; a bad key or
+    value, naming the file, the section and the key."""
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -118,26 +126,13 @@ def load_analytics_config(path) -> AnalyticsConfig:
             if section != "analytics":
                 raise ValueError(f"unknown section: [{section}]")
         sec = cp["analytics"] if cp.has_section("analytics") else cp["DEFAULT"]
-        for key in sec:
-            if key not in ANALYTICS_KEYS:
-                raise ValueError(f"[{sec.name}] unknown key: {key}")
-        return AnalyticsConfig(
-            k_neighbors=sec.getint("k", 1),
-            max_lag=sec.getint("max_lag", 12),
-            grid_rows=sec.getint("grid_rows", 33),
-            grid_cols=sec.getint("grid_cols", 65),
-            grid_lat0=sec.getfloat("grid_lat0", 18.0),
-            grid_lon0=sec.getfloat("grid_lon0", 73.0),
-            exclude_labels=tuple(x.strip() for x in
-                                 sec.get("exclude_labels", "").split(",")
-                                 if x.strip()),
-            temporal_mode=sec.get("temporal_mode", TEMPORAL_EXACT),
-            pair_epoch_s=sec.getint("pair_epoch_s", 3600),
-            prefix_table_path=sec.get("prefix_table") or None,
-        )
+        values = read_section(ANALYTICS, sec)
+    except ScenarioError as exc:
+        raise ValueError(f"{path}: [analytics] {exc}") from exc
     except (configparser.Error, ValueError) as exc:
         # configparser's messages span lines
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
+    return AnalyticsConfig(**values)
 
 
 # ---------------------------------------------------------------------------

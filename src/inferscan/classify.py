@@ -68,10 +68,6 @@ class ClassifyError(Exception):
         super().__init__(message or self.reason)
 
 
-class ModelFitError(ClassifyError):
-    reason = "model-fit-failed"
-
-
 class PhasesTooShortError(ClassifyError):
     reason = "phases-too-short"
 
@@ -131,19 +127,6 @@ def _innovations(ar: float, ma: float, y) -> list:
         prev_y = x
         out.append(prev_e)
     return out
-
-
-def _stationary_ar(ar: float) -> float:
-    """``ar`` shrunk by 0.9 until 1 - ar z is stationary, at most 60 times.
-
-    The polynomial's root is 1/ar (none when ar is 0), and it must lie
-    outside the unit circle; the test is on the computed root 1/ar.
-    """
-    for _ in range(61):
-        if ar == 0 or abs(1 / ar) > 1.0:
-            return ar
-        ar *= 0.9
-    raise ModelFitError("could not reach a stationary AR polynomial")
 
 
 def _dot(a, b) -> float:
@@ -242,8 +225,9 @@ def fit_arma(deltas: Sequence[int]) -> ArmaModel:
 
     An AR(m) least-squares fit, m = min(LONG_AR_ORDER, n // 4), gives
     residual estimates e; y_t is then regressed on y_{t-1} and e_{t-1}.
-    The two coefficients are clipped to +-COEF_LIMIT and the AR one made
-    stationary; the residuals and variance are the innovations under them.
+    The two coefficients are clipped to +-COEF_LIMIT, which keeps the AR
+    one stationary; the residuals and variance are the innovations under
+    them.
     Constant input yields a degenerate model with zero variance.
     """
     n = len(deltas)
@@ -257,7 +241,7 @@ def fit_arma(deltas: Sequence[int]) -> ArmaModel:
     m = min(LONG_AR_ORDER, n // 4)
     long_resid = _long_ar_residuals(deltas, y, m)
     ar, ma, _ = _lstsq2(y[m:-1], long_resid[:-1], y[m + 1:])
-    ar = _stationary_ar(min(max(ar, -COEF_LIMIT), COEF_LIMIT))
+    ar = min(max(ar, -COEF_LIMIT), COEF_LIMIT)
     ma = min(max(ma, -COEF_LIMIT), COEF_LIMIT)
     eps = _innovations(ar, ma, y)
     return ArmaModel(ar=(ar,), ma=(ma,), mean=mu,

@@ -39,28 +39,8 @@ INI syntax (configparser).  Example::
     path_hops = 10.9.0.1, 10.9.0.2@CN
     path_filtered = yes
 
-Hops are listed from the first-named path endpoint toward the second; a
-rule's placement_hop refers to that listed index in either travel
-direction.  ``hours`` is ``*`` (always), a 24-character 0/1 mask, or hours
-and ascending hour ranges from 0 to 23 like ``0-1,11-23``.
-
-``[defaults]`` sets up CSV endpoints the file does not declare, with
-``client_ipid_mode``, ``client_background_rate``,
-``server_backlog_capacity`` and ``server_max_retransmissions``.  Its
-``path_hops``, ``path_delay_ms`` (default ``default_delay_ms``),
-``path_loss_rate`` and ``path_filtered`` give one path that applies lazily
-to every client<->server pair without a ``[path]``, hops listed from the
-client.  Every section rejects a key it does not know (``SECTION_KEYS``).
-Every address, hop and rule addresses included, must be a canonical dotted
-quad, every port must lie in 0-65535, and every delay and background rate,
-hop delays included, must be a finite number >= 0; a bad value raises
-ScenarioError naming its section.
-
-A client's ``background_rate`` is a Poisson rate of packets to hosts outside
-the model, each advancing its IP-ID.  A client that nothing has reached for
-60 s goes dormant (``simnet.DORMANT_AFTER_NS``); the next delivery counts
-the dormant span's noise in one Poisson draw, so a client probed at least
-once a minute keeps its exact per-packet stream.
+README.md's key reference lists every key with its range and default;
+the tables below (``SECTIONS``) are what the loader reads.
 """
 
 from __future__ import annotations
@@ -68,11 +48,20 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .endpoints import _check_port
-from .simnet import IPID_MODES, FilterRule, Hop, Simulator
-from .transport import NS_PER_SEC, _check_addr
+from .simnet import (
+    DEFAULT_BACKLOG_CAPACITY,
+    DEFAULT_BACKOFF_S,
+    DEFAULT_MAX_RETRANSMISSIONS,
+    DROP,
+    IPID_MODES,
+    PASS,
+    FilterRule,
+    Hop,
+    Simulator,
+)
+from .transport import FLAG_BITS, NS_PER_SEC, _check_addr
 
 
 class ScenarioError(ValueError):
@@ -91,7 +80,7 @@ class HostDecl:
 class PathDecl:
     a: str = ""  # host names; empty for the [defaults] client<->server path
     b: str = ""
-    hops: list = field(default_factory=list)
+    hops: tuple = ()
     delay_ns: Optional[int] = None
     loss_rate: float = 0.0
     filtered: bool = False
@@ -127,12 +116,7 @@ class Scenario:
                         default_delay_ns=self.default_delay_ns,
                         hour0=self.hour0, trace=trace)
         for h in self.hosts:
-            if h.kind == "client":
-                sim.add_client(h.addr, **h.options)
-            elif h.kind == "server":
-                sim.add_server(h.addr, **h.options)
-            else:
-                sim.add_monitor(h.addr)
+            getattr(sim, "add_" + h.kind)(h.addr, **h.options)
         for p in self.paths:
             sim.add_path(self.host_addr(p.a), self.host_addr(p.b), hops=p.hops,
                          delay_ns=p.delay_ns, loss_rate=p.loss_rate,
@@ -150,6 +134,75 @@ class Scenario:
         return sim
 
 
+class Key(NamedTuple):
+    """How a section reads one key.
+
+    ``parse`` turns the key's text, or each comma-separated item of it when
+    ``many``, into a value that must lie in ``allowed``: a ``(lo, hi)`` pair
+    of inclusive bounds, infinity excluded, or a set of choices; None allows
+    whatever ``parse`` returns.  The value (the tuple of item values when
+    ``many``), times ``scale`` and truncated when a scale is given, goes to
+    the argument ``keyword``.  An absent key, or a list of no items, gives
+    ``default``.
+    """
+
+    keyword: str
+    parse: Callable = str
+    allowed: object = None
+    default: object = None
+    many: bool = False
+    scale: Optional[float] = None
+
+
+AT_LEAST_0 = (0, math.inf)
+AT_LEAST_1 = (1, math.inf)
+UINT16 = (0, 0xFFFF)
+
+
+def read_section(table: dict, sec) -> dict:
+    """``sec``'s keys read by ``table``: each entry's keyword and value, the
+    default for an absent key.  An unknown key or a bad value raises a
+    ScenarioError ``key: ...``."""
+    for key in sec:
+        if key not in table:
+            raise ScenarioError(f"unknown key: {key}")
+    return {k.keyword: _read(key, k, sec[key]) if key in sec else k.default
+            for key, k in table.items()}
+
+
+def _read(key: str, k: Key, text: str):
+    if not k.many:
+        return _item(key, k, text)
+    items = [item.strip() for item in text.split(",")]
+    return tuple(_item(key, k, item) for item in items if item) or k.default
+
+
+def _item(key: str, k: Key, text: str):
+    try:
+        value = k.parse(text)
+        if k.allowed is None or _allows(k.allowed, value):
+            return value if k.scale is None else int(value * k.scale)
+    except ValueError as exc:
+        if k.allowed is None:
+            raise ScenarioError(f"{key}: {exc}") from None
+    raise ScenarioError(f"{key}: {text!r} is not {_describe(k)}")
+
+
+def _allows(allowed, value) -> bool:
+    if isinstance(allowed, tuple):
+        return allowed[0] <= value <= allowed[1] and value != math.inf
+    return value in allowed
+
+
+def _describe(k: Key) -> str:
+    """The values ``k`` allows, as in 'an integer >= 1'."""
+    if not isinstance(k.allowed, tuple):
+        return "one of " + ", ".join(sorted(k.allowed))
+    lo, hi = k.allowed
+    noun = "an integer" if k.parse is int else "a finite number"
+    return f"{noun} >= {lo}" if hi == math.inf else f"{noun} from {lo} to {hi}"
+
+
 def parse_hours(text: str) -> Optional[tuple]:
     """Hour-of-day mask from ``*``, 24 binary digits, or a list of hours
     and ranges such as ``0-5,22-23``; hours run from 0 to 23."""
@@ -158,127 +211,107 @@ def parse_hours(text: str) -> Optional[tuple]:
         return None
     if len(text) == 24 and set(text) <= {"0", "1"}:
         return tuple(c == "1" for c in text)
-    mask = [False] * 24
+    hours = set()
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         lo = int(lo)
         hi = int(hi) if hi.strip() else lo
         if not 0 <= lo <= hi <= 23:
             raise ScenarioError(f"bad hours {part.strip()!r}: hours run 0-23")
-        for h in range(lo, hi + 1):
-            mask[h] = True
-    return tuple(mask)
+        hours.update(range(lo, hi + 1))
+    return tuple(h in hours for h in range(24))
 
 
-def _finite(text: str) -> float:
-    """``text`` as a finite float >= 0."""
-    value = float(text)
-    if not 0 <= value < math.inf:  # NaN fails too
-        raise ValueError(f"{text.strip()!r} is not a finite number >= 0")
-    return value
-
-
-def _get_finite(sec, key: str, default=None):
-    """``sec[key]`` as by :func:`_finite`, or ``default`` when it is absent;
-    a bad value raises ScenarioError naming the key."""
-    if key not in sec:
-        return default
+def _boolean(text: str) -> bool:
     try:
-        return _finite(sec[key])
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: {exc}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
 
 
-def _parse_hops(text: str, key: str) -> list:
-    hops = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split("@")
-        addr = parts[0]
-        region = parts[1] if len(parts) > 1 else ""
-        delay = None
-        if len(parts) > 2:
-            try:
-                delay = int(_finite(parts[2]) * 1e6)
-            except ValueError as exc:
-                raise ScenarioError(f"{key}: hop delay {exc}") from None
-        hops.append(Hop(addr=_check_addr(addr), region=region, delay_ns=delay))
-    return hops
+def _hop(text: str) -> Hop:
+    """``addr[@region[@delay_ms]]``."""
+    addr, region, delay, *rest = text.split("@") + ["", ""]
+    if any(rest):
+        raise ValueError(f"{text!r} is not addr[@region[@delay_ms]]")
+    return Hop(addr=_check_addr(addr), region=region,
+               delay_ns=_item("hop delay", PATH["delay_ms"], delay)
+               if delay else None)
 
 
-def _path_decl(sec, prefix: str = "", a: str = "", b: str = "") -> PathDecl:
-    """A [path] section's keys, or the [defaults] ones under ``path_``."""
-    delay_ms = _get_finite(sec, prefix + "delay_ms")
-    return PathDecl(
-        a=a, b=b, hops=_parse_hops(sec.get(prefix + "hops", ""),
-                                   prefix + "hops"),
-        delay_ns=None if delay_ms is None else int(delay_ms * 1e6),
-        loss_rate=sec.getfloat(prefix + "loss_rate", 0.0),
-        filtered=sec.getboolean(prefix + "filtered", False),
-    )
+def _interval(text: str) -> tuple:
+    """``start-end`` seconds as a pair of ns, 0 <= start < end."""
+    start, _, end = text.partition("-")
+    start, end = float(start or math.nan), float(end or math.nan)
+    if not 0 <= start < end < math.inf:
+        raise ValueError(f"{text!r} is not an interval start-end with "
+                         "0 <= start < end")
+    return int(start * NS_PER_SEC), int(end * NS_PER_SEC)
 
 
-# [defaults] endpoint key -> (host kind, add_client/add_server keyword, parser)
-ENDPOINT_DEFAULTS = {
-    "client_ipid_mode": ("client", "ipid_mode", str),
-    "client_background_rate": ("client", "background_rate", _finite),
-    "server_backlog_capacity": ("server", "backlog_capacity", int),
-    "server_max_retransmissions": ("server", "max_retransmissions", int),
+ADDR = Key("addr", _check_addr)
+SIM = {
+    "seed": Key("seed", int, None, 0),
+    "duration_s": Key("duration_ns", float, AT_LEAST_0, 0, scale=NS_PER_SEC),
+    "default_delay_ms": Key("default_delay_ns", float, AT_LEAST_0, 10_000_000,
+                            scale=1e6),
+    "hour0": Key("hour0", int, (0, 23), 0),
 }
-PATH_DEFAULTS = ("path_hops", "path_delay_ms", "path_loss_rate", "path_filtered")
-
-# The keys each section kind accepts; any other key is an error.
-SECTION_KEYS = {
-    "sim": {"seed", "duration_s", "default_delay_ms", "hour0"},
-    "defaults": {*ENDPOINT_DEFAULTS, *PATH_DEFAULTS},
-    "client": {"addr", "ipid_mode", "ipid_start", "background_rate",
-               "rst_policy"},
-    "server": {"addr", "ports", "backlog_capacity", "max_retransmissions",
-               "backoff_s", "down_s"},
-    "monitor": {"addr"},
-    "path": {"hops", "delay_ms", "loss_rate", "filtered"},
-    "rule": {"direction", "addr", "port", "action", "placement_hop", "hours",
-             "flags"},
+CLIENT = {
+    "addr": ADDR,
+    "ipid_mode": Key("ipid_mode", str, set(IPID_MODES), "global"),
+    "ipid_start": Key("ipid_start", int, UINT16),
+    "background_rate": Key("background_rate", float, AT_LEAST_0, 0.0),
+    "rst_policy": Key("rst_policy", _boolean, None, True),
 }
-
-
-def _load_defaults(scn: Scenario, sec) -> None:
-    options = {"client": scn.client_options, "server": scn.server_options}
-    for key, text in sec.items():
-        if key in ENDPOINT_DEFAULTS:
-            kind, name, parse = ENDPOINT_DEFAULTS[key]
-            try:
-                options[kind][name] = parse(text)
-            except ValueError as exc:
-                raise ScenarioError(f"{key}: {exc}") from None
-    if scn.client_options.get("ipid_mode", "global") not in IPID_MODES:
-        raise ScenarioError(f"bad client_ipid_mode: {sec['client_ipid_mode']}")
-    scn.client_server_path = _path_decl(sec, prefix="path_")
-
-
-def _floats(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _intervals_ns(text: str) -> list:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        lo, sep, hi = part.partition("-")
-        if not sep:
-            raise ScenarioError(f"bad interval {part!r}: want start-end")
-        out.append((int(float(lo) * NS_PER_SEC), int(float(hi) * NS_PER_SEC)))
-    return out
+SERVER = {
+    "addr": ADDR,
+    "ports": Key("open_ports", int, UINT16, (), many=True),
+    "backlog_capacity": Key("backlog_capacity", int, AT_LEAST_1,
+                            DEFAULT_BACKLOG_CAPACITY),
+    "max_retransmissions": Key("max_retransmissions", int, AT_LEAST_0,
+                               DEFAULT_MAX_RETRANSMISSIONS),
+    "backoff_s": Key("backoff_s", float, AT_LEAST_0, DEFAULT_BACKOFF_S,
+                     many=True),
+    "down_s": Key("down_intervals", _interval, None, (), many=True),
+}
+PATH = {
+    "hops": Key("hops", _hop, None, (), many=True),
+    "delay_ms": Key("delay_ns", float, AT_LEAST_0, scale=1e6),
+    "loss_rate": Key("loss_rate", float, (0, 1), 0.0),
+    "filtered": Key("filtered", _boolean, None, False),
+}
+RULE = {
+    "direction": Key("direction", str, {"server->client", "client->server"},
+                     "server->client"),
+    "addr": Key("addr", lambda text: _check_addr(text) if text else None),
+    "port": Key("port", int, UINT16),
+    "action": Key("action", str, {DROP, PASS}, DROP),
+    "placement_hop": Key("placement_hop", int, AT_LEAST_1, 1),
+    "hours": Key("hours", parse_hours),
+    "flags": Key("flags", str.upper, set(FLAG_BITS), many=True),
+}
+# [defaults] gives CSV endpoints and client<->server pairs the file does not
+# declare some keys of their section kind, each under the kind's prefix; an
+# entry's keyword is (kind, keyword) so the loader can sort the values.
+DEFAULTS = {
+    f"{kind}_{key}": k._replace(keyword=(kind, k.keyword))
+    for kind, table, keys in (
+        ("client", CLIENT, ("ipid_mode", "background_rate")),
+        ("server", SERVER, ("backlog_capacity", "max_retransmissions")),
+        ("path", PATH, PATH))
+    for key, k in table.items() if key in keys
+}
+# Section kind -> (key table, number of names after the kind).
+SECTIONS = {"sim": (SIM, 0), "defaults": (DEFAULTS, 0), "client": (CLIENT, 1),
+            "server": (SERVER, 1), "monitor": ({"addr": ADDR}, 1),
+            "path": (PATH, 2), "rule": (RULE, 1)}
 
 
 def loads(text: str) -> Scenario:
     """Parse a scenario file's text; a malformed file raises ScenarioError,
     naming the section when one is at fault."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
         scn = Scenario()
@@ -297,72 +330,45 @@ def _one_line(exc: Exception) -> str:
 
 
 def _load_section(scn: Scenario, section: str, sec) -> None:
-    words = section.split() or [""]
-    kind = words[0]
-    if kind in SECTION_KEYS:
-        for key in sec:
-            if key not in SECTION_KEYS[kind]:
-                raise ScenarioError(f"unknown key: {key}")
-    if section == "sim":
-        scn.seed = sec.getint("seed", 0)
-        scn.duration_ns = int(sec.getfloat("duration_s", 0.0) * NS_PER_SEC)
-        scn.default_delay_ns = int(_get_finite(sec, "default_delay_ms", 10.0)
-                                   * 1e6)
-        scn.hour0 = sec.getint("hour0", 0)
-    elif section == "defaults":
-        _load_defaults(scn, sec)
-    elif kind in ("client", "server", "monitor"):
-        if len(words) != 2:
-            raise ScenarioError("bad host section name")
-        addr = sec.get("addr")
-        if not addr:
+    kind, *names = section.split() or [""]
+    if kind not in SECTIONS:
+        raise ScenarioError("unknown section kind")
+    table, n_names = SECTIONS[kind]
+    values = read_section(table, sec)
+    if len(names) != n_names:
+        raise ScenarioError(f"bad {kind} section name")
+    if kind == "sim":
+        vars(scn).update(values)
+    elif kind == "defaults":
+        options = {"client": scn.client_options, "server": scn.server_options,
+                   "path": {}}
+        for (target, keyword), value in values.items():
+            options[target][keyword] = value
+        _check_schedule(scn.server_options, "server_max_retransmissions")
+        scn.client_server_path = PathDecl(**options["path"])
+    elif kind == "path":
+        scn.paths.append(PathDecl(*names, **values))
+    elif kind == "rule":
+        scn.rules.append(FilterRule(*names, **values))
+    else:
+        addr = values.pop("addr")
+        if addr is None:
             raise ScenarioError("missing addr")
-        _check_addr(addr)
         for other in scn.hosts:
             if other.addr == addr:
                 raise ScenarioError(
                     f"addr {addr} already held by [{other.kind} {other.name}]")
-        options: dict = {}
-        if kind == "client":
-            options["ipid_mode"] = sec.get("ipid_mode", "global")
-            if "ipid_start" in sec:
-                options["ipid_start"] = sec.getint("ipid_start")
-            options["background_rate"] = _get_finite(sec, "background_rate",
-                                                     0.0)
-            options["rst_policy"] = sec.getboolean("rst_policy", True)
-        elif kind == "server":
-            ports = [_check_port(int(p)) for p in sec.get("ports", "").split(",")
-                     if p.strip()]
-            options["open_ports"] = ports
-            options["backlog_capacity"] = sec.getint("backlog_capacity", 256)
-            options["max_retransmissions"] = sec.getint("max_retransmissions", 5)
-            if "backoff_s" in sec:
-                options["backoff_s"] = _floats(sec["backoff_s"])
-            if "down_s" in sec:
-                options["down_intervals"] = _intervals_ns(sec["down_s"])
-        scn.hosts.append(HostDecl(kind=kind, name=words[1], addr=addr,
-                                  options=options))
-    elif kind == "path":
-        if len(words) != 3:
-            raise ScenarioError("bad path section name")
-        scn.paths.append(_path_decl(sec, a=words[1], b=words[2]))
-    elif kind == "rule":
-        if len(words) != 2:
-            raise ScenarioError("bad rule section name")
-        flags_text = sec.get("flags", "").strip()
-        scn.rules.append(FilterRule(
-            name=words[1],
-            direction=sec.get("direction", "server->client"),
-            addr=_check_addr(sec["addr"]) if sec.get("addr") else None,
-            port=_check_port(sec.getint("port")) if "port" in sec else None,
-            action=sec.get("action", "drop"),
-            placement_hop=sec.getint("placement_hop", 1),
-            hours=parse_hours(sec.get("hours", "*")),
-            flags=(frozenset(f.strip().upper() for f in flags_text.split(","))
-                   if flags_text else None),
-        ))
-    else:
-        raise ScenarioError("unknown section kind")
+        if kind == "server":
+            _check_schedule(values, "max_retransmissions")
+        scn.hosts.append(HostDecl(kind, names[0], addr, values))
+
+
+def _check_schedule(options: dict, key: str) -> None:
+    """A server retransmits only as often as its backoff schedule allows."""
+    steps = len(options.get("backoff_s", DEFAULT_BACKOFF_S))
+    if options["max_retransmissions"] > steps:
+        raise ScenarioError(f"{key}: {options['max_retransmissions']} is more "
+                            f"than the {steps} entries of the backoff schedule")
 
 
 def load(path) -> Scenario:

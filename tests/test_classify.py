@@ -21,12 +21,10 @@ from inferscan.classify import (
     PHASE_PERTURB,
     SERVER_TO_CLIENT_DROP,
     CaseLabel,
-    ModelFitError,
     classify_case,
     classify_series,
     _innovations,
     _lstsq2,
-    _stationary_ar,
     diff_series,
     fit_arma,
     intervention_amplitude,
@@ -136,55 +134,6 @@ class TestFitArma:
         assert abs(model.ar[0]) < 1.0
 
 
-def _ar_stationary(ar: np.ndarray) -> bool:
-    """Whether 1 - ar_1 z - ... - ar_p z^p has all roots outside the unit
-    circle, found with np.roots."""
-    if len(ar) == 0 or not np.any(ar):
-        return True
-    roots = np.roots(np.concatenate(([1.0], -ar))[::-1])
-    return bool(np.all(np.abs(roots) > 1.0))
-
-
-def reference_ar_repair(ar: np.ndarray) -> np.ndarray:
-    """The AR repair as written over np.roots: shrink by 0.9 until
-    stationary, giving up after 60 steps."""
-    ar = ar.copy()
-    shrink = 0
-    while not _ar_stationary(ar):
-        ar *= 0.9
-        shrink += 1
-        if shrink > 60:
-            raise ModelFitError("could not reach a stationary AR polynomial")
-    return ar
-
-
-ONE_ULP_BELOW_1 = 1.0 - 2.0 ** -53
-AR_GRID = [0.0, -0.0, 0.5, -0.5, 0.99, -0.99, ONE_ULP_BELOW_1,
-           -ONE_ULP_BELOW_1, 1.0, -1.0, 1.5, -1.5]
-
-
-class TestStationarityRepair:
-    """The scalar AR(1) repair decides and shrinks as the np.roots one."""
-
-    @pytest.mark.parametrize("ar", AR_GRID)
-    def test_decision_matches_np_roots(self, ar):
-        unchanged = _stationary_ar(ar) == ar
-        assert unchanged == _ar_stationary(np.array([ar]))
-
-    @pytest.mark.parametrize("ar", [1.0, -1.0, 1.5, -1.5, 50.0, -50.0])
-    def test_shrinks_by_the_same_steps(self, ar):
-        # Each further 0.9 step changes the bits, so equal bits mean equal
-        # step counts.
-        expected = reference_ar_repair(np.array([ar]))[0]
-        assert _stationary_ar(ar).hex() == expected.hex() != ar.hex()
-
-    def test_gives_up_after_sixty_steps(self):
-        with pytest.raises(ModelFitError):
-            reference_ar_repair(np.array([1e300]))
-        with pytest.raises(ModelFitError):
-            _stationary_ar(1e300)
-
-
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -265,9 +214,8 @@ def reference_fit(deltas):
     lags = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
     long_resid = y[m:] - lags @ np.linalg.lstsq(lags, y[m:], rcond=None)[0]
     design = np.column_stack([y[m:-1], long_resid[:-1]])
-    coef = np.clip(np.linalg.lstsq(design, y[m + 1:], rcond=None)[0],
-                   -COEF_LIMIT, COEF_LIMIT)
-    ar, ma = _stationary_ar(float(coef[0])), float(coef[1])
+    ar, ma = np.clip(np.linalg.lstsq(design, y[m + 1:], rcond=None)[0],
+                     -COEF_LIMIT, COEF_LIMIT).tolist()
     eps = np.array(_innovations(ar, ma, y.tolist()))
     return ar, ma, float(np.dot(eps, eps) / n), eps
 

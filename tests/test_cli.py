@@ -599,12 +599,14 @@ class TestMalformedInput:
          "[client dest] background_rate: 'nan'"),
         ("[rule gfw]", "[defaults]\nclient_background_rate = -3\n\n[rule gfw]",
          "[defaults] client_background_rate: '-3'"),
+        ("seed = 4", "seed = 4\nduration_s = -5", "[sim] duration_s: '-5'"),
     ], ids=["path-delay", "sim-delay", "defaults-delay", "client-rate",
-            "defaults-rate"])
+            "defaults-rate", "sim-duration"])
     def test_delay_or_rate_not_finite_and_nonnegative(
             self, workspace, capsys, old, new, message):
-        # An infinite delay used to end in a bare OverflowError, and a NaN
-        # or negative rate loaded as a noiseless client.
+        # An infinite delay used to end in a bare OverflowError, a NaN or
+        # negative rate loaded as a noiseless client, and a negative
+        # duration loaded as none ("scenario has no duration").
         scen = workspace / "badvalue.cfg"
         scen.write_text(TRACE_SCENARIO.replace(old, new, 1))
         code = run(["simulate", "--scenario", scen, "--seed", 1,
@@ -612,6 +614,26 @@ class TestMalformedInput:
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {message} is not a finite number")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("server_backlog_capacity", -4, "'-4' is not an integer >= 1"),
+        ("server_max_retransmissions", 9,
+         "9 is more than the 5 entries of the backoff schedule"),
+    ])
+    def test_bad_server_default_names_the_key(self, workspace, capsys, key,
+                                              value, message):
+        # A capacity of -4 used to void every round ("completed 0 rounds"),
+        # and 9 retransmissions failed at the first server without a key.
+        scen = workspace / "backlog.cfg"
+        scen.write_text(SCENARIO.replace("[defaults]",
+                                         f"[defaults]\n{key} = {value}"))
+        code = run(["idle-scan", "--clients", workspace / "clients.csv",
+                    "--servers", workspace / "servers.csv",
+                    "--scenario", scen, "--rounds", 1, "--seed", 5,
+                    "--out", workspace / "data.jsonl"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: [defaults] {key}: {message}"
 
     def test_pair_epoch_below_one(self, workspace, capsys):
         # A zero epoch used to end in a bare ZeroDivisionError once a
@@ -627,7 +649,8 @@ class TestMalformedInput:
                     "--out", workspace / "report.csv"])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {config}: pair_epoch_s must be >= 1, got 0\n")
+            f"error: {config}: [analytics] pair_epoch_s: '0' is not an "
+            "integer >= 1\n")
 
     def test_duplicate_scenario_section(self, workspace, capsys):
         scen = workspace / "dup.cfg"
@@ -736,12 +759,15 @@ class TestImports:
     def test_idle_scan_and_simulate_run_without_numpy(self, tmp_path):
         # The smoke scenario's 2x2 campaign fits a model every round, and
         # its second round of each slot wakes a dormant noisy client;
-        # simulate plays the declared noisy client's ticks into dormancy.
+        # analyze reads the smoke analytics file; simulate plays the
+        # declared noisy client's ticks into dormancy.
         smoke = Path(__file__).resolve().parent / "smoke"
         idle_scan = ["idle-scan", "--clients", smoke / "clients.csv",
                      "--servers", smoke / "servers.csv",
                      "--scenario", smoke / "scenario.cfg", "--rounds", 2,
                      "--out", "data.jsonl"]
+        analyze = ["analyze", "temporal", "--input", "data.jsonl",
+                   "--config", smoke / "analytics.ini", "--out", "lags.csv"]
         simulate = ["simulate", "--scenario", smoke / "scenario.cfg",
                     "--out", "events.jsonl"]
         assert self.child_prints(
@@ -757,10 +783,13 @@ class TestImports:
             "classify.fit_arma = counted(classify.fit_arma)\n"
             "simnet.SimClient._wake = counted(simnet.SimClient._wake)\n"
             f"codes = [main({[str(a) for a in idle_scan]!r}),\n"
+            f"         main({[str(a) for a in analyze]!r}),\n"
             f"         main({[str(a) for a in simulate]!r})]\n"
             "print(*codes, calls.count('fit_arma'), calls.count('_wake'))",
-            cwd=tmp_path) == "0 0 4 3"
+            cwd=tmp_path) == "0 0 0 4 3"
         assert len(store.load(tmp_path / "data.jsonl")) == 4
+        assert (tmp_path / "lags.csv").read_text() == (
+            "lag_hours,probability\n1,0.0\n")
         assert '"noise"' in (tmp_path / "events.jsonl").read_text()
 
 

@@ -752,9 +752,10 @@ hours = 0-5,22-23
         ("port = 9001\n", "port = 70000\n", "rule drop-tor"),
     ])
     def test_bad_value_names_its_section(self, old, new, section):
+        key = new.split(" =")[0].split("\n")[-1]
         text = self.SCENARIO.replace(old, new)
         with pytest.raises(scenario.ScenarioError,
-                           match=rf"^\[{section}\] ") as info:
+                           match=rf"^\[{section}\] {key}: ") as info:
             scenario.loads(text)
         assert "\n" not in str(info.value)
 
