@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .classify import NO_PACKETS_DROPPED, VARIANTS
-from .scenario import AT_LEAST_1, Key, ScenarioError, read_section
+from .scenario import AT_LEAST_1, Key, ScenarioError, ini_parser, read_section
 from .tracer import (
     LABEL_COM,
     LABEL_EDU,
@@ -30,6 +30,13 @@ SERVER_TYPE_BY_ROLE = {"tor-relay": "Tor-Relay", "tor-dir": "Tor-Dir",
 
 TEMPORAL_EXACT = "exact-lag"
 TEMPORAL_WITHIN = "within-lag"
+
+# The sampling grid: one-degree cells from (GRID_LAT0, GRID_LON0), with
+# coordinates outside it clamped to the edge cells.
+GRID_ROWS = 33
+GRID_COLS = 65
+GRID_LAT0 = 18.0
+GRID_LON0 = 73.0
 
 
 class ZeroVarianceError(ValueError):
@@ -81,10 +88,6 @@ def source_series(idle_rows: list) -> list:
 class AnalyticsConfig:
     k_neighbors: int = 1
     max_lag: int = 12
-    grid_rows: int = 33
-    grid_cols: int = 65
-    grid_lat0: float = 18.0
-    grid_lon0: float = 73.0
     exclude_labels: tuple = ()
     temporal_mode: str = TEMPORAL_EXACT
     pair_epoch_s: int = 3600
@@ -93,8 +96,6 @@ class AnalyticsConfig:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("K must be >= 1")
-        if self.grid_rows <= 0 or self.grid_cols <= 0:
-            raise ValueError("grid dims must be positive")
         if self.pair_epoch_s < 1:
             raise ValueError(f"pair_epoch_s must be >= 1, got "
                              f"{self.pair_epoch_s}")
@@ -116,8 +117,9 @@ ANALYTICS = {
 def load_analytics_config(path) -> AnalyticsConfig:
     """Read an analytics INI file by ANALYTICS.  A malformed file, or one
     with another section, raises ValueError naming the file; a bad key or
-    value, naming the file, the section and the key."""
-    cp = configparser.ConfigParser(interpolation=None)
+    value, naming the file, the section and the key.  A file without an
+    [analytics] section sets nothing."""
+    cp = ini_parser()
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -125,7 +127,7 @@ def load_analytics_config(path) -> AnalyticsConfig:
         for section in cp.sections():
             if section != "analytics":
                 raise ValueError(f"unknown section: [{section}]")
-        sec = cp["analytics"] if cp.has_section("analytics") else cp["DEFAULT"]
+        sec = cp["analytics"] if cp.has_section("analytics") else {}
         values = read_section(ANALYTICS, sec)
     except ScenarioError as exc:
         raise ValueError(f"{path}: [analytics] {exc}") from exc
@@ -387,14 +389,13 @@ def diurnal_series(pairs: Iterable[tuple], count: str = "blocked") -> list:
 # Grid-stratified sampling
 # ---------------------------------------------------------------------------
 
-def grid_cell(lat: float, lon: float, cfg: AnalyticsConfig) -> tuple:
-    row = min(max(int(math.floor(lat - cfg.grid_lat0)), 0), cfg.grid_rows - 1)
-    col = min(max(int(math.floor(lon - cfg.grid_lon0)), 0), cfg.grid_cols - 1)
+def grid_cell(lat: float, lon: float) -> tuple:
+    row = min(max(int(math.floor(lat - GRID_LAT0)), 0), GRID_ROWS - 1)
+    col = min(max(int(math.floor(lon - GRID_LON0)), 0), GRID_COLS - 1)
     return row, col
 
 
-def grid_sample(candidates: list, cfg: AnalyticsConfig, n: int, seed: int
-                ) -> list:
+def grid_sample(candidates: list, n: int, seed: int) -> list:
     """Location-stratified sampling without replacement.
 
     Repeatedly pick a uniformly random non-empty grid cell, then a uniform
@@ -405,7 +406,7 @@ def grid_sample(candidates: list, cfg: AnalyticsConfig, n: int, seed: int
         raise ValueError("no candidates to sample")
     cells: dict[tuple, list] = {}
     for i, cand in enumerate(candidates):
-        cells.setdefault(grid_cell(cand.lat, cand.lon, cfg), []).append(i)
+        cells.setdefault(grid_cell(cand.lat, cand.lon), []).append(i)
     rng = random.Random(derive_seed(seed, "grid-sample"))
     chosen: list = []
     while len(chosen) < n and cells:

@@ -5,6 +5,10 @@ more than half full, cutting their SYN/ACK retransmissions.  Counting the
 retransmissions of a handful of probe SYNs therefore reveals whether a
 separately sent burst of segments reached the server: the SYN scan checks
 whether a vantage point's SYNs arrive, the RST scan whether its RSTs do.
+
+``send_syns``, ``synack_arrivals`` and ``reset`` open, count and clear
+half-open entries for every scan that uses the backlog, the idle scan's
+server check and flush included.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .transport import (
     NS_PER_SEC,
     FlowKey,
     IsnGenerator,
+    TcpSegment,
     Transport,
 )
 
@@ -132,29 +137,45 @@ class BacklogScanRecord:
         )
 
 
-def _send_syns(transport: Transport, relay: EndpointSpec, port_base: int,
-               n: int, src_addr: Optional[str] = None,
-               isns: Optional[IsnGenerator] = None) -> list:
-    """SYN the relay from ports ``port_base``, ``port_base + 1``, ...;
-    returns the flows their SYN/ACKs come back on.  ``isns`` gives SYN i
-    the sequence number ``isns.at(i)`` instead of a fresh session ISN."""
-    flows = []
+def send_syns(transport: Transport, addr: str, port: int, port_base: int,
+              n: int, gap_ns: int = 0, src_addr: Optional[str] = None,
+              isns: Optional[IsnGenerator] = None) -> list:
+    """SYN ``addr:port`` from ports ``port_base``, ``port_base + 1``, ...,
+    sleeping ``gap_ns`` after each; returns the SYNs.  Each opens one
+    half-open entry at a listening server.  ``src_addr`` spoofs their
+    source; ``isns`` gives SYN i the sequence number ``isns.at(i)`` instead
+    of a fresh session ISN."""
+    syns = []
     for i in range(n):
-        transport.send(transport.craft_segment(
-            relay.addr, relay.port, ("SYN",), port_base + i, src_addr=src_addr,
-            seq=None if isns is None else isns.at(i)))
-        flows.append(FlowKey(relay.addr, relay.port, transport.local_addr,
-                             port_base + i))
-    return flows
+        syn = transport.craft_segment(
+            addr, port, ("SYN",), port_base + i, src_addr=src_addr,
+            seq=None if isns is None else isns.at(i))
+        transport.send(syn)
+        syns.append(syn)
+        if gap_ns:
+            transport.clock.sleep_ns(gap_ns)
+    return syns
 
 
-def _synack_arrivals(transport: Transport, flows: list, window_ns: int) -> dict:
-    """Advance the clock and bucket SYN/ACK arrival times by probe flow."""
+def synack_arrivals(transport: Transport, syns: list, window_ns: int) -> dict:
+    """Advance the clock by the window; return the SYN/ACK arrival times
+    that answer each of ``syns``, keyed by the SYN's source port."""
+    flows = [FlowKey(syn.dst_addr, syn.dst_port, syn.src_addr, syn.src_port)
+             for syn in syns]
     arrivals: dict[int, list] = {}
     for seg in transport.capture(flows, window_ns):
         if seg.has("SYN", "ACK"):
             arrivals.setdefault(seg.dst_port, []).append(seg.timestamp)
     return arrivals
+
+
+def reset(transport: Transport, syn: TcpSegment) -> None:
+    """Clear the half-open entry ``syn`` opened: one RST from the SYN's own
+    (possibly spoofed) source with the sequence number the server expects,
+    the SYN's ISN + 1."""
+    transport.send(transport.craft_segment(
+        syn.dst_addr, syn.dst_port, ("RST",), syn.src_port,
+        src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF))
 
 
 def baseline_probe(transport: Transport, relay: EndpointSpec,
@@ -167,9 +188,10 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
     its pruning-rule reason.  Its schedule is fixed, so ``cfg`` is accepted
     for the scans' call form and not read.
     """
-    flows = _send_syns(transport, relay, BASELINE_PORT_BASE, BASELINE_PROBES)
-    arrivals = _synack_arrivals(transport, flows,
-                                int(BASELINE_OBSERVE_S * NS_PER_SEC))
+    syns = send_syns(transport, relay.addr, relay.port, BASELINE_PORT_BASE,
+                     BASELINE_PROBES)
+    arrivals = synack_arrivals(transport, syns,
+                               int(BASELINE_OBSERVE_S * NS_PER_SEC))
     if not arrivals:
         return BaselineProfile(False, REASON_OFFLINE, -1, ())
     times = max(arrivals.values(), key=len)
@@ -214,12 +236,12 @@ def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
     elif n + fill <= ASSUMED_CAPACITY // 2:
         reason = REASON_UNDER_FILL
     else:
-        flows = _send_syns(mm, relay, PROBE_PORT_BASE, n)
+        syns = send_syns(mm, relay.addr, relay.port, PROBE_PORT_BASE, n)
         mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
         burst(fill)
-        arrivals = _synack_arrivals(mm, flows, int(OBSERVE_S * NS_PER_SEC))
-        counts = [len(arrivals[f.dst_port]) - 1 if f.dst_port in arrivals
-                  else None for f in flows]
+        arrivals = synack_arrivals(mm, syns, int(OBSERVE_S * NS_PER_SEC))
+        counts = [len(arrivals[syn.src_port]) - 1
+                  if syn.src_port in arrivals else None for syn in syns]
         full, reduced = _probe_votes(counts, EXPECTED_RETRANSMISSIONS)
         if full == 0 and reduced == 0:
             reason = REASON_OFFLINE
@@ -249,7 +271,7 @@ def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     cfg = cfg or BacklogScanConfig()
 
     def burst(fill: int) -> None:
-        _send_syns(vps, relay, FILL_PORT_BASE, fill)
+        send_syns(vps, relay.addr, relay.port, FILL_PORT_BASE, fill)
 
     return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, cfg, baseline,
                  burst, lambda full, reduced: reduced > full)
@@ -276,15 +298,13 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     isn_seed = shared_isn_seed if shared_isn_seed is not None else mm.isn.seed
 
     def burst(fill: int) -> None:
-        _send_syns(mm, relay, FILL_PORT_BASE, fill, src_addr=vps.local_addr,
-                   isns=IsnGenerator(isn_seed))
+        syns = send_syns(mm, relay.addr, relay.port, FILL_PORT_BASE, fill,
+                         src_addr=vps.local_addr, isns=IsnGenerator(isn_seed))
         mm.clock.sleep_ns(int(RST_BURST_DELAY_MS * 1e6))
-        # The vantage point derives each RST's sequence number independently.
-        vps_isns = IsnGenerator(isn_seed)
-        for i in range(fill):
-            vps.send(vps.craft_segment(
-                relay.addr, relay.port, ("RST",), FILL_PORT_BASE + i,
-                seq=(vps_isns.at(i) + 1) & 0xFFFFFFFF))
+        # Every SYN's ISN derives from the shared seed, so the vantage point
+        # knows the sequence number each RST needs.
+        for syn in syns:
+            reset(vps, syn)
 
     return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, cfg, baseline,
                  burst,

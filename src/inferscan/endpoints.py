@@ -78,8 +78,7 @@ def _check_port(port: int) -> int:
     return port
 
 
-def passes_stability_rule(ep: EndpointSpec,
-                          min_uptime_days: float = MIN_RELAY_UPTIME_DAYS) -> bool:
+def passes_stability_rule(ep: EndpointSpec) -> bool:
     """Relay admission rule: the stability flag plus a minimum uptime.
 
     Only relay-type endpoints are subject to it; clients and web servers
@@ -87,10 +86,9 @@ def passes_stability_rule(ep: EndpointSpec,
     """
     if ep.role not in ("tor-relay", "tor-dir"):
         return True
-    return ep.stable and ep.uptime_days >= min_uptime_days
+    return ep.stable and ep.uptime_days >= MIN_RELAY_UPTIME_DAYS
 
 
-def filter_stable(endpoints: Iterable[EndpointSpec],
-                  min_uptime_days: float = MIN_RELAY_UPTIME_DAYS) -> list:
+def filter_stable(endpoints: Iterable[EndpointSpec]) -> list:
     """Ingestion-time filter applied to server lists before any scanning."""
-    return [ep for ep in endpoints if passes_stability_rule(ep, min_uptime_days)]
+    return [ep for ep in endpoints if passes_stability_rule(ep)]

@@ -9,17 +9,17 @@ per-address mutual exclusion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional
 
 from . import classify
+from .backlog import reset, send_syns, synack_arrivals
 from .classify import PHASE_BASE, PHASE_PERTURB, diff_series
 from .endpoints import EndpointSpec, passes_stability_rule
 from .transport import (
     HOUR_NS,
     NS_PER_SEC,
     FlowKey,
-    TcpSegment,
     Transport,
     TransportError,
     derive_seed,
@@ -39,6 +39,7 @@ DEFAULT_CLIENT_PROBE_PORT = 33434
 PROBE_RATE = 1.0  # IPID probes per second
 SPOOF_RATE = 2.0  # spoofed SYNs per second during the perturb phase
 # The fixed parts of a round's probe schedule.
+PHASE_DURATION_S = 60.0  # each of the base and perturb phases
 RST_FLUSH_DURATION_S = 30.0
 CHECK_DURATION_S = 5.0
 LIVELINESS_RATE = 5.0  # probes per second during checks
@@ -53,24 +54,13 @@ class RoundVoided(Exception):
 
 @dataclass
 class ScanRoundConfig:
-    scan_duration_s: float = 120.0
     probe_rate: float = PROBE_RATE
     spoof_rate: float = SPOOF_RATE
     settle_s: ClassVar[float] = classify.DEFAULT_SETTLE_S
 
     def __post_init__(self):
-        if self.scan_duration_s <= 0:
-            raise ValueError("scan_duration_s must be positive")
         if self.probe_rate <= 0 or self.spoof_rate <= 0:
             raise ValueError("probe and spoof rates must be positive")
-
-    @property
-    def base_duration_s(self) -> float:
-        return self.scan_duration_s / 2.0
-
-    @property
-    def perturb_duration_s(self) -> float:
-        return self.scan_duration_s / 2.0
 
 
 @dataclass(frozen=True)
@@ -147,14 +137,6 @@ def _probe_client(transport: Transport, addr: str, src_port: int,
     return _client_rsts(transport, addr, src_port, window_ns)
 
 
-def _reset(transport: Transport, syn: TcpSegment) -> None:
-    """RST the half-open entry ``syn`` created, from the SYN's own (possibly
-    spoofed) source, with the sequence number the server expects."""
-    transport.send(transport.craft_segment(
-        syn.dst_addr, syn.dst_port, ("RST",), syn.src_port,
-        src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF))
-
-
 def qualify_client(transport: Transport, addr: str,
                    window_s: float = 30.0) -> QualificationResult:
     """Decide whether a client's IPID behaves as a single global counter.
@@ -219,27 +201,17 @@ def server_liveliness(transport: Transport, addr: str,
     """SYN the server from the silent measurement address; pass needs some
     probe's entry to retransmit its SYN/ACK three or more times.  Once the
     window closes, every probe's half-open entry is reset."""
-    base = PROBE_SRC_PORT + 100
     n = int(CHECK_DURATION_S * LIVELINESS_RATE)
-    gap_ns = int(NS_PER_SEC / LIVELINESS_RATE)
-    syns = []
-    for i in range(n):
-        syns.append(transport.craft_segment(addr, port, ("SYN",), base + i))
-        transport.send(syns[-1])
-        transport.clock.sleep_ns(gap_ns)
+    syns = send_syns(transport, addr, port, PROBE_SRC_PORT + 100, n,
+                     gap_ns=int(NS_PER_SEC / LIVELINESS_RATE))
     # Three retransmissions arrive within 1+2+4 s of the original SYN/ACK.
-    collected = transport.capture([syn.flow.reversed() for syn in syns],
-                                  12 * NS_PER_SEC)
+    arrivals = synack_arrivals(transport, syns, 12 * NS_PER_SEC)
     # Terminate every half-open entry the check created, as the scan's flush does.
     for syn in syns:
-        _reset(transport, syn)
-    counts: dict[int, int] = {}
-    for seg in collected:
-        if seg.has("SYN", "ACK"):
-            counts[seg.dst_port] = counts.get(seg.dst_port, 0) + 1
-    best = max(counts.values(), default=0)
+        reset(transport, syn)
+    best = max(map(len, arrivals.values()), default=0)
     return LivelinessResult(passed=(best - 1) >= 3, sent=n,
-                            responses=sum(counts.values()))
+                            responses=sum(map(len, arrivals.values())))
 
 
 def run_idle_scan(transport: Transport, client: EndpointSpec,
@@ -255,12 +227,11 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     """
     cfg = cfg or ScanRoundConfig()
     interval_ns = int(NS_PER_SEC / cfg.probe_rate)
-    n_base = int(cfg.base_duration_s * cfg.probe_rate)
-    n_perturb = int(cfg.perturb_duration_s * cfg.probe_rate)
+    n_base = n_perturb = int(PHASE_DURATION_S * cfg.probe_rate)
     spoof_per_interval = cfg.spoof_rate / cfg.probe_rate
 
     samples: list[IpidSample] = []
-    spoofed: list[TcpSegment] = []
+    spoofed: list = []
     spoof_budget = 0.0
 
     def sample_interval(phase: str) -> None:
@@ -273,19 +244,18 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
 
     for _ in range(n_perturb):
         spoof_budget += spoof_per_interval
-        while spoof_budget >= 1.0:
-            spoofed.append(transport.craft_segment(
-                server.addr, server.port, ("SYN",),
-                SPOOF_SRC_PORT_BASE + len(spoofed), src_addr=client.addr))
-            transport.send(spoofed[-1])
-            spoof_budget -= 1.0
+        due = int(spoof_budget)
+        spoofed += send_syns(transport, server.addr, server.port,
+                             SPOOF_SRC_PORT_BASE + len(spoofed), due,
+                             src_addr=client.addr)
+        spoof_budget -= due
         sample_interval(PHASE_PERTURB)
 
     # Flush: terminate every half-open entry the spoofed SYNs created.
     if spoofed:
         flush_gap = int(RST_FLUSH_DURATION_S * NS_PER_SEC / len(spoofed))
         for syn in spoofed:
-            _reset(transport, syn)
+            reset(transport, syn)
             transport.clock.sleep_ns(flush_gap)
 
     expected = n_base + n_perturb
@@ -425,7 +395,6 @@ def _rotation(slot: int, n: int) -> int:
 class CampaignSummary:
     completed: int = 0
     voided: int = 0
-    void_reasons: list = field(default_factory=list)
 
 
 def run_idle_campaign(transport: Transport, clients: list, servers: list,
@@ -447,9 +416,8 @@ def run_idle_campaign(transport: Transport, clients: list, servers: list,
         try:
             result = run_scan_round(transport, a.client, a.server, cfg,
                                     hour=a.hour)
-        except RoundVoided as exc:
+        except RoundVoided:
             summary.voided += 1
-            summary.void_reasons.append(str(exc))
             continue
         summary.completed += 1
         if on_result is not None:

@@ -205,7 +205,7 @@ def _describe(k: Key) -> str:
 
 def parse_hours(text: str) -> Optional[tuple]:
     """Hour-of-day mask from ``*``, 24 binary digits, or a list of hours
-    and ranges such as ``0-5,22-23``; hours run from 0 to 23."""
+    and ascending ranges such as ``0-5,22-23``; hours run from 0 to 23."""
     text = text.strip()
     if text in ("*", ""):
         return None
@@ -214,12 +214,23 @@ def parse_hours(text: str) -> Optional[tuple]:
     hours = set()
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        lo = int(lo)
-        hi = int(hi) if hi.strip() else lo
+        try:
+            lo = int(lo)
+            hi = int(hi) if hi.strip() else lo
+        except ValueError:
+            lo = hi = -1
         if not 0 <= lo <= hi <= 23:
-            raise ScenarioError(f"bad hours {part.strip()!r}: hours run 0-23")
+            raise ValueError(f"{text!r} is not *, 24 binary digits or hours "
+                             "and ascending ranges 0-23 such as 0-1,11-23")
         hours.update(range(lo, hi + 1))
     return tuple(h in hours for h in range(24))
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
 
 
 def _boolean(text: str) -> bool:
@@ -242,7 +253,10 @@ def _hop(text: str) -> Hop:
 def _interval(text: str) -> tuple:
     """``start-end`` seconds as a pair of ns, 0 <= start < end."""
     start, _, end = text.partition("-")
-    start, end = float(start or math.nan), float(end or math.nan)
+    try:
+        start, end = float(start), float(end)
+    except ValueError:
+        start = end = math.nan
     if not 0 <= start < end < math.inf:
         raise ValueError(f"{text!r} is not an interval start-end with "
                          "0 <= start < end")
@@ -251,7 +265,7 @@ def _interval(text: str) -> tuple:
 
 ADDR = Key("addr", _check_addr)
 SIM = {
-    "seed": Key("seed", int, None, 0),
+    "seed": Key("seed", _integer, None, 0),
     "duration_s": Key("duration_ns", float, AT_LEAST_0, 0, scale=NS_PER_SEC),
     "default_delay_ms": Key("default_delay_ns", float, AT_LEAST_0, 10_000_000,
                             scale=1e6),
@@ -311,7 +325,7 @@ SECTIONS = {"sim": (SIM, 0), "defaults": (DEFAULTS, 0), "client": (CLIENT, 1),
 def loads(text: str) -> Scenario:
     """Parse a scenario file's text; a malformed file raises ScenarioError,
     naming the section when one is at fault."""
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = ini_parser()
     try:
         cp.read_string(text)
         scn = Scenario()
@@ -323,6 +337,12 @@ def loads(text: str) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(_one_line(exc)) from exc
     return scn
+
+
+def ini_parser() -> configparser.ConfigParser:
+    """An INI parser whose default section no header can name, so a
+    ``[DEFAULT]`` section is an ordinary section and shares no keys."""
+    return configparser.ConfigParser(interpolation=None, default_section="")
 
 
 def _one_line(exc: Exception) -> str:

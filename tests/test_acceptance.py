@@ -23,7 +23,6 @@ from conftest import (
 )
 from inferscan import store
 from inferscan.analytics import (
-    AnalyticsConfig,
     SourceSeries,
     diurnal_series,
     grid_sample,
@@ -312,12 +311,11 @@ class TestCriterion5AnalyticsExactness:
                                 s.hourly_counts) for s in sources]
         assert spatial_association(shifted, 3) == pytest.approx(base, abs=1e-9)
 
-        cfg = AnalyticsConfig()
         pool = [EndpointSpec(f"36.{i % 200}.{i // 200}.1", 0, "client",
                              lat=18 + (i * 7) % 33, lon=73 + (i * 11) % 65)
                 for i in range(300)]
-        first = [e.addr for e in grid_sample(pool, cfg, 80, seed=55)]
-        second = [e.addr for e in grid_sample(pool, cfg, 80, seed=55)]
+        first = [e.addr for e in grid_sample(pool, 80, seed=55)]
+        second = [e.addr for e in grid_sample(pool, 80, seed=55)]
         assert first == second
         report(f"5 PASS: pearson oracle 1000 vectors <=1e-9; temporal exact; "
                f"spatial translation-invariant (r={base:.3f}); grid sampling "

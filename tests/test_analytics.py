@@ -82,6 +82,21 @@ class TestLoadAnalyticsConfig:
             load_analytics_config(path)
         assert "\n" not in str(info.value)
 
+    def test_default_section_is_rejected(self, tmp_path):
+        # configparser's default section would otherwise lend its keys to
+        # [analytics], or stand in for a missing [analytics].
+        for text in ("[DEFAULT]\nk = 3\n", "[DEFAULT]\nk = 3\n[analytics]\n"):
+            path = tmp_path / "analytics.ini"
+            path.write_text(text)
+            with pytest.raises(ValueError, match=r"analytics\.ini: unknown "
+                                                 r"section: \[DEFAULT\]$"):
+                load_analytics_config(path)
+
+    def test_file_without_the_section_sets_nothing(self, tmp_path):
+        path = tmp_path / "analytics.ini"
+        path.write_text("# no settings\n")
+        assert load_analytics_config(path) == AnalyticsConfig()
+
     def test_unknown_key_names_section_and_key(self, tmp_path):
         path = tmp_path / "analytics.ini"
         path.write_text("[analytics]\nmax-lag = 3\n")
@@ -397,38 +412,34 @@ class TestGridSample:
 
     def test_single_cell_plain_uniform(self):
         cands = self.endpoints([(30.2, 114.2)] * 40)
-        cfg = AnalyticsConfig()
-        picked = grid_sample(cands, cfg, 10, seed=1)
+        picked = grid_sample(cands, 10, seed=1)
         assert len(picked) == 10
         assert len({c.addr for c in picked}) == 10
 
     def test_sparse_cell_represented_early(self):
         coords = [(30.2, 114.2)] * 99 + [(45.7, 126.6)]
         cands = self.endpoints(coords)
-        cfg = AnalyticsConfig()
-        picked = grid_sample(cands, cfg, 10, seed=2)
+        picked = grid_sample(cands, 10, seed=2)
         assert any(c.lat == 45.7 for c in picked)
 
     def test_n_larger_than_pool_returns_all(self):
         cands = self.endpoints([(30.2, 114.2), (45.7, 126.6)])
-        picked = grid_sample(cands, AnalyticsConfig(), 10, seed=3)
+        picked = grid_sample(cands, 10, seed=3)
         assert len(picked) == 2
 
     def test_seed_reproducible_bit_for_bit(self):
         coords = [(18 + (i * 7) % 33, 73 + (i * 11) % 65) for i in range(200)]
         cands = self.endpoints(coords)
-        cfg = AnalyticsConfig()
-        a = [c.addr for c in grid_sample(cands, cfg, 50, seed=9)]
-        b = [c.addr for c in grid_sample(cands, cfg, 50, seed=9)]
-        c = [c.addr for c in grid_sample(cands, cfg, 50, seed=10)]
+        a = [c.addr for c in grid_sample(cands, 50, seed=9)]
+        b = [c.addr for c in grid_sample(cands, 50, seed=9)]
+        c = [c.addr for c in grid_sample(cands, 50, seed=10)]
         assert a == b
         assert a != c
 
     def test_grid_cell_clamps(self):
-        cfg = AnalyticsConfig()
-        assert grid_cell(17.0, 70.0, cfg) == (0, 0)
-        assert grid_cell(90.0, 180.0, cfg) == (32, 64)
+        assert grid_cell(17.0, 70.0) == (0, 0)
+        assert grid_cell(90.0, 180.0) == (32, 64)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            grid_sample([], AnalyticsConfig(), 1, seed=1)
+            grid_sample([], 1, seed=1)

@@ -652,6 +652,52 @@ class TestMalformedInput:
             f"error: {config}: [analytics] pair_epoch_s: '0' is not an "
             "integer >= 1\n")
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n\n" + TRACE_SCENARIO],
+        ids=["alone", "beside-sections"])
+    def test_default_section_in_a_scenario(self, workspace, capsys, text):
+        # A [DEFAULT] section lent its keys to every other section, so the
+        # error named [monitor relay] for a seed it never held; alone, it
+        # loaded with seed 0 and no error.
+        scen = workspace / "default.cfg"
+        scen.write_text(text)
+        code = run(["simulate", "--scenario", scen, "--duration-s", 1,
+                    "--out", workspace / "t.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: [DEFAULT] unknown section kind\n")
+
+    def test_default_section_in_an_analytics_file(self, workspace, capsys):
+        # It used to stand in for the missing [analytics] section.
+        config = workspace / "default.ini"
+        config.write_text("[DEFAULT]\nk = 3\n")
+        (workspace / "data.jsonl").write_text("")
+        code = run(["analyze", "spatial", "--input", workspace / "data.jsonl",
+                    "--config", config, "--out", workspace / "spatial.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: unknown section: [DEFAULT]\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("seed = 11", "seed = x", "[sim] seed: 'x' is not an integer"),
+        ("ports = 9001", "ports = 9001\ndown_s = x",
+         "[server relay] down_s: 'x' is not an interval start-end with "
+         "0 <= start < end"),
+        ("placement_hop = 2", "placement_hop = 2\nhours = x",
+         "[rule drop-tor-synack] hours: 'x' is not *, 24 binary digits or "
+         "hours and ascending ranges 0-23 such as 0-1,11-23"),
+    ], ids=["seed", "down_s", "hours"])
+    def test_unparsable_value_names_its_form(self, workspace, capsys, old,
+                                             new, message):
+        # Each used to end in Python's conversion text, such as "invalid
+        # literal for int() with base 10: 'x'".
+        scen = workspace / "badvalue.cfg"
+        scen.write_text(SCENARIO.replace(old, new, 1))
+        code = run(["simulate", "--scenario", scen, "--duration-s", 1,
+                    "--out", workspace / "t.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_duplicate_scenario_section(self, workspace, capsys):
         scen = workspace / "dup.cfg"
         scen.write_text(TRACE_SCENARIO + "\n[client dest]\naddr = 36.10.0.6\n")

@@ -1,9 +1,12 @@
 """The key tables of scenario and analytics files: every range is enforced
 at load time with a one-line error naming the section and the key, every
-default is the one the constructors use, and README lists every key."""
+default is the one the constructors use, and README lists every key.  Every
+scan setting is a flag in README's flag table, and every analytics setting
+a key."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import re
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from inferscan import analytics, scenario, simnet
+from inferscan import analytics, backlog, idlescan, scenario, simnet, tracer
 from inferscan.scenario import ScenarioError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -123,6 +126,35 @@ def test_input_that_used_to_load_fails(kind, key, text, tmp_path):
     assert f"{header(kind)} {key}: " in message and "\n" not in message
 
 
+# Keys whose values are addresses or a file path, not parsed into a form.
+UNPARSED = {"addr", "hops", "path_hops", "prefix_table"}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, table in TABLES.items() for key in table
+    if key not in UNPARSED
+])
+def test_unparsable_value_names_the_form(kind, key, tmp_path):
+    # [sim] seed, [server] down_s and [rule] hours used to end in Python's
+    # conversion text ("invalid literal for int() with base 10: 'x'").
+    with pytest.raises(ValueError) as info:
+        load(kind, key, "x", tmp_path)
+    message = str(info.value).removeprefix(f"{tmp_path / 'analytics.ini'}: ")
+    assert message.startswith(f"{header(kind)} {key}: 'x' is not ")
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n[sim]\nhour0 = 1\n[client c]\naddr = 36.10.0.5\n",
+], ids=["alone", "beside-sections"])
+def test_default_section_is_rejected(text):
+    # configparser's default section lent its keys to every other section.
+    with pytest.raises(ScenarioError, match=r"^\[DEFAULT\] unknown section "
+                                            r"kind$"):
+        scenario.loads(text)
+
+
 @pytest.mark.parametrize("backoff, retransmissions, loads", [
     ("1, 2", 2, True), ("1, 2", 3, False), ("1", 0, True)])
 def test_retransmissions_within_the_backoff_schedule(backoff, retransmissions,
@@ -169,3 +201,32 @@ def test_every_key_has_one_readme_row():
                       re.MULTILINE)
     keys = [(kind, key) for kind, table in TABLES.items() for key in table]
     assert sorted(rows) == sorted(keys)
+
+
+def readme_flag_settings() -> set:
+    """(class, field) pairs in the setting column of README's flag table;
+    a `.field` after a `Class.field` belongs to the same class."""
+    table = README.read_text().split("| flag | setting |\n", 1)[1]
+    settings = set()
+    for row in table.split("\n\n", 1)[0].splitlines()[1:]:
+        owner = None
+        for cls, field in re.findall(r"`(\w+)?\.(\w+)`", row.split("|")[2]):
+            owner = cls or owner
+            settings.add((owner, field))
+    return settings
+
+
+def test_every_scan_setting_has_a_flag():
+    # A setting that no flag sets is one only the library's own callers
+    # (tests among them) can change; it belongs in a module constant.
+    fields = {(config.__name__, f.name)
+              for config in (idlescan.ScanRoundConfig,
+                             backlog.BacklogScanConfig, tracer.TraceConfig)
+              for f in dataclasses.fields(config)}
+    assert fields == readme_flag_settings()
+
+
+def test_every_analytics_setting_has_a_key():
+    keywords = {k.keyword for k in analytics.ANALYTICS.values()}
+    assert {f.name for f in dataclasses.fields(analytics.AnalyticsConfig)
+            } <= keywords

@@ -17,6 +17,7 @@ from inferscan.classify import PHASE_BASE, PHASE_PERTURB
 from inferscan.endpoints import EndpointSpec
 from inferscan.idlescan import (
     HOUR_NS,
+    PHASE_DURATION_S,
     REASON_NOISY,
     REASON_OFFLINE,
     REASON_PER_FLOW,
@@ -136,7 +137,7 @@ class TestRunIdleScan:
         cfg = ScanRoundConfig()
         scan_start = tr.clock.now_ns()
         series = run_idle_scan(tr, CLIENT_EP, SERVER_EP, cfg)
-        perturb_floor = scan_start + int(cfg.base_duration_s * NS_PER_SEC)
+        perturb_floor = scan_start + int(PHASE_DURATION_S * NS_PER_SEC)
         spoofed = [json.loads(line) for line in log_path.read_text().splitlines()
                    if json.loads(line)["dir"] == "out"
                    and json.loads(line)["src_addr"] == CLIENT_ADDR
