@@ -6,6 +6,13 @@ retransmissions of a handful of probe SYNs therefore reveals whether a
 separately sent burst of segments reached the server: the SYN scan checks
 whether a vantage point's SYNs arrive, the RST scan whether its RSTs do.
 
+Admission rule: a scan with a valid baseline opens exactly
+``MAX_HALF_OPEN`` half-open entries at the relay, its ``n`` probe SYNs
+(1 <= n <= ``MAX_PROBES``) and ``MAX_HALF_OPEN - n`` fill SYNs.  That
+pushes a default backlog past half full, keeps it below 59 %, and leaves
+every probe within reach of the pruning, so the probes' vote can decide.
+Any other probe count is refused before anything is sent.
+
 ``send_syns``, ``synack_arrivals`` and ``reset`` open, count and clear
 half-open entries for every scan that uses the backlog, the idle scan's
 server check and flush included.
@@ -23,6 +30,7 @@ from .transport import (
     IsnGenerator,
     TcpSegment,
     Transport,
+    check_range,
 )
 
 KIND_SYN = "SynScan"
@@ -36,10 +44,10 @@ REASON_NON_DEFAULT = "non-default-stack"
 REASON_NO_BACKOFF = "no-backoff"
 REASON_OFFLINE = "offline"
 REASON_INCONSISTENT = "inconsistent"
-REASON_UNDER_FILL = "under-fill"
 
+# The one verdict convention: the mapping that the backlog mechanics give.
+# Records name it so that a reader can refuse any other.
 MAPPING_MECHANICS = "mechanics"
-MAPPING_LITERAL = "literal"
 
 # The fixed parts of the scan schedule and of the default stack it assumes.
 RST_BURST_DELAY_MS = 250.0  # after the fill burst
@@ -49,21 +57,31 @@ BASELINE_OBSERVE_S = 70.0
 EXPECTED_RETRANSMISSIONS = 5
 BACKOFF_RATIO_BOUNDS = (1.5, 2.5)
 ASSUMED_CAPACITY = 256
-# Safety bound: probes + fill never exceed this many half-open entries,
+# Safety bound: probes + fill always come to this many half-open entries,
 # keeping occupancy below ~59% of the default capacity.
 MAX_HALF_OPEN = 150
+# The probes are the backlog's oldest entries, so pruning cuts them first,
+# and pruning stops once the backlog is back at half full.  At most this
+# many entries can therefore read "reduced", and every probe of a scan with
+# no more probes than this is within reach of the fill.
+MAX_PROBES = MAX_HALF_OPEN - ASSUMED_CAPACITY // 2
 PROBE_PORT_BASE = 41000
 FILL_PORT_BASE = 43000
 BASELINE_PORT_BASE = 40900
 
 
-@dataclass
+@dataclass(frozen=True)
 class BacklogScanConfig:
     syn_probe_count: int = 5
     rst_probe_count: int = 10
-    fill_count: int = 145
     stagger_ms: float = 500.0
-    literal_verdicts: bool = False
+
+    def __post_init__(self):
+        for name in ("syn_probe_count", "rst_probe_count"):
+            check_range(name, getattr(self, name), 1, MAX_PROBES)
+        if not 0.0 <= self.stagger_ms < float("inf"):
+            raise ValueError(f"stagger_ms must be finite and >= 0, got "
+                             f"{self.stagger_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +114,6 @@ class BacklogScanRecord:
     verdict: str
     invalid_reason: Optional[str]
     timestamp: int
-    verdict_mapping: str = MAPPING_MECHANICS
 
     def __post_init__(self):
         if self.kind not in (KIND_SYN, KIND_RST):
@@ -117,11 +134,13 @@ class BacklogScanRecord:
             "verdict": self.verdict,
             "invalid_reason": self.invalid_reason,
             "timestamp": self.timestamp,
-            "verdict_mapping": self.verdict_mapping,
+            "verdict_mapping": MAPPING_MECHANICS,
         }
 
     @classmethod
     def from_dict(cls, rec: dict) -> "BacklogScanRecord":
+        if rec.get("verdict_mapping", MAPPING_MECHANICS) != MAPPING_MECHANICS:
+            raise ValueError(f"unknown verdict mapping: {rec['verdict_mapping']!r}")
         return cls(
             kind=rec["kind"],
             relay=EndpointSpec.from_dict(rec["relay"]),
@@ -133,7 +152,6 @@ class BacklogScanRecord:
             verdict=rec["verdict"],
             invalid_reason=rec.get("invalid_reason"),
             timestamp=rec["timestamp"],
-            verdict_mapping=rec.get("verdict_mapping", MAPPING_MECHANICS),
         )
 
 
@@ -206,35 +224,26 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
     return BaselineProfile(True, None, count, gaps)
 
 
-def _probe_votes(counts: list, expected: int) -> tuple:
-    """Split per-probe retransmission counts into full/reduced votes."""
-    full = sum(1 for c in counts if c is not None and c >= expected - 1)
-    reduced = sum(1 for c in counts if c is not None and 0 <= c < expected - 1)
-    return full, reduced
-
-
 def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
           cfg: BacklogScanConfig, baseline: Optional[BaselineProfile],
           burst, passes) -> BacklogScanRecord:
     """The steps both scans share around their fill ``burst(fill)``.
 
     Takes a default baseline unless one is given, refuses an invalid
-    baseline or a fill that cannot push the backlog past half, sends ``n``
-    probe SYNs, and counts their retransmissions.  A clear majority of full
-    or reduced counts becomes ``passes(full, reduced)``.
+    baseline, sends ``n`` probe SYNs, has ``burst`` send the
+    ``MAX_HALF_OPEN - n`` fill, and counts the probes' retransmissions.  A
+    clear majority of full or reduced counts becomes ``passes(full,
+    reduced)``.
     """
     if baseline is None:
         baseline = baseline_probe(mm, relay)
         mm.clock.sleep_ns(2 * NS_PER_SEC)
     started = mm.clock.now_ns()
-    fill = (max(min(cfg.fill_count, MAX_HALF_OPEN - n), 0) if baseline.valid
-            else 0)
+    fill = MAX_HALF_OPEN - n if baseline.valid else 0
     counts: list = [None] * n
     verdict = VERDICT_INVALID
     if not baseline.valid:
         reason = baseline.reason
-    elif n + fill <= ASSUMED_CAPACITY // 2:
-        reason = REASON_UNDER_FILL
     else:
         syns = send_syns(mm, relay.addr, relay.port, PROBE_PORT_BASE, n)
         mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
@@ -242,7 +251,11 @@ def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
         arrivals = synack_arrivals(mm, syns, int(OBSERVE_S * NS_PER_SEC))
         counts = [len(arrivals[syn.src_port]) - 1
                   if syn.src_port in arrivals else None for syn in syns]
-        full, reduced = _probe_votes(counts, EXPECTED_RETRANSMISSIONS)
+        # An answered probe votes "reduced" when it lost more than one of
+        # its expected retransmissions, "full" otherwise.
+        answered = [c for c in counts if c is not None]
+        reduced = sum(c < EXPECTED_RETRANSMISSIONS - 1 for c in answered)
+        full = len(answered) - reduced
         if full == 0 and reduced == 0:
             reason = REASON_OFFLINE
         elif full == reduced:
@@ -253,9 +266,7 @@ def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
     return BacklogScanRecord(
         kind=kind, relay=relay, probe_count=n, fill_count=fill,
         observed_retransmissions=counts, baseline=baseline, verdict=verdict,
-        invalid_reason=reason, timestamp=started,
-        verdict_mapping=(MAPPING_LITERAL if cfg.literal_verdicts
-                         else MAPPING_MECHANICS))
+        invalid_reason=reason, timestamp=started)
 
 
 def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
@@ -289,10 +300,6 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     the expected sequence numbers from the shared ISN seed.  A cleared
     backlog (at most half full again) restores the probes' full
     retransmission budget, so full retransmissions mean the RSTs passed.
-
-    The mapping from probe retransmissions to verdicts follows the backlog
-    mechanics above; set ``cfg.literal_verdicts`` to swap to the
-    inverted convention.
     """
     cfg = cfg or BacklogScanConfig()
     isn_seed = shared_isn_seed if shared_isn_seed is not None else mm.isn.seed
@@ -307,6 +314,5 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
             reset(vps, syn)
 
     return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, cfg, baseline,
-                 burst,
-                 lambda full, reduced: (full > reduced) != cfg.literal_verdicts)
+                 burst, lambda full, reduced: full > reduced)
 

@@ -152,12 +152,8 @@ def cmd_backlog_scan(args, parser) -> int:
         raise CliError("--relay must be ADDR:PORT")
     relay = EndpointSpec(addr=addr, port=int(port), role="tor-relay",
                          uptime_days=10.0)
-    scan_cfg = backlog.BacklogScanConfig(
-        fill_count=args.fill, stagger_ms=args.stagger_ms,
-        literal_verdicts=args.literal_verdicts)
-    if args.probes:
-        scan_cfg.syn_probe_count = args.probes
-        scan_cfg.rst_probe_count = args.probes
+    scan_cfg = backlog.BacklogScanConfig(stagger_ms=args.stagger_ms, **(
+        {} if args.probes is None else {f"{args.kind}_probe_count": args.probes}))
     if args.transport == "live":
         parser.error("backlog-scan live mode needs two vantage points; "
                      "run the sim backend or drive the API directly")
@@ -181,25 +177,22 @@ def cmd_trace(args, parser) -> int:
     dests = [ep.addr for ep in load_endpoints(args.dests)]
     table = (PrefixTable.from_csv(args.prefix_table) if args.prefix_table
              else PrefixTable())
-    ports = [int(p) for p in args.ports.split(",")]
-    if len(ports) != 2:
-        raise CliError("--ports needs exactly two comma-separated ports")
-    if ports[0] == ports[1]:
-        # The control run must leave the filtered port, or no pair qualifies.
-        raise CliError(f"--ports needs two different ports, got {args.ports}")
-    trace_cfg = TraceConfig(tor_port=ports[0], rand_port=ports[1],
-                            max_ttl=args.max_ttl)
+    try:
+        tor_port, rand_port = map(int, args.ports.split(","))
+        trace_cfg = TraceConfig(tor_port=tor_port, rand_port=rand_port,
+                                max_ttl=args.max_ttl)
+    except ValueError as exc:
+        raise CliError(f"--ports {args.ports}, --max-ttl {args.max_ttl}: "
+                       f"{exc}") from exc
     transport, _seed = _transport(args, parser, "tracer")
-    record_store = store.RecordStore(args.out)
+    with store.RecordStore(args.out) as record_store:
+        def on_pair(day, hour, tor_run, rand_run):
+            record_store.append(store.build_trace_record(
+                tor_run, rand_run, slot=day * 24 + hour))
 
-    def on_pair(day, hour, tor_run, rand_run):
-        record_store.append(store.build_trace_record(
-            tor_run, rand_run, slot=day * 24 + hour))
-
-    pairs = tracer.run_trace_campaign(transport, dests, table, trace_cfg,
-                                      hours=args.hours, days=args.days,
-                                      on_pair=on_pair)
-    record_store.close()
+        pairs = tracer.run_trace_campaign(transport, dests, table, trace_cfg,
+                                          hours=args.hours, days=args.days,
+                                          on_pair=on_pair)
     print(f"{pairs} paired runs written to {args.out}")
     return EXIT_OK
 
@@ -372,15 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--kind", choices=["syn", "rst"], required=True)
     sp.add_argument("--relay", required=True, help="target as ADDR:PORT")
-    sp.add_argument("--fill", type=int, default=145,
-                    help="fill SYNs (capped so probes+fill <= 150)")
     sp.add_argument("--probes", type=int, default=None,
-                    help="probe SYN count (default 5 for syn, 10 for rst)")
+                    help=f"probe SYN count, 1-{backlog.MAX_PROBES} (default 5 "
+                         f"for syn, 10 for rst); the fill is "
+                         f"{backlog.MAX_HALF_OPEN} minus the probes")
     sp.add_argument("--stagger-ms", type=float, default=500.0,
                     help="delay between probes and fill burst")
-    sp.add_argument("--literal-verdicts", action="store_true",
-                    help="swap the RST-scan verdict mapping to the inverted "
-                         "convention instead of the backlog mechanics")
     sp.add_argument("--out", required=True, help="record JSONL path")
     sp.set_defaults(fn=cmd_backlog_scan)
 

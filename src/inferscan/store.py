@@ -23,7 +23,7 @@ from .backlog import (
 )
 from .classify import VARIANTS
 from .tracer import TracerouteRun
-from .transport import _check_addr, addr_to_int, int_to_addr
+from .transport import _check_addr, addr_to_int, check_range, int_to_addr
 
 SCHEMA_VERSION = 1
 
@@ -101,8 +101,7 @@ class ScanRecord:
 
 def redact_addr(addr: str, bits: int = 16) -> str:
     """Zero the low `bits` of an IPv4 address."""
-    if not 0 <= bits <= 32:
-        raise ValueError("bits out of range")
+    check_range("bits", bits, 0, 32)
     mask = (0xFFFFFFFF << bits) & 0xFFFFFFFF
     return int_to_addr(addr_to_int(addr) & mask)
 
@@ -126,6 +125,7 @@ class RecordStore:
     """
 
     def __init__(self, path, redact_client_bits: int = 0):
+        check_range("redact_client_bits", redact_client_bits, 0, 32)
         self.path = path
         self.redact_client_bits = redact_client_bits
         self._lock = threading.Lock()

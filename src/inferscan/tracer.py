@@ -14,7 +14,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import Optional
 
-from .transport import HOUR_NS, NS_PER_SEC, FlowKey, Transport
+from .transport import HOUR_NS, NS_PER_SEC, FlowKey, Transport, check_range
 
 STATUS_FINISHED = "Finished"
 STATUS_STALLED = "Stalled"
@@ -135,11 +135,20 @@ class TracerouteRun:
                    entry_label=rec.get("entry_label", LABEL_OTHER))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceConfig:
     max_ttl: int = 30
     tor_port: int = TOR_PORT
     rand_port: int = RAND_PORT
+
+    def __post_init__(self):
+        check_range("max_ttl", self.max_ttl, 1, 255)
+        check_range("tor_port", self.tor_port, 0, 0xFFFF)
+        check_range("rand_port", self.rand_port, 0, 0xFFFF)
+        if self.tor_port == self.rand_port:
+            # The control run must leave the filtered port, or no pair
+            # qualifies.
+            raise ValueError(f"tor_port and rand_port are both {self.tor_port}")
 
 
 def run_traceroute(transport: Transport, dest: str, src_port: int,
@@ -245,7 +254,14 @@ def label_run(run: TracerouteRun, table: PrefixTable,
 def run_trace_campaign(transport: Transport, dests: list, table: PrefixTable,
                        cfg: Optional[TraceConfig] = None, hours: int = 24,
                        days: int = 1, on_pair=None) -> int:
-    """Hourly paired runs to every destination; returns the pair count."""
+    """Hourly paired runs to every destination; returns the pair count.
+
+    ``hours`` (1-24) are the hours of each day that get a run, and
+    ``days`` (at least 1) the days.
+    """
+    check_range("hours", hours, 1, 24)
+    if days < 1:
+        raise ValueError(f"days must be at least 1, got {days}")
     cfg = cfg or TraceConfig()
     pairs = 0
     for day in range(days):

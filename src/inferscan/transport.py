@@ -85,6 +85,13 @@ def _check_addr(addr: str) -> str:
     return addr
 
 
+def check_range(name: str, value, lo, hi) -> None:
+    """Raise ValueError naming the setting ``name`` unless
+    ``lo <= value <= hi``."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be within {lo}-{hi}, got {value!r}")
+
+
 def addr_to_int(addr: str) -> int:
     return struct.unpack("!I", socket.inet_aton(addr))[0]
 

@@ -50,13 +50,18 @@ def build_idle_sim(policy: str, seed: int = 9, noise: float = 0.0,
 
 
 def build_backlog_sim(drop_syn: bool, drop_rst: bool, seed: int = 5,
-                      loss: float = 0.0, trace=None) -> Simulator:
-    """Relay behind a firewall on the VPS link; the MM link stays clean."""
+                      loss: float = 0.0, trace=None,
+                      vps_loss: float | None = None) -> Simulator:
+    """Relay behind a firewall on the VPS link.
+
+    ``loss`` applies to both links; ``vps_loss``, when given, replaces it on
+    the VPS link alone.
+    """
     sim = Simulator(seed=seed, trace=trace)
     sim.add_server(SERVER_ADDR, open_ports=[9001])
     hops = [Hop("10.9.0.1"), Hop("10.9.0.2", region="CN")]
     sim.add_path(VPS_ADDR, SERVER_ADDR, hops=hops, delay_ns=20_000_000,
-                 filtered=True, loss_rate=loss)
+                 filtered=True, loss_rate=loss if vps_loss is None else vps_loss)
     sim.add_path(MM_ADDR, SERVER_ADDR, delay_ns=15_000_000, loss_rate=loss)
     if drop_syn:
         sim.policy.rules.append(FilterRule(

@@ -9,11 +9,11 @@ from inferscan.backlog import (
     BaselineProfile,
     KIND_RST,
     KIND_SYN,
-    MAPPING_LITERAL,
+    MAX_HALF_OPEN,
+    MAX_PROBES,
     REASON_NO_BACKOFF,
     REASON_NON_DEFAULT,
     REASON_OFFLINE,
-    REASON_UNDER_FILL,
     VERDICT_DROPPED,
     VERDICT_INVALID,
     VERDICT_PASSES,
@@ -111,11 +111,6 @@ class TestSynScan:
         # The vantage point never captures the relay's SYN/ACKs.
         assert 0 < queued[-1] <= queued[0]
 
-    def test_under_fill_degenerate(self):
-        _, record = self.run(drop_syn=False, fill_count=0)
-        assert record.verdict == VERDICT_INVALID
-        assert record.invalid_reason == REASON_UNDER_FILL
-
     def test_invalid_baseline_short_circuits(self):
         sim = Simulator(seed=9)
         sim.add_server(SERVER_ADDR, open_ports=[9001], max_retransmissions=4)
@@ -138,25 +133,18 @@ class TestSynScan:
         assert record.verdict == VERDICT_INVALID
         assert record.invalid_reason == REASON_OFFLINE
 
-    def test_monotonic_in_fill_count(self):
-        results = []
-        for fill in (0, 60, 100, 145):
-            sim = build_backlog_sim(False, False)
-            mm, vps = attach_pair(sim)
-            cfg = BacklogScanConfig(fill_count=fill)
-            record = syn_scan(mm, vps, SERVER_EP, cfg)
-            observed = [c for c in record.observed_retransmissions
-                        if c is not None]
-            results.append(max(observed) if observed else 5)
-        assert results == sorted(results, reverse=True)
+    def test_fill_follows_the_probe_count(self):
+        sim, record = self.run(drop_syn=False, syn_probe_count=MAX_PROBES)
+        assert record.fill_count == MAX_HALF_OPEN - MAX_PROBES
+        assert record.verdict == VERDICT_PASSES
+        assert sim.server(SERVER_ADDR).peak_backlog == MAX_HALF_OPEN
 
 
 class TestRstScan:
-    def run(self, drop_rst, literal=False):
+    def run(self, drop_rst):
         sim = build_backlog_sim(False, drop_rst)
         mm, vps = attach_pair(sim)
-        cfg = BacklogScanConfig(literal_verdicts=literal)
-        record = rst_scan(mm, vps, SERVER_EP, cfg, shared_isn_seed=321)
+        record = rst_scan(mm, vps, SERVER_EP, shared_isn_seed=321)
         return sim, record
 
     def test_rsts_pass_backlog_cleared(self):
@@ -176,18 +164,63 @@ class TestRstScan:
         assert record.fill_count == 140
         assert sim.server(SERVER_ADDR).peak_backlog == 150
 
-    def test_literal_mapping_swaps_labels(self):
-        _, regular = self.run(drop_rst=False)
-        _, literal = self.run(drop_rst=False, literal=True)
-        assert regular.verdict == VERDICT_PASSES
-        assert literal.verdict == VERDICT_DROPPED
-        assert literal.verdict_mapping == MAPPING_LITERAL
-
     def test_vps_reconstructs_sequence_numbers(self):
         # The RSTs clear the backlog even though the VPS never saw the
         # spoofed SYNs: the shared seed is the only coordination.
         sim, record = self.run(drop_rst=False)
         assert record.verdict == VERDICT_PASSES
+
+
+class TestProbeCounts:
+    """Every admitted probe count gives the planted verdict on each cell of
+    the 2x2 grid, for both scan kinds, with and without loss on the vantage
+    point's link (the prober's own link stays clean)."""
+
+    @pytest.mark.parametrize("vps_loss, seed", [(0.0, 5), (0.02, 31),
+                                                (0.02, 32)])
+    @pytest.mark.parametrize("probes", [1, 5, 10, MAX_PROBES])
+    def test_planted_verdicts(self, probes, vps_loss, seed):
+        cfg = BacklogScanConfig(syn_probe_count=probes, rst_probe_count=probes)
+        for drop_syn in (False, True):
+            for drop_rst in (False, True):
+                sim = build_backlog_sim(drop_syn, drop_rst, seed=seed,
+                                        vps_loss=vps_loss)
+                mm, vps = attach_pair(sim, seed)
+                base = baseline_probe(mm, SERVER_EP)
+                mm.clock.sleep_ns(2 * NS_PER_SEC)
+                syn = syn_scan(mm, vps, SERVER_EP, cfg, baseline=base)
+                mm.clock.sleep_ns(80 * NS_PER_SEC)
+                rst = rst_scan(mm, vps, SERVER_EP, cfg, baseline=base,
+                               shared_isn_seed=seed)
+                assert (syn.verdict, rst.verdict) == (
+                    VERDICT_DROPPED if drop_syn else VERDICT_PASSES,
+                    VERDICT_DROPPED if drop_rst else VERDICT_PASSES), (
+                    drop_syn, drop_rst)
+                assert sim.server(SERVER_ADDR).peak_backlog <= MAX_HALF_OPEN
+
+
+class TestConfig:
+    @pytest.mark.parametrize("probes", [0, MAX_PROBES + 1, 44, 200])
+    @pytest.mark.parametrize("field", ["syn_probe_count", "rst_probe_count"])
+    def test_probe_count_out_of_reach_refused(self, field, probes):
+        with pytest.raises(ValueError, match=f"{field} must be within 1-22"):
+            BacklogScanConfig(**{field: probes})
+
+    @pytest.mark.parametrize("stagger", [-1.0, float("inf"), float("nan")])
+    def test_stagger_must_be_finite_and_not_negative(self, stagger):
+        with pytest.raises(ValueError, match="stagger_ms"):
+            BacklogScanConfig(stagger_ms=stagger)
+
+    def test_range_edges_admitted(self):
+        assert MAX_PROBES == 22
+        cfg = BacklogScanConfig(syn_probe_count=22, rst_probe_count=1,
+                                stagger_ms=0.0)
+        assert (cfg.syn_probe_count, cfg.rst_probe_count) == (22, 1)
+
+    def test_frozen(self):
+        cfg = BacklogScanConfig()
+        with pytest.raises(AttributeError):
+            cfg.syn_probe_count = 200
 
 
 class TestPruneDataset:
@@ -251,3 +284,13 @@ class TestRecordValidation:
             baseline=BaselineProfile(True, None, 5, (1.0, 2.0, 4.0, 8.0, 16.0)),
             verdict=VERDICT_PASSES, invalid_reason=None, timestamp=17)
         assert BacklogScanRecord.from_dict(rec.to_dict()) == rec
+        assert rec.to_dict()["verdict_mapping"] == "mechanics"
+
+    def test_other_verdict_mapping_refused(self):
+        rec = BacklogScanRecord(
+            kind=KIND_RST, relay=SERVER_EP, probe_count=1, fill_count=149,
+            observed_retransmissions=[5], baseline=None,
+            verdict=VERDICT_DROPPED, invalid_reason=None, timestamp=0)
+        data = dict(rec.to_dict(), verdict_mapping="literal")
+        with pytest.raises(ValueError, match="unknown verdict mapping"):
+            BacklogScanRecord.from_dict(data)

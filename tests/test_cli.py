@@ -142,6 +142,20 @@ class TestIdleScanCommand:
         rec = store.load(out)[0]
         assert rec.payload["client"]["addr"].endswith(".0.0")
 
+    @pytest.mark.parametrize("bits", [-1, 33, 40])
+    def test_redaction_bits_checked_before_the_scan(self, workspace, capsys,
+                                                    bits):
+        out = workspace / "red.jsonl"
+        code = run(["idle-scan", "--clients", workspace / "clients.csv",
+                    "--servers", workspace / "servers.csv",
+                    "--scenario", workspace / "scen.cfg",
+                    "--rounds", 1, "--seed", 5, "--redact-client-bits", bits,
+                    "--out", out])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: redact_client_bits must be within 0-32, got {bits}\n")
+        assert not out.exists()
+
     def test_deterministic_outputs(self, workspace):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -186,22 +200,76 @@ class TestBacklogCommand:
         assert rec.payload["kind"] == "RstScan"
 
     def test_probe_and_fill_flags(self, workspace):
+        # The fill is no flag: it is what the safety bound leaves.
         out = workspace / "backlog.jsonl"
         run(["backlog-scan", "--kind", "syn", "--relay", "203.0.113.5:9001",
              "--scenario", workspace / "scen.cfg", "--seed", 7,
-             "--probes", 7, "--fill", 100, "--out", out])
+             "--probes", 7, "--out", out])
         payload = store.load(out)[0].payload
-        assert (payload["probe_count"], payload["fill_count"]) == (7, 100)
+        assert (payload["probe_count"], payload["fill_count"]) == (7, 143)
         assert len(payload["observed_retransmissions"]) == 7
+        with pytest.raises(SystemExit) as exc:
+            main(["backlog-scan", "--kind", "syn", "--relay", "203.0.113.5:9001",
+                  "--scenario", str(workspace / "scen.cfg"), "--fill", "100",
+                  "--out", str(out)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag,mapping", [([], "mechanics"),
-                                              (["--literal-verdicts"], "literal")])
+                                              (["--literal-verdicts"], None)])
     def test_verdict_mapping_flag(self, workspace, flag, mapping):
+        # One convention: records name it, and no flag swaps it.
         out = workspace / "backlog.jsonl"
-        run(["backlog-scan", "--kind", "rst", "--relay", "203.0.113.5:9001",
-             "--scenario", workspace / "scen.cfg", "--seed", 7, *flag,
-             "--out", out])
+        args = ["backlog-scan", "--kind", "rst", "--relay", "203.0.113.5:9001",
+                "--scenario", workspace / "scen.cfg", "--seed", 7, *flag,
+                "--out", out]
+        if mapping is None:
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 2 and not out.exists()
+            return
+        run(args)
         assert store.load(out)[0].payload["verdict_mapping"] == mapping
+
+    @pytest.mark.parametrize("probes", [0, 23, 44, 200])
+    @pytest.mark.parametrize("kind", ["syn", "rst"])
+    def test_probe_count_out_of_reach_refused(self, workspace, capsys, kind,
+                                              probes):
+        out = workspace / "backlog.jsonl"
+        code = run(["backlog-scan", "--kind", kind,
+                    "--relay", "203.0.113.5:9001",
+                    "--scenario", workspace / "scen.cfg", "--seed", 7,
+                    "--probes", probes, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {kind}_probe_count must be within 1-22, got {probes}\n")
+        assert not out.exists()
+
+    def test_other_verdict_mapping_discarded(self, workspace, capsys):
+        # A record written under another convention (say, by an older
+        # version with inverted RST verdicts) cannot be counted as this one.
+        data = workspace / "backlog.jsonl"
+        for kind in ("syn", "rst"):
+            run(["backlog-scan", "--kind", kind, "--relay", "203.0.113.5:9001",
+                 "--scenario", workspace / "scen.cfg", "--seed", 7,
+                 "--out", data])
+        syn, rst = data.read_text().splitlines()
+        data.write_text(syn + "\n" + rst.replace('"verdict_mapping":"mechanics"',
+                                                 '"verdict_mapping":"literal"')
+                        + "\n")
+        why = ("record 2 (BacklogScan) has a malformed payload: "
+               "unknown verdict mapping: 'literal'")
+        pruned = workspace / "pruned.jsonl"
+        discards = workspace / "discards.jsonl"
+        capsys.readouterr()
+        assert run(["prune", "--input", data, "--out", pruned,
+                    "--discard-log", discards]) == EXIT_OK
+        assert "retained 1/2" in capsys.readouterr().out
+        assert [json.loads(l) for l in discards.read_text().splitlines()] == [
+            {"kind": "BacklogScan", "failed": [], "payload": why}]
+        assert pruned.read_text() == syn + "\n"
+        assert run(["analyze", "tables", "--input", data,
+                    "--out", workspace / "report.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {why}\n"
 
     def test_prune_names_failed_rule(self, workspace, capsys):
         scenario = workspace / "embedded.cfg"
@@ -271,6 +339,36 @@ class TestTraceCommand:
         # The filtered run stalls, so it probes up to the flag's TTL.
         assert max(ttls) == 6
         assert payload["tor"]["status"] == "Stalled"
+
+    @pytest.mark.parametrize("flags, why", [
+        (["--hours", 26, "--days", 2], "hours must be within 1-24, got 26"),
+        (["--hours", 0], "hours must be within 1-24, got 0"),
+        (["--days", 0], "days must be at least 1, got 0"),
+        (["--max-ttl", 0], "--ports 9001,9002, --max-ttl 0: max_ttl must be "
+                           "within 1-255, got 0"),
+        (["--max-ttl", 300], "--ports 9001,9002, --max-ttl 300: max_ttl must "
+                             "be within 1-255, got 300"),
+        (["--ports", "9001,70000"], "--ports 9001,70000, --max-ttl 30: "
+                                    "rand_port must be within 0-65535, got "
+                                    "70000"),
+        (["--ports=-1,9002"], "--ports -1,9002, --max-ttl 30: tor_port must be "
+                              "within 0-65535, got -1"),
+        (["--ports", "9001"], "--ports 9001, --max-ttl 30: not enough values "
+                              "to unpack (expected 2, got 1)"),
+    ], ids=["hours-26", "hours-0", "days-0", "max-ttl-0", "max-ttl-300",
+            "port-70000", "port-negative", "one-port"])
+    def test_bad_setting_refused_before_the_first_probe(self, workspace,
+                                                        capsys, flags, why):
+        out = workspace / "runs.jsonl"
+        args = ["trace", "--dests", workspace / "dests.csv",
+                "--scenario", workspace / "trace.cfg", "--seed", 3,
+                "--out", out]
+        if "--hours" not in flags:
+            args += ["--hours", 1]
+        code = run(args + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {why}\n"
+        assert not out.exists() or not out.read_text()
 
     def test_same_port_twice_rejected(self, workspace, capsys):
         out = workspace / "runs.jsonl"

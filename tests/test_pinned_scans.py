@@ -26,7 +26,7 @@ from inferscan.simnet import FilterRule, Hop, Simulator
 from inferscan.transport import NS_PER_SEC, PacketLog
 
 BACKLOG_SHA256 = "fc2fdbcb77f4e6a05a0a3661021d1b086c4a40219d5be4a10de8b9bb9ac14e75"
-EDGE_SHA256 = "095c3b349fb681ac4ba35a1dddf60059496f273bdf3364bf970dfd8179020b92"
+EDGE_SHA256 = "25f607f783ea8b5ad88cb4a6592b0d6becf4da7c8707d13b0ed49c061745be47"
 IDLE_ROUND_SHA256 = "51fb7d6a74709190e4db72c2a022d3ae3c725bcd624ef121eac64b1b9244a9ce"
 QUALIFY_SHA256 = "993a69856b244bcab8008c82c95abd1e2e9fa0a882ba437b25bebb7c5b8e3bb8"
 
@@ -101,8 +101,8 @@ class TestPinnedBacklogScans:
         assert verdicts[(True, True)] == ["Dropped"] * 4
         assert digest(out, *logs) == BACKLOG_SHA256
 
-    def test_invalid_baseline_and_under_fill(self, tmp_path):
-        """The two early exits: a non-default stack and a fill too small."""
+    def test_invalid_baseline(self, tmp_path):
+        """The early exit: a non-default stack, for both scan kinds."""
         sim = Simulator(seed=12)
         sim.add_server(SERVER_ADDR, open_ports=[9001], max_retransmissions=4)
         sim.add_path(MM_ADDR, SERVER_ADDR, delay_ns=15_000_000)
@@ -110,16 +110,11 @@ class TestPinnedBacklogScans:
         log = tmp_path / "mm.jsonl"
         mm = attach_logged(sim, MM_ADDR, log, 5)
         vps = sim.attach(VPS_ADDR, isn_seed=5)
-        small = backlog.BacklogScanConfig(fill_count=20)
         recs = [backlog.syn_scan(mm, vps, SERVER_EP),
-                backlog.rst_scan(mm, vps, SERVER_EP),
-                backlog.syn_scan(mm, vps, SERVER_EP, small,
-                                 baseline=backlog.BaselineProfile(True, None, 5, ())),
-                backlog.rst_scan(mm, vps, SERVER_EP, small,
-                                 baseline=backlog.BaselineProfile(True, None, 5, ()))]
+                backlog.rst_scan(mm, vps, SERVER_EP)]
         mm.close()
         assert [r.invalid_reason for r in recs] == [
-            "non-default-stack", "non-default-stack", "under-fill", "under-fill"]
+            "non-default-stack", "non-default-stack"]
         assert digest([r.to_dict() for r in recs], log) == EDGE_SHA256
 
 

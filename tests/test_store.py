@@ -268,6 +268,14 @@ class TestRedaction:
         rec = store.load(path)[0]
         assert rec.payload["client"]["addr"] == "58.193.0.0"
 
+    @pytest.mark.parametrize("bits", [-1, 33])
+    def test_store_refuses_bits_before_opening(self, tmp_path, bits):
+        path = tmp_path / "red.jsonl"
+        with pytest.raises(ValueError, match="redact_client_bits must be "
+                                             f"within 0-32, got {bits}"):
+            RecordStore(path, redact_client_bits=bits)
+        assert not path.exists()
+
     def test_non_idle_kinds_untouched(self):
         rec = ScanRecord(kind=KIND_TRACEROUTE,
                          payload={"dest": "58.193.12.34"})

@@ -11,12 +11,14 @@ from inferscan.tracer import (
     PrefixTable,
     STATUS_FINISHED,
     STATUS_STALLED,
+    TraceConfig,
     TracerouteRun,
     HopRecord,
     classify_entry,
     hops_into_region,
     label_run,
     paired_run,
+    run_trace_campaign,
     run_traceroute,
 )
 from inferscan.transport import NS_PER_SEC, FlowKey
@@ -233,3 +235,35 @@ class TestSchedule:
             assert rand_status == STATUS_FINISHED
             expected = STATUS_FINISHED if 2 <= hour <= 10 else STATUS_STALLED
             assert tor_status == expected, f"hour {hour}"
+
+
+class TestSettings:
+    @pytest.mark.parametrize("kwargs, why", [
+        ({"max_ttl": 0}, "max_ttl must be within 1-255, got 0"),
+        ({"max_ttl": 256}, "max_ttl must be within 1-255, got 256"),
+        ({"tor_port": -1}, "tor_port must be within 0-65535, got -1"),
+        ({"rand_port": 65536}, "rand_port must be within 0-65535, got 65536"),
+        ({"tor_port": 9002}, "tor_port and rand_port are both 9002"),
+    ], ids=["max-ttl-0", "max-ttl-256", "tor-port-negative", "rand-port-65536",
+            "same-port"])
+    def test_config_refuses(self, kwargs, why):
+        with pytest.raises(ValueError, match=f"^{why}$"):
+            TraceConfig(**kwargs)
+
+    def test_config_edges_admitted(self):
+        cfg = TraceConfig(max_ttl=255, tor_port=0, rand_port=65535)
+        assert (cfg.max_ttl, cfg.tor_port, cfg.rand_port) == (255, 0, 65535)
+        assert TraceConfig(max_ttl=1).max_ttl == 1
+
+    @pytest.mark.parametrize("hours, days, why", [
+        (0, 1, "hours must be within 1-24, got 0"),
+        (25, 1, "hours must be within 1-24, got 25"),
+        (24, 0, "days must be at least 1, got 0"),
+    ], ids=["hours-0", "hours-25", "days-0"])
+    def test_campaign_refuses_before_the_first_probe(self, hours, days, why):
+        tr = build_trace_sim().attach(RELAY)
+        pairs = []
+        with pytest.raises(ValueError, match=f"^{why}$"):
+            run_trace_campaign(tr, [DEST], PrefixTable(), hours=hours,
+                               days=days, on_pair=lambda *a: pairs.append(a))
+        assert pairs == [] and tr.clock.now_ns() == 0
