@@ -50,6 +50,7 @@ REASON_INCONSISTENT = "inconsistent"
 MAPPING_MECHANICS = "mechanics"
 
 # The fixed parts of the scan schedule and of the default stack it assumes.
+STAGGER_MS = 500.0  # between the probe SYNs and the fill burst
 RST_BURST_DELAY_MS = 250.0  # after the fill burst
 OBSERVE_S = 40.0
 BASELINE_PROBES = 3
@@ -74,14 +75,10 @@ BASELINE_PORT_BASE = 40900
 class BacklogScanConfig:
     syn_probe_count: int = 5
     rst_probe_count: int = 10
-    stagger_ms: float = 500.0
 
     def __post_init__(self):
         for name in ("syn_probe_count", "rst_probe_count"):
             check_range(name, getattr(self, name), 1, MAX_PROBES)
-        if not 0.0 <= self.stagger_ms < float("inf"):
-            raise ValueError(f"stagger_ms must be finite and >= 0, got "
-                             f"{self.stagger_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -225,15 +222,15 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
 
 
 def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
-          cfg: BacklogScanConfig, baseline: Optional[BaselineProfile],
-          burst, passes) -> BacklogScanRecord:
+          baseline: Optional[BaselineProfile], burst,
+          passes) -> BacklogScanRecord:
     """The steps both scans share around their fill ``burst(fill)``.
 
     Takes a default baseline unless one is given, refuses an invalid
-    baseline, sends ``n`` probe SYNs, has ``burst`` send the
-    ``MAX_HALF_OPEN - n`` fill, and counts the probes' retransmissions.  A
-    clear majority of full or reduced counts becomes ``passes(full,
-    reduced)``.
+    baseline, sends ``n`` probe SYNs, waits ``STAGGER_MS``, has ``burst``
+    send the ``MAX_HALF_OPEN - n`` fill, and counts the probes'
+    retransmissions.  A clear majority of full or reduced counts becomes
+    ``passes(full, reduced)``.
     """
     if baseline is None:
         baseline = baseline_probe(mm, relay)
@@ -246,7 +243,7 @@ def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
         reason = baseline.reason
     else:
         syns = send_syns(mm, relay.addr, relay.port, PROBE_PORT_BASE, n)
-        mm.clock.sleep_ns(int(cfg.stagger_ms * 1e6))
+        mm.clock.sleep_ns(int(STAGGER_MS * 1e6))
         burst(fill)
         arrivals = synack_arrivals(mm, syns, int(OBSERVE_S * NS_PER_SEC))
         counts = [len(arrivals[syn.src_port]) - 1
@@ -284,8 +281,8 @@ def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     def burst(fill: int) -> None:
         send_syns(vps, relay.addr, relay.port, FILL_PORT_BASE, fill)
 
-    return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, cfg, baseline,
-                 burst, lambda full, reduced: reduced > full)
+    return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, baseline, burst,
+                 lambda full, reduced: reduced > full)
 
 
 def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
@@ -313,6 +310,6 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
         for syn in syns:
             reset(vps, syn)
 
-    return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, cfg, baseline,
-                 burst, lambda full, reduced: full > reduced)
+    return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, baseline, burst,
+                 lambda full, reduced: full > reduced)
 

@@ -19,7 +19,6 @@ from . import analytics, backlog, idlescan, store, tracer
 from . import scenario as scenario_mod
 from .analytics import AnalyticsConfig
 from .endpoints import EndpointSpec, filter_stable, load_endpoints
-from .idlescan import ScanRoundConfig
 from .tracer import PrefixTable, TraceConfig
 from .transport import NS_PER_SEC, TransportError, derive_seed
 
@@ -61,7 +60,7 @@ def _sim_from_args(args, clients=(), servers=()):
     """Load the scenario and build its simulator, adding the CSV
     ``clients`` and ``servers`` the scenario file does not declare."""
     if not args.scenario:
-        raise CliError("sim transport requires --scenario")
+        raise CliError("the simulator requires --scenario")
     scn = scenario_mod.load(args.scenario)
     seed = _resolve_seed(args, scn)
     sim = scn.build(seed=seed, clients=clients, servers=servers)
@@ -124,8 +123,6 @@ def cmd_qualify(args, parser) -> int:
 
 
 def cmd_idle_scan(args, parser) -> int:
-    scan = ScanRoundConfig(probe_rate=args.probe_rate,
-                           spoof_rate=args.spoof_rate)
     clients = load_endpoints(args.clients)
     servers = filter_stable(load_endpoints(args.servers))
     if not servers:
@@ -138,8 +135,8 @@ def cmd_idle_scan(args, parser) -> int:
         record_store.append(store.build_idle_record(result, assignment.slot))
 
     summary = idlescan.run_idle_campaign(
-        transport, clients, servers, scan, seed=seed,
-        slots=args.rounds, on_result=on_result)
+        transport, clients, servers, seed=seed, slots=args.rounds,
+        on_result=on_result)
     record_store.close()
     print(f"completed {summary.completed} rounds, voided {summary.voided}; "
           f"records in {args.out}")
@@ -152,11 +149,8 @@ def cmd_backlog_scan(args, parser) -> int:
         raise CliError("--relay must be ADDR:PORT")
     relay = EndpointSpec(addr=addr, port=int(port), role="tor-relay",
                          uptime_days=10.0)
-    scan_cfg = backlog.BacklogScanConfig(stagger_ms=args.stagger_ms, **(
+    scan_cfg = backlog.BacklogScanConfig(**(
         {} if args.probes is None else {f"{args.kind}_probe_count": args.probes}))
-    if args.transport == "live":
-        parser.error("backlog-scan live mode needs two vantage points; "
-                     "run the sim backend or drive the API directly")
     scn, sim, seed = _sim_from_args(args)
     mm = sim.attach(_monitor_addr(scn, 0), isn_seed=derive_seed(seed, "mm"))
     vps = sim.attach(_monitor_addr(scn, 1), isn_seed=derive_seed(seed, "vps"))
@@ -184,6 +178,7 @@ def cmd_trace(args, parser) -> int:
     except ValueError as exc:
         raise CliError(f"--ports {args.ports}, --max-ttl {args.max_ttl}: "
                        f"{exc}") from exc
+    tracer.check_schedule(args.hours, args.days)
     transport, _seed = _transport(args, parser, "tracer")
     with store.RecordStore(args.out) as record_store:
         def on_pair(day, hour, tor_run, rand_run):
@@ -312,14 +307,18 @@ def _analyze_tables(args, cfg, table, records) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, scenario_required=True):
-    sp.add_argument("--transport", choices=["sim", "live"], default="sim",
-                    help="backend to run against")
+def _add_sim(sp):
     sp.add_argument("--scenario", default=None,
-                    help="scenario file (required for sim transport)")
+                    help="scenario file (required on the simulator)")
     sp.add_argument("--seed", type=int, default=None,
                     help=f"root seed (falls back to ${SEED_ENV}, then the "
                          "scenario file)")
+
+
+def _add_common(sp):
+    sp.add_argument("--transport", choices=["sim", "live"], default="sim",
+                    help="backend to run against")
+    _add_sim(sp)
     sp.add_argument("--local-addr", default=None,
                     help="local address for the live backend")
     sp.add_argument("--i-have-authorization", action="store_true",
@@ -351,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--servers", required=True, help="server CSV")
     sp.add_argument("--rounds", type=int, default=1,
                     help="hour slots to run; slot k starts at campaign hour k")
-    sp.add_argument("--spoof-rate", type=float, default=idlescan.SPOOF_RATE,
-                    help="spoofed SYNs per second in the perturb phase")
-    sp.add_argument("--probe-rate", type=float, default=idlescan.PROBE_RATE,
-                    help="IPID probes per second")
     sp.add_argument("--redact-client-bits", type=int, default=0,
                     help="zero this many low bits of stored client addresses")
     sp.add_argument("--out", required=True, help="record JSONL path")
@@ -362,15 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("backlog-scan", help="SYN-backlog side-channel scan",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_common(sp)
+    _add_sim(sp)
     sp.add_argument("--kind", choices=["syn", "rst"], required=True)
     sp.add_argument("--relay", required=True, help="target as ADDR:PORT")
     sp.add_argument("--probes", type=int, default=None,
                     help=f"probe SYN count, 1-{backlog.MAX_PROBES} (default 5 "
                          f"for syn, 10 for rst); the fill is "
                          f"{backlog.MAX_HALF_OPEN} minus the probes")
-    sp.add_argument("--stagger-ms", type=float, default=500.0,
-                    help="delay between probes and fill burst")
     sp.add_argument("--out", required=True, help="record JSONL path")
     sp.set_defaults(fn=cmd_backlog_scan)
 

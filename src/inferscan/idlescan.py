@@ -35,7 +35,10 @@ REASON_NOISY = "too-noisy"
 
 DEFAULT_CLIENT_PROBE_PORT = 33434
 
-# Default rates of a round; qualification always probes at PROBE_RATE.
+# The rates of every round and of qualification.  NOISE_THRESHOLD admits a
+# client whose quiet counter moves by at most SPOOF_RATE / PROBE_RATE per
+# probe interval, and a perturb phase's PHASE_DURATION_S * SPOOF_RATE = 120
+# spoofed SYNs keep a default 256-entry backlog below half full.
 PROBE_RATE = 1.0  # IPID probes per second
 SPOOF_RATE = 2.0  # spoofed SYNs per second during the perturb phase
 # The fixed parts of a round's probe schedule.
@@ -54,13 +57,14 @@ class RoundVoided(Exception):
 
 @dataclass
 class ScanRoundConfig:
-    probe_rate: float = PROBE_RATE
-    spoof_rate: float = SPOOF_RATE
-    settle_s: ClassVar[float] = classify.DEFAULT_SETTLE_S
+    """A round has no settings left: every rate and window is a module
+    constant, and a round classifies with the classifier's default settle
+    time, ``settle_s`` here.  The class, and the ``cfg`` that
+    ``run_idle_scan`` and ``run_scan_round`` take and do not read, stay
+    because ``perfbench/workloads.py`` builds ``ScanRoundConfig()``, reads
+    its ``settle_s`` and passes it to both by position."""
 
-    def __post_init__(self):
-        if self.probe_rate <= 0 or self.spoof_rate <= 0:
-            raise ValueError("probe and spoof rates must be positive")
+    settle_s: ClassVar[float] = classify.DEFAULT_SETTLE_S
 
 
 @dataclass(frozen=True)
@@ -223,48 +227,44 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     nothing else.  Perturb phase: keep sampling while sending SYNs to the
     server spoofed with the client's source address.  Afterwards, RSTs
     matching every spoofed handshake are spread over the flush window to
-    clear the server's backlog.
+    clear the server's backlog.  ``cfg`` is not read (see
+    ``ScanRoundConfig``).
     """
-    cfg = cfg or ScanRoundConfig()
-    interval_ns = int(NS_PER_SEC / cfg.probe_rate)
-    n_base = n_perturb = int(PHASE_DURATION_S * cfg.probe_rate)
-    spoof_per_interval = cfg.spoof_rate / cfg.probe_rate
+    interval_ns = int(NS_PER_SEC / PROBE_RATE)
+    n_phase = int(PHASE_DURATION_S * PROBE_RATE)
+    # SPOOF_RATE is a whole multiple of PROBE_RATE: each probe interval of
+    # the perturb phase sends the same number of spoofed SYNs.
+    spoof_per_interval = int(SPOOF_RATE / PROBE_RATE)
 
     samples: list[IpidSample] = []
     spoofed: list = []
-    spoof_budget = 0.0
 
     def sample_interval(phase: str) -> None:
         for seg in _probe_client(transport, client.addr, PROBE_SRC_PORT,
                                  interval_ns):
             samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
 
-    for _ in range(n_base):
+    for _ in range(n_phase):
         sample_interval(PHASE_BASE)
 
-    for _ in range(n_perturb):
-        spoof_budget += spoof_per_interval
-        due = int(spoof_budget)
+    for _ in range(n_phase):
         spoofed += send_syns(transport, server.addr, server.port,
-                             SPOOF_SRC_PORT_BASE + len(spoofed), due,
-                             src_addr=client.addr)
-        spoof_budget -= due
+                             SPOOF_SRC_PORT_BASE + len(spoofed),
+                             spoof_per_interval, src_addr=client.addr)
         sample_interval(PHASE_PERTURB)
 
     # Flush: terminate every half-open entry the spoofed SYNs created.
-    if spoofed:
-        flush_gap = int(RST_FLUSH_DURATION_S * NS_PER_SEC / len(spoofed))
-        for syn in spoofed:
-            reset(transport, syn)
-            transport.clock.sleep_ns(flush_gap)
+    flush_gap = int(RST_FLUSH_DURATION_S * NS_PER_SEC / len(spoofed))
+    for syn in spoofed:
+        reset(transport, syn)
+        transport.clock.sleep_ns(flush_gap)
 
-    expected = n_base + n_perturb
+    expected = 2 * n_phase
     if len(samples) < expected // 2:
         raise RoundVoided(
             f"client went quiet mid-scan: {len(samples)}/{expected} samples")
-    return IpidTimeSeries(samples=samples, spoof_rate=cfg.spoof_rate,
-                          probe_rate=cfg.probe_rate, client=client,
-                          server=server)
+    return IpidTimeSeries(samples=samples, spoof_rate=SPOOF_RATE,
+                          probe_rate=PROBE_RATE, client=client, server=server)
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +300,23 @@ def run_scan_round(transport: Transport, client: EndpointSpec,
     """One full scan round: pre-checks, scan, flush, post-checks, label.
 
     Raises RoundVoided when any liveliness assumption fails; voided rounds
-    must not reach the record store.
+    must not reach the record store.  ``cfg`` is not read (see
+    ``ScanRoundConfig``).
     """
-    cfg = cfg or ScanRoundConfig()
     started = transport.clock.now_ns()
     if not client_liveliness(transport, client.addr).passed:
         raise RoundVoided(f"client {client.addr} failed pre-check")
     if not server_liveliness(transport, server.addr, server.port).passed:
         raise RoundVoided(f"server {server.addr}:{server.port} failed pre-check")
     try:
-        series = run_idle_scan(transport, client, server, cfg)
+        series = run_idle_scan(transport, client, server)
     except TransportError as exc:
         raise RoundVoided(f"transport failure mid-scan: {exc}") from exc
     post_client = _recheck_client(transport, client)
     post_server = server_liveliness(transport, server.addr, server.port).passed
     if not (post_client and post_server):
         raise RoundVoided("post-scan liveliness check failed")
-    label = classify.classify_series(series, settle_s=cfg.settle_s)
+    label = classify.classify_series(series)
     checks = {
         "client_liveliness": True,
         "server_liveliness": True,
@@ -398,8 +398,8 @@ class CampaignSummary:
 
 
 def run_idle_campaign(transport: Transport, clients: list, servers: list,
-                      cfg: Optional[ScanRoundConfig] = None, seed: int = 0,
-                      slots: int = 1, on_result=None) -> CampaignSummary:
+                      seed: int = 0, slots: int = 1, on_result=None
+                      ) -> CampaignSummary:
     """Drive the bipartite schedule over `slots` hourly rounds; slot k
     starts at campaign hour k.
 
@@ -408,14 +408,12 @@ def run_idle_campaign(transport: Transport, clients: list, servers: list,
     ``on_result`` receives (Assignment, ScanRoundResult) for every
     completed round; voided rounds are only counted.
     """
-    cfg = cfg or ScanRoundConfig()
     summary = CampaignSummary()
     clock = transport.clock
     for a in schedule_bipartite(clients, servers, seed, max_slots=slots):
         clock.sleep_until(a.slot * HOUR_NS)
         try:
-            result = run_scan_round(transport, a.client, a.server, cfg,
-                                    hour=a.hour)
+            result = run_scan_round(transport, a.client, a.server, hour=a.hour)
         except RoundVoided:
             summary.voided += 1
             continue

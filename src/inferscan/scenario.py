@@ -91,7 +91,6 @@ class Scenario:
     seed: int = 0
     duration_ns: int = 0
     default_delay_ns: int = 10_000_000
-    hour0: int = 0
     hosts: list = field(default_factory=list)
     paths: list = field(default_factory=list)
     rules: list = field(default_factory=list)
@@ -113,8 +112,7 @@ class Scenario:
         ``clients`` and ``servers`` endpoints (CSV lists) the file does not
         declare, added in that order with the [defaults] options."""
         sim = Simulator(seed=self.seed if seed is None else seed,
-                        default_delay_ns=self.default_delay_ns,
-                        hour0=self.hour0, trace=trace)
+                        default_delay_ns=self.default_delay_ns, trace=trace)
         for h in self.hosts:
             getattr(sim, "add_" + h.kind)(h.addr, **h.options)
         for p in self.paths:
@@ -269,7 +267,6 @@ SIM = {
     "duration_s": Key("duration_ns", float, AT_LEAST_0, 0, scale=NS_PER_SEC),
     "default_delay_ms": Key("default_delay_ns", float, AT_LEAST_0, 10_000_000,
                             scale=1e6),
-    "hour0": Key("hour0", int, (0, 23), 0),
 }
 CLIENT = {
     "addr": ADDR,

@@ -535,10 +535,9 @@ class Simulator:
     """Single-threaded deterministic event loop over virtual nanoseconds."""
 
     def __init__(self, seed: int = 0, default_delay_ns: int = 10_000_000,
-                 hour0: int = 0, trace: Optional[Callable[[dict], None]] = None):
+                 trace: Optional[Callable[[dict], None]] = None):
         self.seed = seed
         self.now = 0
-        self.hour0 = hour0
         self.default_delay_ns = default_delay_ns
         self.policy = FirewallPolicy()
         self.hosts: dict[str, _Host] = {}
@@ -649,7 +648,7 @@ class Simulator:
             self._plans.clear()
 
     def hour_at(self, t: int) -> int:
-        return int((t // HOUR_NS + self.hour0) % 24)
+        return t // HOUR_NS % 24
 
     def emit(self, t: int, ev: str, **fields) -> None:
         """Hand one event record to the trace sink; a no-op without one.

@@ -251,17 +251,23 @@ def label_run(run: TracerouteRun, table: PrefixTable,
     return run
 
 
+def check_schedule(hours: int, days: int) -> None:
+    """Raise ValueError unless a campaign of ``hours`` (1-24) a day over
+    ``days`` (at least 1) can run."""
+    check_range("hours", hours, 1, 24)
+    if days < 1:
+        raise ValueError(f"days must be at least 1, got {days}")
+
+
 def run_trace_campaign(transport: Transport, dests: list, table: PrefixTable,
                        cfg: Optional[TraceConfig] = None, hours: int = 24,
                        days: int = 1, on_pair=None) -> int:
     """Hourly paired runs to every destination; returns the pair count.
 
-    ``hours`` (1-24) are the hours of each day that get a run, and
-    ``days`` (at least 1) the days.
+    ``hours`` are the hours of each day that get a run, and ``days`` the
+    days (see ``check_schedule``).
     """
-    check_range("hours", hours, 1, 24)
-    if days < 1:
-        raise ValueError(f"days must be at least 1, got {days}")
+    check_schedule(hours, days)
     cfg = cfg or TraceConfig()
     pairs = 0
     for day in range(days):

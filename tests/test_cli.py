@@ -167,16 +167,16 @@ class TestIdleScanCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_rate_flags_reach_the_series(self, workspace):
+    def test_fixed_rates_reach_the_series(self, workspace):
         out = workspace / "data.jsonl"
         run(["idle-scan", "--clients", workspace / "clients.csv",
              "--servers", workspace / "servers.csv",
              "--scenario", workspace / "scen.cfg", "--rounds", 1, "--seed", 5,
-             "--probe-rate", 2, "--spoof-rate", 4, "--out", out])
+             "--out", out])
         series = store.load(out)[0].payload["series"]
-        assert (series["probe_rate"], series["spoof_rate"]) == (2.0, 4.0)
-        # Two probes a second over the 120 s scan.
-        assert len(series["samples"]) == 240
+        assert (series["probe_rate"], series["spoof_rate"]) == (1.0, 2.0)
+        # One probe a second over the 120 s scan.
+        assert len(series["samples"]) == 120
 
 
 class TestBacklogCommand:
@@ -368,7 +368,7 @@ class TestTraceCommand:
         code = run(args + flags)
         assert code == 1
         assert capsys.readouterr().err == f"error: {why}\n"
-        assert not out.exists() or not out.read_text()
+        assert not out.exists()
 
     def test_same_port_twice_rejected(self, workspace, capsys):
         out = workspace / "runs.jsonl"
@@ -953,6 +953,29 @@ class TestUsageAndGuardrails:
                     "--out", workspace / "q.jsonl"])
         assert code == 1
         assert "scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["idle-scan", "--probe-rate", "2"],
+        ["idle-scan", "--spoof-rate", "4"],
+        ["backlog-scan", "--kind", "syn", "--stagger-ms", "20000"],
+        ["backlog-scan", "--kind", "syn", "--transport", "live"],
+        ["backlog-scan", "--kind", "syn", "--local-addr", "127.0.0.1"],
+        ["backlog-scan", "--kind", "syn", "--i-have-authorization"],
+        ["backlog-scan", "--kind", "syn", "--egress-unfiltered"],
+    ], ids=["probe-rate", "spoof-rate", "stagger-ms", "transport",
+            "local-addr", "i-have-authorization", "egress-unfiltered"])
+    def test_removed_flag_refused(self, workspace, flags):
+        # The scan timing is fixed, and backlog-scan runs on the simulator
+        # only: these flags are usage errors, refused before any output.
+        out = workspace / "out.jsonl"
+        args = {"idle-scan": ["--clients", workspace / "clients.csv",
+                              "--servers", workspace / "servers.csv"],
+                "backlog-scan": ["--relay", "203.0.113.5:9001"]}[flags[0]]
+        with pytest.raises(SystemExit) as exc:
+            run(flags + args + ["--scenario", workspace / "scen.cfg",
+                                "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_live_requires_authorization(self, workspace):
         with pytest.raises(SystemExit) as exc:

@@ -146,13 +146,21 @@ def test_unparsable_value_names_the_form(kind, key, tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[DEFAULT]\nseed = 3\n",
-    "[DEFAULT]\nseed = 3\n[sim]\nhour0 = 1\n[client c]\naddr = 36.10.0.5\n",
+    "[DEFAULT]\nseed = 3\n[sim]\nduration_s = 1\n"
+    "[client c]\naddr = 36.10.0.5\n",
 ], ids=["alone", "beside-sections"])
 def test_default_section_is_rejected(text):
     # configparser's default section lent its keys to every other section.
     with pytest.raises(ScenarioError, match=r"^\[DEFAULT\] unknown section "
                                             r"kind$"):
         scenario.loads(text)
+
+
+def test_hour_offset_is_not_a_key():
+    # Hour 0 is virtual time 0: a record's campaign hour is the hour the
+    # firewall rules act on.
+    with pytest.raises(ScenarioError, match=r"^\[sim\] unknown key: hour0$"):
+        scenario.loads("[sim]\nhour0 = 5\n")
 
 
 @pytest.mark.parametrize("backoff, retransmissions, loads", [

@@ -180,6 +180,19 @@ class TestRunScanRound:
         assert result.hour == 4
         assert result.finished_at > result.started_at
 
+    @pytest.mark.parametrize("max_rt", [3, 5, 6])
+    @pytest.mark.parametrize("policy", ["s2c", "none", "c2s"])
+    def test_round_keeps_a_default_backlog_at_most_half_full(self, policy,
+                                                           max_rt):
+        # The fixed spoof rate sends 120 SYNs over the perturb phase, and
+        # each server check resets its own SYNs: a default 256-entry
+        # backlog never runs more than half full, so pruning never cuts the
+        # SYN/ACK retransmissions that a client-to-server drop is read by.
+        sim = build_idle_sim(policy, max_rt=max_rt)
+        tr = sim.attach(MM_ADDR)
+        run_scan_round(tr, CLIENT_EP, SERVER_EP)
+        assert sim.server(SERVER_ADDR).peak_backlog <= 128
+
     def test_unstable_relay_flagged(self):
         sim = build_idle_sim("none")
         tr = sim.attach(MM_ADDR)
