@@ -154,21 +154,24 @@ class BacklogScanRecord:
 
 def send_syns(transport: Transport, addr: str, port: int, port_base: int,
               n: int, gap_ns: int = 0, src_addr: Optional[str] = None,
-              isns: Optional[IsnGenerator] = None) -> list:
-    """SYN ``addr:port`` from ports ``port_base``, ``port_base + 1``, ...,
-    sleeping ``gap_ns`` after each; returns the SYNs.  Each opens one
-    half-open entry at a listening server.  ``src_addr`` spoofs their
-    source; ``isns`` gives SYN i the sequence number ``isns.at(i)`` instead
-    of a fresh session ISN."""
+              isns: Optional[IsnGenerator] = None, at_ns: int = 0) -> list:
+    """SYN ``addr:port`` from ports ``port_base``, ``port_base + 1``, ...;
+    returns the SYNs.  Each opens one half-open entry at a listening
+    server.  The train starts at ``at_ns``, or now if that has passed, and
+    SYN i is queued ``i * gap_ns`` after its start.  With a gap, the call
+    returns once the train's last gap has passed: it queues every SYN, then
+    sleeps once.  ``src_addr`` spoofs their source; ``isns`` gives SYN i
+    the sequence number ``isns.at(i)`` instead of a fresh session ISN."""
+    start = max(transport.clock.now_ns(), at_ns)
     syns = []
     for i in range(n):
         syn = transport.craft_segment(
             addr, port, ("SYN",), port_base + i, src_addr=src_addr,
             seq=None if isns is None else isns.at(i))
-        transport.send(syn)
+        transport.send(syn, at_ns=start + i * gap_ns)
         syns.append(syn)
-        if gap_ns:
-            transport.clock.sleep_ns(gap_ns)
+    if gap_ns:
+        transport.clock.sleep_until(start + n * gap_ns)
     return syns
 
 
@@ -184,13 +187,13 @@ def synack_arrivals(transport: Transport, syns: list, window_ns: int) -> dict:
     return arrivals
 
 
-def reset(transport: Transport, syn: TcpSegment) -> None:
+def reset(transport: Transport, syn: TcpSegment, at_ns: int = 0) -> None:
     """Clear the half-open entry ``syn`` opened: one RST from the SYN's own
     (possibly spoofed) source with the sequence number the server expects,
-    the SYN's ISN + 1."""
+    the SYN's ISN + 1, queued for ``at_ns`` (see ``Transport.send``)."""
     transport.send(transport.craft_segment(
         syn.dst_addr, syn.dst_port, ("RST",), syn.src_port,
-        src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF))
+        src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF), at_ns=at_ns)
 
 
 def baseline_probe(transport: Transport, relay: EndpointSpec,

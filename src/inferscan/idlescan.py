@@ -4,6 +4,16 @@ Qualifies clients for a usable host-wide IPID counter, runs two-phase
 probe schedules against (client, server) pairs, enforces liveliness
 checks around every round, and schedules bipartite campaigns with
 per-address mutual exclusion.
+
+A round's probes run on a fixed schedule, so each fixed-schedule sequence
+is one probe train: every segment of it is crafted and queued for its slot
+up front, in the order a probe-by-probe loop would craft them (so session
+ISNs and IP-IDs are drawn in the same order), and one capture up to the
+train's deadline claims the replies.  The client liveliness check, the
+base and perturb phases and the RST flush are trains; so are the server
+check's SYNs (see ``backlog.send_syns``).  Qualification keeps its
+probe-by-probe loop: its probes alternate between two source ports, and a
+late reply would be claimed differently under one capture.
 """
 
 from __future__ import annotations
@@ -127,18 +137,21 @@ class LivelinessResult:
 
 
 def _client_rsts(transport: Transport, addr: str, src_port: int,
-                 window_ns: int) -> list:
-    """Advance by the window; return the client's RSTs to ``src_port``."""
+                 until_ns: int) -> list:
+    """Advance to ``until_ns``; return the client's RSTs to ``src_port``.
+    The window runs from now, so a backend that slept in its sends still
+    stops at ``until_ns``."""
     flow = FlowKey(addr, DEFAULT_CLIENT_PROBE_PORT, transport.local_addr, src_port)
-    return [seg for seg in transport.capture([flow], window_ns) if seg.has("RST")]
+    window = until_ns - transport.clock.now_ns()
+    return [seg for seg in transport.capture([flow], window) if seg.has("RST")]
 
 
 def _probe_client(transport: Transport, addr: str, src_port: int,
-                  window_ns: int) -> list:
-    """One SYN/ACK probe to a client; returns the RSTs seen in the window."""
+                  at_ns: int = 0) -> None:
+    """Queue one SYN/ACK probe to a client for ``at_ns`` (see
+    ``Transport.send``)."""
     transport.send(transport.craft_segment(
-        addr, DEFAULT_CLIENT_PROBE_PORT, ("SYN", "ACK"), src_port))
-    return _client_rsts(transport, addr, src_port, window_ns)
+        addr, DEFAULT_CLIENT_PROBE_PORT, ("SYN", "ACK"), src_port), at_ns=at_ns)
 
 
 def qualify_client(transport: Transport, addr: str,
@@ -154,9 +167,12 @@ def qualify_client(transport: Transport, addr: str,
     n_probes = max(int(window_s * PROBE_RATE), 8)
     ports = (PROBE_SRC_PORT, PROBE_SRC_PORT + 1)
     observed = []  # (port, ipid)
+    clock = transport.clock
     for i in range(n_probes):
         port = ports[i % 2]
-        for seg in _probe_client(transport, addr, port, interval_ns):
+        _probe_client(transport, addr, port)
+        for seg in _client_rsts(transport, addr, port,
+                                clock.now_ns() + interval_ns):
             observed.append((port, seg.ipid))
     result_base = dict(responses=len(observed), probes=n_probes)
     if len(observed) < max(2, n_probes // 2):
@@ -186,15 +202,16 @@ def qualify_client(transport: Transport, addr: str,
 
 
 def client_liveliness(transport: Transport, addr: str) -> LivelinessResult:
-    """SYN/ACK the client for the check window; pass needs RSTs back for
-    more than half of the probes."""
+    """SYN/ACK the client for the check window, then listen one second
+    more; pass needs RSTs back for more than half of the probes.  One
+    train: the probes are queued up front and one capture claims them."""
     sport = PROBE_SRC_PORT + 2
     n = int(CHECK_DURATION_S * LIVELINESS_RATE)
     gap_ns = int(NS_PER_SEC / LIVELINESS_RATE)
-    rsts = []
-    for _ in range(n):
-        rsts += _probe_client(transport, addr, sport, gap_ns)
-    rsts += _client_rsts(transport, addr, sport, NS_PER_SEC)
+    start = transport.clock.now_ns()
+    for i in range(n):
+        _probe_client(transport, addr, sport, start + i * gap_ns)
+    rsts = _client_rsts(transport, addr, sport, start + n * gap_ns + NS_PER_SEC)
     return LivelinessResult(passed=len(rsts) > n // 2, sent=n,
                             responses=len(rsts),
                             ipids=tuple(seg.ipid for seg in rsts))
@@ -227,7 +244,9 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     nothing else.  Perturb phase: keep sampling while sending SYNs to the
     server spoofed with the client's source address.  Afterwards, RSTs
     matching every spoofed handshake are spread over the flush window to
-    clear the server's backlog.  ``cfg`` is not read (see
+    clear the server's backlog.  Each phase and the flush is one train
+    (see the module docstring); a phase's samples are the client's RSTs
+    that arrive by the phase's end.  ``cfg`` is not read (see
     ``ScanRoundConfig``).
     """
     interval_ns = int(NS_PER_SEC / PROBE_RATE)
@@ -239,25 +258,32 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     samples: list[IpidSample] = []
     spoofed: list = []
 
-    def sample_interval(phase: str) -> None:
-        for seg in _probe_client(transport, client.addr, PROBE_SRC_PORT,
-                                 interval_ns):
+    def sample(phase: str, until_ns: int) -> None:
+        for seg in _client_rsts(transport, client.addr, PROBE_SRC_PORT,
+                                until_ns):
             samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
 
-    for _ in range(n_phase):
-        sample_interval(PHASE_BASE)
+    base = transport.clock.now_ns()
+    for i in range(n_phase):
+        _probe_client(transport, client.addr, PROBE_SRC_PORT,
+                      base + i * interval_ns)
+    perturb = base + n_phase * interval_ns
+    sample(PHASE_BASE, perturb)
 
-    for _ in range(n_phase):
+    for i in range(n_phase):
+        at = perturb + i * interval_ns
         spoofed += send_syns(transport, server.addr, server.port,
                              SPOOF_SRC_PORT_BASE + len(spoofed),
-                             spoof_per_interval, src_addr=client.addr)
-        sample_interval(PHASE_PERTURB)
+                             spoof_per_interval, src_addr=client.addr, at_ns=at)
+        _probe_client(transport, client.addr, PROBE_SRC_PORT, at)
+    flush = perturb + n_phase * interval_ns
+    sample(PHASE_PERTURB, flush)
 
     # Flush: terminate every half-open entry the spoofed SYNs created.
     flush_gap = int(RST_FLUSH_DURATION_S * NS_PER_SEC / len(spoofed))
-    for syn in spoofed:
-        reset(transport, syn)
-        transport.clock.sleep_ns(flush_gap)
+    for i, syn in enumerate(spoofed):
+        reset(transport, syn, at_ns=flush + i * flush_gap)
+    transport.clock.sleep_until(flush + len(spoofed) * flush_gap)
 
     expected = 2 * n_phase
     if len(samples) < expected // 2:

@@ -504,7 +504,9 @@ class SimTransport(Transport):
     :class:`_MonitorHost`); a capture claims only those due by the end of
     its window.  A monitor takes one transport: attaching a second raises
     ValueError.  A send due now enters the wire at once; a later one waits
-    on the event heap for its slot.
+    on the simulator's send queue, and enters the wire once every event due
+    at or before its slot has run, just as if it had been sent when the
+    clock reached the slot.
     """
 
     supports_spoofing = True
@@ -528,7 +530,8 @@ class SimTransport(Transport):
             sim._sync_rules()
             sim._launch(at_ns, seg, self.local_addr)
         else:
-            sim.schedule(at_ns, sim._launch, seg, self.local_addr)
+            heappush(sim._sends, (at_ns, sim._order, seg, self.local_addr))
+            sim._order += 1
 
 
 class Simulator:
@@ -547,6 +550,8 @@ class Simulator:
         self._plans: dict[tuple, tuple] = {}  # (origin, dst) -> see _plan
         self._rules: tuple = ()  # policy.rules when the plans were last valid
         self._heap: list = []
+        # Transport sends queued for a later slot: (slot, order, seg, origin).
+        self._sends: list = []
         self._order = 0
         self._trace = trace
         self._loss_rngs: dict[tuple, random.Random] = {}
@@ -625,12 +630,31 @@ class Simulator:
     def step(self, until: int) -> None:
         """Process all events with timestamp <= until.
 
+        A send queued for a slot t enters the wire after every event due at
+        or before t has run, sends due at t in the order they were queued:
+        the order they would have if the caller had sent them once the
+        clock reached t.  On the heap, such a send would run before the
+        events due at t that were scheduled after it was queued, so a
+        client reply leaving on the same lossy link in that nanosecond
+        would draw from the link's loss stream second instead of first.
+
         ``policy.rules`` may change between steps (see :meth:`_sync_rules`).
         """
         if until < self.now:
             raise ValueError("cannot step backwards")
         self._sync_rules()
         heap = self._heap
+        sends = self._sends
+        while sends and sends[0][0] <= until:
+            due = sends[0][0]
+            while heap and heap[0][0] <= due:
+                t, _, fn, args = heappop(heap)
+                self.now = t
+                fn(t, *args)
+            self.now = due
+            while sends and sends[0][0] == due:
+                _, _, seg, origin = heappop(sends)
+                self._launch(due, seg, origin)
         while heap and heap[0][0] <= until:
             t, _, fn, args = heappop(heap)
             self.now = t

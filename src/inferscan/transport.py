@@ -318,6 +318,8 @@ class FlowRateLimiter:
     entry, and the clock does not run backward, so such entries are
     dropped whenever the table has doubled since the last sweep: its size
     tracks the flows with sends still pending, not every flow ever used.
+    The sweep compares with now, not with a send's requested slot, so a
+    flow reserved ahead keeps its entry until its slot has passed.
     """
 
     def __init__(self, rate: float = 10.0):
@@ -328,10 +330,11 @@ class FlowRateLimiter:
         self._next_free: dict[FlowKey, int] = {}
         self._sweep_at = 2
 
-    def reserve(self, flow: FlowKey, now_ns: int) -> int:
-        """Return the send slot for this flow: now, or its next free slot."""
+    def reserve(self, flow: FlowKey, now_ns: int, at_ns: int = 0) -> int:
+        """Return the send slot for this flow: the later of now and
+        ``at_ns``, or its next free slot after that."""
         next_free = self._next_free
-        slot = max(now_ns, next_free.get(flow, 0))
+        slot = max(now_ns, at_ns, next_free.get(flow, 0))
         next_free[flow] = slot + self._interval_ns
         if len(next_free) >= self._sweep_at:
             self._next_free = {f: t for f, t in next_free.items() if t > now_ns}
@@ -469,12 +472,23 @@ class Transport:
             src, dst_addr, src_port, dst_port, seq, ack, frozenset(flags),
             ttl, ipid, self.clock.now_ns()))
 
-    def send(self, seg: TcpSegment) -> int:
-        """Queue ``seg`` for its flow's next rate-limited slot; returns the
-        slot, in ns, at which it enters the wire or simulation."""
+    def send(self, seg: TcpSegment, *, at_ns: int = 0) -> int:
+        """Queue ``seg`` for its flow's next rate-limited slot at or after
+        ``at_ns`` (now, when that has passed); returns the slot, in ns, at
+        which it enters the wire or simulation.
+
+        A probe train queues each segment of a fixed schedule this way,
+        then claims the replies with one capture up to its deadline.  The
+        simulator returns at once and launches the segment when its clock
+        reaches the slot.  The live backend sleeps until the slot before it
+        returns, so a train's capture must run from now to the deadline,
+        not for a fixed window, and a train may span at most
+        :data:`PENDING_HORIZON_NS`, or its first replies expire unclaimed
+        before that capture starts.
+        """
         if not self._open:
             raise TransportClosedError("send after close")
-        slot = self._limiter.reserve(seg.flow, self.clock.now_ns())
+        slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), at_ns)
         seg = seg.stamped(slot)
         self._dispatch(seg, slot)
         if self._log:

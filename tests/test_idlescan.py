@@ -16,6 +16,7 @@ from conftest import (
 from inferscan.classify import PHASE_BASE, PHASE_PERTURB
 from inferscan.endpoints import EndpointSpec
 from inferscan.idlescan import (
+    DEFAULT_CLIENT_PROBE_PORT,
     HOUR_NS,
     PHASE_DURATION_S,
     REASON_NOISY,
@@ -33,7 +34,13 @@ from inferscan.idlescan import (
     server_liveliness,
 )
 from inferscan.simnet import Simulator
-from inferscan.transport import NS_PER_SEC, PacketLog
+from inferscan.transport import (
+    NS_PER_SEC,
+    Clock,
+    PacketLog,
+    TcpSegment,
+    Transport,
+)
 
 
 class TestQualifyClient:
@@ -168,6 +175,71 @@ class TestRunIdleScan:
         tr = sim.attach(MM_ADDR)
         with pytest.raises(RoundVoided):
             run_idle_scan(tr, CLIENT_EP, SERVER_EP, ScanRoundConfig())
+
+
+class _ManualClock(Clock):
+    def __init__(self):
+        self.t = 0
+
+    def now_ns(self) -> int:
+        return self.t
+
+    def sleep_ns(self, duration_ns: int) -> None:
+        self.t += max(duration_ns, 0)
+
+
+class _EchoTransport(Transport):
+    """A backend that blocks in each send until its slot, as the live one
+    sleeps, and has the client answer every SYN/ACK probe with an RST one
+    round trip later, queued as the live sniffer queues an arrival."""
+
+    supports_spoofing = True
+
+    def __init__(self, rtt_ns: int):
+        self._clock = _ManualClock()
+        self.rtt_ns = rtt_ns
+        super().__init__(MM_ADDR)
+        self._reply_ipid = 0
+
+    @property
+    def clock(self) -> Clock:
+        return self._clock
+
+    def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
+        self._clock.sleep_until(at_ns)
+        if seg.dst_port == DEFAULT_CLIENT_PROBE_PORT and seg.has("SYN", "ACK"):
+            self._reply_ipid += 1
+            arrival = at_ns + self.rtt_ns
+            with self._lock:
+                self._enqueue(arrival, TcpSegment(
+                    seg.dst_addr, seg.src_addr, seg.dst_port, seg.src_port,
+                    seg.ack, seg.seq, frozenset(["RST"]), 64,
+                    self._reply_ipid, arrival))
+
+
+class TestBlockingBackend:
+    """Trains on a backend whose sends return only at their slot: each
+    capture runs from then to the train's deadline and claims every reply."""
+
+    def test_liveliness_train_claims_every_reply(self):
+        tr = _EchoTransport(rtt_ns=50_000_000)
+        check = client_liveliness(tr, CLIENT_ADDR)
+        assert (check.passed, check.sent, check.responses) == (True, 25, 25)
+        assert check.ipids == tuple(range(1, 26))
+        assert tr.clock.now_ns() == 6 * NS_PER_SEC
+        assert tr.expired == 0
+
+    def test_sixty_second_phases_claim_every_reply(self):
+        tr = _EchoTransport(rtt_ns=30_000_000)
+        series = run_idle_scan(tr, CLIENT_EP, SERVER_EP)
+        phases = [s.phase for s in series.samples]
+        assert phases == [PHASE_BASE] * 60 + [PHASE_PERTURB] * 60
+        assert [s.ipid for s in series.samples] == list(range(1, 121))
+        assert [s.timestamp for s in series.samples] == [
+            i * NS_PER_SEC + 30_000_000 for i in range(120)]
+        # Base, perturb and the 30 s flush, each ending on its deadline.
+        assert tr.clock.now_ns() == 150 * NS_PER_SEC
+        assert tr.expired == 0 and tr.queued == 0
 
 
 class TestRunScanRound:

@@ -27,7 +27,12 @@ from inferscan.transport import NS_PER_SEC, PacketLog
 
 BACKLOG_SHA256 = "fc2fdbcb77f4e6a05a0a3661021d1b086c4a40219d5be4a10de8b9bb9ac14e75"
 EDGE_SHA256 = "25f607f783ea8b5ad88cb4a6592b0d6becf4da7c8707d13b0ed49c061745be47"
-IDLE_ROUND_SHA256 = "51fb7d6a74709190e4db72c2a022d3ae3c725bcd624ef121eac64b1b9244a9ce"
+IDLE_ROUND_SHA256 = "da8cb964aeb6886647eca40133815628e29977d1c1303fd5e5c8de1e6f3a64db"
+# The same round with its packet log's lines sorted: what the scan sent and
+# received, whatever order the lines were written in.
+IDLE_ROUND_SORTED_SHA256 = "df40f98a148686368b09042ddfe0ac103393e514dfc42e4d6f833d19f573818d"
+# Rounds whose probes leave in the same nanosecond as a client reply.
+TIES_SHA256 = "ab45df18ea90c81e82ef6872582b84f4142d47e7b9735b481ec0b178eb5ce6da"
 QUALIFY_SHA256 = "993a69856b244bcab8008c82c95abd1e2e9fa0a882ba437b25bebb7c5b8e3bb8"
 
 
@@ -35,6 +40,14 @@ def digest(obj, *logs) -> str:
     blob = json.dumps(obj, sort_keys=True).encode()
     for path in logs:
         blob += path.read_bytes()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def sorted_digest(obj, *logs) -> str:
+    """``digest`` over each log's lines in sorted order."""
+    blob = json.dumps(obj, sort_keys=True).encode()
+    for path in logs:
+        blob += b"".join(sorted(path.read_bytes().splitlines(keepends=True)))
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -133,6 +146,33 @@ class TestPinnedIdleScans:
             "finished_at": result.finished_at,
         }
         assert digest(out, log) == IDLE_ROUND_SHA256
+        assert sorted_digest(out, log) == IDLE_ROUND_SORTED_SHA256
+
+    def test_sends_tied_with_client_replies(self):
+        """A 5 % lossy link between the measurement machine and the client,
+        one way 200 ms, 500 ms or 1 s: a client reply leaves on it in the
+        same nanosecond as a probe due then, and both draw from the link's
+        one loss stream.  The probe draws second, after every event due at
+        or before its slot, so the series and the labels stay put."""
+        out = []
+        for delay_ms in (200, 500, 1000):
+            for seed in range(5):
+                sim = build_idle_sim("s2c" if seed % 2 else "none",
+                                     seed=seed, noise=0.25)
+                sim.add_path(MM_ADDR, CLIENT_ADDR,
+                             delay_ns=delay_ms * 1_000_000, loss_rate=0.05)
+                tr = sim.attach(MM_ADDR, isn_seed=seed)
+                try:
+                    result = idlescan.run_scan_round(tr, CLIENT_EP, SERVER_EP)
+                except idlescan.RoundVoided as exc:
+                    out.append([delay_ms, seed, "voided", str(exc)])
+                    continue
+                out.append([delay_ms, seed, result.series.to_dict(),
+                            [result.label.variant, result.label.amplitude,
+                             result.label.confidence, result.label.reason],
+                            result.finished_at])
+        assert sum(len(r) == 5 for r in out) >= 12
+        assert digest(out) == TIES_SHA256
 
     def test_qualify_global_and_per_flow(self, tmp_path):
         out, logs = [], []

@@ -476,6 +476,25 @@ class TestFlowRateLimiter:
             next_free[flow] = expected + NS_PER_SEC // 10
             assert limiter.reserve(flow, now) == expected
 
+    @given(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 150_000_000),
+                              st.integers(0, 60 * NS_PER_SEC)), max_size=200))
+    def test_slots_queued_ahead_keep_the_rate(self, sends):
+        """Sends queued up to 60 s ahead: a flow's slots never come closer
+        than the rate interval, none before its requested time, and the
+        table stays under twice the most flows ever pending at once."""
+        limiter, slots, now, peak = FlowRateLimiter(rate=10.0), {}, 0, 0
+        for port, wait, ahead in sends:
+            now += wait
+            flow = FlowKey(MM, port, "36.10.0.5", 443)
+            slot = limiter.reserve(flow, now, now + ahead)
+            assert slot >= now + ahead
+            slots.setdefault(flow, []).append(slot)
+            peak = max(peak, sum(t > now for t in limiter._next_free.values()))
+            assert len(limiter._next_free) <= 2 * peak
+        for times in slots.values():
+            assert all(b - a >= NS_PER_SEC // 10
+                       for a, b in zip(times, times[1:]))
+
     def test_size_tracks_pending_flows_not_pairs(self):
         """Over 4 pairs or 8, the table stays under twice the most flows
         ever pending at once, far below the flows the campaign used."""
@@ -491,9 +510,9 @@ class TestFlowRateLimiter:
             limiter, flows, peak = tr._limiter, set(), 0
             reserve = limiter.reserve
 
-            def counting_reserve(flow, now_ns):
+            def counting_reserve(flow, now_ns, at_ns=0):
                 nonlocal peak
-                slot = reserve(flow, now_ns)
+                slot = reserve(flow, now_ns, at_ns)
                 flows.add(flow)
                 peak = max(peak, sum(t > now_ns
                                      for t in limiter._next_free.values()))
