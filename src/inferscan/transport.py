@@ -334,7 +334,11 @@ class FlowRateLimiter:
         """Return the send slot for this flow: the later of now and
         ``at_ns``, or its next free slot after that."""
         next_free = self._next_free
-        slot = max(now_ns, at_ns, next_free.get(flow, 0))
+        slot = next_free.get(flow, 0)
+        if slot < now_ns:
+            slot = now_ns
+        if slot < at_ns:
+            slot = at_ns
         next_free[flow] = slot + self._interval_ns
         if len(next_free) >= self._sweep_at:
             self._next_free = {f: t for f, t in next_free.items() if t > now_ns}
