@@ -3,8 +3,9 @@
 Each test replays a fixed scenario and compares a sha256 over the scan
 results and the packet log of every transport involved (every segment's
 sequence number, IP-ID and timestamp, in both directions).  A change to a
-digest means the scanners send or decide something different; a pure
-refactor keeps all of them.
+digest means the scanners send or decide something different, or write
+their log lines in another order; the idle round's sorted digest tells the
+two apart.  A pure refactor keeps all of them.
 """
 
 from __future__ import annotations
