@@ -155,13 +155,12 @@ class BacklogScanRecord:
 def send_syns(transport: Transport, addr: str, port: int, port_base: int,
               n: int, gap_ns: int = 0, src_addr: Optional[str] = None,
               isns: Optional[IsnGenerator] = None, at_ns: int = 0) -> list:
-    """SYN ``addr:port`` from ports ``port_base``, ``port_base + 1``, ...;
-    returns the SYNs.  Each opens one half-open entry at a listening
-    server.  The train starts at ``at_ns``, or now if that has passed, and
-    SYN i is queued ``i * gap_ns`` after its start.  With a gap, the call
-    returns once the train's last gap has passed: it queues every SYN, then
-    sleeps once.  ``src_addr`` spoofs their source; ``isns`` gives SYN i
-    the sequence number ``isns.at(i)`` instead of a fresh session ISN."""
+    """Queue SYNs to ``addr:port`` from ports ``port_base``,
+    ``port_base + 1``, ...; returns the SYNs.  Each opens one half-open
+    entry at a listening server.  The train starts at ``at_ns``, or now if
+    that has passed, and SYN i is queued ``i * gap_ns`` after its start.
+    ``src_addr`` spoofs their source; ``isns`` gives SYN i the sequence
+    number ``isns.at(i)`` instead of a fresh session ISN."""
     start = max(transport.clock.now_ns(), at_ns)
     syns = []
     for i in range(n):
@@ -170,18 +169,16 @@ def send_syns(transport: Transport, addr: str, port: int, port_base: int,
             seq=None if isns is None else isns.at(i))
         transport.send(syn, at_ns=start + i * gap_ns)
         syns.append(syn)
-    if gap_ns:
-        transport.clock.sleep_until(start + n * gap_ns)
     return syns
 
 
-def synack_arrivals(transport: Transport, syns: list, window_ns: int) -> dict:
-    """Advance the clock by the window; return the SYN/ACK arrival times
-    that answer each of ``syns``, keyed by the SYN's source port."""
+def synack_arrivals(transport: Transport, syns: list, until_ns: int) -> dict:
+    """Wait until ``until_ns``; return the SYN/ACK arrival times that
+    answer each of ``syns``, keyed by the SYN's source port."""
     flows = [FlowKey(syn.dst_addr, syn.dst_port, syn.src_addr, syn.src_port)
              for syn in syns]
     arrivals: dict[int, list] = {}
-    for seg in transport.capture(flows, window_ns):
+    for seg in transport.capture(flows, until_ns):
         if seg.has("SYN", "ACK"):
             arrivals.setdefault(seg.dst_port, []).append(seg.timestamp)
     return arrivals
@@ -206,10 +203,11 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
     its pruning-rule reason.  Its schedule is fixed, so ``cfg`` is accepted
     for the scans' call form and not read.
     """
+    start = transport.clock.now_ns()
     syns = send_syns(transport, relay.addr, relay.port, BASELINE_PORT_BASE,
                      BASELINE_PROBES)
     arrivals = synack_arrivals(transport, syns,
-                               int(BASELINE_OBSERVE_S * NS_PER_SEC))
+                               start + int(BASELINE_OBSERVE_S * NS_PER_SEC))
     if not arrivals:
         return BaselineProfile(False, REASON_OFFLINE, -1, ())
     times = max(arrivals.values(), key=len)
@@ -227,13 +225,14 @@ def baseline_probe(transport: Transport, relay: EndpointSpec,
 def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
           baseline: Optional[BaselineProfile], burst,
           passes) -> BacklogScanRecord:
-    """The steps both scans share around their fill ``burst(fill)``.
+    """The steps both scans share around their fill ``burst(fill, at_ns)``.
 
-    Takes a default baseline unless one is given, refuses an invalid
-    baseline, sends ``n`` probe SYNs, waits ``STAGGER_MS``, has ``burst``
-    send the ``MAX_HALF_OPEN - n`` fill, and counts the probes'
-    retransmissions.  A clear majority of full or reduced counts becomes
-    ``passes(full, reduced)``.
+    Takes a default baseline unless one is given and refuses an invalid
+    one.  Then one train: ``n`` probe SYNs, the ``MAX_HALF_OPEN - n`` fill
+    that ``burst`` queues from ``STAGGER_MS`` later on, returning the slot
+    of its last segments, and one capture of the probes' retransmissions
+    for ``OBSERVE_S`` after that slot.  A clear majority of full or
+    reduced counts becomes ``passes(full, reduced)``.
     """
     if baseline is None:
         baseline = baseline_probe(mm, relay)
@@ -246,9 +245,9 @@ def _scan(kind: str, n: int, mm: Transport, relay: EndpointSpec,
         reason = baseline.reason
     else:
         syns = send_syns(mm, relay.addr, relay.port, PROBE_PORT_BASE, n)
-        mm.clock.sleep_ns(int(STAGGER_MS * 1e6))
-        burst(fill)
-        arrivals = synack_arrivals(mm, syns, int(OBSERVE_S * NS_PER_SEC))
+        last = burst(fill, started + int(STAGGER_MS * 1e6))
+        arrivals = synack_arrivals(mm, syns,
+                                   last + int(OBSERVE_S * NS_PER_SEC))
         counts = [len(arrivals[syn.src_port]) - 1
                   if syn.src_port in arrivals else None for syn in syns]
         # An answered probe votes "reduced" when it lost more than one of
@@ -281,8 +280,9 @@ def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     """
     cfg = cfg or BacklogScanConfig()
 
-    def burst(fill: int) -> None:
-        send_syns(vps, relay.addr, relay.port, FILL_PORT_BASE, fill)
+    def burst(fill: int, at_ns: int) -> int:
+        send_syns(vps, relay.addr, relay.port, FILL_PORT_BASE, fill, at_ns=at_ns)
+        return at_ns
 
     return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, baseline, burst,
                  lambda full, reduced: reduced > full)
@@ -304,14 +304,16 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     cfg = cfg or BacklogScanConfig()
     isn_seed = shared_isn_seed if shared_isn_seed is not None else mm.isn.seed
 
-    def burst(fill: int) -> None:
+    def burst(fill: int, at_ns: int) -> int:
         syns = send_syns(mm, relay.addr, relay.port, FILL_PORT_BASE, fill,
-                         src_addr=vps.local_addr, isns=IsnGenerator(isn_seed))
-        mm.clock.sleep_ns(int(RST_BURST_DELAY_MS * 1e6))
+                         src_addr=vps.local_addr, isns=IsnGenerator(isn_seed),
+                         at_ns=at_ns)
+        at_ns += int(RST_BURST_DELAY_MS * 1e6)
         # Every SYN's ISN derives from the shared seed, so the vantage point
         # knows the sequence number each RST needs.
         for syn in syns:
-            reset(vps, syn)
+            reset(vps, syn, at_ns)
+        return at_ns
 
     return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, baseline, burst,
                  lambda full, reduced: full > reduced)

@@ -106,6 +106,7 @@ def _write_csv(path, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_qualify(args, parser) -> int:
+    idlescan.check_window(args.window)
     clients = load_endpoints(args.clients)
     transport, _seed = _transport(args, parser, "mm", clients=clients)
     with open(args.out, "w", encoding="utf-8") as out:

@@ -9,11 +9,9 @@ A round's probes run on a fixed schedule, so each fixed-schedule sequence
 is one probe train: every segment of it is crafted and queued for its slot
 up front, in the order a probe-by-probe loop would craft them (so session
 ISNs and IP-IDs are drawn in the same order), and one capture up to the
-train's deadline claims the replies.  The client liveliness check, the
-base and perturb phases and the RST flush are trains; so are the server
-check's SYNs (see ``backlog.send_syns``).  Qualification keeps its
-probe-by-probe loop: its probes alternate between two source ports, and a
-late reply would be claimed differently under one capture.
+train's deadline claims the replies.  Qualification, the client
+liveliness check, the base and perturb phases and the RST flush are
+trains; so are the server check's SYNs (see ``backlog.send_syns``).
 """
 
 from __future__ import annotations
@@ -29,9 +27,11 @@ from .endpoints import EndpointSpec, passes_stability_rule
 from .transport import (
     HOUR_NS,
     NS_PER_SEC,
+    PENDING_HORIZON_NS,
     FlowKey,
     Transport,
     TransportError,
+    check_range,
     derive_seed,
 )
 
@@ -136,14 +136,12 @@ class LivelinessResult:
     ipids: tuple = ()
 
 
-def _client_rsts(transport: Transport, addr: str, src_port: int,
-                 until_ns: int) -> list:
-    """Advance to ``until_ns``; return the client's RSTs to ``src_port``.
-    The window runs from now, so a backend that slept in its sends still
-    stops at ``until_ns``."""
-    flow = FlowKey(addr, DEFAULT_CLIENT_PROBE_PORT, transport.local_addr, src_port)
-    window = until_ns - transport.clock.now_ns()
-    return [seg for seg in transport.capture([flow], window) if seg.has("RST")]
+def _client_rsts(transport: Transport, addr: str, until_ns: int,
+                 *src_ports: int) -> list:
+    """Wait until ``until_ns``; return the client's RSTs to ``src_ports``."""
+    flows = [FlowKey(addr, DEFAULT_CLIENT_PROBE_PORT, transport.local_addr,
+                     port) for port in src_ports]
+    return [seg for seg in transport.capture(flows, until_ns) if seg.has("RST")]
 
 
 def _probe_client(transport: Transport, addr: str, src_port: int,
@@ -154,26 +152,33 @@ def _probe_client(transport: Transport, addr: str, src_port: int,
         addr, DEFAULT_CLIENT_PROBE_PORT, ("SYN", "ACK"), src_port), at_ns=at_ns)
 
 
+def check_window(window_s: float) -> None:
+    """Raise ValueError unless a qualification window of ``window_s``
+    seconds gets at least 8 probes and its replies all stay within the
+    capture queue's horizon."""
+    check_range("window_s", window_s, 8, PENDING_HORIZON_NS // NS_PER_SEC)
+
+
 def qualify_client(transport: Transport, addr: str,
                    window_s: float = 30.0) -> QualificationResult:
     """Decide whether a client's IPID behaves as a single global counter.
 
-    Probes alternate between two source ports.  A per-connection counter
+    Probes alternate between two source ports; one train, whose replies
+    are those that arrive by the window's end.  A per-connection counter
     shows up as two clean interleaved sequences that disagree with each
     other; a randomizing stack is dirty on every port; a busy host is a
-    counter that moves too fast to carry a signal.
+    counter that moves too fast to carry a signal.  ``window_s`` must pass
+    ``check_window``.
     """
+    check_window(window_s)
     interval_ns = int(NS_PER_SEC / PROBE_RATE)
-    n_probes = max(int(window_s * PROBE_RATE), 8)
+    n_probes = int(window_s * PROBE_RATE)
     ports = (PROBE_SRC_PORT, PROBE_SRC_PORT + 1)
-    observed = []  # (port, ipid)
-    clock = transport.clock
+    start = transport.clock.now_ns()
     for i in range(n_probes):
-        port = ports[i % 2]
-        _probe_client(transport, addr, port)
-        for seg in _client_rsts(transport, addr, port,
-                                clock.now_ns() + interval_ns):
-            observed.append((port, seg.ipid))
+        _probe_client(transport, addr, ports[i % 2], start + i * interval_ns)
+    observed = [(seg.dst_port, seg.ipid) for seg in _client_rsts(
+        transport, addr, start + n_probes * interval_ns, *ports)]
     result_base = dict(responses=len(observed), probes=n_probes)
     if len(observed) < max(2, n_probes // 2):
         return QualificationResult(DISQUALIFIED, REASON_OFFLINE, **result_base)
@@ -211,7 +216,7 @@ def client_liveliness(transport: Transport, addr: str) -> LivelinessResult:
     start = transport.clock.now_ns()
     for i in range(n):
         _probe_client(transport, addr, sport, start + i * gap_ns)
-    rsts = _client_rsts(transport, addr, sport, start + n * gap_ns + NS_PER_SEC)
+    rsts = _client_rsts(transport, addr, start + n * gap_ns + NS_PER_SEC, sport)
     return LivelinessResult(passed=len(rsts) > n // 2, sent=n,
                             responses=len(rsts),
                             ipids=tuple(seg.ipid for seg in rsts))
@@ -223,10 +228,11 @@ def server_liveliness(transport: Transport, addr: str,
     probe's entry to retransmit its SYN/ACK three or more times.  Once the
     window closes, every probe's half-open entry is reset."""
     n = int(CHECK_DURATION_S * LIVELINESS_RATE)
+    end = transport.clock.now_ns() + int(CHECK_DURATION_S * NS_PER_SEC)
     syns = send_syns(transport, addr, port, PROBE_SRC_PORT + 100, n,
                      gap_ns=int(NS_PER_SEC / LIVELINESS_RATE))
     # Three retransmissions arrive within 1+2+4 s of the original SYN/ACK.
-    arrivals = synack_arrivals(transport, syns, 12 * NS_PER_SEC)
+    arrivals = synack_arrivals(transport, syns, end + 12 * NS_PER_SEC)
     # Terminate every half-open entry the check created, as the scan's flush does.
     for syn in syns:
         reset(transport, syn)
@@ -259,8 +265,8 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     spoofed: list = []
 
     def sample(phase: str, until_ns: int) -> None:
-        for seg in _client_rsts(transport, client.addr, PROBE_SRC_PORT,
-                                until_ns):
+        for seg in _client_rsts(transport, client.addr, until_ns,
+                                PROBE_SRC_PORT):
             samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
 
     base = transport.clock.now_ns()

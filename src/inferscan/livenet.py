@@ -41,9 +41,7 @@ class LiveTransport(Transport):
 
     The sniffer thread queues each arrival through ``_enqueue`` under
     ``_lock``, so the capture queue's horizon bounds a transport that
-    never captures too.  A send sleeps until its slot, so queuing a probe
-    train takes as long as the train; its capture then runs from now to
-    the train's deadline (see ``Transport.send``).
+    never captures too.  A send sleeps until its slot.
     """
 
     def __init__(self, local_addr: str, authorized: bool = False,

@@ -491,7 +491,7 @@ class SimClock(Clock):
             self._sim.step(self._sim.now + duration_ns)
 
     def sleep_until(self, t_ns: int) -> None:
-        # Steps even to the present: a capture of window 0 still takes the
+        # Steps even to the present: a capture to now still takes the
         # arrivals due now.
         if t_ns >= self._sim.now:
             self._sim.step(t_ns)
@@ -501,8 +501,8 @@ class SimTransport(Transport):
     """Transport backend attached to a monitor address inside the simulator.
 
     Segments launched toward the monitor enter the queue at launch (see
-    :class:`_MonitorHost`); a capture claims only those due by the end of
-    its window.  A monitor takes one transport: attaching a second raises
+    :class:`_MonitorHost`); a capture claims only those due by its
+    deadline.  A monitor takes one transport: attaching a second raises
     ValueError.  A send due now enters the wire at once; a later one waits
     on the simulator's send queue, and enters the wire once every event due
     at or before its slot has run, just as if it had been sent when the

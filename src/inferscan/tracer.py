@@ -169,12 +169,9 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
                                         src_port, ttl=ttl)
         seq_to_ttl[probe.seq] = ttl
         last_send = send_times[ttl] = transport.send(probe)
-    # send() paces the probes into future slots without advancing the clock,
-    # so the window runs until the last probe's response window has closed.
-    window = (last_send - transport.clock.now_ns()
-              + int(RESPONSE_WINDOW_S * NS_PER_SEC))
     responses = transport.capture(
-        [FlowKey(None, None, transport.local_addr, src_port)], window)
+        [FlowKey(None, None, transport.local_addr, src_port)],
+        last_send + int(RESPONSE_WINDOW_S * NS_PER_SEC))
 
     responders: dict[int, tuple] = {}
     finished_at: Optional[int] = None

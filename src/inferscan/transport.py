@@ -389,7 +389,7 @@ class Transport:
         self._log = packet_log
         self._open = True
         self._pending: dict[int, list[tuple[int, TcpSegment]]] = {}
-        self._window_start: Optional[int] = None  # of the capture in progress
+        self._capture_start: Optional[int] = None  # of the capture in progress
         self._lock = threading.Lock()
         self.expired = 0
         self._ipid = derive_seed(isn_seed, "ipid", local_addr) & 0xFFFF
@@ -428,7 +428,7 @@ class Transport:
             insort_right(bucket, entry, key=_arrival)
         if bucket[0][0] < arrival - PENDING_HORIZON_NS:
             since = (min(arrival, self.clock.now_ns())
-                     if self._window_start is None else self._window_start)
+                     if self._capture_start is None else self._capture_start)
             self._expire(seg.dst_port, since - PENDING_HORIZON_NS)
 
     def _expire(self, port: int, cutoff: int) -> None:
@@ -482,13 +482,9 @@ class Transport:
         which it enters the wire or simulation.
 
         A probe train queues each segment of a fixed schedule this way,
-        then claims the replies with one capture up to its deadline.  The
-        simulator returns at once and launches the segment when its clock
-        reaches the slot.  The live backend sleeps until the slot before it
-        returns, so a train's capture must run from now to the deadline,
-        not for a fixed window, and a train may span at most
-        :data:`PENDING_HORIZON_NS`, or its first replies expire unclaimed
-        before that capture starts.
+        then claims the replies with one capture to its deadline.  A train
+        spans at most :data:`PENDING_HORIZON_NS`, or its first replies may
+        expire unclaimed before that capture starts.
         """
         if not self._open:
             raise TransportClosedError("send after close")
@@ -499,18 +495,17 @@ class Transport:
             self._log.write(seg, "out")
         return slot
 
-    def capture(self, flows: Iterable[FlowKey], window_ns: int) -> list[TcpSegment]:
-        """Advance by window_ns; return matching arrivals in arrival order.
+    def capture(self, flows: Iterable[FlowKey], until_ns: int) -> list[TcpSegment]:
+        """Wait until ``until_ns``; return matching arrivals in arrival order.
 
-        Only arrivals due by the end of the window, the clock's time once
-        it has waited, are claimed; later ones stay queued.  Non-matching
+        Only arrivals due by the clock's time once it has waited are
+        claimed; later ones stay queued.  A deadline at or before now does
+        not wait and takes only the arrivals due now.  Non-matching
         segments stay queued for other callers' filters, until they are
         more than PENDING_HORIZON_NS older than a capture's start.
         Only the buckets of the filters' destination ports are searched; a
         filter without one searches them all.  Arrivals in the same
         nanosecond on different ports come back in the filters' port order.
-        A window of 0 does not advance the clock; on the simulator it
-        still takes the arrivals due now.
         """
         if not self._open:
             raise TransportClosedError("capture after close")
@@ -521,11 +516,11 @@ class Transport:
         with self._lock:
             for port in list(self._pending):
                 self._expire(port, start - PENDING_HORIZON_NS)
-            self._window_start = start
+            self._capture_start = start
         try:
-            self.clock.sleep_until(start + window_ns)
+            self.clock.sleep_until(until_ns)
         finally:
-            self._window_start = None
+            self._capture_start = None
         ports = dict.fromkeys(f.dst_port for f in filters)
         hits = []
         with self._lock:

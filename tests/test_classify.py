@@ -98,7 +98,7 @@ class TestFitArma:
                 src_port=40000)
             tr.send(probe)
             for seg in tr.capture([FlowKey(CLIENT_EP.addr, 443, MM_ADDR, 40000)],
-                                  NS_PER_SEC):
+                                  tr.clock.now_ns() + NS_PER_SEC):
                 ipids.append(seg.ipid)
         deltas = diff_series(ipids).deltas
         model = fit_arma(deltas)

@@ -563,6 +563,19 @@ class TestQualifyCommand:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert {l["verdict"] for l in lines} == {"qualified"}
 
+    @pytest.mark.parametrize("window", ["inf", "nan", "-5", "0", "61"])
+    def test_window_out_of_range_refused(self, workspace, capsys, window):
+        out = workspace / "qual.jsonl"
+        code = run(["qualify", "--clients", workspace / "clients.csv",
+                    "--scenario", workspace / "scen.cfg", "--window", window,
+                    "--seed", 2, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "window_s" in err
+        assert err == (f"error: window_s must be within 8-60, "
+                       f"got {float(window)!r}\n")
+        assert not out.exists()
+
 
 class TestSeedResolution:
     def test_environment_seed_fallback(self, workspace, monkeypatch):

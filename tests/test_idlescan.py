@@ -71,6 +71,17 @@ class TestQualifyClient:
         assert not result.qualified
         assert result.reason == REASON_NOISY
 
+    def test_slow_path_claims_every_reply_due_by_the_deadline(self):
+        # 20 probes one second apart on a 1.4 s round trip: the replies to
+        # probes 0-18 arrive by the 20 s deadline, the last one after it.
+        sim = build_idle_sim("none")
+        sim.add_path(MM_ADDR, CLIENT_ADDR, delay_ns=700_000_000)
+        tr = sim.attach(MM_ADDR)
+        result = qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+        assert (result.verdict, result.responses, result.probes) == (
+            "qualified", 19, 20)
+        assert tr.clock.now_ns() == 20 * NS_PER_SEC
+
     def test_offline_host(self):
         sim = Simulator(seed=1)
         tr = sim.attach(MM_ADDR)

@@ -34,7 +34,8 @@ IDLE_ROUND_SHA256 = "da8cb964aeb6886647eca40133815628e29977d1c1303fd5e5c8de1e6f3
 IDLE_ROUND_SORTED_SHA256 = "df40f98a148686368b09042ddfe0ac103393e514dfc42e4d6f833d19f573818d"
 # Rounds whose probes leave in the same nanosecond as a client reply.
 TIES_SHA256 = "ab45df18ea90c81e82ef6872582b84f4142d47e7b9735b481ec0b178eb5ce6da"
-QUALIFY_SHA256 = "993a69856b244bcab8008c82c95abd1e2e9fa0a882ba437b25bebb7c5b8e3bb8"
+QUALIFY_SHA256 = "265369878ac06d5d3e060ac7b7e6f1258ce88631f951678498303c95cad9d2b8"
+QUALIFY_SORTED_SHA256 = "1c0943e56812f1e62b2e13c1d6fc4263e0999f155eca4dd808ee5914f6a5b232"
 
 
 def digest(obj, *logs) -> str:
@@ -188,3 +189,4 @@ class TestPinnedIdleScans:
             logs.append(log)
         assert [v for v, *_ in out] == ["qualified", "disqualified"]
         assert digest(out, *logs) == QUALIFY_SHA256
+        assert sorted_digest(out, *logs) == QUALIFY_SORTED_SHA256

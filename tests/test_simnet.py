@@ -75,7 +75,8 @@ class TestStep:
             sent = tr.send(tr.craft_segment(
                 dst_addr="36.10.0.5", dst_port=80, flags=("SYN",),
                 src_port=sport))
-            got = tr.capture([FlowKey("36.10.0.5", 80, MM, sport)], NS_PER_SEC)
+            got = tr.capture([FlowKey("36.10.0.5", 80, MM, sport)],
+                             tr.clock.now_ns() + NS_PER_SEC)
             return got[0].timestamp - sent
 
         assert rtt(40000) == 20_000_000
@@ -153,9 +154,11 @@ class TestAddMonitor:
         sim.step(NS_PER_SEC // 2)
         tr = sim.attach(MM)
         send_syn(vps, src=MM, sport=41001)
-        got = tr.capture([FlowKey(SERVER, 9001, MM, None)], NS_PER_SEC // 2)
+        got = tr.capture([FlowKey(SERVER, 9001, MM, None)],
+                         tr.clock.now_ns() + NS_PER_SEC // 2)
         assert [seg.dst_port for seg in got] == [41001]
-        got = tr.capture([FlowKey(SERVER, 9001, MM, None)], NS_PER_SEC)
+        got = tr.capture([FlowKey(SERVER, 9001, MM, None)],
+                         tr.clock.now_ns() + NS_PER_SEC)
         assert [seg.dst_port for seg in got] == [41000, 41001]
 
 
@@ -191,7 +194,8 @@ class TestArrivalsAtLaunch:
         self.probe(tr, first)  # RST launched at 45 ms, due at 50 ms
         self.probe(tr, second)  # launched next, due at the same nanosecond
         port = [FlowKey(None, None, MM, 40000)]
-        got = [[(seg.src_addr, seg.timestamp) for seg in tr.capture(port, window)]
+        got = [[(seg.src_addr, seg.timestamp)
+                for seg in tr.capture(port, tr.clock.now_ns() + window)]
                for window in (15_000_000, NS_PER_SEC)]
         assert got == [[(first, 50_000_000), (second, 50_000_000)],
                        [(self.FAR, 60_000_000)]]
@@ -200,11 +204,11 @@ class TestArrivalsAtLaunch:
         sim, tr = self.world()
         flow = FlowKey(self.FAR, 443, MM, 40000)
         self.probe(tr, self.FAR)
-        assert tr.capture([flow], 59_999_999) == []
+        assert tr.capture([flow], tr.clock.now_ns() + 59_999_999) == []
         assert tr.queued == 0  # launched at 30 ms, due at 60 ms
         sim.step(60_000_000)
         assert tr.queued == 1
-        got = tr.capture([flow], 0)
+        got = tr.capture([flow], tr.clock.now_ns())
         assert [seg.timestamp for seg in got] == [60_000_000]
         assert tr.queued == 0
 
@@ -218,7 +222,8 @@ class TestArrivalsAtLaunch:
         sim.step(15_000_000)  # the SYN/ACK left at 10 ms, arrives at 20 ms
         with pytest.raises(ValueError, match="already has a transport"):
             sim.attach(MM)
-        got = tr.capture([FlowKey(SERVER, 9001, MM, 41000)], 10_000_000)
+        got = tr.capture([FlowKey(SERVER, 9001, MM, 41000)],
+                         tr.clock.now_ns() + 10_000_000)
         assert [seg.timestamp for seg in got] == [20_000_000]
 
     @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
@@ -235,8 +240,8 @@ class TestArrivalsAtLaunch:
         sim.step(15_000_000)  # the SYN/ACK left at 10 ms, arrives at 20 ms
         tr = sim.attach(MM)
         flow = FlowKey(SERVER, 9001, MM, 41000)
-        assert tr.capture([flow], 10_000_000) == []
-        got = tr.capture([flow], 2 * NS_PER_SEC)
+        assert tr.capture([flow], tr.clock.now_ns() + 10_000_000) == []
+        got = tr.capture([flow], tr.clock.now_ns() + 2 * NS_PER_SEC)
         assert [seg.timestamp for seg in got] == [1_020_000_000]
         if traced:
             assert [e["t"] for e in events if e["ev"] == "deliver"
@@ -406,7 +411,7 @@ class TestBacklog:
         syn = send_syn(tr, sport=41000)
         # Short window so the ACK beats the first retransmission timer.
         segs = tr.capture([FlowKey("203.0.113.5", 9001, MM, 41000)],
-                          NS_PER_SEC // 2)
+                          tr.clock.now_ns() + NS_PER_SEC // 2)
         assert len(segs) == 1 and segs[0].has("SYN", "ACK")
         ack = tr.craft_segment(
             dst_addr="203.0.113.5", dst_port=9001, flags=("ACK",),
@@ -417,7 +422,7 @@ class TestBacklog:
         assert len(srv.backlog) == 0
         # Handshake completed: no retransmissions follow.
         assert tr.capture([FlowKey("203.0.113.5", 9001, MM, 41000)],
-                          40 * NS_PER_SEC) == []
+                          tr.clock.now_ns() + 40 * NS_PER_SEC) == []
 
     def test_retransmission_gaps_follow_backoff(self):
         sim = Simulator(seed=5)
@@ -425,7 +430,7 @@ class TestBacklog:
         tr = sim.attach(MM)
         send_syn(tr, sport=41000)
         segs = tr.capture([FlowKey("203.0.113.5", 9001, MM, 41000)],
-                          70 * NS_PER_SEC)
+                          tr.clock.now_ns() + 70 * NS_PER_SEC)
         times = [s.timestamp for s in segs]
         gaps = [(b - a) / NS_PER_SEC for a, b in zip(times, times[1:])]
         assert gaps == [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -574,7 +579,7 @@ class TestClient:
             src_port=40000)
         tr.send(seg)
         assert tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)],
-                          NS_PER_SEC) == []
+                          tr.clock.now_ns() + NS_PER_SEC) == []
 
     def test_unsolicited_synack_elicits_exactly_one_rst(self):
         sim = Simulator(seed=10)
@@ -585,7 +590,7 @@ class TestClient:
             src_port=40000)
         tr.send(seg)
         got = tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)],
-                         5 * NS_PER_SEC)
+                         tr.clock.now_ns() + 5 * NS_PER_SEC)
         assert len(got) == 1
         assert got[0].flags == frozenset(("RST",))
         assert got[0].seq == seg.ack
@@ -895,9 +900,11 @@ def pinned_scenario(trace=None):
             tr.send(tr.craft_segment(
                 dst_addr=dst, dst_port=9001, flags=("SYN", "ACK"),
                 src_port=sport, ttl=ttl))
-    got = tr.capture([FlowKey(None, None, MM, None)], 3 * NS_PER_SEC)
+    got = tr.capture([FlowKey(None, None, MM, None)],
+                     tr.clock.now_ns() + 3 * NS_PER_SEC)
     send_syn(tr, dst=DOWN_SERVER, port=80, sport=43002)
-    got += tr.capture([FlowKey(None, None, MM, None)], 60 * NS_PER_SEC)
+    got += tr.capture([FlowKey(None, None, MM, None)],
+                      tr.clock.now_ns() + 60 * NS_PER_SEC)
     return got
 
 
@@ -992,7 +999,8 @@ class TestClientServerPath:
                 src_addr=MM, dst_addr=dst, src_port=40000, dst_port=9001,
                 seq=ttl, ack=0, flags=frozenset(("SYN",)), ttl=ttl, ipid=0,
                 timestamp=0), origin)
-        got = tr.capture([FlowKey(None, None, MM, 40000)], NS_PER_SEC)
+        got = tr.capture([FlowKey(None, None, MM, 40000)],
+                         tr.clock.now_ns() + NS_PER_SEC)
         return [seg.src_addr for seg in sorted(got, key=lambda seg: seg.ack)]
 
     def test_pair_without_a_path_takes_the_template(self):

@@ -81,7 +81,8 @@ class TestRunTraceroute:
         run = run_traceroute(tr, DEST, 9002)
         assert run.status == STATUS_FINISHED
         assert tr.queued == 0
-        assert tr.capture([FlowKey(None, None, RELAY, 9002)], 60 * NS_PER_SEC) == []
+        assert tr.capture([FlowKey(None, None, RELAY, 9002)],
+                          tr.clock.now_ns() + 60 * NS_PER_SEC) == []
 
     def test_rtt_increases_along_path(self):
         sim = build_trace_sim()

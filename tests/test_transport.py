@@ -265,25 +265,26 @@ class TestCapture:
         for _ in range(3):
             flow = self.probe(tr, "36.10.0.5", 40000)
             tr.clock.sleep_ns(NS_PER_SEC)
-        got = tr.capture([flow], NS_PER_SEC)
+        got = tr.capture([flow], tr.clock.now_ns() + NS_PER_SEC)
         assert len(got) == 3
         assert [g.ipid for g in got] == [7, 8, 9]
         assert [g.timestamp for g in got] == sorted(g.timestamp for g in got)
 
     def test_empty_wire(self):
         _, tr = make_transport()
-        assert tr.capture([FlowKey(None, None, MM, 40000)], NS_PER_SEC) == []
+        assert tr.capture([FlowKey(None, None, MM, 40000)],
+                          tr.clock.now_ns() + NS_PER_SEC) == []
 
     def test_empty_filter_rejected(self):
         _, tr = make_transport()
         with pytest.raises(ValueError):
-            tr.capture([], NS_PER_SEC)
+            tr.capture([], tr.clock.now_ns() + NS_PER_SEC)
 
     def test_capture_after_close(self):
         _, tr = make_transport()
         tr.close()
         with pytest.raises(TransportClosedError):
-            tr.capture([FlowKey(None, None, MM, 1)], 0)
+            tr.capture([FlowKey(None, None, MM, 1)], tr.clock.now_ns())
 
     def test_demux_between_flows(self):
         sim = Simulator(seed=3)
@@ -292,10 +293,10 @@ class TestCapture:
         tr = sim.attach(MM)
         f1 = self.probe(tr, "36.10.0.5", 40001)
         f2 = self.probe(tr, "36.10.0.6", 40002)
-        only_first = tr.capture([f1], NS_PER_SEC)
+        only_first = tr.capture([f1], tr.clock.now_ns() + NS_PER_SEC)
         assert {s.src_addr for s in only_first} == {"36.10.0.5"}
         # The other worker's segments stayed queued.
-        second = tr.capture([f2], 0)
+        second = tr.capture([f2], tr.clock.now_ns())
         assert {s.src_addr for s in second} == {"36.10.0.6"}
 
     def test_no_foreign_segment_delivered(self):
@@ -305,7 +306,7 @@ class TestCapture:
         tr = sim.attach(MM)
         f1 = self.probe(tr, "36.10.0.5", 40001)
         self.probe(tr, "36.10.0.6", 40002)
-        for seg in tr.capture([f1], NS_PER_SEC):
+        for seg in tr.capture([f1], tr.clock.now_ns() + NS_PER_SEC):
             assert f1.matches(seg.flow)
 
 
@@ -396,10 +397,12 @@ class TestCaptureQueue:
                 pending += [pair for pair in script if pair[0] <= end]
                 script = [pair for pair in script if pair[0] > end]
                 expected, pending = linear_demux(pending, filters)
-                assert tr.capture(filters, window) == expected
+                assert tr.capture(filters,
+                                  tr.clock.now_ns() + window) == expected
                 assert tr.queued == len(pending)
             leftover, _ = linear_demux(pending, [FlowKey(None, None, None, None)])
-            assert tr.capture([FlowKey(None, None, None, None)], 0) == leftover
+            assert tr.capture([FlowKey(None, None, None, None)],
+                              tr.clock.now_ns()) == leftover
             assert tr.expired == 0
 
     def test_stale_arrival_expires_and_is_counted(self):
@@ -410,11 +413,13 @@ class TestCaptureQueue:
         other_port = [FlowKey(None, None, MM, 40000)]
         tr.capture(other_port, PENDING_HORIZON_NS)
         assert tr.queued == 2  # both arrived inside that window
-        tr.capture(other_port, 1)  # starts exactly one horizon after 0
+        # starts exactly one horizon after 0
+        tr.capture(other_port, PENDING_HORIZON_NS + 1)
         assert tr.expired == 0
-        tr.capture(other_port, 0)
+        tr.capture(other_port, tr.clock.now_ns())
         assert tr.expired == 1
-        everything = tr.capture([FlowKey(None, None, None, None)], 0)
+        everything = tr.capture([FlowKey(None, None, None, None)],
+                                tr.clock.now_ns())
         assert [seg.seq for seg in everything] == [2]
 
     def test_arrivals_inside_the_window_are_never_expired(self):
@@ -426,7 +431,8 @@ class TestCaptureQueue:
             tr.send(tr.craft_segment(
                 dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
                 src_port=40000))
-        got = tr.capture([flow], 3 * PENDING_HORIZON_NS + 30 * NS_PER_SEC)
+        got = tr.capture([flow], tr.clock.now_ns() + 3 * PENDING_HORIZON_NS
+                         + 30 * NS_PER_SEC)
         assert len(got) == 3
         assert got[-1].timestamp - got[0].timestamp > PENDING_HORIZON_NS
         assert tr.expired == 0
@@ -437,7 +443,8 @@ class TestCaptureQueue:
         sim.add_path("100.64.0.1", MM, delay_ns=0)
         sim.step(5)
         sender.send(sender.craft_segment(MM, 40000, ("SYN",), 41000))
-        got = receiver.capture([FlowKey("100.64.0.1", 41000, MM, 40000)], 0)
+        got = receiver.capture([FlowKey("100.64.0.1", 41000, MM, 40000)],
+                               receiver.clock.now_ns())
         assert [seg.timestamp for seg in got] == [5]
 
     def test_queue_stays_flat_across_campaign_slots(self):
@@ -571,7 +578,8 @@ class TestValueTypes:
         tr.send(tr.craft_segment("203.0.113.5", 9001, ("SYN",), 41000))
         for _ in range(3):  # one flow, so one per-flow IP-ID counter
             tr.send(tr.craft_segment("36.10.0.5", 443, ("SYN", "ACK"), 40000))
-        rsts = tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)], NS_PER_SEC)
+        rsts = tr.capture([FlowKey("36.10.0.5", 443, MM, 40000)],
+                          tr.clock.now_ns() + NS_PER_SEC)
         assert FlowKey(MM, 41000, "203.0.113.5", 9001) in server.backlog
         first = rsts[0].ipid
         assert [seg.ipid for seg in rsts] == [
@@ -696,7 +704,7 @@ class TestLiveTransport:
         # At 120 s the horizon keeps the arrivals of 60, 90 and 120 s.
         assert tr.expired == 2
         assert [seg.seq for _, seg in tr._pending[40000]] == [2, 3, 4]
-        got = tr.capture([FlowKey(None, None, MM, None)], 0)
+        got = tr.capture([FlowKey(None, None, MM, None)], tr.clock.now_ns())
         assert [(seg.seq, seg.timestamp) for seg in got] == [
             (i, i * 30 * NS_PER_SEC) for i in (2, 3, 4)]
 
@@ -712,7 +720,8 @@ class TestLiveTransport:
             clock[0] = end
 
         monkeypatch.setattr(livenet.RealClock, "sleep_ns", sleep_ns)
-        got = tr.capture([FlowKey(None, None, MM, None)], 150 * NS_PER_SEC)
+        got = tr.capture([FlowKey(None, None, MM, None)],
+                         tr.clock.now_ns() + 150 * NS_PER_SEC)
         assert [seg.seq for seg in got] == [0, 1, 2]
         assert tr.expired == 0
 
