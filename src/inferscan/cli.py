@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -50,7 +51,11 @@ def _resolve_seed(args, scn: Optional[scenario_mod.Scenario] = None) -> int:
         return args.seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CliError(f"{SEED_ENV} must be an integer, got {env!r}"
+                           ) from None
     if scn is not None:
         return scn.seed
     return 0
@@ -124,6 +129,7 @@ def cmd_qualify(args, parser) -> int:
 
 
 def cmd_idle_scan(args, parser) -> int:
+    idlescan.check_slots(args.rounds)
     clients = load_endpoints(args.clients)
     servers = filter_stable(load_endpoints(args.servers))
     if not servers:
@@ -194,10 +200,14 @@ def cmd_trace(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
+    if (args.duration_s is not None
+            and not 1 <= args.duration_s * NS_PER_SEC < math.inf):
+        raise CliError("duration_s must be finite and at least 1 ns, got "
+                       f"{args.duration_s!r}")
     scn = scenario_mod.load(args.scenario)
     seed = _resolve_seed(args, scn)
-    duration_ns = (int(args.duration_s * NS_PER_SEC) if args.duration_s
-                   else scn.duration_ns)
+    duration_ns = (scn.duration_ns if args.duration_s is None
+                   else int(args.duration_s * NS_PER_SEC))
     if duration_ns <= 0:
         raise CliError("scenario has no duration; pass --duration-s")
     with open(args.out, "w", encoding="utf-8") as fh:

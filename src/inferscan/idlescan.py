@@ -429,6 +429,13 @@ class CampaignSummary:
     voided: int = 0
 
 
+def check_slots(slots: int) -> None:
+    """Raise ValueError unless a campaign of ``slots`` hourly rounds (at
+    least 1) can run."""
+    if slots < 1:
+        raise ValueError(f"slots must be at least 1, got {slots}")
+
+
 def run_idle_campaign(transport: Transport, clients: list, servers: list,
                       seed: int = 0, slots: int = 1, on_result=None
                       ) -> CampaignSummary:
@@ -438,8 +445,10 @@ def run_idle_campaign(transport: Transport, clients: list, servers: list,
     Assignments inside a slot are address-disjoint by construction; on the
     simulator backend they run back-to-back in deterministic order.
     ``on_result`` receives (Assignment, ScanRoundResult) for every
-    completed round; voided rounds are only counted.
+    completed round; voided rounds are only counted.  ``slots`` must pass
+    ``check_slots``.
     """
+    check_slots(slots)
     summary = CampaignSummary()
     clock = transport.clock
     for a in schedule_bipartite(clients, servers, seed, max_slots=slots):

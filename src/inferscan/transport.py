@@ -5,10 +5,9 @@ backend (see :mod:`inferscan.simnet`) and an optional raw-socket backend
 for live use.  Scan logic is written against :class:`Transport` and a
 :class:`Clock`, so the same code runs on virtual or wall-clock time.
 
-Arrivals wait in a queue indexed by destination port (the prober's own
-port), in arrival order, until a capture claims them once they are due;
-callers sharing a transport own disjoint flow filters.  Arrivals older than
-:data:`PENDING_HORIZON_NS` are expired.
+Arrivals wait in one queue, in arrival order, until a capture claims them
+once they are due; callers sharing a transport own disjoint flow filters.
+Arrivals older than :data:`PENDING_HORIZON_NS` are expired.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import socket
 import struct
 import threading
-from bisect import bisect_right, insort_right
+from bisect import bisect_left, bisect_right, insort_right
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -368,14 +367,13 @@ class Transport:
     A backend hands each arrival to :meth:`_enqueue`: the live backend as
     it happens, the simulator as soon as the segment is launched, stamped
     with the time it will arrive.  Unclaimed arrivals wait in ``_pending``,
-    one bucket per destination port holding ``(arrival, segment)`` in
-    arrival order, ties in the order they were queued.  An arrival is due
-    once the clock reaches it; only due arrivals are counted by ``queued``
-    or claimed by ``capture``.  ``expired`` counts arrivals dropped
-    unclaimed once they are older than :data:`PENDING_HORIZON_NS`.  A
-    backend that receives on a thread of its own calls ``_enqueue`` holding
-    ``_lock``, which ``capture`` holds while it expires and claims, but not
-    while it waits.
+    one list of ``(arrival, segment)`` in arrival order, ties in the order
+    they were queued.  An arrival is due once the clock reaches it; only
+    due arrivals are counted by ``queued`` or claimed by ``capture``.
+    ``expired`` counts arrivals dropped unclaimed once they are older than
+    :data:`PENDING_HORIZON_NS`.  A backend that receives on a thread of its
+    own calls ``_enqueue`` holding ``_lock``, which ``capture`` holds while
+    it expires and claims, but not while it waits.
     """
 
     #: set by subclasses
@@ -388,7 +386,7 @@ class Transport:
         self._limiter = FlowRateLimiter(rate_limit)
         self._log = packet_log
         self._open = True
-        self._pending: dict[int, list[tuple[int, TcpSegment]]] = {}
+        self._pending: list[tuple[int, TcpSegment]] = []
         self._capture_start: Optional[int] = None  # of the capture in progress
         self._lock = threading.Lock()
         self.expired = 0
@@ -406,10 +404,9 @@ class Transport:
     # -- capture queue -------------------------------------------------------
 
     def _enqueue(self, arrival: int, seg: TcpSegment) -> None:
-        """Queue ``seg``, due at ``arrival``, and expire the stale head of
-        its bucket.
+        """Queue ``seg``, due at ``arrival``, and expire the stale head.
 
-        The entry goes after every queued one due no later, so a bucket
+        The entry goes after every queued one due no later, so the queue
         stays in arrival order with ties in the order they were queued.
         During a capture the horizon counts back from the capture's start,
         otherwise from the earlier of now and ``arrival`` (the simulator
@@ -417,40 +414,30 @@ class Transport:
         it).  A head less than a horizon older than ``arrival`` is therefore
         kept without reading the clock.
         """
-        bucket = self._pending.get(seg.dst_port)
+        pending = self._pending
         entry = (arrival, seg)
-        if bucket is None:
-            self._pending[seg.dst_port] = [entry]
-            return
-        if bucket[-1][0] <= arrival:
-            bucket.append(entry)
+        if pending and pending[-1][0] > arrival:
+            insort_right(pending, entry, key=_arrival)
         else:
-            insort_right(bucket, entry, key=_arrival)
-        if bucket[0][0] < arrival - PENDING_HORIZON_NS:
+            pending.append(entry)
+        if pending[0][0] < arrival - PENDING_HORIZON_NS:
             since = (min(arrival, self.clock.now_ns())
                      if self._capture_start is None else self._capture_start)
-            self._expire(seg.dst_port, since - PENDING_HORIZON_NS)
+            self._expire(since - PENDING_HORIZON_NS)
 
-    def _expire(self, port: int, cutoff: int) -> None:
-        bucket = self._pending[port]
-        stale = 0
-        while stale < len(bucket) and bucket[stale][0] < cutoff:
-            stale += 1
+    def _expire(self, cutoff: int) -> None:
+        stale = bisect_left(self._pending, cutoff, key=_arrival)
         if stale:
             self.expired += stale
-            if stale == len(bucket):
-                del self._pending[port]
-            else:
-                del bucket[:stale]
+            del self._pending[:stale]
 
     @property
     def queued(self) -> int:
         """Due arrivals waiting for a capture to claim them; those still on
         their way are not counted."""
         with self._lock:
-            now = self.clock.now_ns()
-            return sum(bisect_right(bucket, now, key=_arrival)
-                       for bucket in self._pending.values())
+            return bisect_right(self._pending, self.clock.now_ns(),
+                                key=_arrival)
 
     # -- public API ---------------------------------------------------------
 
@@ -500,12 +487,12 @@ class Transport:
 
         Only arrivals due by the clock's time once it has waited are
         claimed; later ones stay queued.  A deadline at or before now does
-        not wait and takes only the arrivals due now.  Non-matching
+        not wait and takes only the arrivals due now.  A due arrival is
+        claimed when its 4-tuple equals a filter without wildcards, or a
+        filter with one :meth:`FlowKey.matches` it; arrivals in the same
+        nanosecond come back in the order they were queued.  Non-matching
         segments stay queued for other callers' filters, until they are
         more than PENDING_HORIZON_NS older than a capture's start.
-        Only the buckets of the filters' destination ports are searched; a
-        filter without one searches them all.  Arrivals in the same
-        nanosecond on different ports come back in the filters' port order.
         """
         if not self._open:
             raise TransportClosedError("capture after close")
@@ -514,42 +501,32 @@ class Transport:
             raise ValueError("capture filter must be non-empty")
         start = self.clock.now_ns()
         with self._lock:
-            for port in list(self._pending):
-                self._expire(port, start - PENDING_HORIZON_NS)
+            self._expire(start - PENDING_HORIZON_NS)
             self._capture_start = start
         try:
             self.clock.sleep_until(until_ns)
         finally:
             self._capture_start = None
-        ports = dict.fromkeys(f.dst_port for f in filters)
-        hits = []
+        exact = {f for f in filters if None not in f}
+        wild = [f for f in filters if None in f]
+        hits, kept = [], []
         with self._lock:
-            end = self.clock.now_ns()
-            if None in ports:
-                ports = list(self._pending)
-            for port in ports:
-                bucket = self._pending.get(port)
-                if bucket is None:
+            pending = self._pending
+            due = bisect_right(pending, self.clock.now_ns(), key=_arrival)
+            for entry in pending[:due]:
+                seg = entry[1]
+                flow = (seg.src_addr, seg.src_port, seg.dst_addr, seg.dst_port)
+                if flow in exact:
+                    hits.append(entry)
                     continue
-                mine = [f for f in filters if f.dst_port in (port, None)]
-                due = bisect_right(bucket, end, key=_arrival)
-                kept = []
-                for entry in bucket[:due]:
-                    seg = entry[1]
-                    flow = (seg.src_addr, seg.src_port, seg.dst_addr,
-                            seg.dst_port)
-                    for f in mine:
-                        if f.matches(flow):
-                            hits.append(entry)
-                            break
-                    else:
-                        kept.append(entry)
-                kept += bucket[due:]
-                if kept:
-                    self._pending[port] = kept
+                for f in wild:
+                    if f.matches(flow):
+                        hits.append(entry)
+                        break
                 else:
-                    del self._pending[port]
-        hits.sort(key=_arrival)  # stable: ties keep port order
+                    kept.append(entry)
+            if hits:
+                pending[:due] = kept
         out = [seg.stamped(arrival) for arrival, seg in hits]
         if self._log:
             for seg in out:

@@ -156,6 +156,18 @@ class TestIdleScanCommand:
             "", f"error: redact_client_bits must be within 0-32, got {bits}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_rounds_below_one_refused(self, workspace, capsys, rounds):
+        out = workspace / "data.jsonl"
+        code = run(["idle-scan", "--clients", workspace / "clients.csv",
+                    "--servers", workspace / "servers.csv",
+                    "--scenario", workspace / "scen.cfg",
+                    f"--rounds={rounds}", "--seed", 5, "--out", out])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: slots must be at least 1, got {rounds}\n")
+        assert not out.exists()
+
     def test_deterministic_outputs(self, workspace):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -396,6 +408,17 @@ class TestSimulateCommand:
                     "--seed", 1, "--out", workspace / "t.jsonl"])
         assert code == 1
 
+    @pytest.mark.parametrize("duration", ["inf", "nan", "-5", "0"])
+    def test_bad_duration_refused(self, workspace, capsys, duration):
+        out = workspace / "t.jsonl"
+        code = run(["simulate", "--scenario", workspace / "trace.cfg",
+                    "--seed", 1, f"--duration-s={duration}", "--out", out])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: duration_s must be finite and at least 1 ns, got "
+                f"{float(duration)!r}\n")
+        assert not out.exists()
+
 
 class TestPruneAndAnalyze:
     def make_data(self, workspace):
@@ -611,6 +634,17 @@ class TestSeedResolution:
              "--scenario", workspace / "scen.cfg",
              "--rounds", 1, "--seed", 5, "--out", without])
         assert with_env.read_bytes() == without.read_bytes()
+
+    def test_unparsable_environment_seed_refused(self, workspace, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("INFERSCAN_SEED", "abc")
+        out = workspace / "t.jsonl"
+        code = run(["simulate", "--scenario", workspace / "trace.cfg",
+                    "--duration-s", 30, "--out", out])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: INFERSCAN_SEED must be an integer, got 'abc'\n")
+        assert not out.exists()
 
 
 class TestMalformedInput:

@@ -408,6 +408,15 @@ class TestCampaign:
         assert len(stored) == 1
         assert stored[0][1].client.addr == CLIENT_ADDR
 
+    @pytest.mark.parametrize("slots", [0, -3])
+    def test_slots_below_one_refused_before_the_first_probe(self, slots):
+        sim = build_idle_sim("none")
+        tr = sim.attach(MM_ADDR)
+        with pytest.raises(ValueError, match=f"slots must be at least 1, "
+                                             f"got {slots}"):
+            run_idle_campaign(tr, [CLIENT_EP], [SERVER_EP], slots=slots)
+        assert tr.clock.now_ns() == 0
+
     def test_slot_k_runs_at_campaign_hour_k(self):
         # One client against 24 relays: one round per slot, a full day.
         sim = build_idle_sim("none")

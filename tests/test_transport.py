@@ -372,8 +372,8 @@ class TestCaptureQueue:
     def test_matches_linear_demux_on_random_interleavings(self):
         for trial in range(40):
             rng = random.Random(trial)
-            # Distinct arrival times: the linear scan returns same-nanosecond
-            # arrivals in insertion order, the port index in filter order.
+            # Distinct arrival times; ties are checked by
+            # test_same_nanosecond_arrivals_come_back_in_queue_order.
             times = rng.sample(range(50 * NS_PER_SEC), rng.randrange(20, 120))
             arrivals = []
             for i, t in enumerate(times):
@@ -404,6 +404,14 @@ class TestCaptureQueue:
             assert tr.capture([FlowKey(None, None, None, None)],
                               tr.clock.now_ns()) == leftover
             assert tr.expired == 0
+
+    def test_same_nanosecond_arrivals_come_back_in_queue_order(self):
+        first = reply("36.10.0.5", 33434, 40001, 1)
+        second = reply("36.10.0.5", 33434, 40000, 2)
+        tr = ScriptedTransport([(NS_PER_SEC, first), (NS_PER_SEC, second)])
+        got = tr.capture([FlowKey(None, None, MM, 40000),
+                          FlowKey(None, None, MM, 40001)], NS_PER_SEC)
+        assert [seg.seq for seg in got] == [1, 2]
 
     def test_stale_arrival_expires_and_is_counted(self):
         stale = reply("36.10.0.5", 33434, 39000, 1)
@@ -703,7 +711,7 @@ class TestLiveTransport:
             self.arrive(tr, inbox, i)
         # At 120 s the horizon keeps the arrivals of 60, 90 and 120 s.
         assert tr.expired == 2
-        assert [seg.seq for _, seg in tr._pending[40000]] == [2, 3, 4]
+        assert tr.queued == 3
         got = tr.capture([FlowKey(None, None, MM, None)], tr.clock.now_ns())
         assert [(seg.seq, seg.timestamp) for seg in got] == [
             (i, i * 30 * NS_PER_SEC) for i in (2, 3, 4)]
