@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, asdict
 from typing import Iterable
 
@@ -30,6 +31,9 @@ class EndpointSpec:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role: {self.role!r}")
+        _check_finite("lat", self.lat, 90)
+        _check_finite("lon", self.lon, 180)
+        _check_finite("uptime_days", self.uptime_days)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -46,8 +50,9 @@ def load_endpoints(path) -> list:
     """Read an endpoint CSV: addr,port,role,lat,lon,uptime_days,stable_flag.
 
     A missing addr, port or role column, a value that does not parse, an
-    addr that is not a canonical dotted quad, or a port outside 0-65535
-    raises EndpointError.
+    addr that is not a canonical dotted quad, a port outside 0-65535, a
+    non-finite lat, lon or uptime_days, or a lat outside ±90 or lon outside
+    ±180 raises EndpointError.
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -70,6 +75,15 @@ def load_endpoints(path) -> list:
             except ValueError as exc:
                 raise EndpointError(f"{path}, line {reader.line_num}: {exc}") from exc
     return out
+
+
+def _check_finite(name: str, value: float, limit: float = math.inf) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and
+    within ±``limit``."""
+    if not (math.isfinite(value) and -limit <= value <= limit):
+        within = f" within ±{limit}" if limit < math.inf else ""
+        raise ValueError(f"{name} must be a finite number{within}, "
+                         f"got {value!r}")
 
 
 def _check_port(port: int) -> int:

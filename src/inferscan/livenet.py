@@ -1,8 +1,10 @@
 """Optional raw-socket transport backend.
 
 Requires root, an explicit authorization acknowledgement, and (for
-spoofed-source probes) a link without egress filtering.  The test suite
-never exercises this backend; the simulator backend is the reference.
+spoofed-source probes) a link without egress filtering.  The tests run
+this backend over fake raw sockets (``TestLiveTransport`` in
+``tests/test_transport.py``), never on a real network; the simulator
+backend is the reference.
 """
 
 from __future__ import annotations

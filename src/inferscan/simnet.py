@@ -21,6 +21,7 @@ from .transport import (
     FlowKey,
     TcpSegment,
     Transport,
+    _flow_fields,
     _tuple_new,
     derive_seed,
 )
@@ -123,6 +124,10 @@ class Hop:
     region: str = ""
     delay_ns: Optional[int] = None
 
+    def __post_init__(self):
+        if self.delay_ns is not None and not self.delay_ns >= 0:
+            raise ValueError(f"hop delay must be >= 0, got {self.delay_ns!r}")
+
 
 @dataclass(frozen=True)
 class SimPath:
@@ -132,6 +137,7 @@ class SimPath:
     placement_hop always refers to this listed (physical) index regardless
     of travel direction.  ``loss_rate`` is drawn once per traversal.
     Immutable, so the simulator's cached route plans cannot go stale.
+    Delays are >= 0, so an arrival is never scheduled before its launch.
     """
 
     a: str
@@ -140,6 +146,11 @@ class SimPath:
     one_way_delay_ns: int = 10_000_000
     loss_rate: float = 0.0
     filtered: bool = False
+
+    def __post_init__(self):
+        if not self.one_way_delay_ns >= 0:
+            raise ValueError(f"path delay must be >= 0, "
+                             f"got {self.one_way_delay_ns!r}")
 
     def leg_delays(self) -> list:
         """Per-leg delays (len(hops)+1 legs) summing to one_way_delay_ns."""
@@ -306,7 +317,7 @@ class SimClient(_Host):
         flags = seg.flags
         if "SYN" not in flags:
             return
-        flow = seg.flow
+        flow = _tuple_new(FlowKey, _flow_fields(seg))
         if "ACK" in flags:
             if self.rst_policy:
                 # ack echoes the offending seq so probers can pair responses.
@@ -338,6 +349,8 @@ class SimServer(_Host):
         self.backoff_ns = tuple(int(s * NS_PER_SEC) for s in backoff_s)
         if len(self.backoff_ns) < max_retransmissions:
             raise ValueError("backoff schedule shorter than max_retransmissions")
+        if any(wait < 0 for wait in self.backoff_ns):
+            raise ValueError(f"backoff waits must be >= 0, got {backoff_s!r}")
         self.backlog: dict[FlowKey, BacklogEntry] = {}
         self._budget = max_retransmissions  # that of an empty backlog
         self.peak_backlog = 0
@@ -357,24 +370,27 @@ class SimServer(_Host):
             self.sim.emit(now, "host_down", host=self.addr)
 
     def _is_up(self, now: int) -> bool:
-        return not self.down_intervals or not any(
-            start <= now < end for start, end in self.down_intervals)
+        return not any(start <= now < end for start, end in self.down_intervals)
 
     @property
     def occupancy(self) -> float:
         return len(self.backlog) / self.backlog_capacity
 
     def _resized(self) -> None:
-        """Recompute ``_budget`` after an insert or a removal."""
-        self._budget = effective_retransmissions(self.occupancy,
-                                                 self.max_retransmissions)
+        """Recompute ``_budget`` after an insert or a removal.  At most half
+        full the budget is the full one, without a division."""
+        if 2 * len(self.backlog) <= self.backlog_capacity:
+            self._budget = self.max_retransmissions
+        else:
+            self._budget = effective_retransmissions(self.occupancy,
+                                                     self.max_retransmissions)
 
     def _next_ipid(self) -> int:
         self._ipid = (self._ipid + 1) & 0xFFFF
         return self._ipid
 
     def on_segment(self, now: int, seg: TcpSegment) -> None:
-        if not self._is_up(now):
+        if self.down_intervals and not self._is_up(now):
             if self.sim._trace is not None:
                 self.sim.emit(now, "drop_offline", host=self.addr)
             return
@@ -390,7 +406,7 @@ class SimServer(_Host):
             self._on_ack(seg, now)
 
     def _on_syn(self, seg: TcpSegment, now: int) -> None:
-        flow = seg.flow
+        flow = _tuple_new(FlowKey, _flow_fields(seg))
         if seg.dst_port not in self.open_ports:
             self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK,
                         self._next_ipid())
@@ -405,12 +421,17 @@ class SimServer(_Host):
                              server_isn=self._isn_rng.getrandbits(32), created_at=now)
         self.backlog[flow] = entry
         self._resized()
-        self.peak_backlog = max(self.peak_backlog, len(self.backlog))
+        if len(self.backlog) > self.peak_backlog:
+            self.peak_backlog = len(self.backlog)
         if self.sim._trace is not None:
             self.sim.emit(now, "backlog_insert", host=self.addr,
                           size=len(self.backlog))
         self._send_synack(entry, now)
-        self.sim.schedule(now + self.backoff_ns[0], self._retransmit_check, entry)
+        # Backoff waits are >= 0: the timer needs no clamp to now.
+        sim = self.sim
+        heappush(sim._heap, (now + self.backoff_ns[0], sim._order,
+                             self._retransmit_check, (entry,)))
+        sim._order += 1
 
     def _send_synack(self, entry: BacklogEntry, now: int) -> None:
         self._reply(entry.flow, now, entry.server_isn,
@@ -418,7 +439,7 @@ class SimServer(_Host):
                     self._next_ipid())
 
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
-        if not entry.alive or not self._is_up(now):
+        if not entry.alive or (self.down_intervals and not self._is_up(now)):
             return
         if entry.retransmissions_done >= self._budget:
             self._remove(entry, now, "pruned")
@@ -428,14 +449,17 @@ class SimServer(_Host):
         if self.sim._trace is not None:
             self.sim.emit(now, "retransmit", host=self.addr,
                           n=entry.retransmissions_done)
-        done = entry.retransmissions_done
+        sim, done = self.sim, entry.retransmissions_done
         if done < self.max_retransmissions:
-            self.sim.schedule(now + self.backoff_ns[done], self._retransmit_check, entry)
+            event = (now + self.backoff_ns[done], sim._order,
+                     self._retransmit_check, (entry,))
         else:
             # Final timeout: one more doubled wait, then the entry expires.
             last = (self.backoff_ns[done] if done < len(self.backoff_ns)
                     else 2 * self.backoff_ns[-1])
-            self.sim.schedule(now + last, self._expire, entry)
+            event = (now + last, sim._order, self._expire, (entry,))
+        heappush(sim._heap, event)
+        sim._order += 1
 
     def _expire(self, now: int, entry: BacklogEntry) -> None:
         if entry.alive:
@@ -450,12 +474,12 @@ class SimServer(_Host):
                           size=len(self.backlog))
 
     def _on_rst(self, seg: TcpSegment, now: int) -> None:
-        entry = self.backlog.get(seg.flow)
+        entry = self.backlog.get(_flow_fields(seg))
         if entry and seg.seq == (entry.client_isn + 1) & 0xFFFFFFFF:
             self._remove(entry, now, "rst")
 
     def _on_ack(self, seg: TcpSegment, now: int) -> None:
-        entry = self.backlog.get(seg.flow)
+        entry = self.backlog.get(_flow_fields(seg))
         if (entry and seg.seq == (entry.client_isn + 1) & 0xFFFFFFFF
                 and seg.ack == (entry.server_isn + 1) & 0xFFFFFFFF):
             self._remove(entry, now, "ack")
@@ -622,6 +646,10 @@ class Simulator:
     # -- event loop -----------------------------------------------------------
 
     def schedule(self, t: int, fn: Callable, *args) -> None:
+        """Run ``fn(t, *args)`` at ``t``, or now if ``t`` has passed; events
+        due at one time run in the order scheduled.  A launch's arrival and
+        a server's timers, never due before now, push the same
+        ``(t, order, fn, args)`` entries onto ``_heap`` directly."""
         if t < self.now:
             t = self.now
         heappush(self._heap, (t, self._order, fn, args))
@@ -779,7 +807,9 @@ class Simulator:
                 monitor.transport._enqueue(at + total, seg)
             if self._trace is None:
                 return
-        self.schedule(at + total, receiver, seg)
+        # ``at`` is now and ``total`` >= 0: the arrival needs no clamp.
+        heappush(self._heap, (at + total, self._order, receiver, (seg,)))
+        self._order += 1
 
     def _emit_rule_drop(self, now: int, seg: TcpSegment, hop: int) -> None:
         self.emit(now, "drop_rule", src=seg.src_addr, dst=seg.dst_addr,

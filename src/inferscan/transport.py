@@ -40,6 +40,10 @@ _tuple_new = tuple.__new__
 # Sort key of a capture-queue entry ``(arrival, segment)``.
 _arrival = itemgetter(0)
 
+# A segment's 4-tuple as a plain tuple, in FlowKey field order; equal and
+# hash-equal to its FlowKey.
+_flow_fields = itemgetter(0, 2, 1, 3)
+
 _valid_addrs: dict = {}  # the memo of _check_addr, oldest first
 
 
@@ -141,8 +145,7 @@ class TcpSegment(NamedTuple):
 
     @property
     def flow(self) -> FlowKey:
-        return _tuple_new(FlowKey, (self.src_addr, self.src_port,
-                                    self.dst_addr, self.dst_port))
+        return _tuple_new(FlowKey, _flow_fields(self))
 
     def has(self, *names: str) -> bool:
         return self.flags.issuperset(names)
@@ -156,21 +159,29 @@ class TcpSegment(NamedTuple):
 def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
     _check_addr(seg.src_addr)
     _check_addr(seg.dst_addr)
-    for name, port in (("src_port", seg.src_port), ("dst_port", seg.dst_port)):
+    _, _, src_port, dst_port, seq, ack, flags, ttl, ipid, _ = seg
+    # One pass over every bound; only a segment that fails one is checked
+    # field by field, in the same order, for its message.
+    if (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF
+            and 0 <= seq <= 0xFFFFFFFF and 0 <= ack <= 0xFFFFFFFF
+            and 1 <= ttl <= 255 and 0 <= ipid <= 0xFFFF
+            and _FLAG_NAMES.issuperset(flags) and (flags or not crafted)):
+        return seg
+    for name, port in (("src_port", src_port), ("dst_port", dst_port)):
         if not 0 <= port <= 0xFFFF:
             raise InvalidSegmentError(f"{name} out of range: {port}")
-    if not 0 <= seg.seq <= 0xFFFFFFFF:
-        raise InvalidSegmentError(f"seq out of range: {seg.seq}")
-    if not 0 <= seg.ack <= 0xFFFFFFFF:
-        raise InvalidSegmentError(f"ack out of range: {seg.ack}")
-    if not 1 <= seg.ttl <= 255:
-        raise InvalidSegmentError(f"ttl out of range: {seg.ttl}")
-    if not 0 <= seg.ipid <= 0xFFFF:
-        raise InvalidSegmentError(f"ipid out of range: {seg.ipid}")
-    if not _FLAG_NAMES.issuperset(seg.flags):
-        unknown = set(seg.flags) - _FLAG_NAMES
+    if not 0 <= seq <= 0xFFFFFFFF:
+        raise InvalidSegmentError(f"seq out of range: {seq}")
+    if not 0 <= ack <= 0xFFFFFFFF:
+        raise InvalidSegmentError(f"ack out of range: {ack}")
+    if not 1 <= ttl <= 255:
+        raise InvalidSegmentError(f"ttl out of range: {ttl}")
+    if not 0 <= ipid <= 0xFFFF:
+        raise InvalidSegmentError(f"ipid out of range: {ipid}")
+    if not _FLAG_NAMES.issuperset(flags):
+        unknown = set(flags) - _FLAG_NAMES
         raise InvalidSegmentError(f"unknown flags: {sorted(unknown)}")
-    if crafted and not seg.flags:
+    if crafted and not flags:
         raise InvalidSegmentError("crafted probes need at least one flag")
     return seg
 
@@ -318,7 +329,9 @@ class FlowRateLimiter:
     dropped whenever the table has doubled since the last sweep: its size
     tracks the flows with sends still pending, not every flow ever used.
     The sweep compares with now, not with a send's requested slot, so a
-    flow reserved ahead keeps its entry until its slot has passed.
+    flow reserved ahead keeps its entry until its slot has passed.  A flow
+    is any 4-tuple in FlowKey field order: a FlowKey and the plain tuple of
+    its fields are one entry.
     """
 
     def __init__(self, rate: float = 10.0):
@@ -326,10 +339,10 @@ class FlowRateLimiter:
             raise ValueError("rate must be positive")
         self.rate = rate
         self._interval_ns = int(NS_PER_SEC / rate)
-        self._next_free: dict[FlowKey, int] = {}
+        self._next_free: dict[tuple, int] = {}
         self._sweep_at = 2
 
-    def reserve(self, flow: FlowKey, now_ns: int, at_ns: int = 0) -> int:
+    def reserve(self, flow: tuple, now_ns: int, at_ns: int = 0) -> int:
         """Return the send slot for this flow: the later of now and
         ``at_ns``, or its next free slot after that."""
         next_free = self._next_free
@@ -459,9 +472,9 @@ class Transport:
             seq = self.isn.next()
         if ipid is None:
             self._ipid = ipid = (self._ipid + 1) & 0xFFFF
-        return validate_segment(TcpSegment(
+        return validate_segment(_tuple_new(TcpSegment, (
             src, dst_addr, src_port, dst_port, seq, ack, frozenset(flags),
-            ttl, ipid, self.clock.now_ns()))
+            ttl, ipid, self.clock.now_ns())))
 
     def send(self, seg: TcpSegment, *, at_ns: int = 0) -> int:
         """Queue ``seg`` for its flow's next rate-limited slot at or after
@@ -475,8 +488,10 @@ class Transport:
         """
         if not self._open:
             raise TransportClosedError("send after close")
-        slot = self._limiter.reserve(seg.flow, self.clock.now_ns(), at_ns)
-        seg = seg.stamped(slot)
+        slot = self._limiter.reserve(_flow_fields(seg), self.clock.now_ns(),
+                                     at_ns)
+        if slot != seg[9]:
+            seg = seg.stamped(slot)
         self._dispatch(seg, slot)
         if self._log:
             self._log.write(seg, "out")
@@ -515,7 +530,7 @@ class Transport:
             due = bisect_right(pending, self.clock.now_ns(), key=_arrival)
             for entry in pending[:due]:
                 seg = entry[1]
-                flow = (seg.src_addr, seg.src_port, seg.dst_addr, seg.dst_port)
+                flow = _flow_fields(seg)
                 if flow in exact:
                     hits.append(entry)
                     continue

@@ -711,6 +711,43 @@ class TestMalformedInput:
         clients.write_text("addr,port,role\n36.10.0.5 ,0,client\n")
         assert [ep.addr for ep in load_endpoints(clients)] == ["36.10.0.5"]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lat", "nan", "lat must be a finite number within ±90, got nan"),
+        ("lat", "-inf", "lat must be a finite number within ±90, got -inf"),
+        ("lat", "90.5", "lat must be a finite number within ±90, got 90.5"),
+        ("lon", "inf", "lon must be a finite number within ±180, got inf"),
+        ("lon", "-181", "lon must be a finite number within ±180, got -181.0"),
+        ("uptime_days", "nan", "uptime_days must be a finite number, got nan"),
+    ])
+    def test_endpoint_csv_bad_coordinates_refused(self, workspace, capsys,
+                                                  field, value, message):
+        # A NaN lat used to run the whole scan and write "lat":NaN, which
+        # is not JSON.
+        clients = workspace / "badcoords.csv"
+        fields = {"lat": "39.9", "lon": "116.4", "uptime_days": "0"}
+        fields[field] = value
+        clients.write_text("addr,port,role,lat,lon,uptime_days\n"
+                           "36.10.0.5,0,client,39.9,116.4,0\n"
+                           "36.10.0.6,0,client,{lat},{lon},{uptime_days}\n"
+                           .format(**fields))
+        with pytest.raises(EndpointError) as info:
+            load_endpoints(clients)
+        assert str(info.value) == f"{clients}, line 3: {message}"
+        out = workspace / "i.jsonl"
+        code = run(["idle-scan", "--clients", clients,
+                    "--servers", workspace / "servers.csv",
+                    "--scenario", workspace / "scen.cfg", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
+
+    def test_endpoint_csv_coordinate_bounds_load(self, workspace):
+        clients = workspace / "poles.csv"
+        clients.write_text("addr,port,role,lat,lon\n36.10.0.5,0,client,90,-180\n"
+                           "36.10.0.6,0,client,-90,180\n")
+        assert [(ep.lat, ep.lon) for ep in load_endpoints(clients)] == [
+            (90.0, -180.0), (-90.0, 180.0)]
+
 
     @pytest.mark.parametrize("hours", ["3-25", "24"])
     def test_rule_hours_out_of_range(self, workspace, capsys, hours):

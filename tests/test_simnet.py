@@ -92,6 +92,21 @@ class TestStep:
         with pytest.raises(dataclasses.FrozenInstanceError):
             path.one_way_delay_ns = 1
 
+    @pytest.mark.parametrize("build", [
+        lambda: Simulator(seed=1, default_delay_ns=-1).attach(MM),
+        lambda: Simulator(seed=1).add_path(MM, "36.10.0.5", delay_ns=-1),
+        lambda: Simulator(seed=1).set_client_server_path(delay_ns=-5),
+        lambda: Hop("10.0.0.1", delay_ns=-1),
+        lambda: Hop("10.0.0.1", delay_ns=math.nan),
+        lambda: Simulator(seed=1).add_server(
+            "203.0.113.5", backoff_s=(1, 2, -4, 8, 16)),
+    ])
+    def test_negative_waits_refused(self, build):
+        # Arrivals and server timers go on the heap unclamped: every wait
+        # must be >= 0, so no event is scheduled before the present.
+        with pytest.raises(ValueError, match=">= 0"):
+            build()
+
     def test_step_backwards_rejected(self):
         sim = Simulator(seed=1)
         sim.step(NS_PER_SEC)

@@ -79,6 +79,12 @@ valid_segments = st.builds(
     timestamp=st.integers(0, 2 ** 63 - 1),
 )
 
+# The inclusive range validate_segment allows for each numeric header field
+# (the timestamp is not a header field and is not checked).
+FIELD_BOUNDS = {"src_port": (0, 0xFFFF), "dst_port": (0, 0xFFFF),
+                "seq": (0, 0xFFFFFFFF), "ack": (0, 0xFFFFFFFF),
+                "ttl": (1, 255), "ipid": (0, 0xFFFF)}
+
 
 class TestCraft:
     def test_synack_with_ttl_and_port(self):
@@ -209,6 +215,24 @@ class TestSerialization:
         with pytest.raises(InvalidSegmentError):
             segment_from_wire(bytes(data))
 
+    @given(valid_segments, st.sampled_from(sorted(FIELD_BOUNDS)), st.booleans())
+    def test_one_past_a_bound_names_the_field(self, seg, field, above):
+        lo, hi = FIELD_BOUNDS[field]
+        edge, past = (hi, hi + 1) if above else (lo, lo - 1)
+        at_edge = seg._replace(**{field: edge})
+        assert validate_segment(at_edge, crafted=False) is at_edge
+        with pytest.raises(InvalidSegmentError) as info:
+            validate_segment(seg._replace(**{field: past}), crafted=False)
+        assert str(info.value) == f"{field} out of range: {past}"
+
+    @given(valid_segments)
+    def test_empty_flags_refused_only_on_crafted_segments(self, seg):
+        bare = seg._replace(flags=frozenset())
+        assert validate_segment(bare, crafted=False) is bare
+        with pytest.raises(InvalidSegmentError,
+                           match="crafted probes need at least one flag"):
+            validate_segment(bare)
+
     def test_validate_ranges(self):
         rng = random.Random(45)
         seg = random_segment(rng)
@@ -236,6 +260,17 @@ class TestSend:
         tr.close()
         with pytest.raises(TransportClosedError):
             tr.send(seg)
+
+    def test_reserved_flow_key_and_send_share_one_slot_entry(self):
+        # send keys the limiter with the segment's plain 4-tuple, which is
+        # equal and hash-equal to the FlowKey reserved here.
+        sim, tr = make_transport(rate_limit=10.0)
+        first = tr._limiter.reserve(FlowKey(MM, 40000, "203.0.113.5", 80),
+                                    sim.now)
+        seg = tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
+                               flags=("SYN",), src_port=40000)
+        assert tr.send(seg) == first + NS_PER_SEC // 10
+        assert len(tr._limiter._next_free) == 1
 
     def test_rate_pacing_five_per_second(self):
         _, tr = make_transport(rate_limit=5.0)
