@@ -13,9 +13,10 @@ pushes a default backlog past half full, keeps it below 59 %, and leaves
 every probe within reach of the pruning, so the probes' vote can decide.
 Any other probe count is refused before anything is sent.
 
-``send_syns``, ``synack_arrivals`` and ``reset`` open, count and clear
-half-open entries for every scan that uses the backlog, the idle scan's
-server check and flush included.
+``send_syns``, ``synack_arrivals`` and ``send_resets`` open, count and
+clear half-open entries for every scan that uses the backlog, the idle
+scan's server check and flush included; ``send_syns`` and ``send_resets``
+each queue one probe train (see ``Transport.send_train``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from typing import Optional
 from .endpoints import EndpointSpec
 from .transport import (
     NS_PER_SEC,
+    RST,
+    SYN,
     FlowKey,
     IsnGenerator,
-    TcpSegment,
     Transport,
     check_range,
 )
@@ -155,21 +157,17 @@ class BacklogScanRecord:
 def send_syns(transport: Transport, addr: str, port: int, port_base: int,
               n: int, gap_ns: int = 0, src_addr: Optional[str] = None,
               isns: Optional[IsnGenerator] = None, at_ns: int = 0) -> list:
-    """Queue SYNs to ``addr:port`` from ports ``port_base``,
-    ``port_base + 1``, ...; returns the SYNs.  Each opens one half-open
-    entry at a listening server.  The train starts at ``at_ns``, or now if
-    that has passed, and SYN i is queued ``i * gap_ns`` after its start.
-    ``src_addr`` spoofs their source; ``isns`` gives SYN i the sequence
-    number ``isns.at(i)`` instead of a fresh session ISN."""
+    """Queue a train of SYNs to ``addr:port`` from ports ``port_base``,
+    ``port_base + 1``, ...; returns the SYNs, stamped with their slots.
+    Each opens one half-open entry at a listening server.  The train starts
+    at ``at_ns``, or now if that has passed, and SYN i is queued
+    ``i * gap_ns`` after its start.  ``src_addr`` spoofs their source;
+    ``isns`` gives SYN i the sequence number ``isns.at(i)`` instead of a
+    fresh session ISN."""
     start = max(transport.clock.now_ns(), at_ns)
-    syns = []
-    for i in range(n):
-        syn = transport.craft_segment(
-            addr, port, ("SYN",), port_base + i, src_addr=src_addr,
-            seq=None if isns is None else isns.at(i))
-        transport.send(syn, at_ns=start + i * gap_ns)
-        syns.append(syn)
-    return syns
+    return transport.send_train([
+        (start + i * gap_ns, addr, port, SYN, port_base + i, src_addr,
+         None if isns is None else isns.at(i), 64) for i in range(n)])
 
 
 def synack_arrivals(transport: Transport, syns: list, until_ns: int) -> dict:
@@ -184,13 +182,16 @@ def synack_arrivals(transport: Transport, syns: list, until_ns: int) -> dict:
     return arrivals
 
 
-def reset(transport: Transport, syn: TcpSegment, at_ns: int = 0) -> None:
-    """Clear the half-open entry ``syn`` opened: one RST from the SYN's own
-    (possibly spoofed) source with the sequence number the server expects,
-    the SYN's ISN + 1, queued for ``at_ns`` (see ``Transport.send``)."""
-    transport.send(transport.craft_segment(
-        syn.dst_addr, syn.dst_port, ("RST",), syn.src_port,
-        src_addr=syn.src_addr, seq=(syn.seq + 1) & 0xFFFFFFFF), at_ns=at_ns)
+def send_resets(transport: Transport, syns: list, at_ns: int = 0,
+                gap_ns: int = 0) -> list:
+    """Clear the half-open entries ``syns`` opened; returns the RSTs.  One
+    train: RST i leaves from SYN i's own (possibly spoofed) source with the
+    sequence number the server expects, the SYN's ISN + 1, queued for
+    ``at_ns + i * gap_ns`` (see ``Transport.send_train``)."""
+    return transport.send_train([
+        (at_ns + i * gap_ns, syn.dst_addr, syn.dst_port, RST, syn.src_port,
+         syn.src_addr, (syn.seq + 1) & 0xFFFFFFFF, 64)
+        for i, syn in enumerate(syns)])
 
 
 def baseline_probe(transport: Transport, relay: EndpointSpec,
@@ -311,8 +312,7 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
         at_ns += int(RST_BURST_DELAY_MS * 1e6)
         # Every SYN's ISN derives from the shared seed, so the vantage point
         # knows the sequence number each RST needs.
-        for syn in syns:
-            reset(vps, syn, at_ns)
+        send_resets(vps, syns, at_ns)
         return at_ns
 
     return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, baseline, burst,

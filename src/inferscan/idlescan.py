@@ -6,12 +6,13 @@ checks around every round, and schedules bipartite campaigns with
 per-address mutual exclusion.
 
 A round's probes run on a fixed schedule, so each fixed-schedule sequence
-is one probe train: every segment of it is crafted and queued for its slot
-up front, in the order a probe-by-probe loop would craft them (so session
-ISNs and IP-IDs are drawn in the same order), and one capture up to the
-train's deadline claims the replies.  Qualification, the client
-liveliness check, the base and perturb phases and the RST flush are
-trains; so are the server check's SYNs (see ``backlog.send_syns``).
+is one probe train: one ``Transport.send_train`` call crafts and queues
+every segment of it for its slot up front, drawing session ISNs and
+IP-IDs in row order, and one capture up to the train's deadline claims
+the replies.  Qualification, the client liveliness check, the base phase,
+the perturb phase (its spoofed SYNs and probes interleaved slot by slot)
+and the RST flush are trains; so are the server check's SYNs and resets
+(see ``backlog.send_syns`` and ``backlog.send_resets``).
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional
 
 from . import classify
-from .backlog import reset, send_syns, synack_arrivals
+from .backlog import send_resets, send_syns, synack_arrivals
 from .classify import PHASE_BASE, PHASE_PERTURB, diff_series
 from .endpoints import EndpointSpec, passes_stability_rule
 from .transport import (
     HOUR_NS,
     NS_PER_SEC,
     PENDING_HORIZON_NS,
+    SYN,
+    SYN_ACK,
     FlowKey,
     Transport,
     TransportError,
@@ -144,12 +147,14 @@ def _client_rsts(transport: Transport, addr: str, until_ns: int,
     return [seg for seg in transport.capture(flows, until_ns) if seg.has("RST")]
 
 
-def _probe_client(transport: Transport, addr: str, src_port: int,
-                  at_ns: int = 0) -> None:
-    """Queue one SYN/ACK probe to a client for ``at_ns`` (see
-    ``Transport.send``)."""
-    transport.send(transport.craft_segment(
-        addr, DEFAULT_CLIENT_PROBE_PORT, ("SYN", "ACK"), src_port), at_ns=at_ns)
+def _probe_rows(addr: str, src_ports: tuple, start: int, gap_ns: int,
+                n: int) -> list:
+    """Train rows of ``n`` SYN/ACK probes to a client (see
+    ``Transport.send_train``): probe i from ``src_ports[i % len(src_ports)]``
+    at ``start + i * gap_ns``."""
+    k = len(src_ports)
+    return [(start + i * gap_ns, addr, DEFAULT_CLIENT_PROBE_PORT, SYN_ACK,
+             src_ports[i % k], None, None, 64) for i in range(n)]
 
 
 def check_window(window_s: float) -> None:
@@ -175,8 +180,8 @@ def qualify_client(transport: Transport, addr: str,
     n_probes = int(window_s * PROBE_RATE)
     ports = (PROBE_SRC_PORT, PROBE_SRC_PORT + 1)
     start = transport.clock.now_ns()
-    for i in range(n_probes):
-        _probe_client(transport, addr, ports[i % 2], start + i * interval_ns)
+    transport.send_train(_probe_rows(addr, ports, start, interval_ns,
+                                     n_probes))
     observed = [(seg.dst_port, seg.ipid) for seg in _client_rsts(
         transport, addr, start + n_probes * interval_ns, *ports)]
     result_base = dict(responses=len(observed), probes=n_probes)
@@ -214,8 +219,7 @@ def client_liveliness(transport: Transport, addr: str) -> LivelinessResult:
     n = int(CHECK_DURATION_S * LIVELINESS_RATE)
     gap_ns = int(NS_PER_SEC / LIVELINESS_RATE)
     start = transport.clock.now_ns()
-    for i in range(n):
-        _probe_client(transport, addr, sport, start + i * gap_ns)
+    transport.send_train(_probe_rows(addr, (sport,), start, gap_ns, n))
     rsts = _client_rsts(transport, addr, start + n * gap_ns + NS_PER_SEC, sport)
     return LivelinessResult(passed=len(rsts) > n // 2, sent=n,
                             responses=len(rsts),
@@ -234,8 +238,7 @@ def server_liveliness(transport: Transport, addr: str,
     # Three retransmissions arrive within 1+2+4 s of the original SYN/ACK.
     arrivals = synack_arrivals(transport, syns, end + 12 * NS_PER_SEC)
     # Terminate every half-open entry the check created, as the scan's flush does.
-    for syn in syns:
-        reset(transport, syn)
+    send_resets(transport, syns)
     best = max(map(len, arrivals.values()), default=0)
     return LivelinessResult(passed=(best - 1) >= 3, sent=n,
                             responses=sum(map(len, arrivals.values())))
@@ -262,7 +265,6 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
     spoof_per_interval = int(SPOOF_RATE / PROBE_RATE)
 
     samples: list[IpidSample] = []
-    spoofed: list = []
 
     def sample(phase: str, until_ns: int) -> None:
         for seg in _client_rsts(transport, client.addr, until_ns,
@@ -270,25 +272,29 @@ def run_idle_scan(transport: Transport, client: EndpointSpec,
             samples.append(IpidSample(seg.timestamp, seg.ipid, phase))
 
     base = transport.clock.now_ns()
-    for i in range(n_phase):
-        _probe_client(transport, client.addr, PROBE_SRC_PORT,
-                      base + i * interval_ns)
+    transport.send_train(_probe_rows(client.addr, (PROBE_SRC_PORT,), base,
+                                     interval_ns, n_phase))
     perturb = base + n_phase * interval_ns
     sample(PHASE_BASE, perturb)
 
-    for i in range(n_phase):
-        at = perturb + i * interval_ns
-        spoofed += send_syns(transport, server.addr, server.port,
-                             SPOOF_SRC_PORT_BASE + len(spoofed),
-                             spoof_per_interval, src_addr=client.addr, at_ns=at)
-        _probe_client(transport, client.addr, PROBE_SRC_PORT, at)
+    # Each probe interval: its spoofed SYNs, from the next free spoof
+    # ports, then the probe, all due at the interval's start.
+    rows = []
+    port = SPOOF_SRC_PORT_BASE
+    for probe in _probe_rows(client.addr, (PROBE_SRC_PORT,), perturb,
+                             interval_ns, n_phase):
+        at = probe[0]
+        rows += [(at, server.addr, server.port, SYN, port + j, client.addr,
+                  None, 64) for j in range(spoof_per_interval)]
+        rows.append(probe)
+        port += spoof_per_interval
+    spoofed = [seg for seg in transport.send_train(rows) if seg.flags == SYN]
     flush = perturb + n_phase * interval_ns
     sample(PHASE_PERTURB, flush)
 
     # Flush: terminate every half-open entry the spoofed SYNs created.
     flush_gap = int(RST_FLUSH_DURATION_S * NS_PER_SEC / len(spoofed))
-    for i, syn in enumerate(spoofed):
-        reset(transport, syn, at_ns=flush + i * flush_gap)
+    send_resets(transport, spoofed, flush, flush_gap)
     transport.clock.sleep_until(flush + len(spoofed) * flush_gap)
 
     expected = 2 * n_phase

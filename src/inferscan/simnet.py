@@ -554,8 +554,42 @@ class SimTransport(Transport):
             sim._sync_rules()
             sim._launch(at_ns, seg, self.local_addr)
         else:
-            heappush(sim._sends, (at_ns, sim._order, seg, self.local_addr))
+            heappush(sim._sends, (at_ns, sim._order, (seg,), self.local_addr))
             sim._order += 1
+
+    def _queue_train(self, train: list) -> list:
+        """``Transport._queue_train`` with the clock read once, since it
+        stands still until the simulator steps.  Consecutive segments that
+        share a later slot go onto the send queue as one entry."""
+        sim = self._sim
+        now = sim.now
+        origin = self.local_addr
+        sends = sim._sends
+        reserve = self._limiter.reserve
+        out = []
+        group_slot = synced = None
+        for at_ns, src, dst, sport, dport, seq, flags, ttl, ipid in train:
+            slot = reserve((src, sport, dst, dport), now, at_ns)
+            seg = _tuple_new(TcpSegment, (src, dst, sport, dport, seq, 0,
+                                          flags, ttl, ipid, slot))
+            out.append(seg)
+            if slot == group_slot:
+                group.append(seg)
+            elif slot == now:
+                group_slot = None
+                if not synced:
+                    sim._sync_rules()
+                    synced = True
+                sim._launch(now, seg, origin)
+            else:
+                group_slot, group = slot, [seg]
+                heappush(sends, (slot, sim._order, group, origin))
+                sim._order += 1
+        self.sent += len(out)
+        if self._log:
+            for seg in out:
+                self._log.write(seg, "out")
+        return out
 
 
 class Simulator:
@@ -574,7 +608,8 @@ class Simulator:
         self._plans: dict[tuple, tuple] = {}  # (origin, dst) -> see _plan
         self._rules: tuple = ()  # policy.rules when the plans were last valid
         self._heap: list = []
-        # Transport sends queued for a later slot: (slot, order, seg, origin).
+        # Transport sends queued for a later slot: (slot, order, segments,
+        # origin), the segments launched in order.
         self._sends: list = []
         self._order = 0
         self._trace = trace
@@ -681,8 +716,9 @@ class Simulator:
                 fn(t, *args)
             self.now = due
             while sends and sends[0][0] == due:
-                _, _, seg, origin = heappop(sends)
-                self._launch(due, seg, origin)
+                _, _, segs, origin = heappop(sends)
+                for seg in segs:
+                    self._launch(due, seg, origin)
         while heap and heap[0][0] <= until:
             t, _, fn, args = heappop(heap)
             self.now = t

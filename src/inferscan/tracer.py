@@ -14,7 +14,14 @@ import ipaddress
 from dataclasses import dataclass
 from typing import Optional
 
-from .transport import HOUR_NS, NS_PER_SEC, FlowKey, Transport, check_range
+from .transport import (
+    HOUR_NS,
+    NS_PER_SEC,
+    SYN_ACK,
+    FlowKey,
+    Transport,
+    check_range,
+)
 
 STATUS_FINISHED = "Finished"
 STATUS_STALLED = "Stalled"
@@ -156,22 +163,20 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
                    ) -> TracerouteRun:
     """One TCP traceroute: SYN/ACK probes at TTL 1..max, fired back to back.
 
-    TTL-expiry notifications and the destination's response both quote the
-    probe's sequence number in their ack field, which maps responses to
-    TTLs.  Finished means the destination itself responded.
+    The probes are one train (see ``Transport.send_train``), each stamped
+    with its slot.  TTL-expiry notifications and the destination's response
+    both quote the probe's sequence number in their ack field, which maps
+    responses to TTLs.  Finished means the destination itself responded.
     """
     cfg = cfg or TraceConfig()
-    seq_to_ttl: dict[int, int] = {}
-    last_send = transport.clock.now_ns()
-    send_times: dict[int, int] = {}
-    for ttl in range(1, cfg.max_ttl + 1):
-        probe = transport.craft_segment(dest, DST_PORT, ("SYN", "ACK"),
-                                        src_port, ttl=ttl)
-        seq_to_ttl[probe.seq] = ttl
-        last_send = send_times[ttl] = transport.send(probe)
+    probes = transport.send_train([
+        (0, dest, DST_PORT, SYN_ACK, src_port, None, None, ttl)
+        for ttl in range(1, cfg.max_ttl + 1)])
+    seq_to_ttl = {probe.seq: probe.ttl for probe in probes}
+    send_times = {probe.ttl: probe.timestamp for probe in probes}
     responses = transport.capture(
         [FlowKey(None, None, transport.local_addr, src_port)],
-        last_send + int(RESPONSE_WINDOW_S * NS_PER_SEC))
+        probes[-1].timestamp + int(RESPONSE_WINDOW_S * NS_PER_SEC))
 
     responders: dict[int, tuple] = {}
     finished_at: Optional[int] = None

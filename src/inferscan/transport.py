@@ -30,6 +30,11 @@ PENDING_HORIZON_NS = 60 * NS_PER_SEC
 FLAG_BITS = {"SYN": 0x02, "ACK": 0x10, "RST": 0x04, "FIN": 0x01}
 _FLAG_NAMES = frozenset(FLAG_BITS)
 
+# The flag sets the scans' train rows carry (see ``Transport.send_train``).
+SYN = frozenset(("SYN",))
+SYN_ACK = frozenset(("SYN", "ACK"))
+RST = frozenset(("RST",))
+
 #: How many valid addresses ``_check_addr`` remembers.  A scan crafts its
 #: segments between a few addresses, so each is parsed once, not per segment.
 ADDR_MEMO_SIZE = 256
@@ -296,9 +301,15 @@ class IsnGenerator:
         self._prefix = derive_seed(seed, "isn")
 
     def at(self, index: int) -> int:
-        # derive_seed(seed, "isn", index), with the label prefix mixed once.
-        x = _splitmix64(self._prefix ^ (index & 0xFFFFFFFFFFFFFFFF))
-        return _splitmix64(x) & 0xFFFFFFFF
+        # _splitmix64(_splitmix64(prefix ^ index)), written out.
+        x = (((self._prefix ^ (index & 0xFFFFFFFFFFFFFFFF))
+              + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 31)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return (x ^ (x >> 31)) & 0xFFFFFFFF
 
     def next(self) -> int:
         value = self.at(self._index)
@@ -403,7 +414,12 @@ class Transport:
         self._capture_start: Optional[int] = None  # of the capture in progress
         self._lock = threading.Lock()
         self.expired = 0
+        self.sent = 0  # segments queued by send and send_train
         self._ipid = derive_seed(isn_seed, "ipid", local_addr) & 0xFFFF
+
+    def _spoof_error(self, src: str) -> SpoofingUnsupportedError:
+        return SpoofingUnsupportedError(
+            f"backend cannot spoof source {src} (local {self.local_addr})")
 
     # -- subclass hooks ----------------------------------------------------
 
@@ -413,6 +429,26 @@ class Transport:
 
     def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
         raise NotImplementedError
+
+    def _queue_train(self, train: list) -> list:
+        """Reserve, stamp, dispatch and log each prepared row of
+        ``send_train`` in turn, reading the clock for each: a backend whose
+        dispatch waits for the slot paces the next row from the time it
+        went out, as ``send`` would.  Returns the segments."""
+        reserve = self._limiter.reserve
+        now_ns = self.clock.now_ns
+        log = self._log
+        out = []
+        for at_ns, src, dst, sport, dport, seq, flags, ttl, ipid in train:
+            slot = reserve((src, sport, dst, dport), now_ns(), at_ns)
+            seg = _tuple_new(TcpSegment, (src, dst, sport, dport, seq, 0,
+                                          flags, ttl, ipid, slot))
+            self._dispatch(seg, slot)
+            self.sent += 1
+            if log:
+                log.write(seg, "out")
+            out.append(seg)
+        return out
 
     # -- capture queue -------------------------------------------------------
 
@@ -466,8 +502,7 @@ class Transport:
         """
         src = src_addr or self.local_addr
         if src != self.local_addr and not self.supports_spoofing:
-            raise SpoofingUnsupportedError(
-                f"backend cannot spoof source {src} (local {self.local_addr})")
+            raise self._spoof_error(src)
         if seq is None:
             seq = self.isn.next()
         if ipid is None:
@@ -481,10 +516,7 @@ class Transport:
         ``at_ns`` (now, when that has passed); returns the slot, in ns, at
         which it enters the wire or simulation.
 
-        A probe train queues each segment of a fixed schedule this way,
-        then claims the replies with one capture to its deadline.  A train
-        spans at most :data:`PENDING_HORIZON_NS`, or its first replies may
-        expire unclaimed before that capture starts.
+        The one-segment form of :meth:`send_train`.
         """
         if not self._open:
             raise TransportClosedError("send after close")
@@ -495,7 +527,69 @@ class Transport:
         self._dispatch(seg, slot)
         if self._log:
             self._log.write(seg, "out")
+        self.sent += 1
         return slot
+
+    def send_train(self, rows: Iterable[tuple]) -> list[TcpSegment]:
+        """Craft, pace and queue a probe train; returns its segments, each
+        stamped with its slot.
+
+        Each row is a tuple ``(at_ns, dst_addr, dst_port, flags, src_port,
+        src_addr, seq, ttl)``.  It gives the segment that
+        ``craft_segment(dst_addr, dst_port, flags, src_port,
+        src_addr=src_addr, seq=seq, ttl=ttl)`` followed by
+        ``send(seg, at_ns=at_ns)`` would send, row after row: session ISNs
+        and IP-IDs are drawn in that order, and every segment takes its
+        flow's slot as ``send`` reserves it.  ``flags`` is best one of the
+        frozensets ``SYN``, ``SYN_ACK`` and ``RST``.
+
+        The whole train is checked before any of it is queued.  A row that
+        ``craft_segment`` or ``send`` would refuse raises the same error,
+        the first such row's in train order; then nothing is queued or
+        logged and no ISN or IP-ID is drawn.
+
+        A scan queues each fixed schedule as one train, then claims the
+        replies with one capture to its deadline.  A train spans at most
+        :data:`PENDING_HORIZON_NS`, or its first replies may expire
+        unclaimed before that capture starts.
+        """
+        local = self.local_addr
+        spoofing = self.supports_spoofing
+        closed = not self._open
+        known = _valid_addrs
+        isn = self.isn
+        isn_at = isn.at
+        index = isn._index
+        ipid = self._ipid
+        train = []
+        for at_ns, dst, dport, flags, sport, src, seq, ttl in rows:
+            if not src:
+                src = local
+            elif src != local and not spoofing:
+                raise self._spoof_error(src)
+            if seq is None:
+                seq = isn_at(index)
+                index += 1
+            ipid = (ipid + 1) & 0xFFFF
+            if type(flags) is not frozenset:
+                flags = frozenset(flags)
+            # The bounds of validate_segment, which builds the message of
+            # a row that fails one (an address it has not yet memoized
+            # passes there).
+            if not ((src is local or type(src) is str and src in known)
+                    and type(dst) is str and dst in known
+                    and 0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF
+                    and 0 <= seq <= 0xFFFFFFFF and 1 <= ttl <= 255
+                    and flags and _FLAG_NAMES.issuperset(flags)):
+                validate_segment(_tuple_new(TcpSegment, (
+                    src, dst, sport, dport, seq, 0, flags, ttl, ipid, 0)))
+            if closed:
+                raise TransportClosedError("send after close")
+            train.append((at_ns, src, dst, sport, dport, seq, flags, ttl,
+                          ipid))
+        isn._index = index
+        self._ipid = ipid
+        return self._queue_train(train)
 
     def capture(self, flows: Iterable[FlowKey], until_ns: int) -> list[TcpSegment]:
         """Wait until ``until_ns``; return matching arrivals in arrival order.

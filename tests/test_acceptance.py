@@ -6,6 +6,7 @@ expected values; tolerances are pinned here and nowhere else.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -339,6 +340,12 @@ client_background_rate = 0.5
 
 {rules}
 """
+    # sha256 of the campaign's data.jsonl and report.csv: a change means
+    # the campaign sends, receives or decides something different.
+    DATA_SHA256 = ("786fadbe2c7e14ed6f9ec6bde6d2309f"
+                   "5bdcd3bcc819f0cec43e2e3efffa8dfc")
+    REPORT_SHA256 = ("7d659020ac1fc53d121ae937012a04c3"
+                     "eb61214793a8da394a144224464cc5ce")
 
     def test_campaign_reproducibility(self, tmp_path):
         started = time.monotonic()
@@ -378,12 +385,15 @@ client_background_rate = 0.5
             outputs.append((data.read_bytes(), report_csv.read_bytes()))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+        assert hashlib.sha256(outputs[0][0]).hexdigest() == self.DATA_SHA256
+        assert hashlib.sha256(outputs[0][1]).hexdigest() == self.REPORT_SHA256
         records = load(tmp_path / "one" / "data.jsonl")
         assert len(records) == 60  # 3 slots x 20 disjoint pairs
         elapsed = time.monotonic() - started
         assert elapsed <= 300.0
         report(f"6 PASS: 20x20x3 campaign twice, byte-identical data.jsonl "
-               f"and report.csv ({len(records)} records, {elapsed:.1f}s)")
+               f"and report.csv, both at their pinned digests "
+               f"({len(records)} records, {elapsed:.1f}s)")
 
 
 class TestCriterion7StoreRoundTrip:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import queue
 import random
 import socket
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MM_ADDR, SERVER_EP
@@ -29,6 +31,7 @@ from inferscan.transport import (
     TcpSegment,
     Transport,
     TransportClosedError,
+    TransportError,
     _check_addr,
     _splitmix64,
     derive_seed,
@@ -775,3 +778,167 @@ class TestLiveTransport:
         [(data, addr)] = sockets[0].sent
         assert addr == ("203.0.113.5", 0)
         assert segment_from_wire(data, timestamp=seg.timestamp) == seg
+
+
+# -- probe trains -------------------------------------------------------------
+
+TRAIN_DSTS = ("36.10.0.5", "203.0.113.5", "192.0.2.77")  # client, server, none
+SPOOF = "100.64.0.2"
+
+
+def train_rows(now):
+    """Rows of ``send_train`` around ``now``: slots before, at and after it
+    (and the bare 0 the one-segment API defaults to), few ports so flows
+    repeat and the rate limiter binds, spoofed sources, drawn and explicit
+    sequence numbers and any TTL."""
+    at = st.one_of(st.just(0), st.just(now),
+                   st.integers(-2 * NS_PER_SEC, 2 * NS_PER_SEC).map(
+                       lambda d: max(0, now + d)))
+    row = st.tuples(
+        at, st.sampled_from(TRAIN_DSTS), st.sampled_from((443, 9001)),
+        st.sampled_from((transport_mod.SYN, transport_mod.SYN_ACK,
+                         transport_mod.RST)),
+        st.sampled_from((40000, 40001)), st.sampled_from((None, MM, SPOOF)),
+        st.one_of(st.none(), st.integers(0, 0xFFFFFFFF)),
+        st.sampled_from((1, 2, 64, 255)))
+    return st.lists(row, max_size=12)
+
+
+def send_loop(tr, rows):
+    """The probe-by-probe equivalent of ``tr.send_train(rows)``."""
+    out = []
+    for at_ns, dst, dport, flags, sport, src, seq, ttl in rows:
+        seg = tr.craft_segment(dst, dport, flags, sport, src_addr=src,
+                               seq=seq, ttl=ttl)
+        out.append(seg.stamped(tr.send(seg, at_ns=at_ns)))
+    return out
+
+
+def train_sim(events):
+    sim = Simulator(seed=3, trace=events.append)
+    sim.add_client(TRAIN_DSTS[0], ipid_start=500)
+    sim.add_server(TRAIN_DSTS[1], open_ports=[9001])
+    return sim
+
+
+class TestSendTrain:
+    NOW = 5 * NS_PER_SEC
+
+    def sim_twin(self, tmp, name, rows):
+        """A fresh simulator stepped to NOW whose transport sends ``rows``
+        one way or the other; returns everything a send can change."""
+        events = []
+        sim = train_sim(events)
+        sim.step(self.NOW)
+        log = tmp / f"{name}.jsonl"
+        tr = sim.attach(MM, isn_seed=11, packet_log=transport_mod.PacketLog(log))
+        out = tr.send_train(rows) if name == "train" else send_loop(tr, rows)
+        launched_now = list(events)
+        sim.step(self.NOW + 10 * NS_PER_SEC)
+        tr.close()
+        return (out, tr.isn._index, tr._ipid, tr.sent, launched_now, events,
+                log.read_bytes())
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=train_rows(NOW))
+    def test_sim_train_matches_the_loop(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            train = self.sim_twin(Path(tmp), "train", rows)
+            loop = self.sim_twin(Path(tmp), "loop", rows)
+        assert train == loop
+        assert all(seg.timestamp >= self.NOW for seg in train[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=train_rows(NOW))
+    def test_live_train_matches_the_loop(self, rows):
+        """On fake sockets and a clock that a send's wait advances, so each
+        row is paced from the time the one before it went out."""
+        from inferscan import livenet
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            sockets = []
+
+            def fake_socket(*args):
+                sockets.append(FakeRawSocket(queue.Queue()))
+                return sockets[-1]
+
+            def sleep_ns(self, duration_ns):
+                self.t += duration_ns
+
+            mp.setattr(livenet.socket, "socket", fake_socket)
+            mp.setattr(livenet.RealClock, "t", self.NOW, raising=False)
+            mp.setattr(livenet.RealClock, "now_ns", lambda self: self.t)
+            mp.setattr(livenet.RealClock, "sleep_ns", sleep_ns)
+            for send in (lambda tr: tr.send_train(rows),
+                         lambda tr: send_loop(tr, rows)):
+                del sockets[:]
+                tr = livenet.LiveTransport(MM, authorized=True,
+                                           egress_unfiltered=True,
+                                           isn_seed=11)
+                try:
+                    out = send(tr)
+                    results.append((out, tr.isn._index, tr._ipid, tr.sent,
+                                    tr.clock.now_ns(), sockets[0].sent))
+                finally:
+                    tr.close()
+                    tr._sniffer.join(timeout=5)
+        assert results[0] == results[1]
+        assert [data for data, _ in results[0][5]] == [
+            segment_to_wire(seg) for seg in results[0][0]]
+
+    GOOD = (0, "203.0.113.5", 9001, transport_mod.SYN, 40000, None, None, 64)
+
+    @pytest.mark.parametrize("field, value, close, spoofing", [
+        (4, 70000, False, True),  # port
+        (3, frozenset({"URG"}), False, True),  # unknown flag
+        (3, frozenset(), False, True),  # no flag
+        (7, 0, False, True),  # ttl
+        (1, "203.0.113.05", False, True),  # address
+        (5, SPOOF, False, False),  # spoof on a backend that cannot
+        (None, None, True, True),  # every row good, transport closed
+        (4, 70000, True, True),  # a bad first row beats the closed transport
+    ])
+    def test_malformed_train_queues_nothing(self, tmp_path, field, value,
+                                            close, spoofing):
+        """The train raises what the probe-by-probe loop raises first, and
+        leaves no trace: nothing queued, launched or logged, no ISN or IP-ID
+        drawn."""
+        bad = list(self.GOOD)
+        if field is not None:
+            bad[field] = value
+        rows = [self.GOOD] * (0 if close else 2) + [tuple(bad), self.GOOD]
+
+        def twin(name):
+            events = []
+            sim = train_sim(events)
+            sim.step(self.NOW)
+            log = tmp_path / f"{name}.jsonl"
+            tr = sim.attach(MM, packet_log=transport_mod.PacketLog(log))
+            tr.supports_spoofing = spoofing
+            if close:
+                tr.close()
+            return sim, tr, events, log
+
+        with pytest.raises(TransportError) as expected:
+            send_loop(twin("loop")[1], rows)
+        sim, tr, events, log = twin("train")
+        with pytest.raises(type(expected.value)) as got:
+            tr.send_train(rows)
+        assert str(got.value) == str(expected.value)
+        assert (tr.isn._index, tr.sent, sim._sends, events) == (0, 0, [], [])
+        assert tr._ipid == derive_seed(0, "ipid", MM) & 0xFFFF
+        assert tr._limiter._next_free == {}
+        assert log.read_bytes() == b""
+
+    def test_sent_counts_every_queued_segment(self):
+        events = []
+        sim = train_sim(events)
+        tr = sim.attach(MM)
+        assert tr.sent == 0
+        tr.send(tr.craft_segment("203.0.113.5", 9001, ("SYN",), 40000))
+        tr.send_train([self.GOOD] * 3)
+        tr.send_train([])
+        assert tr.sent == 4
+        sim.step(2 * NS_PER_SEC)
+        assert sum(ev["ev"] == "send" and ev["origin"] == MM
+                   for ev in events) == 4
