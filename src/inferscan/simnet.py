@@ -39,11 +39,12 @@ _RST = frozenset(("RST",))
 _RST_ACK = frozenset(("RST", "ACK"))
 _SYN_ACK = frozenset(("SYN", "ACK"))
 
-# A noisy client that nothing has reached for this long stops ticking, and
-# its next delivery, the first moment its IP-ID can be seen again, counts the
-# noise sent meanwhile in one Poisson draw.  60 s exceeds the longest silence
-# inside a default scan round (about 30 s, the RST flush), so a client probed
-# at least once a minute keeps its exact per-packet stream.
+# A noisy client's noise is counted when it can be seen: on its next
+# delivery, the first moment its IP-ID shows again.  A client that nothing has
+# reached for this long stops counting packet by packet, and its next
+# delivery counts the noise sent meanwhile in one Poisson draw.  60 s exceeds
+# the longest silence inside a default scan round (about 30 s, the RST flush),
+# so a client probed at least once a minute keeps its exact per-packet stream.
 DORMANT_AFTER_NS = 60 * NS_PER_SEC
 
 
@@ -164,7 +165,7 @@ class SimPath:
         return [base] * (n_legs - 1) + [base + rem]
 
 
-@dataclass
+@dataclass(slots=True)
 class BacklogEntry:
     flow: FlowKey
     client_isn: int
@@ -172,6 +173,19 @@ class BacklogEntry:
     created_at: int
     retransmissions_done: int = 0
     alive: bool = True
+
+
+def _steps(hops: list, legs: list, rules) -> tuple:
+    """A route plan's steps over ``hops``, ``(index, hop)`` pairs in travel
+    order, with ``rules``, and whether any step has rules (see
+    :meth:`Simulator._plan`)."""
+    steps, elapsed = [], 0
+    for (index, hop), leg in zip(hops, legs):
+        elapsed += leg
+        here = [rule for rule in rules if rule.placement_hop == index]
+        steps.append((hop, index, elapsed,
+                      FirewallPolicy(here) if here else None))
+    return tuple(steps), any(step[3] for step in steps)
 
 
 class _Host:
@@ -183,15 +197,6 @@ class _Host:
     def on_segment(self, now: int, seg: TcpSegment) -> None:
         """Take one arriving segment; an event, so ``now`` comes first."""
         raise NotImplementedError
-
-    def _reply(self, flow: FlowKey, now: int, seq: int, ack: int,
-               flags: frozenset, ipid: int) -> None:
-        """Send one segment back along the inbound ``flow``."""
-        self.sent_count += 1
-        out = _tuple_new(TcpSegment, (self.addr, flow.src_addr, flow.dst_port,
-                                      flow.src_port, seq, ack, flags, 64, ipid,
-                                      now))
-        self.sim._launch(now, out, self.addr)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -235,9 +240,15 @@ class SimClient(_Host):
     """End host probed by idle scans.
 
     The IPID counter advances by exactly one for every packet the client
-    sends, noise included; noise sent while dormant (see
-    :data:`DORMANT_AFTER_NS`) is counted in one step on the next delivery.
-    With rst_policy on, every unsolicited SYN/ACK elicits exactly one RST.
+    sends, noise included.  Noise is counted when it can be observed:
+    :meth:`_noise_until` counts every noise packet due by a delivery before
+    the client stamps its reply, noise due in the delivery's nanosecond
+    first, and noise sent while dormant (see :data:`DORMANT_AFTER_NS`) is
+    counted in one step on the next delivery.  Without a trace sink noise
+    takes no events; with one, an event per packet calls the same routine
+    only to record each ``noise`` event at its own time, so IP-IDs never
+    depend on the sink.  With rst_policy on, every unsolicited SYN/ACK
+    elicits exactly one RST.
     """
 
     def __init__(self, sim, addr, ipid_mode="global", ipid_start=None,
@@ -257,29 +268,42 @@ class SimClient(_Host):
         self._flow_counters: dict[FlowKey, int] = {}
         self._noise_flow = FlowKey("0.0.0.0", 0, addr, 0)
         self._last_delivery = sim.now
+        self._next_noise = math.inf  # due time of the next uncounted noise
         self._dormant_since: Optional[int] = None
         self._catchup_rng: Optional[random.Random] = None
         if background_rate > 0:
-            self._schedule_noise(sim.now)
+            self._draw_gap(sim.now)
 
-    def _schedule_noise(self, now: int) -> None:
+    def _draw_gap(self, now: int) -> None:
+        """Draw when the next noise packet after ``now`` is due; with a trace
+        sink, an event then records it at its own time."""
         gap = int(self._rng.expovariate(self.background_rate) * NS_PER_SEC)
-        self.sim.schedule(now + max(gap, 1), self._noise_tick)
-
-    def _noise_tick(self, now: int) -> None:
-        # Noise goes to hosts outside the model; only the counter advance
-        # and the send count are observable.
-        self.sent_count += 1
-        self._stamp_ipid(self._noise_flow)
+        self._next_noise = due = now + max(gap, 1)
         if self.sim._trace is not None:
-            self.sim.emit(now, "noise", host=self.addr)
-        if now - self._last_delivery > DORMANT_AFTER_NS:
-            self._dormant_since = now
-        else:
-            self._schedule_noise(now)
+            self.sim.schedule(due, self._noise_until)
+
+    def _noise_until(self, t: int) -> None:
+        """Count every noise packet due at or before ``t``, in due order,
+        drawing what the packet-by-packet stream draws.  A packet due more
+        than :data:`DORMANT_AFTER_NS` after the last delivery is the last one
+        counted singly: the client goes dormant there."""
+        trace = self.sim._trace
+        while self._next_noise <= t:
+            now = self._next_noise
+            # Noise goes to hosts outside the model; only the counter
+            # advance and the send count are observable.
+            self.sent_count += 1
+            self._stamp_ipid(self._noise_flow)
+            if trace is not None:
+                self.sim.emit(now, "noise", host=self.addr)
+            if now - self._last_delivery > DORMANT_AFTER_NS:
+                self._dormant_since = now
+                self._next_noise = math.inf
+            else:
+                self._draw_gap(now)
 
     def _wake(self, now: int) -> None:
-        """Count the noise sent since going dormant, then resume the ticks."""
+        """Count the noise sent since going dormant, then resume the stream."""
         if self._catchup_rng is None:
             self._catchup_rng = random.Random(
                 derive_seed(self.sim.seed, "noise-catchup", self.addr))
@@ -291,7 +315,7 @@ class SimClient(_Host):
             self._stamp_ipid(self._noise_flow, n)
         if self.sim._trace is not None:
             self.sim.emit(now, "noise", host=self.addr, count=n)
-        self._schedule_noise(now)
+        self._draw_gap(now)
 
     def _stamp_ipid(self, flow: FlowKey, n: int = 1) -> int:
         """IP-ID of the next segment this client sends in answer to ``flow``;
@@ -311,22 +335,27 @@ class SimClient(_Host):
         return self._rng.getrandbits(16)
 
     def on_segment(self, now: int, seg: TcpSegment) -> None:
+        if self._next_noise <= now:
+            self._noise_until(now)
         if self._dormant_since is not None:
             self._wake(now)
         self._last_delivery = now
         flags = seg.flags
         if "SYN" not in flags:
             return
-        flow = _tuple_new(FlowKey, _flow_fields(seg))
-        if "ACK" in flags:
-            if self.rst_policy:
-                # ack echoes the offending seq so probers can pair responses.
-                self._reply(flow, now, seg.ack, seg.seq, _RST,
-                            self._stamp_ipid(flow))
-        else:
+        if "ACK" not in flags:
             # No open ports on clients: closed-port RST.
-            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK,
-                        self._stamp_ipid(flow))
+            seq, ack, flags = 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK
+        elif self.rst_policy:
+            # ack echoes the offending seq so probers can pair responses.
+            seq, ack, flags = seg.ack, seg.seq, _RST
+        else:
+            return
+        self.sent_count += 1
+        ipid = self._stamp_ipid(_tuple_new(FlowKey, _flow_fields(seg)))
+        self.sim._launch(now, _tuple_new(TcpSegment, (
+            self.addr, seg.src_addr, seg.dst_port, seg.src_port, seq, ack,
+            flags, 64, ipid, now)), self.addr)
 
 
 class SimServer(_Host):
@@ -336,7 +365,11 @@ class SimServer(_Host):
     handshake-completing ACK removes exactly one entry; every retransmission
     instant reads the retransmission budget of the current occupancy (see
     :func:`effective_retransmissions`), which ``_budget`` holds: it is
-    recomputed wherever the backlog's size changes.
+    recomputed wherever the backlog's size changes.  The host restarts,
+    losing its half-open state, at the start of each of its
+    ``down_intervals``, whether they were given to the constructor or set
+    later (a start already passed restarts it at once), and it drops every
+    segment while down.
     """
 
     def __init__(self, sim, addr, open_ports=(), backlog_capacity=DEFAULT_BACKLOG_CAPACITY,
@@ -354,11 +387,21 @@ class SimServer(_Host):
         self.backlog: dict[FlowKey, BacklogEntry] = {}
         self._budget = max_retransmissions  # that of an empty backlog
         self.peak_backlog = 0
-        self.down_intervals = tuple(down_intervals)  # (start_ns, end_ns) pairs
         self._ipid = derive_seed(sim.seed, "server-ipid", addr) & 0xFFFF
         self._isn_rng = random.Random(derive_seed(sim.seed, "server-isn", addr))
-        for start, _end in self.down_intervals:
-            sim.schedule(start, self._go_down)
+        self.down_intervals = down_intervals
+
+    @property
+    def down_intervals(self) -> tuple:
+        """``(start_ns, end_ns)`` pairs.  Setting them schedules a restart at
+        each start; restarts scheduled by an earlier setting stay."""
+        return self._down
+
+    @down_intervals.setter
+    def down_intervals(self, intervals) -> None:
+        self._down = tuple(intervals)
+        for start, _end in self._down:
+            self.sim.schedule(start, self._go_down)
 
     def _go_down(self, now: int) -> None:
         # Restart semantics: a rebooting host loses its half-open state.
@@ -370,7 +413,7 @@ class SimServer(_Host):
             self.sim.emit(now, "host_down", host=self.addr)
 
     def _is_up(self, now: int) -> bool:
-        return not any(start <= now < end for start, end in self.down_intervals)
+        return not any(start <= now < end for start, end in self._down)
 
     @property
     def occupancy(self) -> float:
@@ -378,54 +421,59 @@ class SimServer(_Host):
 
     def _resized(self) -> None:
         """Recompute ``_budget`` after an insert or a removal.  At most half
-        full the budget is the full one, without a division."""
+        full the budget is the full one, without a division.  An insert
+        that leaves the backlog at most half full, or a removal from one
+        that was, keeps the full budget and need not call here."""
         if 2 * len(self.backlog) <= self.backlog_capacity:
             self._budget = self.max_retransmissions
         else:
             self._budget = effective_retransmissions(self.occupancy,
                                                      self.max_retransmissions)
 
-    def _next_ipid(self) -> int:
-        self._ipid = (self._ipid + 1) & 0xFFFF
-        return self._ipid
-
     def on_segment(self, now: int, seg: TcpSegment) -> None:
-        if self.down_intervals and not self._is_up(now):
+        if self._down and not self._is_up(now):
             if self.sim._trace is not None:
                 self.sim.emit(now, "drop_offline", host=self.addr)
             return
         flags = seg.flags
-        syn, ack, rst = "SYN" in flags, "ACK" in flags, "RST" in flags
-        if syn and not ack and not rst:
-            self._on_syn(seg, now)
-        elif rst:
+        if "RST" in flags:
             self._on_rst(seg, now)
-        elif syn and ack:
-            self._reply(seg.flow, now, seg.ack, seg.seq, _RST, self._next_ipid())
-        elif ack:
-            self._on_ack(seg, now)
+            return
+        if "SYN" not in flags:
+            if "ACK" in flags:
+                self._on_ack(seg, now)
+            return
+        if "ACK" in flags:
+            seq, ack, flags = seg.ack, seg.seq, _RST
+        elif seg.dst_port in self.open_ports:
+            self._on_syn(seg, now)
+            return
+        else:
+            seq, ack, flags = 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK
+        self.sent_count += 1
+        self._ipid = ipid = (self._ipid + 1) & 0xFFFF
+        self.sim._launch(now, _tuple_new(TcpSegment, (
+            self.addr, seg.src_addr, seg.dst_port, seg.src_port, seq, ack,
+            flags, 64, ipid, now)), self.addr)
 
     def _on_syn(self, seg: TcpSegment, now: int) -> None:
+        """A SYN to an open port: insert a backlog entry and answer it."""
         flow = _tuple_new(FlowKey, _flow_fields(seg))
-        if seg.dst_port not in self.open_ports:
-            self._reply(flow, now, 0, (seg.seq + 1) & 0xFFFFFFFF, _RST_ACK,
-                        self._next_ipid())
-            return
         if flow in self.backlog:
             return  # duplicate SYN: entry already pending
         if len(self.backlog) >= self.backlog_capacity:
             if self.sim._trace is not None:
                 self.sim.emit(now, "drop_backlog_full", host=self.addr)
             return
-        entry = BacklogEntry(flow=flow, client_isn=seg.seq,
-                             server_isn=self._isn_rng.getrandbits(32), created_at=now)
+        entry = BacklogEntry(flow, seg.seq, self._isn_rng.getrandbits(32), now)
         self.backlog[flow] = entry
-        self._resized()
-        if len(self.backlog) > self.peak_backlog:
-            self.peak_backlog = len(self.backlog)
+        size = len(self.backlog)
+        if 2 * size > self.backlog_capacity:
+            self._resized()
+        if size > self.peak_backlog:
+            self.peak_backlog = size
         if self.sim._trace is not None:
-            self.sim.emit(now, "backlog_insert", host=self.addr,
-                          size=len(self.backlog))
+            self.sim.emit(now, "backlog_insert", host=self.addr, size=size)
         self._send_synack(entry, now)
         # Backoff waits are >= 0: the timer needs no clamp to now.
         sim = self.sim
@@ -434,12 +482,17 @@ class SimServer(_Host):
         sim._order += 1
 
     def _send_synack(self, entry: BacklogEntry, now: int) -> None:
-        self._reply(entry.flow, now, entry.server_isn,
-                    (entry.client_isn + 1) & 0xFFFFFFFF, _SYN_ACK,
-                    self._next_ipid())
+        """Send ``entry``'s SYN/ACK, first or retransmitted."""
+        self.sent_count += 1
+        self._ipid = ipid = (self._ipid + 1) & 0xFFFF
+        src, sport, _, dport = entry.flow
+        self.sim._launch(now, _tuple_new(TcpSegment, (
+            self.addr, src, dport, sport, entry.server_isn,
+            (entry.client_isn + 1) & 0xFFFFFFFF, _SYN_ACK, 64, ipid, now)),
+            self.addr)
 
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
-        if not entry.alive or (self.down_intervals and not self._is_up(now)):
+        if not entry.alive or (self._down and not self._is_up(now)):
             return
         if entry.retransmissions_done >= self._budget:
             self._remove(entry, now, "pruned")
@@ -468,7 +521,8 @@ class SimServer(_Host):
     def _remove(self, entry: BacklogEntry, now: int, reason: str) -> None:
         entry.alive = False
         self.backlog.pop(entry.flow, None)
-        self._resized()
+        if 2 * len(self.backlog) + 2 > self.backlog_capacity:
+            self._resized()
         if self.sim._trace is not None:
             self.sim.emit(now, "backlog_remove", host=self.addr, reason=reason,
                           size=len(self.backlog))
@@ -684,7 +738,10 @@ class Simulator:
         """Run ``fn(t, *args)`` at ``t``, or now if ``t`` has passed; events
         due at one time run in the order scheduled.  A launch's arrival and
         a server's timers, never due before now, push the same
-        ``(t, order, fn, args)`` entries onto ``_heap`` directly."""
+        ``(t, order, fn, args)`` entries onto ``_heap`` directly.  Client
+        noise takes an event only with a trace sink, to record each packet
+        at its own time; without one it is counted on the next delivery
+        (see :class:`SimClient`)."""
         if t < self.now:
             t = self.now
         heappush(self._heap, (t, self._order, fn, args))
@@ -759,20 +816,25 @@ class Simulator:
 
     def _plan(self, origin: str, dst: str) -> tuple:
         """Build and cache the route plan from origin to dst; ``_launch``
-        reads ``_plans`` and calls here on a miss.  A plan holds the path,
+        reads ``_plans`` and calls here on a miss.  A plan holds the path;
         its ``(hop, physical index, delay from launch, rules)`` steps in
-        travel order, whether any step has rules, the end-to-end delay, the
-        path's loss generator (None when lossless; both directions share
-        one), the receiver that takes an arrival as an event, and the
-        monitor host at ``dst``, where arrivals settle at launch (None when
-        ``dst`` holds no monitor).
+        travel order and whether any step has rules, once for segments
+        whose source is ``origin`` and once for spoofed ones; the end-to-end
+        delay; the path's loss generator (None when lossless; both
+        directions share one); the receiver that takes an arrival as an
+        event; and the monitor host at ``dst``, where arrivals settle at
+        launch (None when ``dst`` holds no monitor).
 
         A step's rules are a policy of the rules placed at its index that
-        can match a segment to ``dst``, in policy order, or None when there
-        are none (always on an unfiltered path).  Every segment on the plan
-        goes to ``dst``, so a ``client->server`` rule naming another address
-        never matches; ``server->client`` rules match the source, which a
-        spoofed segment sets freely, so they all stay.
+        can match a segment on the plan, in policy order, or None when there
+        are none (always on an unfiltered path).  Rules are looked up by
+        source: every segment on the plan goes to ``dst``, so a
+        ``client->server`` rule naming another address never matches, and
+        a ``server->client`` rule naming an address other than ``origin``
+        never matches a segment from ``origin``.  Only the spoofed steps,
+        whose source is set freely, keep every ``server->client`` rule, so
+        a segment from ``origin`` meets as many rules however many name
+        other addresses.
 
         The receiver is the handler of the host at ``dst``.  With a trace
         sink, or no host there, it is ``_deliver``, which emits the delivery
@@ -782,17 +844,18 @@ class Simulator:
         path = self._route(origin, dst)
         direction = 1 if path.a == origin else -1
         legs = path.leg_delays()[::direction]
-        rules = ()
+        spoofed = own = ()
         if path.filtered:
-            rules = [rule for rule in self.policy.rules
-                     if rule.direction == "server->client"
-                     or rule.addr in (None, dst)]
-        steps, elapsed = [], 0
-        for (index, hop), leg in zip(list(enumerate(path.hops, 1))[::direction], legs):
-            elapsed += leg
-            here = [rule for rule in rules if rule.placement_hop == index]
-            steps.append((hop, index, elapsed,
-                          FirewallPolicy(here) if here else None))
+            spoofed = [rule for rule in self.policy.rules
+                       if rule.direction == "server->client"
+                       or rule.addr in (None, dst)]
+            own = [rule for rule in spoofed
+                   if rule.direction == "client->server"
+                   or rule.addr in (None, origin)]
+        hops = list(enumerate(path.hops, 1))[::direction]
+        own_steps = _steps(hops, legs, own)
+        spoofed_steps = (own_steps if spoofed == own
+                         else _steps(hops, legs, spoofed))
         loss = None
         if path.loss_rate > 0:
             loss = self._loss_rngs.get((path.a, path.b))
@@ -802,7 +865,7 @@ class Simulator:
         host = self.hosts.get(dst)
         untraced = host is not None and self._trace is None
         plan = self._plans[(origin, dst)] = (
-            path, tuple(steps), any(step[3] for step in steps), sum(legs), loss,
+            path, *own_steps, *spoofed_steps, sum(legs), loss,
             host.on_segment if untraced else self._deliver,
             host if type(host) is _MonitorHost else None)
         return plan
@@ -822,7 +885,10 @@ class Simulator:
         plan = self._plans.get((origin, seg.dst_addr))
         if plan is None:
             plan = self._plan(origin, seg.dst_addr)
-        path, steps, ruled, total, loss, receiver, monitor = plan
+        (path, steps, ruled, spoofed_steps, spoofed_ruled, total, loss,
+         receiver, monitor) = plan
+        if seg.src_addr != origin:
+            steps, ruled = spoofed_steps, spoofed_ruled
         if loss is not None and loss.random() < path.loss_rate:
             if self._trace is not None:
                 self.emit(at, "drop_loss", src=seg.src_addr, dst=seg.dst_addr)

@@ -127,7 +127,6 @@ class TestSynScan:
         # Relay reboots right as the scan begins and stays down.
         start = mm.clock.now_ns() + 2 * NS_PER_SEC
         srv.down_intervals = ((start, start + 3600 * NS_PER_SEC),)
-        sim.schedule(start, srv._go_down)
         mm.clock.sleep_ns(2 * NS_PER_SEC)
         record = syn_scan(mm, vps, SERVER_EP, baseline=profile)
         assert record.verdict == VERDICT_INVALID

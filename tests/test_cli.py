@@ -13,6 +13,7 @@ import inferscan
 from inferscan import store
 from inferscan.endpoints import EndpointError, load_endpoints
 from inferscan.cli import EXIT_OK, build_parser, main
+from inferscan.scenario import Scenario
 
 SCENARIO = """\
 [sim]
@@ -106,6 +107,31 @@ class TestIdleScanCommand:
         assert len(records) == 1
         assert records[0].kind == store.KIND_IDLE
         assert records[0].payload["label"]["variant"] == "ServerToClientDrop"
+
+    def test_smoke_campaign_records_do_not_depend_on_a_trace_sink(
+            self, tmp_path, monkeypatch):
+        # The smoke scenario's noisy 2x2 campaign, whose second round of
+        # each slot wakes a dormant client, writes the same bytes whether or
+        # not its simulator has a trace sink.
+        smoke = Path(__file__).resolve().parent / "smoke"
+        events = []
+        build = Scenario.build
+
+        def traced_build(self, *args, **kwargs):
+            return build(self, *args, **kwargs, trace=events.append)
+
+        outs = []
+        for traced in (False, True):
+            if traced:
+                monkeypatch.setattr(Scenario, "build", traced_build)
+            outs.append(tmp_path / f"data{int(traced)}.jsonl")
+            assert run(["idle-scan", "--clients", smoke / "clients.csv",
+                        "--servers", smoke / "servers.csv",
+                        "--scenario", smoke / "scenario.cfg", "--rounds", 2,
+                        "--seed", 7, "--out", outs[-1]]) == EXIT_OK
+        assert sum(e["ev"] == "noise" for e in events) > 0
+        assert any(e["ev"] == "noise" and "count" in e for e in events)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_stability_filter_applied(self, workspace):
         out = workspace / "data.jsonl"

@@ -485,6 +485,25 @@ class TestBacklog:
         sim.step(7 * NS_PER_SEC)
         assert len(srv.backlog) == 0  # arrived while down: dropped
 
+    @pytest.mark.parametrize("set_later", [False, True])
+    def test_restart_loses_half_open_state_however_set(self, set_later):
+        # Down intervals given to the constructor and ones set afterwards
+        # follow one restart rule: the entries pending at the start are lost,
+        # and none lingers once the retransmission schedule has run out.
+        down = ((2 * NS_PER_SEC, 10 * NS_PER_SEC),)
+        sim = Simulator(seed=7)
+        srv = sim.add_server("203.0.113.5", open_ports=[9001],
+                             down_intervals=() if set_later else down)
+        if set_later:
+            srv.down_intervals = down
+        assert srv.down_intervals == down
+        tr = sim.attach(MM)
+        backlog.send_syns(tr, "203.0.113.5", 9001, 41000, 5)
+        sim.step(NS_PER_SEC)
+        assert len(srv.backlog) == 5
+        sim.step(300 * NS_PER_SEC)
+        assert srv.backlog == {}
+
 
 def probe_client(tr, addr="36.10.0.5"):
     tr.send(tr.craft_segment(dst_addr=addr, dst_port=443,
@@ -496,35 +515,58 @@ def catchups(trace, host="36.10.0.5"):
             if e["ev"] == "noise" and e["host"] == host and "count" in e]
 
 
+def probed_noise(mode, traced):
+    """Probe a noisy client a second apart, then after a silence long enough
+    to go dormant, then again.  Returns the reply IP-IDs, the counters'
+    advance and the send count's over the probes (None in random mode), and
+    the number of wakes."""
+    sim = Simulator(seed=8, trace=[].append if traced else None)
+    client = sim.add_client("36.10.0.5", ipid_mode=mode, ipid_start=1000,
+                            background_rate=20.0)
+    tr = sim.attach(MM)
+    wakes = []
+    wake = client._wake
+    client._wake = lambda now: (wakes.append(now), wake(now))
+
+    def counters():
+        # Count the noise due by now, as a delivery would.
+        client._noise_until(sim.now)
+        if mode == "global":
+            return {None: client.ipid_counter}
+        return dict(client._flow_counters)  # probe flow and noise
+
+    def probe(gap_ns):
+        probe_client(tr)
+        return [seg.ipid for seg in tr.capture(
+            [FlowKey("36.10.0.5", 443, MM, 40000)], sim.now + gap_ns)]
+
+    ipids = probe(NS_PER_SEC)
+    start_counters, start_sent = counters(), client.sent_count
+    for gap_ns in (NS_PER_SEC,) * 4 + (3 * DORMANT_AFTER_NS, NS_PER_SEC):
+        ipids += probe(gap_ns)
+    end_counters = counters()
+    advance = sent = None
+    if mode != "random":
+        assert end_counters.keys() == start_counters.keys()
+        advance = sum((end_counters[k] - start_counters[k]) % 65536
+                      for k in end_counters)
+        sent = client.sent_count - start_sent
+    return ipids, advance, sent, len(wakes)
+
+
 class TestClient:
-    def test_ipid_conservation(self):
-        # Probes a second apart, then a silence long enough to go dormant,
-        # then probes again: the catch-up advances the counters as much as
-        # it advances the send count.
-        for mode in ("global", "per-flow"):
-            trace = []
-            sim = Simulator(seed=8, trace=trace.append)
-            client = sim.add_client("36.10.0.5", ipid_mode=mode,
-                                    ipid_start=1000, background_rate=20.0)
-            tr = sim.attach(MM)
-
-            def counters():
-                if mode == "global":
-                    return {None: client.ipid_counter}
-                return dict(client._flow_counters)  # probe flow and noise
-
-            probe_client(tr)
-            tr.clock.sleep_ns(NS_PER_SEC)
-            start_counters, start_sent = counters(), client.sent_count
-            for gap_ns in (NS_PER_SEC,) * 4 + (3 * DORMANT_AFTER_NS, NS_PER_SEC):
-                probe_client(tr)
-                tr.clock.sleep_ns(gap_ns)
-            end_counters = counters()
-            assert end_counters.keys() == start_counters.keys()
-            advance = sum((end_counters[k] - start_counters[k]) % 65536
-                          for k in end_counters)
-            assert advance == client.sent_count - start_sent, mode
-            assert len(catchups(trace)) == 1, mode
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("mode", ["global", "per-flow", "random"])
+    def test_ipid_conservation(self, mode, traced):
+        # The catch-up after the dormant span advances the counters as much
+        # as it advances the send count, and no reply IP-ID depends on
+        # whether a trace sink listens.
+        ipids, advance, sent, wakes = probed_noise(mode, traced)
+        assert len(ipids) == 7
+        assert advance == sent
+        assert wakes == 1
+        assert ipids == probed_noise(mode, not traced)[0]
 
     def test_catchup_event_counts_the_dormant_noise(self):
         trace = []
@@ -1231,7 +1273,9 @@ class TestRulesOnThePath:
 @pytest.mark.parametrize("trace", [None, [].append], ids=["plain", "traced"])
 class TestRulesPrunedByDestination:
     """A plan keeps only the rules that can match a segment to its
-    destination; with or without a sink, drops are those of the policy."""
+    destination, and for a segment from its origin only those that can
+    match that source; with or without a sink, drops are those of the
+    policy."""
 
     HOPS = (Hop("10.9.0.1"), Hop("10.9.0.2", "CN"), Hop("10.9.0.3", "CN"))
     OTHER = "203.0.113.6"
@@ -1282,3 +1326,33 @@ class TestRulesPrunedByDestination:
         sim.policy.rules.append(FilterRule(
             "c2s", "client->server", addr=SERVER, placement_hop=2))
         assert self.held(sim, tr, 41001) == [SERVER]
+
+    def test_rules_asked_do_not_grow_with_rules_naming_others(self, trace):
+        # A routed segment asks as many rules however many server->client
+        # rules name other addresses, even placed first at the same hop.
+        def asked(others):
+            rules = [CountingRule(f"other-{i}", "server->client",
+                                  addr=f"198.18.{i // 256}.{i % 256}",
+                                  placement_hop=2) for i in range(others)]
+            rules += [CountingRule(name, direction, addr=SERVER,
+                                   placement_hop=2, action=PASS)
+                      for name, direction in (("s2c", "server->client"),
+                                              ("c2s", "client->server"))]
+            sim, tr = self.world(trace, rules)
+            CountingRule.asked = 0
+            # The SYN/ACK reaches the client and its RST the server.
+            assert self.held(sim, tr, 41000) == []
+            return CountingRule.asked
+
+        assert asked(0) == 2
+        assert asked(1000) == 2
+
+
+class CountingRule(FilterRule):
+    """A rule that counts how often any rule of its class is asked."""
+
+    asked = 0
+
+    def applies(self, seg, hop, hour):
+        CountingRule.asked += 1
+        return super().applies(seg, hop, hour)
