@@ -363,9 +363,8 @@ class SimServer(_Host):
 
     The backlog never exceeds its capacity; a matching RST or a
     handshake-completing ACK removes exactly one entry; every retransmission
-    instant reads the retransmission budget of the current occupancy (see
-    :func:`effective_retransmissions`), which ``_budget`` holds: it is
-    recomputed wherever the backlog's size changes.  The host restarts,
+    instant reads the retransmission budget of the current occupancy where
+    it uses it (see :func:`effective_retransmissions`).  The host restarts,
     losing its half-open state, at the start of each of its
     ``down_intervals``, whether they were given to the constructor or set
     later (a start already passed restarts it at once), and it drops every
@@ -385,7 +384,6 @@ class SimServer(_Host):
         if any(wait < 0 for wait in self.backoff_ns):
             raise ValueError(f"backoff waits must be >= 0, got {backoff_s!r}")
         self.backlog: dict[FlowKey, BacklogEntry] = {}
-        self._budget = max_retransmissions  # that of an empty backlog
         self.peak_backlog = 0
         self._ipid = derive_seed(sim.seed, "server-ipid", addr) & 0xFFFF
         self._isn_rng = random.Random(derive_seed(sim.seed, "server-isn", addr))
@@ -408,7 +406,6 @@ class SimServer(_Host):
         for entry in self.backlog.values():
             entry.alive = False
         self.backlog.clear()
-        self._budget = self.max_retransmissions
         if self.sim._trace is not None:
             self.sim.emit(now, "host_down", host=self.addr)
 
@@ -418,17 +415,6 @@ class SimServer(_Host):
     @property
     def occupancy(self) -> float:
         return len(self.backlog) / self.backlog_capacity
-
-    def _resized(self) -> None:
-        """Recompute ``_budget`` after an insert or a removal.  At most half
-        full the budget is the full one, without a division.  An insert
-        that leaves the backlog at most half full, or a removal from one
-        that was, keeps the full budget and need not call here."""
-        if 2 * len(self.backlog) <= self.backlog_capacity:
-            self._budget = self.max_retransmissions
-        else:
-            self._budget = effective_retransmissions(self.occupancy,
-                                                     self.max_retransmissions)
 
     def on_segment(self, now: int, seg: TcpSegment) -> None:
         if self._down and not self._is_up(now):
@@ -468,8 +454,6 @@ class SimServer(_Host):
         entry = BacklogEntry(flow, seg.seq, self._isn_rng.getrandbits(32), now)
         self.backlog[flow] = entry
         size = len(self.backlog)
-        if 2 * size > self.backlog_capacity:
-            self._resized()
         if size > self.peak_backlog:
             self.peak_backlog = size
         if self.sim._trace is not None:
@@ -494,7 +478,13 @@ class SimServer(_Host):
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
         if not entry.alive or (self._down and not self._is_up(now)):
             return
-        if entry.retransmissions_done >= self._budget:
+        # At most half full the budget is the full one, without a division.
+        if 2 * len(self.backlog) <= self.backlog_capacity:
+            budget = self.max_retransmissions
+        else:
+            budget = effective_retransmissions(self.occupancy,
+                                               self.max_retransmissions)
+        if entry.retransmissions_done >= budget:
             self._remove(entry, now, "pruned")
             return
         entry.retransmissions_done += 1
@@ -521,8 +511,6 @@ class SimServer(_Host):
     def _remove(self, entry: BacklogEntry, now: int, reason: str) -> None:
         entry.alive = False
         self.backlog.pop(entry.flow, None)
-        if 2 * len(self.backlog) + 2 > self.backlog_capacity:
-            self._resized()
         if self.sim._trace is not None:
             self.sim.emit(now, "backlog_remove", host=self.addr, reason=reason,
                           size=len(self.backlog))
@@ -581,10 +569,11 @@ class SimTransport(Transport):
     Segments launched toward the monitor enter the queue at launch (see
     :class:`_MonitorHost`); a capture claims only those due by its
     deadline.  A monitor takes one transport: attaching a second raises
-    ValueError.  A send due now enters the wire at once; a later one waits
-    on the simulator's send queue, and enters the wire once every event due
-    at or before its slot has run, just as if it had been sent when the
-    clock reached the slot.
+    ValueError.  Every segment sent, by a train or by ``send``'s one-row
+    train, is launched or queued in :meth:`_queue_train`: one due now
+    enters the wire at once; a later one waits on the simulator's send
+    queue, and enters the wire once every event due at or before its slot
+    has run, just as if it had been sent when the clock reached the slot.
     """
 
     supports_spoofing = True
@@ -602,15 +591,6 @@ class SimTransport(Transport):
     def clock(self) -> Clock:
         return self._clock
 
-    def _dispatch(self, seg: TcpSegment, at_ns: int) -> None:
-        sim = self._sim
-        if at_ns == sim.now:
-            sim._sync_rules()
-            sim._launch(at_ns, seg, self.local_addr)
-        else:
-            heappush(sim._sends, (at_ns, sim._order, (seg,), self.local_addr))
-            sim._order += 1
-
     def _queue_train(self, train: list) -> list:
         """``Transport._queue_train`` with the clock read once, since it
         stands still until the simulator steps.  Consecutive segments that
@@ -622,9 +602,9 @@ class SimTransport(Transport):
         reserve = self._limiter.reserve
         out = []
         group_slot = synced = None
-        for at_ns, src, dst, sport, dport, seq, flags, ttl, ipid in train:
+        for at_ns, src, dst, sport, dport, seq, ack, flags, ttl, ipid in train:
             slot = reserve((src, sport, dst, dport), now, at_ns)
-            seg = _tuple_new(TcpSegment, (src, dst, sport, dport, seq, 0,
+            seg = _tuple_new(TcpSegment, (src, dst, sport, dport, seq, ack,
                                           flags, ttl, ipid, slot))
             out.append(seg)
             if slot == group_slot:

@@ -129,9 +129,6 @@ class FlowKey(NamedTuple):
                 return False
         return True
 
-    def reversed(self) -> "FlowKey":
-        return FlowKey(self.dst_addr, self.dst_port, self.src_addr, self.src_port)
-
 
 class TcpSegment(NamedTuple):
     """One IPv4+TCP segment: an immutable tuple, cheap to build.  Hot paths
@@ -161,17 +158,15 @@ class TcpSegment(NamedTuple):
         return _tuple_new(TcpSegment, self[:9] + (timestamp,))
 
 
-def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
+def validate_segment(seg: TcpSegment) -> TcpSegment:
+    """``seg`` if it is a segment this toolkit may craft, else raise
+    InvalidSegmentError naming the first field that fails, in field order,
+    flags last.  The crafting pass (``Transport._craft``) tests every bound
+    inline and comes here only for a row that fails one, or whose address
+    is not yet memoized."""
     _check_addr(seg.src_addr)
     _check_addr(seg.dst_addr)
     _, _, src_port, dst_port, seq, ack, flags, ttl, ipid, _ = seg
-    # One pass over every bound; only a segment that fails one is checked
-    # field by field, in the same order, for its message.
-    if (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF
-            and 0 <= seq <= 0xFFFFFFFF and 0 <= ack <= 0xFFFFFFFF
-            and 1 <= ttl <= 255 and 0 <= ipid <= 0xFFFF
-            and _FLAG_NAMES.issuperset(flags) and (flags or not crafted)):
-        return seg
     for name, port in (("src_port", src_port), ("dst_port", dst_port)):
         if not 0 <= port <= 0xFFFF:
             raise InvalidSegmentError(f"{name} out of range: {port}")
@@ -186,7 +181,7 @@ def validate_segment(seg: TcpSegment, crafted: bool = True) -> TcpSegment:
     if not _FLAG_NAMES.issuperset(flags):
         unknown = set(flags) - _FLAG_NAMES
         raise InvalidSegmentError(f"unknown flags: {sorted(unknown)}")
-    if crafted and not flags:
+    if not flags:
         raise InvalidSegmentError("crafted probes need at least one flag")
     return seg
 
@@ -297,7 +292,6 @@ class IsnGenerator:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._index = 0
         self._prefix = derive_seed(seed, "isn")
 
     def at(self, index: int) -> int:
@@ -310,11 +304,6 @@ class IsnGenerator:
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         return (x ^ (x >> 31)) & 0xFFFFFFFF
-
-    def next(self) -> int:
-        value = self.at(self._index)
-        self._index += 1
-        return value
 
 
 class Clock:
@@ -388,6 +377,13 @@ class PacketLog:
 class Transport:
     """Common backend behavior: crafting, rate pacing, logging, demux.
 
+    There is one send path.  :meth:`_craft` is the one crafting routine: it
+    checks and completes rows and draws their ISNs and IP-IDs, for a probe
+    train (:meth:`send_train`) or for one segment (:meth:`craft_segment`).
+    The backend's ``_queue_train`` paces, stamps, queues and logs the rows,
+    for a train or for the one-row train of :meth:`send`.  ``_isn_index``
+    counts the session ISNs drawn so far.
+
     A backend hands each arrival to :meth:`_enqueue`: the live backend as
     it happens, the simulator as soon as the segment is launched, stamped
     with the time it will arrive.  Unclaimed arrivals wait in ``_pending``,
@@ -407,6 +403,7 @@ class Transport:
                  rate_limit: float = 10.0, packet_log: Optional[PacketLog] = None):
         self.local_addr = _check_addr(local_addr)
         self.isn = IsnGenerator(isn_seed)
+        self._isn_index = 0
         self._limiter = FlowRateLimiter(rate_limit)
         self._log = packet_log
         self._open = True
@@ -416,10 +413,6 @@ class Transport:
         self.expired = 0
         self.sent = 0  # segments queued by send and send_train
         self._ipid = derive_seed(isn_seed, "ipid", local_addr) & 0xFFFF
-
-    def _spoof_error(self, src: str) -> SpoofingUnsupportedError:
-        return SpoofingUnsupportedError(
-            f"backend cannot spoof source {src} (local {self.local_addr})")
 
     # -- subclass hooks ----------------------------------------------------
 
@@ -431,17 +424,17 @@ class Transport:
         raise NotImplementedError
 
     def _queue_train(self, train: list) -> list:
-        """Reserve, stamp, dispatch and log each prepared row of
-        ``send_train`` in turn, reading the clock for each: a backend whose
+        """Reserve, stamp, dispatch and log each prepared row (see
+        :meth:`_craft`) in turn, reading the clock for each: a backend whose
         dispatch waits for the slot paces the next row from the time it
-        went out, as ``send`` would.  Returns the segments."""
+        went out.  Returns the segments."""
         reserve = self._limiter.reserve
         now_ns = self.clock.now_ns
         log = self._log
         out = []
-        for at_ns, src, dst, sport, dport, seq, flags, ttl, ipid in train:
+        for at_ns, src, dst, sport, dport, seq, ack, flags, ttl, ipid in train:
             slot = reserve((src, sport, dst, dport), now_ns(), at_ns)
-            seg = _tuple_new(TcpSegment, (src, dst, sport, dport, seq, 0,
+            seg = _tuple_new(TcpSegment, (src, dst, sport, dport, seq, ack,
                                           flags, ttl, ipid, slot))
             self._dispatch(seg, slot)
             self.sent += 1
@@ -449,6 +442,58 @@ class Transport:
                 log.write(seg, "out")
             out.append(seg)
         return out
+
+    def _craft(self, rows: Iterable[tuple], closed: bool, ack: int = 0,
+               ipid: Optional[int] = None) -> list:
+        """Check and complete ``send_train`` rows; returns the prepared rows
+        ``(at_ns, src, dst, sport, dport, seq, ack, flags, ttl, ipid)``,
+        a segment's fields but its timestamp after the slot asked for.
+
+        Row by row: the spoof gate, the session ISN (unless ``seq`` is
+        given) and then the next IP-ID, every bound in one inline chain (a
+        row that fails one goes to ``validate_segment``, which builds the
+        message; an address it has not yet memoized passes there), and
+        ``TransportClosedError`` if ``closed``.  The ISN index and IP-ID
+        counter move only once every row has passed.  ``ack`` and an
+        explicit ``ipid``, which every row then takes instead of drawing
+        one, are :meth:`craft_segment`'s and checked there.
+        """
+        local = self.local_addr
+        spoofing = self.supports_spoofing
+        known = _valid_addrs
+        isn_at = self.isn.at
+        index = self._isn_index
+        step = 1 if ipid is None else 0  # how far each row moves the IP-ID
+        if step:
+            ipid = self._ipid
+        train = []
+        for at_ns, dst, dport, flags, sport, src, seq, ttl in rows:
+            if not src:
+                src = local
+            elif src != local and not spoofing:
+                raise SpoofingUnsupportedError(
+                    f"backend cannot spoof source {src} (local {local})")
+            if seq is None:
+                seq = isn_at(index)
+                index += 1
+            ipid = (ipid + step) & 0xFFFF
+            if type(flags) is not frozenset:
+                flags = frozenset(flags)
+            if not ((src is local or type(src) is str and src in known)
+                    and type(dst) is str and dst in known
+                    and 0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF
+                    and 0 <= seq <= 0xFFFFFFFF and 1 <= ttl <= 255
+                    and flags and _FLAG_NAMES.issuperset(flags)):
+                validate_segment(_tuple_new(TcpSegment, (
+                    src, dst, sport, dport, seq, ack, flags, ttl, ipid, 0)))
+            if closed:
+                raise TransportClosedError("send after close")
+            train.append((at_ns, src, dst, sport, dport, seq, ack, flags, ttl,
+                          ipid))
+        self._isn_index = index
+        if step:
+            self._ipid = ipid
+        return train
 
     # -- capture queue -------------------------------------------------------
 
@@ -494,41 +539,34 @@ class Transport:
                       src_port: int = 0, *, src_addr: Optional[str] = None,
                       seq: Optional[int] = None, ack: int = 0, ttl: int = 64,
                       ipid: Optional[int] = None) -> TcpSegment:
-        """A validated segment from this transport.
+        """A validated segment from this transport, stamped now: the
+        one-row form of :meth:`send_train`'s crafting.
 
         ``src_addr=None`` sends from the local address, ``seq=None`` takes
         the next session ISN and ``ipid=None`` the next IP-ID, drawn in
-        that order.
+        that order.  A refused call draws neither.
         """
-        src = src_addr or self.local_addr
-        if src != self.local_addr and not self.supports_spoofing:
-            raise self._spoof_error(src)
-        if seq is None:
-            seq = self.isn.next()
-        if ipid is None:
-            self._ipid = ipid = (self._ipid + 1) & 0xFFFF
-        return validate_segment(_tuple_new(TcpSegment, (
-            src, dst_addr, src_port, dst_port, seq, ack, frozenset(flags),
-            ttl, ipid, self.clock.now_ns())))
+        if not (0 <= ack <= 0xFFFFFFFF
+                and (ipid is None or 0 <= ipid <= 0xFFFF)):
+            # Names the first bad field, in validate_segment's order.
+            validate_segment(_tuple_new(TcpSegment, (
+                src_addr or self.local_addr, dst_addr, src_port, dst_port,
+                seq or 0, ack, frozenset(flags), ttl, ipid or 0, 0)))
+        [row] = self._craft(
+            [(0, dst_addr, dst_port, flags, src_port, src_addr, seq, ttl)],
+            False, ack, ipid)
+        return _tuple_new(TcpSegment, row[1:] + (self.clock.now_ns(),))
 
     def send(self, seg: TcpSegment, *, at_ns: int = 0) -> int:
         """Queue ``seg`` for its flow's next rate-limited slot at or after
         ``at_ns`` (now, when that has passed); returns the slot, in ns, at
         which it enters the wire or simulation.
 
-        The one-segment form of :meth:`send_train`.
+        The one-row train of :meth:`send_train`, ``seg`` already crafted.
         """
         if not self._open:
             raise TransportClosedError("send after close")
-        slot = self._limiter.reserve(_flow_fields(seg), self.clock.now_ns(),
-                                     at_ns)
-        if slot != seg[9]:
-            seg = seg.stamped(slot)
-        self._dispatch(seg, slot)
-        if self._log:
-            self._log.write(seg, "out")
-        self.sent += 1
-        return slot
+        return self._queue_train([(at_ns,) + seg[:9]])[0].timestamp
 
     def send_train(self, rows: Iterable[tuple]) -> list[TcpSegment]:
         """Craft, pace and queue a probe train; returns its segments, each
@@ -553,43 +591,7 @@ class Transport:
         :data:`PENDING_HORIZON_NS`, or its first replies may expire
         unclaimed before that capture starts.
         """
-        local = self.local_addr
-        spoofing = self.supports_spoofing
-        closed = not self._open
-        known = _valid_addrs
-        isn = self.isn
-        isn_at = isn.at
-        index = isn._index
-        ipid = self._ipid
-        train = []
-        for at_ns, dst, dport, flags, sport, src, seq, ttl in rows:
-            if not src:
-                src = local
-            elif src != local and not spoofing:
-                raise self._spoof_error(src)
-            if seq is None:
-                seq = isn_at(index)
-                index += 1
-            ipid = (ipid + 1) & 0xFFFF
-            if type(flags) is not frozenset:
-                flags = frozenset(flags)
-            # The bounds of validate_segment, which builds the message of
-            # a row that fails one (an address it has not yet memoized
-            # passes there).
-            if not ((src is local or type(src) is str and src in known)
-                    and type(dst) is str and dst in known
-                    and 0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF
-                    and 0 <= seq <= 0xFFFFFFFF and 1 <= ttl <= 255
-                    and flags and _FLAG_NAMES.issuperset(flags)):
-                validate_segment(_tuple_new(TcpSegment, (
-                    src, dst, sport, dport, seq, 0, flags, ttl, ipid, 0)))
-            if closed:
-                raise TransportClosedError("send after close")
-            train.append((at_ns, src, dst, sport, dport, seq, flags, ttl,
-                          ipid))
-        isn._index = index
-        self._ipid = ipid
-        return self._queue_train(train)
+        return self._queue_train(self._craft(rows, not self._open))
 
     def capture(self, flows: Iterable[FlowKey], until_ns: int) -> list[TcpSegment]:
         """Wait until ``until_ns``; return matching arrivals in arrival order.

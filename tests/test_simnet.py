@@ -373,29 +373,6 @@ class TestBacklog:
         assert srv.peak_backlog == 16
         assert any(e["ev"] == "drop_backlog_full" for e in events)
 
-    def test_budget_follows_every_change_in_size(self):
-        """``_budget`` is recomputed only where the backlog's size changes;
-        after every insert, removal and restart it equals the budget of the
-        current occupancy, as reading it afresh would give."""
-        rng = random.Random(12)
-        sim = Simulator(seed=12)
-        srv = sim.add_server(SERVER, open_ports=[9001], backlog_capacity=8)
-        for i in range(600):
-            op = rng.choice(("syn", "syn", "syn", "remove", "down", "step"))
-            if op == "syn":
-                srv.on_segment(sim.now, TcpSegment(
-                    CLIENT, SERVER, 41000 + i, 9001, i, 0, frozenset(["SYN"]),
-                    64, 0, sim.now))
-            elif op == "remove" and srv.backlog:
-                entry = rng.choice(list(srv.backlog.values()))
-                srv._remove(entry, sim.now, "rst")
-            elif op == "down":
-                srv._go_down(sim.now)
-            else:  # retransmission checks prune and expire entries
-                sim.step(sim.now + rng.randrange(4 * NS_PER_SEC))
-            assert srv._budget == effective_retransmissions(
-                srv.occupancy, srv.max_retransmissions)
-
     def test_rst_removes_exactly_matching_entry(self):
         sim = Simulator(seed=3)
         srv = sim.add_server("203.0.113.5", open_ports=[9001])

@@ -67,7 +67,7 @@ def random_segment(rng):
     )
 
 
-# Every segment validate_segment accepts (flags may be empty on captures).
+# Every segment validate_segment accepts.
 valid_segments = st.builds(
     TcpSegment,
     src_addr=st.integers(0, 2 ** 32 - 1).map(int_to_addr),
@@ -76,7 +76,7 @@ valid_segments = st.builds(
     dst_port=st.integers(0, 0xFFFF),
     seq=st.integers(0, 0xFFFFFFFF),
     ack=st.integers(0, 0xFFFFFFFF),
-    flags=st.frozensets(st.sampled_from(sorted(FLAG_BITS))),
+    flags=st.frozensets(st.sampled_from(sorted(FLAG_BITS)), min_size=1),
     ttl=st.integers(1, 255),
     ipid=st.integers(0, 0xFFFF),
     timestamp=st.integers(0, 2 ** 63 - 1),
@@ -179,6 +179,51 @@ class TestCraft:
             tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
                              flags=("SYN",), src_addr="36.10.0.5")
 
+    @pytest.mark.parametrize("change, error, message", [
+        ({"ack": 2 ** 32}, InvalidSegmentError,
+         "ack out of range: 4294967296"),
+        ({"ipid": -1}, InvalidSegmentError, "ipid out of range: -1"),
+        ({"dst_addr": "203.0.113.05"}, InvalidSegmentError,
+         "invalid IPv4 address: '203.0.113.05'"),
+        ({"src_addr": "36.10.0.5"}, SpoofingUnsupportedError,
+         f"backend cannot spoof source 36.10.0.5 (local {MM})"),
+    ], ids=["ack", "ipid", "address", "spoof"])
+    def test_refused_craft_draws_nothing(self, change, error, message):
+        """A refused call names its field and draws no ISN or IP-ID: the
+        next accepted call crafts what it would have without it."""
+        call = {"dst_addr": "203.0.113.5", "dst_port": 9001,
+                "flags": ("SYN",), "src_port": 40000}
+        crafted = []
+        for refuse_first in (True, False):
+            _, tr = make_transport(isn_seed=21)
+            tr.supports_spoofing = False
+            if refuse_first:
+                with pytest.raises(error) as info:
+                    tr.craft_segment(**{**call, **change})
+                assert str(info.value) == message
+            seg = tr.craft_segment(**call)
+            crafted.append((seg.seq, seg.ipid))
+        assert crafted[0] == crafted[1]
+
+    def test_explicit_ack_and_ipid_reach_the_wire_and_draw_no_ipid(
+            self, tmp_path):
+        call = {"dst_addr": "203.0.113.5", "dst_port": 9001,
+                "flags": ("ACK",), "src_port": 40000}
+        log = tmp_path / "out.jsonl"
+        _, tr = make_transport(isn_seed=21,
+                               packet_log=transport_mod.PacketLog(log))
+        _, fresh = make_transport(isn_seed=21)
+        seg = tr.craft_segment(**call, ack=7, ipid=0xFFFF)
+        assert (seg.ack, seg.ipid) == (7, 0xFFFF)
+        assert seg.seq == IsnGenerator(21).at(0)
+        after, expected = tr.craft_segment(**call), fresh.craft_segment(**call)
+        assert after.ipid == expected.ipid
+        assert after.seq == IsnGenerator(21).at(1)
+        tr.send(seg)
+        tr.close()
+        [record] = log.read_text().splitlines()
+        assert '"ack":7,' in record and '"ipid":65535,' in record
+
 
 class TestSerialization:
     def test_wire_round_trip_wire_fields(self):
@@ -191,7 +236,7 @@ class TestSerialization:
 
     @given(valid_segments)
     def test_validate_accepts_every_valid_segment(self, seg):
-        assert validate_segment(seg, crafted=False) is seg
+        assert validate_segment(seg) is seg
 
     @given(valid_segments)
     def test_wire_round_trip_property(self, seg):
@@ -223,15 +268,14 @@ class TestSerialization:
         lo, hi = FIELD_BOUNDS[field]
         edge, past = (hi, hi + 1) if above else (lo, lo - 1)
         at_edge = seg._replace(**{field: edge})
-        assert validate_segment(at_edge, crafted=False) is at_edge
+        assert validate_segment(at_edge) is at_edge
         with pytest.raises(InvalidSegmentError) as info:
-            validate_segment(seg._replace(**{field: past}), crafted=False)
+            validate_segment(seg._replace(**{field: past}))
         assert str(info.value) == f"{field} out of range: {past}"
 
     @given(valid_segments)
-    def test_empty_flags_refused_only_on_crafted_segments(self, seg):
+    def test_empty_flags_refused(self, seg):
         bare = seg._replace(flags=frozenset())
-        assert validate_segment(bare, crafted=False) is bare
         with pytest.raises(InvalidSegmentError,
                            match="crafted probes need at least one flag"):
             validate_segment(bare)
@@ -589,10 +633,6 @@ class TestFlowKey:
         assert pattern.matches(FlowKey("9.9.9.9", 77, "5.6.7.8", 2))
         assert not pattern.matches(FlowKey("9.9.9.9", 77, "5.6.7.8", 3))
 
-    def test_reversed(self):
-        a = FlowKey("1.2.3.4", 1, "5.6.7.8", 2)
-        assert a.reversed() == FlowKey("5.6.7.8", 2, "1.2.3.4", 1)
-
 
 class TestValueTypes:
     SEG = TcpSegment("36.10.0.5", MM, 443, 40000, 7, 8, frozenset(["RST"]),
@@ -651,12 +691,6 @@ class TestValueTypes:
 
 
 class TestIsnGenerator:
-    def test_indexable_matches_stream(self):
-        gen = IsnGenerator(99)
-        stream = [gen.next() for _ in range(8)]
-        fresh = IsnGenerator(99)
-        assert stream == [fresh.at(i) for i in range(8)]
-
     def test_seeds_disagree(self):
         assert IsnGenerator(1).at(0) != IsnGenerator(2).at(0)
 
@@ -773,7 +807,8 @@ class TestLiveTransport:
 
     def test_send_writes_the_wire_bytes(self, live):
         tr, _, _, sockets = live
-        seg = tr.craft_segment("203.0.113.5", 9001, ("SYN",), 41000)
+        seg = tr.craft_segment("203.0.113.5", 9001, ("SYN", "ACK"), 41000,
+                               ack=7)
         tr.send(seg)
         [(data, addr)] = sockets[0].sent
         assert addr == ("203.0.113.5", 0)
@@ -836,7 +871,7 @@ class TestSendTrain:
         launched_now = list(events)
         sim.step(self.NOW + 10 * NS_PER_SEC)
         tr.close()
-        return (out, tr.isn._index, tr._ipid, tr.sent, launched_now, events,
+        return (out, tr._isn_index, tr._ipid, tr.sent, launched_now, events,
                 log.read_bytes())
 
     @settings(max_examples=150, deadline=None)
@@ -877,7 +912,7 @@ class TestSendTrain:
                                            isn_seed=11)
                 try:
                     out = send(tr)
-                    results.append((out, tr.isn._index, tr._ipid, tr.sent,
+                    results.append((out, tr._isn_index, tr._ipid, tr.sent,
                                     tr.clock.now_ns(), sockets[0].sent))
                 finally:
                     tr.close()
@@ -925,7 +960,7 @@ class TestSendTrain:
         with pytest.raises(type(expected.value)) as got:
             tr.send_train(rows)
         assert str(got.value) == str(expected.value)
-        assert (tr.isn._index, tr.sent, sim._sends, events) == (0, 0, [], [])
+        assert (tr._isn_index, tr.sent, sim._sends, events) == (0, 0, [], [])
         assert tr._ipid == derive_seed(0, "ipid", MM) & 0xFFFF
         assert tr._limiter._next_free == {}
         assert log.read_bytes() == b""
