@@ -129,6 +129,9 @@ def cmd_qualify(args, parser) -> int:
 
 
 def cmd_idle_scan(args, parser) -> int:
+    if args.transport == "live" and not args.egress_unfiltered:
+        raise CliError("idle-scan spoofs SYNs from the client: the live "
+                       "transport requires --egress-unfiltered")
     idlescan.check_slots(args.rounds)
     clients = load_endpoints(args.clients)
     servers = filter_stable(load_endpoints(args.servers))

@@ -32,8 +32,8 @@ from .transport import (
     SYN,
     SYN_ACK,
     FlowKey,
+    SpoofingUnsupportedError,
     Transport,
-    TransportError,
     check_range,
     derive_seed,
 )
@@ -213,17 +213,20 @@ def qualify_client(transport: Transport, addr: str,
 
 def client_liveliness(transport: Transport, addr: str) -> LivelinessResult:
     """SYN/ACK the client for the check window, then listen one second
-    more; pass needs RSTs back for more than half of the probes.  One
-    train: the probes are queued up front and one capture claims them."""
+    more; pass needs RSTs back for more than half of the probes, and
+    IP-IDs in them that step forward as a global or per-flow counter does
+    (no ``diff_series`` artifact).  One train: the probes are queued up
+    front and one capture claims them."""
     sport = PROBE_SRC_PORT + 2
     n = int(CHECK_DURATION_S * LIVELINESS_RATE)
     gap_ns = int(NS_PER_SEC / LIVELINESS_RATE)
     start = transport.clock.now_ns()
     transport.send_train(_probe_rows(addr, (sport,), start, gap_ns, n))
     rsts = _client_rsts(transport, addr, start + n * gap_ns + NS_PER_SEC, sport)
-    return LivelinessResult(passed=len(rsts) > n // 2, sent=n,
-                            responses=len(rsts),
-                            ipids=tuple(seg.ipid for seg in rsts))
+    ipids = tuple(seg.ipid for seg in rsts)
+    return LivelinessResult(
+        passed=len(rsts) > n // 2 and not diff_series(ipids).artifacts,
+        sent=n, responses=len(rsts), ipids=ipids)
 
 
 def server_liveliness(transport: Transport, addr: str,
@@ -321,38 +324,30 @@ class ScanRoundResult:
     hour: int
 
 
-def _recheck_client(transport, client) -> bool:
-    check = client_liveliness(transport, client.addr)
-    if not check.passed:
-        return False
-    if len(check.ipids) >= 2:
-        d = diff_series(list(check.ipids))
-        if d.artifacts:
-            return False
-    return True
-
-
 def run_scan_round(transport: Transport, client: EndpointSpec,
                    server: EndpointSpec, cfg: Optional[ScanRoundConfig] = None,
                    hour: int = 0) -> ScanRoundResult:
     """One full scan round: pre-checks, scan, flush, post-checks, label.
 
+    The same client and server checks run before and after the scan.
     Raises RoundVoided when any liveliness assumption fails; voided rounds
-    must not reach the record store.  ``cfg`` is not read (see
-    ``ScanRoundConfig``).
+    must not reach the record store.  Raises SpoofingUnsupportedError,
+    before anything is sent, on a transport that cannot spoof the perturb
+    phase's SYNs; any other TransportError propagates too.  ``cfg`` is not
+    read (see ``ScanRoundConfig``).
     """
+    if not transport.supports_spoofing:
+        raise SpoofingUnsupportedError(
+            "an idle scan sends SYNs spoofed from the client; this transport "
+            "cannot spoof")
     started = transport.clock.now_ns()
     if not client_liveliness(transport, client.addr).passed:
         raise RoundVoided(f"client {client.addr} failed pre-check")
     if not server_liveliness(transport, server.addr, server.port).passed:
         raise RoundVoided(f"server {server.addr}:{server.port} failed pre-check")
-    try:
-        series = run_idle_scan(transport, client, server)
-    except TransportError as exc:
-        raise RoundVoided(f"transport failure mid-scan: {exc}") from exc
-    post_client = _recheck_client(transport, client)
-    post_server = server_liveliness(transport, server.addr, server.port).passed
-    if not (post_client and post_server):
+    series = run_idle_scan(transport, client, server)
+    if not (client_liveliness(transport, client.addr).passed
+            and server_liveliness(transport, server.addr, server.port).passed):
         raise RoundVoided("post-scan liveliness check failed")
     label = classify.classify_series(series)
     checks = {

@@ -48,23 +48,6 @@ _SYN_ACK = frozenset(("SYN", "ACK"))
 DORMANT_AFTER_NS = 60 * NS_PER_SEC
 
 
-def effective_retransmissions(occupancy_fraction: float, max_retransmissions: int = 5) -> int:
-    """SYN/ACK retransmission budget as a function of backlog occupancy.
-
-    At most half full the default budget applies; past half full the kernel
-    prunes pending entries by cutting their retransmission count.  The exact
-    reduced values are a model choice; the load-shedding property that
-    matters is: <= half gives the full budget, above half gives fewer.
-    """
-    if not 0.0 <= occupancy_fraction <= 1.0:
-        raise ValueError(f"occupancy fraction out of range: {occupancy_fraction}")
-    if occupancy_fraction <= 0.5:
-        return max_retransmissions
-    if occupancy_fraction <= 0.75:
-        return min(max_retransmissions, 3)
-    return min(max_retransmissions, 2)
-
-
 @dataclass(frozen=True)
 class FilterRule:
     """One firewall rule; first matching rule wins, default action is pass.
@@ -170,9 +153,7 @@ class BacklogEntry:
     flow: FlowKey
     client_isn: int
     server_isn: int
-    created_at: int
     retransmissions_done: int = 0
-    alive: bool = True
 
 
 def _steps(hops: list, legs: list, rules) -> tuple:
@@ -361,10 +342,19 @@ class SimClient(_Host):
 class SimServer(_Host):
     """Listening host with a half-open connection backlog.
 
-    The backlog never exceeds its capacity; a matching RST or a
-    handshake-completing ACK removes exactly one entry; every retransmission
-    instant reads the retransmission budget of the current occupancy where
-    it uses it (see :func:`effective_retransmissions`).  The host restarts,
+    ``backlog`` is the record of pending entries: an entry is pending while
+    it is held there under its flow.  The backlog never exceeds its
+    capacity; a matching RST or a handshake-completing ACK removes exactly
+    one entry.  Each entry has one timer.  Once the wait after its last
+    retransmission is over, the entry expires.  Before that, at each
+    retransmission instant, the pruning rule reads the backlog's size:
+    while ``2 * len(backlog) <= backlog_capacity`` the entry keeps its full
+    budget of ``max_retransmissions``; while ``4 * len(backlog) <= 3 *
+    backlog_capacity`` it is pruned once it has retransmitted 3 times, and
+    beyond that once it has retransmitted twice (the reduced budgets are a
+    model choice; what the side channel reads is that an entry past half
+    full retransmits fewer times).  Otherwise it retransmits its SYN/ACK
+    and waits for the next step of ``backoff_s``.  The host restarts,
     losing its half-open state, at the start of each of its
     ``down_intervals``, whether they were given to the constructor or set
     later (a start already passed restarts it at once), and it drops every
@@ -384,6 +374,8 @@ class SimServer(_Host):
         if any(wait < 0 for wait in self.backoff_ns):
             raise ValueError(f"backoff waits must be >= 0, got {backoff_s!r}")
         self.backlog: dict[FlowKey, BacklogEntry] = {}
+        # Every entry's timer, bound once rather than at each re-arm.
+        self._timer = self._retransmit_check
         self.peak_backlog = 0
         self._ipid = derive_seed(sim.seed, "server-ipid", addr) & 0xFFFF
         self._isn_rng = random.Random(derive_seed(sim.seed, "server-isn", addr))
@@ -403,8 +395,6 @@ class SimServer(_Host):
 
     def _go_down(self, now: int) -> None:
         # Restart semantics: a rebooting host loses its half-open state.
-        for entry in self.backlog.values():
-            entry.alive = False
         self.backlog.clear()
         if self.sim._trace is not None:
             self.sim.emit(now, "host_down", host=self.addr)
@@ -451,7 +441,7 @@ class SimServer(_Host):
             if self.sim._trace is not None:
                 self.sim.emit(now, "drop_backlog_full", host=self.addr)
             return
-        entry = BacklogEntry(flow, seg.seq, self._isn_rng.getrandbits(32), now)
+        entry = BacklogEntry(flow, seg.seq, self._isn_rng.getrandbits(32))
         self.backlog[flow] = entry
         size = len(self.backlog)
         if size > self.peak_backlog:
@@ -462,7 +452,7 @@ class SimServer(_Host):
         # Backoff waits are >= 0: the timer needs no clamp to now.
         sim = self.sim
         heappush(sim._heap, (now + self.backoff_ns[0], sim._order,
-                             self._retransmit_check, (entry,)))
+                             self._timer, (entry,)))
         sim._order += 1
 
     def _send_synack(self, entry: BacklogEntry, now: int) -> None:
@@ -476,14 +466,23 @@ class SimServer(_Host):
             self.addr)
 
     def _retransmit_check(self, now: int, entry: BacklogEntry) -> None:
-        if not entry.alive or (self._down and not self._is_up(now)):
+        """The one timer of a half-open entry: expire, prune or retransmit."""
+        if self.backlog.get(entry.flow) is not entry:
+            return  # removed, or its host restarted
+        if entry.retransmissions_done >= self.max_retransmissions:
+            # The wait after the last retransmission is over, down or not.
+            self._remove(entry, now, "expired")
             return
-        # At most half full the budget is the full one, without a division.
+        if self._down and not self._is_up(now):
+            return
+        # The pruning rule.  The entry is below its full budget here, so
+        # 3 and 2 cut only a larger one.
         if 2 * len(self.backlog) <= self.backlog_capacity:
             budget = self.max_retransmissions
+        elif 4 * len(self.backlog) <= 3 * self.backlog_capacity:
+            budget = 3
         else:
-            budget = effective_retransmissions(self.occupancy,
-                                               self.max_retransmissions)
+            budget = 2
         if entry.retransmissions_done >= budget:
             self._remove(entry, now, "pruned")
             return
@@ -492,25 +491,17 @@ class SimServer(_Host):
         if self.sim._trace is not None:
             self.sim.emit(now, "retransmit", host=self.addr,
                           n=entry.retransmissions_done)
+        # Past the end of the backoff schedule, the wait after the last
+        # retransmission doubles.
         sim, done = self.sim, entry.retransmissions_done
-        if done < self.max_retransmissions:
-            event = (now + self.backoff_ns[done], sim._order,
-                     self._retransmit_check, (entry,))
-        else:
-            # Final timeout: one more doubled wait, then the entry expires.
-            last = (self.backoff_ns[done] if done < len(self.backoff_ns)
-                    else 2 * self.backoff_ns[-1])
-            event = (now + last, sim._order, self._expire, (entry,))
-        heappush(sim._heap, event)
+        backoff = self.backoff_ns
+        wait = (backoff[done] if done < self.max_retransmissions
+                or done < len(backoff) else 2 * backoff[-1])
+        heappush(sim._heap, (now + wait, sim._order, self._timer, (entry,)))
         sim._order += 1
 
-    def _expire(self, now: int, entry: BacklogEntry) -> None:
-        if entry.alive:
-            self._remove(entry, now, "expired")
-
     def _remove(self, entry: BacklogEntry, now: int, reason: str) -> None:
-        entry.alive = False
-        self.backlog.pop(entry.flow, None)
+        del self.backlog[entry.flow]
         if self.sim._trace is not None:
             self.sim.emit(now, "backlog_remove", host=self.addr, reason=reason,
                           size=len(self.backlog))

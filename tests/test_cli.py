@@ -194,6 +194,27 @@ class TestIdleScanCommand:
             "", f"error: slots must be at least 1, got {rounds}\n")
         assert not out.exists()
 
+    def test_live_scan_needs_egress_flag_before_any_socket(
+            self, workspace, capsys, monkeypatch):
+        # An idle scan spoofs its perturb SYNs: without the flag it is
+        # refused before the checklist banner, any raw socket or --out.
+        from inferscan import livenet
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a raw socket was opened")
+
+        monkeypatch.setattr(livenet.socket, "socket", no_socket)
+        out = workspace / "data.jsonl"
+        code = run(["idle-scan", "--transport", "live",
+                    "--i-have-authorization", "--local-addr", "100.64.0.1",
+                    "--clients", workspace / "clients.csv",
+                    "--servers", workspace / "servers.csv", "--out", out])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: idle-scan spoofs SYNs from the client: the live "
+                "transport requires --egress-unfiltered\n")
+        assert not out.exists()
+
     def test_deterministic_outputs(self, workspace):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):

@@ -38,6 +38,7 @@ from inferscan.transport import (
     NS_PER_SEC,
     Clock,
     PacketLog,
+    SpoofingUnsupportedError,
     TcpSegment,
     Transport,
 )
@@ -289,6 +290,30 @@ class TestRunScanRound:
         tr = sim.attach(MM_ADDR)
         with pytest.raises(RoundVoided):
             run_scan_round(tr, CLIENT_EP, SERVER_EP)
+
+    def test_transport_that_cannot_spoof_is_refused_before_any_send(self):
+        sim = build_idle_sim("none")
+        tr = sim.attach(MM_ADDR)
+        tr.supports_spoofing = False
+        with pytest.raises(SpoofingUnsupportedError):
+            run_scan_round(tr, CLIENT_EP, SERVER_EP)
+        assert (tr.sent, tr.clock.now_ns()) == (0, 0)
+        # A campaign stops on it too, instead of counting voided rounds.
+        with pytest.raises(SpoofingUnsupportedError):
+            run_idle_campaign(tr, [CLIENT_EP], [SERVER_EP], slots=2)
+        assert tr.sent == 0
+
+    def test_random_ipid_client_fails_the_pre_check(self):
+        # Its RSTs answer every probe, but their IP-IDs step backward: the
+        # client check voids the round before the server is probed.
+        sim = build_idle_sim("none", client_kwargs={"ipid_mode": "random"})
+        tr = sim.attach(MM_ADDR)
+        assert client_liveliness(tr, CLIENT_ADDR).responses == 25
+        start = tr.clock.now_ns()
+        with pytest.raises(RoundVoided, match="pre-check"):
+            run_scan_round(tr, CLIENT_EP, SERVER_EP)
+        assert tr.sent == 2 * 25
+        assert tr.clock.now_ns() - start == 6 * NS_PER_SEC
 
     def test_mid_round_restart_voids(self):
         # Server dies after the pre-check and stays down: the post-scan

@@ -28,7 +28,6 @@ from inferscan.simnet import (
     Hop,
     Simulator,
     _poisson,
-    effective_retransmissions,
 )
 from inferscan.transport import NS_PER_SEC, FlowKey, PacketLog, TcpSegment
 
@@ -276,27 +275,56 @@ class TestArrivalsAtLaunch:
         assert [flow.src_port for flow in server.backlog] == [41000]
 
 
-class TestEffectiveRetransmissions:
-    def test_below_half(self):
-        assert effective_retransmissions(0.30) == 5
+def probe_entry(capacity, pending, max_rt):
+    """Open one probe entry at a server, then ``pending - 1`` fillers 1 ms
+    later, and watch the probe until its schedule has run out.  Each timer
+    of the probe fires just before the fillers', which have the same budget
+    and so are all still pending: every check of the probe reads a backlog
+    of ``pending`` entries.  Returns the probe's observed SYN/ACK
+    retransmissions and why it left the backlog."""
+    events = []
+    sim = Simulator(seed=9, trace=events.append)
+    srv = sim.add_server("203.0.113.5", open_ports=[9001],
+                         backlog_capacity=capacity,
+                         max_retransmissions=max_rt)
+    tr = sim.attach(MM)
+    probe = backlog.send_syns(tr, "203.0.113.5", 9001, 41000, 1)
+    backlog.send_syns(tr, "203.0.113.5", 9001, 41001, pending - 1,
+                      at_ns=tr.clock.now_ns() + NS_PER_SEC // 1000)
+    arrivals = backlog.synack_arrivals(tr, probe, 70 * NS_PER_SEC)
+    assert srv.peak_backlog == pending
+    # The probe's timers fire first, so the first removal is the probe's.
+    removal = next(e for e in events if e["ev"] == "backlog_remove")
+    return len(arrivals[41000]) - 1, removal["reason"]
 
-    def test_engineered_fill_level(self):
-        assert effective_retransmissions(150 / 256) == 3
 
-    def test_heavy_load(self):
-        assert effective_retransmissions(0.90) == 2
+class TestPruningRule:
+    """The server's pruning rule, read through a probe entry's SYN/ACKs.
+    Each row: backlog capacity, entries pending at every check of the probe,
+    the server's own budget, then the retransmissions the probe is seen to
+    send and why it leaves the backlog."""
 
-    def test_boundaries(self):
-        assert effective_retransmissions(0.5) == 5
-        assert effective_retransmissions(0.75) == 3
+    @pytest.mark.parametrize("capacity,pending,max_rt,retransmissions,reason", [
+        pytest.param(16, 5, 5, 5, "expired", id="below-half"),
+        pytest.param(16, 8, 5, 5, "expired", id="exactly-half"),
+        pytest.param(16, 9, 5, 3, "pruned", id="just-past-half"),
+        pytest.param(256, 150, 5, 3, "pruned", id="engineered-fill-level"),
+        pytest.param(16, 12, 5, 3, "pruned", id="exactly-three-quarters"),
+        pytest.param(16, 13, 5, 2, "pruned", id="past-three-quarters"),
+        pytest.param(16, 16, 5, 2, "pruned", id="full"),
+        pytest.param(16, 5, 3, 3, "expired", id="budget-3-below-half"),
+        pytest.param(20, 12, 3, 3, "expired", id="budget-3-past-half"),
+        pytest.param(16, 13, 3, 2, "pruned", id="budget-3-past-three-quarters"),
+    ])
+    def test_retransmissions_of_a_probe_entry(self, capacity, pending, max_rt,
+                                              retransmissions, reason):
+        assert probe_entry(capacity, pending, max_rt) == (retransmissions,
+                                                          reason)
 
-    def test_respects_configured_maximum(self):
-        assert effective_retransmissions(0.30, max_retransmissions=3) == 3
-        assert effective_retransmissions(0.60, max_retransmissions=3) == 3
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            effective_retransmissions(1.5)
+    def test_no_budget_expires_after_the_first_wait(self):
+        # A server that never retransmits sends one SYN/ACK; the entry's
+        # only timer expires it one backoff wait later.
+        assert probe_entry(16, 1, 0) == (0, "expired")
 
 
 class TestFirewallDecide:
@@ -479,6 +507,32 @@ class TestBacklog:
         sim.step(NS_PER_SEC)
         assert len(srv.backlog) == 5
         sim.step(300 * NS_PER_SEC)
+        assert srv.backlog == {}
+
+    @pytest.mark.parametrize("due_s,set_at_s,synacks,removals", [
+        pytest.param(1, 0.5, 1, [], id="retransmission"),
+        pytest.param(63, 40, 6, ["expired"], id="expiry"),
+    ])
+    def test_timer_due_at_the_restart_instant(self, due_s, set_at_s, synacks,
+                                              removals):
+        # A restart set after the entry's timer was armed runs after that
+        # timer at the same instant.  A retransmission due then is not sent;
+        # an entry whose last wait ends then still expires.
+        events = []
+        sim = Simulator(seed=7, trace=events.append)
+        srv = sim.add_server("203.0.113.5", open_ports=[9001])
+        tr = sim.attach(MM)
+        syns = backlog.send_syns(tr, "203.0.113.5", 9001, 41000, 1)
+        sim.step(NS_PER_SEC // 2)
+        (inserted,) = [e["t"] for e in events if e["ev"] == "backlog_insert"]
+        sim.step(inserted + int(set_at_s * NS_PER_SEC))
+        start = inserted + due_s * NS_PER_SEC
+        srv.down_intervals = ((start, start + NS_PER_SEC),)
+        arrivals = backlog.synack_arrivals(tr, syns, 70 * NS_PER_SEC)
+        assert len(arrivals[41000]) == synacks
+        assert [e["reason"] for e in events
+                if e["ev"] == "backlog_remove"] == removals
+        assert [e["t"] for e in events if e["ev"] == "host_down"] == [start]
         assert srv.backlog == {}
 
 
