@@ -8,10 +8,10 @@ whether a vantage point's SYNs arrive, the RST scan whether its RSTs do.
 
 Admission rule: a scan with a valid baseline opens exactly
 ``MAX_HALF_OPEN`` half-open entries at the relay, its ``n`` probe SYNs
-(1 <= n <= ``MAX_PROBES``) and ``MAX_HALF_OPEN - n`` fill SYNs.  That
-pushes a default backlog past half full, keeps it below 59 %, and leaves
-every probe within reach of the pruning, so the probes' vote can decide.
-Any other probe count is refused before anything is sent.
+(``SYN_PROBES`` or ``RST_PROBES``, each within 1 to ``MAX_PROBES``) and
+``MAX_HALF_OPEN - n`` fill SYNs.  That pushes a default backlog past half
+full, keeps it below 59 %, and leaves every probe within reach of the
+pruning, so the probes' vote can decide.
 
 ``send_syns``, ``synack_arrivals`` and ``send_resets`` open, count and
 clear half-open entries for every scan that uses the backlog, the idle
@@ -32,7 +32,6 @@ from .transport import (
     FlowKey,
     IsnGenerator,
     Transport,
-    check_range,
 )
 
 KIND_SYN = "SynScan"
@@ -68,6 +67,8 @@ MAX_HALF_OPEN = 150
 # many entries can therefore read "reduced", and every probe of a scan with
 # no more probes than this is within reach of the fill.
 MAX_PROBES = MAX_HALF_OPEN - ASSUMED_CAPACITY // 2
+SYN_PROBES = 5  # probe SYNs of a SYN scan
+RST_PROBES = 10  # probe SYNs of an RST scan
 PROBE_PORT_BASE = 41000
 FILL_PORT_BASE = 43000
 BASELINE_PORT_BASE = 40900
@@ -75,12 +76,11 @@ BASELINE_PORT_BASE = 40900
 
 @dataclass(frozen=True)
 class BacklogScanConfig:
-    syn_probe_count: int = 5
-    rst_probe_count: int = 10
-
-    def __post_init__(self):
-        for name in ("syn_probe_count", "rst_probe_count"):
-            check_range(name, getattr(self, name), 1, MAX_PROBES)
+    """A scan has no settings left: its probe counts, ``SYN_PROBES`` and
+    ``RST_PROBES``, and its timings are module constants.  The class, and
+    the ``cfg`` that the scans take and do not read, stay because
+    ``perfbench/workloads.py`` builds ``BacklogScanConfig()`` and passes it
+    to them."""
 
 
 @dataclass(frozen=True)
@@ -279,13 +279,11 @@ def syn_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     point's fill burst pushes it past half exactly when its SYNs arrive.
     Reduced probe retransmissions therefore mean the SYNs passed.
     """
-    cfg = cfg or BacklogScanConfig()
-
     def burst(fill: int, at_ns: int) -> int:
         send_syns(vps, relay.addr, relay.port, FILL_PORT_BASE, fill, at_ns=at_ns)
         return at_ns
 
-    return _scan(KIND_SYN, cfg.syn_probe_count, mm, relay, baseline, burst,
+    return _scan(KIND_SYN, SYN_PROBES, mm, relay, baseline, burst,
                  lambda full, reduced: reduced > full)
 
 
@@ -302,7 +300,6 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
     backlog (at most half full again) restores the probes' full
     retransmission budget, so full retransmissions mean the RSTs passed.
     """
-    cfg = cfg or BacklogScanConfig()
     isn_seed = shared_isn_seed if shared_isn_seed is not None else mm.isn.seed
 
     def burst(fill: int, at_ns: int) -> int:
@@ -315,6 +312,6 @@ def rst_scan(mm: Transport, vps: Transport, relay: EndpointSpec,
         send_resets(vps, syns, at_ns)
         return at_ns
 
-    return _scan(KIND_RST, cfg.rst_probe_count, mm, relay, baseline, burst,
+    return _scan(KIND_RST, RST_PROBES, mm, relay, baseline, burst,
                  lambda full, reduced: full > reduced)
 

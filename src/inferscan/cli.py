@@ -21,7 +21,13 @@ from . import scenario as scenario_mod
 from .analytics import AnalyticsConfig
 from .endpoints import EndpointSpec, filter_stable, load_endpoints
 from .tracer import PrefixTable, TraceConfig
-from .transport import NS_PER_SEC, TransportError, derive_seed
+from .transport import (
+    NS_PER_SEC,
+    TransportError,
+    _check_addr,
+    check_range,
+    derive_seed,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,13 +117,11 @@ def _write_csv(path, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_qualify(args, parser) -> int:
-    idlescan.check_window(args.window)
     clients = load_endpoints(args.clients)
     transport, _seed = _transport(args, parser, "mm", clients=clients)
     with open(args.out, "w", encoding="utf-8") as out:
         for ep in clients:
-            result = idlescan.qualify_client(transport, ep.addr,
-                                             window_s=args.window)
+            result = idlescan.qualify_client(transport, ep.addr)
             out.write(json.dumps({
                 "addr": ep.addr, "verdict": result.verdict,
                 "reason": result.reason, "responses": result.responses,
@@ -139,35 +143,45 @@ def cmd_idle_scan(args, parser) -> int:
         raise CliError("no servers left after the stability filter")
     transport, seed = _transport(args, parser, "mm", clients=clients,
                                  servers=servers)
-    record_store = store.RecordStore(args.out,
-                                     redact_client_bits=args.redact_client_bits)
-    def on_result(assignment, result):
-        record_store.append(store.build_idle_record(result, assignment.slot))
+    with store.RecordStore(args.out, redact_client_bits=args.redact_client_bits
+                           ) as record_store:
+        def on_result(assignment, result):
+            record_store.append(store.build_idle_record(result,
+                                                        assignment.slot))
 
-    summary = idlescan.run_idle_campaign(
-        transport, clients, servers, seed=seed, slots=args.rounds,
-        on_result=on_result)
-    record_store.close()
+        summary = idlescan.run_idle_campaign(
+            transport, clients, servers, seed=seed, slots=args.rounds,
+            on_result=on_result)
     print(f"completed {summary.completed} rounds, voided {summary.voided}; "
           f"records in {args.out}")
     return EXIT_OK
 
 
+def _relay(text: str) -> EndpointSpec:
+    """The ``--relay ADDR:PORT`` endpoint: a canonical dotted quad and a
+    port within 0-65535, else a one-line error that names the flag."""
+    addr, colon, port = text.partition(":")
+    try:
+        if not colon:
+            raise ValueError("not ADDR:PORT")
+        _check_addr(addr)
+        port_num = int(port)
+        check_range("port", port_num, 0, 0xFFFF)
+    except ValueError as exc:
+        raise CliError(f"--relay {text}: {exc}") from None
+    return EndpointSpec(addr=addr, port=port_num, role="tor-relay",
+                        uptime_days=10.0)
+
+
 def cmd_backlog_scan(args, parser) -> int:
-    addr, _, port = args.relay.partition(":")
-    if not port:
-        raise CliError("--relay must be ADDR:PORT")
-    relay = EndpointSpec(addr=addr, port=int(port), role="tor-relay",
-                         uptime_days=10.0)
-    scan_cfg = backlog.BacklogScanConfig(**(
-        {} if args.probes is None else {f"{args.kind}_probe_count": args.probes}))
+    relay = _relay(args.relay)
     scn, sim, seed = _sim_from_args(args)
     mm = sim.attach(_monitor_addr(scn, 0), isn_seed=derive_seed(seed, "mm"))
     vps = sim.attach(_monitor_addr(scn, 1), isn_seed=derive_seed(seed, "vps"))
     if args.kind == "syn":
-        rec = backlog.syn_scan(mm, vps, relay, scan_cfg)
+        rec = backlog.syn_scan(mm, vps, relay)
     else:
-        rec = backlog.rst_scan(mm, vps, relay, scan_cfg,
+        rec = backlog.rst_scan(mm, vps, relay,
                                shared_isn_seed=derive_seed(seed, "shared-isn"))
     with store.RecordStore(args.out) as rs:
         rs.append(store.build_backlog_record(rec))
@@ -183,11 +197,9 @@ def cmd_trace(args, parser) -> int:
              else PrefixTable())
     try:
         tor_port, rand_port = map(int, args.ports.split(","))
-        trace_cfg = TraceConfig(tor_port=tor_port, rand_port=rand_port,
-                                max_ttl=args.max_ttl)
+        trace_cfg = TraceConfig(tor_port=tor_port, rand_port=rand_port)
     except ValueError as exc:
-        raise CliError(f"--ports {args.ports}, --max-ttl {args.max_ttl}: "
-                       f"{exc}") from exc
+        raise CliError(f"--ports {args.ports}: {exc}") from exc
     tracer.check_schedule(args.hours, args.days)
     transport, _seed = _transport(args, parser, "tracer")
     with store.RecordStore(args.out) as record_store:
@@ -352,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common(sp)
     sp.add_argument("--clients", required=True, help="client CSV")
-    sp.add_argument("--window", type=float, default=30.0,
-                    help="qualification window in seconds")
     sp.add_argument("--out", required=True, help="verdict JSONL path")
     sp.set_defaults(fn=cmd_qualify)
 
@@ -374,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim(sp)
     sp.add_argument("--kind", choices=["syn", "rst"], required=True)
     sp.add_argument("--relay", required=True, help="target as ADDR:PORT")
-    sp.add_argument("--probes", type=int, default=None,
-                    help=f"probe SYN count, 1-{backlog.MAX_PROBES} (default 5 "
-                         f"for syn, 10 for rst); the fill is "
-                         f"{backlog.MAX_HALF_OPEN} minus the probes")
     sp.add_argument("--out", required=True, help="record JSONL path")
     sp.set_defaults(fn=cmd_backlog_scan)
 
@@ -389,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="filtered,control source ports")
     sp.add_argument("--hours", type=int, default=24, help="hour slots per day")
     sp.add_argument("--days", type=int, default=2, help="days to run")
-    sp.add_argument("--max-ttl", type=int, default=30, help="largest probe TTL")
     sp.add_argument("--prefix-table", default=None,
                     help="CSV cidr,label,region for entry attribution")
     sp.add_argument("--out", required=True, help="record JSONL path")

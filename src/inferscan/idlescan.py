@@ -28,13 +28,11 @@ from .endpoints import EndpointSpec, passes_stability_rule
 from .transport import (
     HOUR_NS,
     NS_PER_SEC,
-    PENDING_HORIZON_NS,
     SYN,
     SYN_ACK,
     FlowKey,
     SpoofingUnsupportedError,
     Transport,
-    check_range,
     derive_seed,
 )
 
@@ -54,6 +52,9 @@ DEFAULT_CLIENT_PROBE_PORT = 33434
 # spoofed SYNs keep a default 256-entry backlog below half full.
 PROBE_RATE = 1.0  # IPID probes per second
 SPOOF_RATE = 2.0  # spoofed SYNs per second during the perturb phase
+# Qualification probes for this long: at least 8 probes at PROBE_RATE, with
+# every reply within the capture queue's horizon.
+QUALIFY_WINDOW_S = 30.0
 # The fixed parts of a round's probe schedule.
 PHASE_DURATION_S = 60.0  # each of the base and perturb phases
 RST_FLUSH_DURATION_S = 30.0
@@ -157,27 +158,17 @@ def _probe_rows(addr: str, src_ports: tuple, start: int, gap_ns: int,
              src_ports[i % k], None, None, 64) for i in range(n)]
 
 
-def check_window(window_s: float) -> None:
-    """Raise ValueError unless a qualification window of ``window_s``
-    seconds gets at least 8 probes and its replies all stay within the
-    capture queue's horizon."""
-    check_range("window_s", window_s, 8, PENDING_HORIZON_NS // NS_PER_SEC)
-
-
-def qualify_client(transport: Transport, addr: str,
-                   window_s: float = 30.0) -> QualificationResult:
+def qualify_client(transport: Transport, addr: str) -> QualificationResult:
     """Decide whether a client's IPID behaves as a single global counter.
 
     Probes alternate between two source ports; one train, whose replies
-    are those that arrive by the window's end.  A per-connection counter
-    shows up as two clean interleaved sequences that disagree with each
-    other; a randomizing stack is dirty on every port; a busy host is a
-    counter that moves too fast to carry a signal.  ``window_s`` must pass
-    ``check_window``.
+    are those that arrive by the end of the ``QUALIFY_WINDOW_S`` window.
+    A per-connection counter shows up as two clean interleaved sequences
+    that disagree with each other; a randomizing stack is dirty on every
+    port; a busy host is a counter that moves too fast to carry a signal.
     """
-    check_window(window_s)
     interval_ns = int(NS_PER_SEC / PROBE_RATE)
-    n_probes = int(window_s * PROBE_RATE)
+    n_probes = int(QUALIFY_WINDOW_S * PROBE_RATE)
     ports = (PROBE_SRC_PORT, PROBE_SRC_PORT + 1)
     start = transport.clock.now_ns()
     transport.send_train(_probe_rows(addr, ports, start, interval_ns,

@@ -369,8 +369,12 @@ class SimServer(_Host):
         self.backlog_capacity = backlog_capacity
         self.max_retransmissions = max_retransmissions
         self.backoff_ns = tuple(int(s * NS_PER_SEC) for s in backoff_s)
-        if len(self.backoff_ns) < max_retransmissions:
-            raise ValueError("backoff schedule shorter than max_retransmissions")
+        # Every half-open entry waits once before its first retransmission
+        # or its expiry, so even a server that never retransmits needs one.
+        waits = max(1, max_retransmissions)
+        if len(self.backoff_ns) < waits:
+            raise ValueError(f"backoff_s needs at least {waits} waits, got "
+                             f"{backoff_s!r}")
         if any(wait < 0 for wait in self.backoff_ns):
             raise ValueError(f"backoff waits must be >= 0, got {backoff_s!r}")
         self.backlog: dict[FlowKey, BacklogEntry] = {}

@@ -33,6 +33,7 @@ LABEL_OTHER = "Other"
 TOR_PORT = 9001
 RAND_PORT = 9002
 DST_PORT = 80
+MAX_TTL = 30  # largest probe TTL, within 1-255
 RESPONSE_WINDOW_S = 3.0
 REGION = "CN"  # the measured region: only its hops attribute an entry
 
@@ -144,12 +145,10 @@ class TracerouteRun:
 
 @dataclass(frozen=True)
 class TraceConfig:
-    max_ttl: int = 30
     tor_port: int = TOR_PORT
     rand_port: int = RAND_PORT
 
     def __post_init__(self):
-        check_range("max_ttl", self.max_ttl, 1, 255)
         check_range("tor_port", self.tor_port, 0, 0xFFFF)
         check_range("rand_port", self.rand_port, 0, 0xFFFF)
         if self.tor_port == self.rand_port:
@@ -159,19 +158,18 @@ class TraceConfig:
 
 
 def run_traceroute(transport: Transport, dest: str, src_port: int,
-                   cfg: Optional[TraceConfig] = None, hour: int = 0
-                   ) -> TracerouteRun:
-    """One TCP traceroute: SYN/ACK probes at TTL 1..max, fired back to back.
+                   hour: int = 0) -> TracerouteRun:
+    """One TCP traceroute: SYN/ACK probes at TTL 1..``MAX_TTL``, fired back
+    to back.
 
     The probes are one train (see ``Transport.send_train``), each stamped
     with its slot.  TTL-expiry notifications and the destination's response
     both quote the probe's sequence number in their ack field, which maps
     responses to TTLs.  Finished means the destination itself responded.
     """
-    cfg = cfg or TraceConfig()
     probes = transport.send_train([
         (0, dest, DST_PORT, SYN_ACK, src_port, None, None, ttl)
-        for ttl in range(1, cfg.max_ttl + 1)])
+        for ttl in range(1, MAX_TTL + 1)])
     seq_to_ttl = {probe.seq: probe.ttl for probe in probes}
     send_times = {probe.ttl: probe.timestamp for probe in probes}
     responses = transport.capture(
@@ -189,7 +187,7 @@ def run_traceroute(transport: Transport, dest: str, src_port: int,
         if seg.src_addr == dest and (finished_at is None or ttl < finished_at):
             finished_at = ttl
 
-    last_ttl = finished_at if finished_at is not None else cfg.max_ttl
+    last_ttl = finished_at if finished_at is not None else MAX_TTL
     hops = []
     for ttl in range(1, last_ttl + 1):
         addr, rtt = responders.get(ttl, (None, None))
@@ -203,8 +201,8 @@ def paired_run(transport: Transport, dest: str, hour: int,
                cfg: Optional[TraceConfig] = None) -> tuple:
     """Back-to-back (filtered-port, control-port) runs in one hour slot."""
     cfg = cfg or TraceConfig()
-    tor = run_traceroute(transport, dest, cfg.tor_port, cfg, hour=hour)
-    rand = run_traceroute(transport, dest, cfg.rand_port, cfg, hour=hour)
+    tor = run_traceroute(transport, dest, cfg.tor_port, hour=hour)
+    rand = run_traceroute(transport, dest, cfg.rand_port, hour=hour)
     return tor, rand
 
 

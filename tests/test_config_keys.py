@@ -224,14 +224,25 @@ def readme_flag_settings() -> set:
     return settings
 
 
+def scan_settings() -> set:
+    """(class, field) pairs of every scan config."""
+    return {(config.__name__, f.name)
+            for config in (idlescan.ScanRoundConfig,
+                           backlog.BacklogScanConfig, tracer.TraceConfig)
+            for f in dataclasses.fields(config)}
+
+
 def test_every_scan_setting_has_a_flag():
     # A setting that no flag sets is one only the library's own callers
     # (tests among them) can change; it belongs in a module constant.
-    fields = {(config.__name__, f.name)
-              for config in (idlescan.ScanRoundConfig,
-                             backlog.BacklogScanConfig, tracer.TraceConfig)
-              for f in dataclasses.fields(config)}
-    assert fields == readme_flag_settings()
+    assert scan_settings() == readme_flag_settings()
+
+
+def test_only_the_trace_ports_are_scan_settings():
+    # Every scan runs one fixed schedule; the filtered port is the relay's
+    # ORPort, a deployment value.  A new setting is added here on purpose.
+    assert scan_settings() == {("TraceConfig", "tor_port"),
+                               ("TraceConfig", "rand_port")}
 
 
 def test_every_analytics_setting_has_a_key():

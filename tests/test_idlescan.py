@@ -19,6 +19,8 @@ from inferscan.idlescan import (
     DEFAULT_CLIENT_PROBE_PORT,
     HOUR_NS,
     PHASE_DURATION_S,
+    PROBE_RATE,
+    QUALIFY_WINDOW_S,
     REASON_NOISY,
     REASON_OFFLINE,
     REASON_PER_FLOW,
@@ -36,6 +38,7 @@ from inferscan.idlescan import (
 from inferscan.simnet import Simulator
 from inferscan.transport import (
     NS_PER_SEC,
+    PENDING_HORIZON_NS,
     Clock,
     PacketLog,
     SpoofingUnsupportedError,
@@ -48,47 +51,53 @@ class TestQualifyClient:
     def test_global_ipid_qualifies(self):
         sim = build_idle_sim("none")
         tr = sim.attach(MM_ADDR)
-        result = qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+        result = qualify_client(tr, CLIENT_ADDR)
         assert result.qualified
 
     def test_per_flow_ipid_disqualified(self):
         sim = build_idle_sim("none", client_kwargs={"ipid_mode": "per-flow"})
         tr = sim.attach(MM_ADDR)
-        result = qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+        result = qualify_client(tr, CLIENT_ADDR)
         assert not result.qualified
         assert result.reason == REASON_PER_FLOW
 
     def test_random_ipid_disqualified(self):
         sim = build_idle_sim("none", client_kwargs={"ipid_mode": "random"})
         tr = sim.attach(MM_ADDR)
-        result = qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+        result = qualify_client(tr, CLIENT_ADDR)
         assert not result.qualified
         assert result.reason == REASON_RANDOM
 
     def test_noisy_client_disqualified(self):
         sim = build_idle_sim("none", noise=50.0)
         tr = sim.attach(MM_ADDR)
-        result = qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+        result = qualify_client(tr, CLIENT_ADDR)
         assert not result.qualified
         assert result.reason == REASON_NOISY
 
     def test_slow_path_claims_every_reply_due_by_the_deadline(self):
-        # 20 probes one second apart on a 1.4 s round trip: the replies to
-        # probes 0-18 arrive by the 20 s deadline, the last one after it.
+        # 30 probes one second apart on a 1.4 s round trip: the replies to
+        # probes 0-28 arrive by the 30 s deadline, the last one after it.
         sim = build_idle_sim("none")
         sim.add_path(MM_ADDR, CLIENT_ADDR, delay_ns=700_000_000)
         tr = sim.attach(MM_ADDR)
-        result = qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+        result = qualify_client(tr, CLIENT_ADDR)
         assert (result.verdict, result.responses, result.probes) == (
-            "qualified", 19, 20)
-        assert tr.clock.now_ns() == 20 * NS_PER_SEC
+            "qualified", 29, 30)
+        assert tr.clock.now_ns() == 30 * NS_PER_SEC
 
     def test_offline_host(self):
         sim = Simulator(seed=1)
         tr = sim.attach(MM_ADDR)
-        result = qualify_client(tr, "10.66.0.9", window_s=10.0)
+        result = qualify_client(tr, "10.66.0.9")
         assert not result.qualified
         assert result.reason == REASON_OFFLINE
+
+    def test_window_fits_the_probe_rate_and_the_capture_horizon(self):
+        # At least 8 probes, and no reply older than the capture queue
+        # keeps an unclaimed arrival.
+        assert QUALIFY_WINDOW_S * PROBE_RATE >= 8
+        assert QUALIFY_WINDOW_S * NS_PER_SEC <= PENDING_HORIZON_NS
 
 
 class TestLiveliness:
@@ -156,6 +165,7 @@ class TestRunIdleScan:
         cfg = ScanRoundConfig()
         scan_start = tr.clock.now_ns()
         series = run_idle_scan(tr, CLIENT_EP, SERVER_EP, cfg)
+        tr.close()
         perturb_floor = scan_start + int(PHASE_DURATION_S * NS_PER_SEC)
         spoofed = [json.loads(line) for line in log_path.read_text().splitlines()
                    if json.loads(line)["dir"] == "out"

@@ -34,8 +34,9 @@ IDLE_ROUND_SHA256 = "da8cb964aeb6886647eca40133815628e29977d1c1303fd5e5c8de1e6f3
 IDLE_ROUND_SORTED_SHA256 = "df40f98a148686368b09042ddfe0ac103393e514dfc42e4d6f833d19f573818d"
 # Rounds whose probes leave in the same nanosecond as a client reply.
 TIES_SHA256 = "ab45df18ea90c81e82ef6872582b84f4142d47e7b9735b481ec0b178eb5ce6da"
-QUALIFY_SHA256 = "265369878ac06d5d3e060ac7b7e6f1258ce88631f951678498303c95cad9d2b8"
-QUALIFY_SORTED_SHA256 = "1c0943e56812f1e62b2e13c1d6fc4263e0999f155eca4dd808ee5914f6a5b232"
+# Qualification over the fixed 30 s window.
+QUALIFY_SHA256 = "1aadcec1558d7ad760e3fce44ca11227d551f6257fbb8d5dec5858d05e837d4d"
+QUALIFY_SORTED_SHA256 = "07520218c1aab999e5289160945af3aba2697003ca870958edf7ff7f55372d97"
 
 
 def digest(obj, *logs) -> str:
@@ -182,7 +183,7 @@ class TestPinnedIdleScans:
             sim = build_idle_sim("none", client_kwargs={"ipid_mode": mode})
             log = tmp_path / f"{mode}.jsonl"
             tr = attach_logged(sim, MM_ADDR, log, 8)
-            result = idlescan.qualify_client(tr, CLIENT_ADDR, window_s=20.0)
+            result = idlescan.qualify_client(tr, CLIENT_ADDR)
             tr.close()
             out.append([result.verdict, result.reason, result.responses,
                         result.probes])

@@ -106,6 +106,17 @@ class TestStep:
         with pytest.raises(ValueError, match=">= 0"):
             build()
 
+    @pytest.mark.parametrize("max_rt, backoff", [(0, ()), (3, (1, 2))],
+                             ids=["no-retransmissions", "three"])
+    def test_backoff_without_a_wait_per_timer_refused(self, max_rt, backoff):
+        # Every half-open entry waits once before its first retransmission
+        # or its expiry: a schedule without that wait used to fail only at
+        # the first SYN, with an IndexError.
+        with pytest.raises(ValueError, match="^backoff_s needs at least "):
+            Simulator(seed=1).add_server("203.0.113.5", open_ports=[80],
+                                         max_retransmissions=max_rt,
+                                         backoff_s=backoff)
+
     def test_step_backwards_rejected(self):
         sim = Simulator(seed=1)
         sim.step(NS_PER_SEC)

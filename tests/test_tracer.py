@@ -8,6 +8,7 @@ from inferscan.tracer import (
     LABEL_COM,
     LABEL_EDU,
     LABEL_OTHER,
+    MAX_TTL,
     PrefixTable,
     STATUS_FINISHED,
     STATUS_STALLED,
@@ -240,21 +241,21 @@ class TestSchedule:
 
 class TestSettings:
     @pytest.mark.parametrize("kwargs, why", [
-        ({"max_ttl": 0}, "max_ttl must be within 1-255, got 0"),
-        ({"max_ttl": 256}, "max_ttl must be within 1-255, got 256"),
         ({"tor_port": -1}, "tor_port must be within 0-65535, got -1"),
         ({"rand_port": 65536}, "rand_port must be within 0-65535, got 65536"),
         ({"tor_port": 9002}, "tor_port and rand_port are both 9002"),
-    ], ids=["max-ttl-0", "max-ttl-256", "tor-port-negative", "rand-port-65536",
-            "same-port"])
+    ], ids=["tor-port-negative", "rand-port-65536", "same-port"])
     def test_config_refuses(self, kwargs, why):
         with pytest.raises(ValueError, match=f"^{why}$"):
             TraceConfig(**kwargs)
 
     def test_config_edges_admitted(self):
-        cfg = TraceConfig(max_ttl=255, tor_port=0, rand_port=65535)
-        assert (cfg.max_ttl, cfg.tor_port, cfg.rand_port) == (255, 0, 65535)
-        assert TraceConfig(max_ttl=1).max_ttl == 1
+        cfg = TraceConfig(tor_port=0, rand_port=65535)
+        assert (cfg.tor_port, cfg.rand_port) == (0, 65535)
+
+    def test_largest_ttl_is_an_ip_ttl(self):
+        # A probe's TTL is one byte, and TTL 0 would never leave the host.
+        assert 1 <= MAX_TTL <= 255
 
     @pytest.mark.parametrize("hours, days, why", [
         (0, 1, "hours must be within 1-24, got 0"),

@@ -933,8 +933,8 @@ class TestSendTrain:
         (None, None, True, True),  # every row good, transport closed
         (4, 70000, True, True),  # a bad first row beats the closed transport
     ])
-    def test_malformed_train_queues_nothing(self, tmp_path, field, value,
-                                            close, spoofing):
+    def test_malformed_train_queues_nothing(self, tmp_path, request, field,
+                                            value, close, spoofing):
         """The train raises what the probe-by-probe loop raises first, and
         leaves no trace: nothing queued, launched or logged, no ISN or IP-ID
         drawn."""
@@ -949,6 +949,7 @@ class TestSendTrain:
             sim.step(self.NOW)
             log = tmp_path / f"{name}.jsonl"
             tr = sim.attach(MM, packet_log=transport_mod.PacketLog(log))
+            request.addfinalizer(tr.close)
             tr.supports_spoofing = spoofing
             if close:
                 tr.close()
