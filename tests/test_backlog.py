@@ -186,7 +186,10 @@ class TestProbeCounts:
 
     @pytest.mark.parametrize("vps_loss, seed", [(0.0, 5), (0.02, 31),
                                                 (0.02, 32)])
-    def test_planted_verdicts(self, vps_loss, seed):
+    @pytest.mark.parametrize("probes", [SYN_PROBES, RST_PROBES])
+    def test_planted_verdicts(self, probes, vps_loss, seed):
+        # Each case runs the whole scenario and checks the verdicts of the
+        # scan that sends ``probes`` probe SYNs.
         cfg = BacklogScanConfig()
         for drop_syn in (False, True):
             for drop_rst in (False, True):
@@ -199,9 +202,11 @@ class TestProbeCounts:
                 mm.clock.sleep_ns(80 * NS_PER_SEC)
                 rst = rst_scan(mm, vps, SERVER_EP, cfg, baseline=base,
                                shared_isn_seed=seed)
-                assert (syn.verdict, rst.verdict) == (
-                    VERDICT_DROPPED if drop_syn else VERDICT_PASSES,
-                    VERDICT_DROPPED if drop_rst else VERDICT_PASSES), (
+                scan, dropped = ((syn, drop_syn) if probes == SYN_PROBES
+                                 else (rst, drop_rst))
+                assert scan.probe_count == probes
+                assert scan.verdict == (
+                    VERDICT_DROPPED if dropped else VERDICT_PASSES), (
                     drop_syn, drop_rst)
                 assert sim.server(SERVER_ADDR).peak_backlog <= MAX_HALF_OPEN
 
