@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .classify import NO_PACKETS_DROPPED, VARIANTS
-from .scenario import AT_LEAST_1, Key, ScenarioError, ini_parser, read_section
+from .scenario import (AT_LEAST_1, Key, ScenarioError, ini_parser, integer,
+                       read_section)
 from .tracer import (
     LABEL_COM,
     LABEL_EDU,
@@ -86,42 +87,40 @@ def source_series(idle_rows: list) -> list:
 
 @dataclass
 class AnalyticsConfig:
-    k_neighbors: int = 1
-    max_lag: int = 12
-    exclude_labels: tuple = ()
-    temporal_mode: str = TEMPORAL_EXACT
-    pair_epoch_s: int = 3600
-    prefix_table_path: Optional[str] = None
+    """The settings of an analytics file; see ``load_analytics_config``,
+    which states their defaults and ranges (ANALYTICS)."""
 
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("K must be >= 1")
-        if self.pair_epoch_s < 1:
-            raise ValueError(f"pair_epoch_s must be >= 1, got "
-                             f"{self.pair_epoch_s}")
+    k_neighbors: int
+    max_lag: int
+    exclude_labels: tuple
+    temporal_mode: str
+    pair_epoch_s: int
+    prefix_table_path: Optional[str]
 
 
 # The keys of an analytics file's one [analytics] section.
 ANALYTICS = {
-    "k": Key("k_neighbors", int, AT_LEAST_1, 1),
-    "max_lag": Key("max_lag", int, AT_LEAST_1, 12),
+    "k": Key("k_neighbors", integer, AT_LEAST_1, 1),
+    "max_lag": Key("max_lag", integer, AT_LEAST_1, 12),
     "exclude_labels": Key("exclude_labels", str,
                           {LABEL_COM, LABEL_EDU, LABEL_OTHER}, (), many=True),
     "temporal_mode": Key("temporal_mode", str,
                          {TEMPORAL_EXACT, TEMPORAL_WITHIN}, TEMPORAL_EXACT),
-    "pair_epoch_s": Key("pair_epoch_s", int, AT_LEAST_1, 3600),
+    "pair_epoch_s": Key("pair_epoch_s", integer, AT_LEAST_1, 3600),
     "prefix_table": Key("prefix_table_path", lambda text: text or None),
 }
 
 
-def load_analytics_config(path) -> AnalyticsConfig:
+def load_analytics_config(path=None) -> AnalyticsConfig:
     """Read an analytics INI file by ANALYTICS.  A malformed file, or one
     with another section, raises ValueError naming the file; a bad key or
-    value, naming the file, the section and the key.  A file without an
-    [analytics] section sets nothing."""
+    value, naming the file, the section and the key.  No file, or a file
+    without an [analytics] section, sets nothing."""
     cp = ini_parser()
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = ""
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     try:
         cp.read_string(text)
         for section in cp.sections():
@@ -325,13 +324,14 @@ def contingency_table_csv(counts: dict) -> list:
 def traceroute_table(pairs: Iterable[tuple]) -> dict:
     """Stalled/Finished counts per (entry label, port role) over paired
     (filtered, control) runs; the role is the run's place in its pair,
-    whatever ports the campaign used.  Other is culled."""
+    whatever ports the campaign used.  Runs of any label other than EDU
+    and COM (Other, or a prefix table's own label) are culled."""
     table = {(label, port): {"Stalled": 0, "Finished": 0}
              for label in (LABEL_EDU, LABEL_COM)
              for port in ("Randport", "Torport")}
     for pair in pairs:
         for port, run in zip(("Torport", "Randport"), pair):
-            if run.entry_label != LABEL_OTHER:
+            if run.entry_label in (LABEL_EDU, LABEL_COM):
                 table[(run.entry_label, port)][run.status] += 1
     return table
 

@@ -18,16 +18,10 @@ from typing import Optional
 
 from . import analytics, backlog, idlescan, store, tracer
 from . import scenario as scenario_mod
-from .analytics import AnalyticsConfig
 from .endpoints import EndpointSpec, filter_stable, load_endpoints
+from .scenario import ADDR, PORT, SIM, integer, number, read_value
 from .tracer import PrefixTable, TraceConfig
-from .transport import (
-    NS_PER_SEC,
-    TransportError,
-    _check_addr,
-    check_range,
-    derive_seed,
-)
+from .transport import NS_PER_SEC, TransportError, derive_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,18 +47,14 @@ class CliError(Exception):
 
 
 def _resolve_seed(args, scn: Optional[scenario_mod.Scenario] = None) -> int:
+    """``--seed``, else ``$INFERSCAN_SEED`` read as the scenario key
+    ``[sim] seed``, else the scenario's seed, else 0."""
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"{SEED_ENV} must be an integer, got {env!r}"
-                           ) from None
-    if scn is not None:
-        return scn.seed
-    return 0
+        return read_value(SEED_ENV, SIM["seed"], env)
+    return scn.seed if scn is not None else 0
 
 
 def _sim_from_args(args, clients=(), servers=()):
@@ -158,19 +148,17 @@ def cmd_idle_scan(args, parser) -> int:
 
 
 def _relay(text: str) -> EndpointSpec:
-    """The ``--relay ADDR:PORT`` endpoint: a canonical dotted quad and a
-    port within 0-65535, else a one-line error that names the flag."""
+    """The ``--relay ADDR:PORT`` endpoint, its parts read as the scenario
+    keys ``addr`` and ``port``, else a one-line error that names the flag."""
     addr, colon, port = text.partition(":")
     try:
         if not colon:
             raise ValueError("not ADDR:PORT")
-        _check_addr(addr)
-        port_num = int(port)
-        check_range("port", port_num, 0, 0xFFFF)
+        return EndpointSpec(addr=read_value("addr", ADDR, addr),
+                            port=read_value("port", PORT, port),
+                            role="tor-relay", uptime_days=10.0)
     except ValueError as exc:
         raise CliError(f"--relay {text}: {exc}") from None
-    return EndpointSpec(addr=addr, port=port_num, role="tor-relay",
-                        uptime_days=10.0)
 
 
 def cmd_backlog_scan(args, parser) -> int:
@@ -196,7 +184,8 @@ def cmd_trace(args, parser) -> int:
     table = (PrefixTable.from_csv(args.prefix_table) if args.prefix_table
              else PrefixTable())
     try:
-        tor_port, rand_port = map(int, args.ports.split(","))
+        tor_port, rand_port = (read_value("port", PORT, port)
+                               for port in args.ports.split(","))
         trace_cfg = TraceConfig(tor_port=tor_port, rand_port=rand_port)
     except ValueError as exc:
         raise CliError(f"--ports {args.ports}: {exc}") from exc
@@ -255,8 +244,7 @@ def cmd_prune(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    cfg = (analytics.load_analytics_config(args.config) if args.config
-           else AnalyticsConfig())
+    cfg = analytics.load_analytics_config(args.config)
     table = (PrefixTable.from_csv(args.prefix_table) if args.prefix_table
              else (PrefixTable.from_csv(cfg.prefix_table_path)
                    if cfg.prefix_table_path else PrefixTable()))
@@ -336,7 +324,7 @@ def _analyze_tables(args, cfg, table, records) -> None:
 def _add_sim(sp):
     sp.add_argument("--scenario", default=None,
                     help="scenario file (required on the simulator)")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=integer, default=None,
                     help=f"root seed (falls back to ${SEED_ENV}, then the "
                          "scenario file)")
 
@@ -372,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--clients", required=True, help="client CSV")
     sp.add_argument("--servers", required=True, help="server CSV")
-    sp.add_argument("--rounds", type=int, default=1,
+    sp.add_argument("--rounds", type=integer, default=1,
                     help="hour slots to run; slot k starts at campaign hour k")
-    sp.add_argument("--redact-client-bits", type=int, default=0,
+    sp.add_argument("--redact-client-bits", type=integer, default=0,
                     help="zero this many low bits of stored client addresses")
     sp.add_argument("--out", required=True, help="record JSONL path")
     sp.set_defaults(fn=cmd_idle_scan)
@@ -393,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dests", required=True, help="destination CSV")
     sp.add_argument("--ports", default="9001,9002",
                     help="filtered,control source ports")
-    sp.add_argument("--hours", type=int, default=24, help="hour slots per day")
-    sp.add_argument("--days", type=int, default=2, help="days to run")
+    sp.add_argument("--hours", type=integer, default=24,
+                    help="hour slots per day")
+    sp.add_argument("--days", type=integer, default=2, help="days to run")
     sp.add_argument("--prefix-table", default=None,
                     help="CSV cidr,label,region for entry attribution")
     sp.add_argument("--out", required=True, help="record JSONL path")
@@ -403,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("simulate", help="run a scenario, write its event trace",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sp.add_argument("--scenario", required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--duration-s", type=float, default=None,
+    sp.add_argument("--seed", type=integer, default=None)
+    sp.add_argument("--duration-s", type=number, default=None,
                     help="override the scenario duration")
     sp.add_argument("--out", required=True, help="event-trace JSONL path")
     sp.set_defaults(fn=cmd_simulate)

@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Iterable
 
-from .transport import _check_addr
+from .scenario import ADDR, PORT, Key, boolean, number, read_section
+from .transport import check_addr, check_range
 
 ROLES = ("client", "tor-relay", "tor-dir", "web")
 
@@ -40,38 +41,55 @@ class EndpointSpec:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "EndpointSpec":
-        return cls(addr=rec["addr"], port=int(rec["port"]), role=rec["role"],
-                   lat=float(rec.get("lat", 0.0)), lon=float(rec.get("lon", 0.0)),
-                   uptime_days=float(rec.get("uptime_days", 0.0)),
-                   stable=bool(rec.get("stable", True)))
+        """The endpoint a record line stores.  A field of the wrong JSON
+        type, a port outside 0-65535 or an addr that is not a canonical
+        dotted quad raises ValueError."""
+        rec = {"stable": True, **dict.fromkeys(_NUMBERS, 0.0), **rec}
+        for name, types in _JSON_TYPES.items():
+            if type(rec[name]) not in types:
+                raise ValueError(f"{name} is not a JSON {types[-1].__name__}:"
+                                 f" {rec[name]!r}")
+        check_range("port", rec["port"], 0, 0xFFFF)
+        return cls(addr=check_addr(rec["addr"]), port=rec["port"],
+                   role=rec["role"], stable=rec["stable"],
+                   **{name: float(rec[name]) for name in _NUMBERS})
+
+
+_NUMBERS = ("lat", "lon", "uptime_days")  # an endpoint's number fields
+# The JSON types of a stored endpoint's fields; a bool is not an int here.
+_JSON_TYPES = {"port": (int,), "stable": (bool,),
+               **dict.fromkeys(_NUMBERS, (int, float))}
+# The columns of an endpoint CSV, read as the keys of a scenario section;
+# addr, port and role have no default and must be given.
+COLUMNS = {"addr": ADDR, "port": PORT, "role": Key("role"),
+           **{name: Key(name, number, None, 0.0) for name in _NUMBERS},
+           "stable_flag": Key("stable", boolean, None, True)}
 
 
 def load_endpoints(path) -> list:
-    """Read an endpoint CSV: addr,port,role,lat,lon,uptime_days,stable_flag.
+    """Read an endpoint CSV whose header names columns of COLUMNS.
 
-    A missing addr, port or role column, a value that does not parse, an
-    addr that is not a canonical dotted quad, a port outside 0-65535, a
-    non-finite lat, lon or uptime_days, or a lat outside ±90 or lon outside
-    ±180 raises EndpointError.
+    Each row is read as a scenario section whose keys are the columns and
+    whose values are its cells, stripped; an empty cell takes its column's
+    default.  An unknown column, a cell beyond the header, a missing addr,
+    port or role, a value its column does not read, a role outside ROLES,
+    a non-finite lat, lon or uptime_days, or a lat outside ±90 or lon
+    outside ±180 raises EndpointError.
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")
         for row in reader:
             try:
-                out.append(EndpointSpec(
-                    addr=_check_addr(row["addr"].strip()),
-                    port=_check_port(int(row["port"] or 0)),
-                    role=row["role"].strip(),
-                    lat=float(row.get("lat") or 0.0),
-                    lon=float(row.get("lon") or 0.0),
-                    uptime_days=float(row.get("uptime_days") or 0.0),
-                    stable=(row.get("stable_flag") or "1").strip().lower()
-                           in ("1", "true", "yes"),
-                ))
-            except KeyError as exc:
-                raise EndpointError(f"{path}, line {reader.line_num}: "
-                                    f"no {exc} column") from exc
+                if None in row:
+                    raise ValueError("more cells than columns")
+                values = read_section(COLUMNS, {
+                    column: text.strip() for column, text in row.items()
+                    if text.strip() or column not in COLUMNS})
+                for column in ("addr", "port", "role"):
+                    if values[column] is None:
+                        raise ValueError(f"missing {column}")
+                out.append(EndpointSpec(**values))
             except ValueError as exc:
                 raise EndpointError(f"{path}, line {reader.line_num}: {exc}") from exc
     return out
@@ -84,12 +102,6 @@ def _check_finite(name: str, value: float, limit: float = math.inf) -> None:
         within = f" within ±{limit}" if limit < math.inf else ""
         raise ValueError(f"{name} must be a finite number{within}, "
                          f"got {value!r}")
-
-
-def _check_port(port: int) -> int:
-    if not 0 <= port <= 0xFFFF:
-        raise ValueError(f"port out of range: {port}")
-    return port
 
 
 def passes_stability_rule(ep: EndpointSpec) -> bool:

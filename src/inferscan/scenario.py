@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -61,7 +62,7 @@ from .simnet import (
     Hop,
     Simulator,
 )
-from .transport import FLAG_BITS, NS_PER_SEC, _check_addr
+from .transport import FLAG_BITS, NS_PER_SEC, check_addr
 
 
 class ScenarioError(ValueError):
@@ -170,12 +171,15 @@ def read_section(table: dict, sec) -> dict:
 
 def _read(key: str, k: Key, text: str):
     if not k.many:
-        return _item(key, k, text)
+        return read_value(key, k, text)
     items = [item.strip() for item in text.split(",")]
-    return tuple(_item(key, k, item) for item in items if item) or k.default
+    values = tuple(read_value(key, k, item) for item in items if item)
+    return values or k.default
 
 
-def _item(key: str, k: Key, text: str):
+def read_value(key: str, k: Key, text: str):
+    """``text`` read by ``k``: its parsed value, checked and scaled.  A bad
+    value raises a ScenarioError ``key: ...``."""
     try:
         value = k.parse(text)
         if k.allowed is None or _allows(k.allowed, value):
@@ -197,8 +201,29 @@ def _describe(k: Key) -> str:
     if not isinstance(k.allowed, tuple):
         return "one of " + ", ".join(sorted(k.allowed))
     lo, hi = k.allowed
-    noun = "an integer" if k.parse is int else "a finite number"
+    noun = "an integer" if k.parse is integer else "a finite number"
     return f"{noun} >= {lo}" if hi == math.inf else f"{noun} from {lo} to {hi}"
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def integer(text: str) -> int:
+    """ASCII digits with an optional leading ``-``.  Python's ``int`` would
+    also take ``9_001``, ``+9001``, `` 9001`` and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """ASCII decimal: an optional ``-``, digits, an optional fraction and an
+    optional exponent.  Python's ``float`` would also take ``1_0``, ``+1``,
+    ``inf`` and ``nan``."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
 
 
 def parse_hours(text: str) -> Optional[tuple]:
@@ -211,10 +236,10 @@ def parse_hours(text: str) -> Optional[tuple]:
         return tuple(c == "1" for c in text)
     hours = set()
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
+        lo, _, hi = (end.strip() for end in part.partition("-"))
         try:
-            lo = int(lo)
-            hi = int(hi) if hi.strip() else lo
+            lo = integer(lo)
+            hi = integer(hi) if hi else lo
         except ValueError:
             lo = hi = -1
         if not 0 <= lo <= hi <= 23:
@@ -224,14 +249,8 @@ def parse_hours(text: str) -> Optional[tuple]:
     return tuple(h in hours for h in range(24))
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
-
-
-def _boolean(text: str) -> bool:
+def boolean(text: str) -> bool:
+    """configparser's booleans: 1, yes, true, on and 0, no, false, off."""
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
@@ -243,16 +262,16 @@ def _hop(text: str) -> Hop:
     addr, region, delay, *rest = text.split("@") + ["", ""]
     if any(rest):
         raise ValueError(f"{text!r} is not addr[@region[@delay_ms]]")
-    return Hop(addr=_check_addr(addr), region=region,
-               delay_ns=_item("hop delay", PATH["delay_ms"], delay)
+    return Hop(addr=check_addr(addr), region=region,
+               delay_ns=read_value("hop delay", PATH["delay_ms"], delay)
                if delay else None)
 
 
 def _interval(text: str) -> tuple:
     """``start-end`` seconds as a pair of ns, 0 <= start < end."""
-    start, _, end = text.partition("-")
+    start, _, end = (side.strip() for side in text.partition("-"))
     try:
-        start, end = float(start), float(end)
+        start, end = number(start), number(end)
     except ValueError:
         start = end = math.nan
     if not 0 <= start < end < math.inf:
@@ -261,44 +280,45 @@ def _interval(text: str) -> tuple:
     return int(start * NS_PER_SEC), int(end * NS_PER_SEC)
 
 
-ADDR = Key("addr", _check_addr)
+ADDR = Key("addr", check_addr)
+PORT = Key("port", integer, UINT16)
 SIM = {
-    "seed": Key("seed", _integer, None, 0),
-    "duration_s": Key("duration_ns", float, AT_LEAST_0, 0, scale=NS_PER_SEC),
-    "default_delay_ms": Key("default_delay_ns", float, AT_LEAST_0, 10_000_000,
+    "seed": Key("seed", integer, None, 0),
+    "duration_s": Key("duration_ns", number, AT_LEAST_0, 0, scale=NS_PER_SEC),
+    "default_delay_ms": Key("default_delay_ns", number, AT_LEAST_0, 10_000_000,
                             scale=1e6),
 }
 CLIENT = {
     "addr": ADDR,
     "ipid_mode": Key("ipid_mode", str, set(IPID_MODES), "global"),
-    "ipid_start": Key("ipid_start", int, UINT16),
-    "background_rate": Key("background_rate", float, AT_LEAST_0, 0.0),
-    "rst_policy": Key("rst_policy", _boolean, None, True),
+    "ipid_start": Key("ipid_start", integer, UINT16),
+    "background_rate": Key("background_rate", number, AT_LEAST_0, 0.0),
+    "rst_policy": Key("rst_policy", boolean, None, True),
 }
 SERVER = {
     "addr": ADDR,
-    "ports": Key("open_ports", int, UINT16, (), many=True),
-    "backlog_capacity": Key("backlog_capacity", int, AT_LEAST_1,
+    "ports": PORT._replace(keyword="open_ports", default=(), many=True),
+    "backlog_capacity": Key("backlog_capacity", integer, AT_LEAST_1,
                             DEFAULT_BACKLOG_CAPACITY),
-    "max_retransmissions": Key("max_retransmissions", int, AT_LEAST_0,
+    "max_retransmissions": Key("max_retransmissions", integer, AT_LEAST_0,
                                DEFAULT_MAX_RETRANSMISSIONS),
-    "backoff_s": Key("backoff_s", float, AT_LEAST_0, DEFAULT_BACKOFF_S,
+    "backoff_s": Key("backoff_s", number, AT_LEAST_0, DEFAULT_BACKOFF_S,
                      many=True),
     "down_s": Key("down_intervals", _interval, None, (), many=True),
 }
 PATH = {
     "hops": Key("hops", _hop, None, (), many=True),
-    "delay_ms": Key("delay_ns", float, AT_LEAST_0, scale=1e6),
-    "loss_rate": Key("loss_rate", float, (0, 1), 0.0),
-    "filtered": Key("filtered", _boolean, None, False),
+    "delay_ms": Key("delay_ns", number, AT_LEAST_0, scale=1e6),
+    "loss_rate": Key("loss_rate", number, (0, 1), 0.0),
+    "filtered": Key("filtered", boolean, None, False),
 }
 RULE = {
     "direction": Key("direction", str, {"server->client", "client->server"},
                      "server->client"),
-    "addr": Key("addr", lambda text: _check_addr(text) if text else None),
-    "port": Key("port", int, UINT16),
+    "addr": Key("addr", lambda text: check_addr(text) if text else None),
+    "port": PORT,
     "action": Key("action", str, {DROP, PASS}, DROP),
-    "placement_hop": Key("placement_hop", int, AT_LEAST_1, 1),
+    "placement_hop": Key("placement_hop", integer, AT_LEAST_1, 1),
     "hours": Key("hours", parse_hours),
     "flags": Key("flags", str.upper, set(FLAG_BITS), many=True),
 }

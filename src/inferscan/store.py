@@ -23,7 +23,7 @@ from .backlog import (
 )
 from .classify import VARIANTS
 from .tracer import TracerouteRun
-from .transport import _check_addr, addr_to_int, check_range, int_to_addr
+from .transport import addr_to_int, check_addr, check_range, int_to_addr
 
 SCHEMA_VERSION = 1
 
@@ -230,7 +230,7 @@ def _read_idle(payload) -> tuple:
     client = payload["client"]
     key = (client["addr"], client["lat"], client["lon"])
     hash(key)  # unhashable fields are malformed
-    _check_addr(key[0])
+    check_addr(key[0])
     variant = payload["label"]["variant"]
     if variant not in VARIANTS:
         raise ValueError(f"unknown label variant: {variant!r}")

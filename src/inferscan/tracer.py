@@ -112,6 +112,8 @@ class TracerouteRun:
     entry_label: str = LABEL_OTHER
 
     def __post_init__(self):
+        if self.status not in (STATUS_FINISHED, STATUS_STALLED):
+            raise ValueError(f"unknown status: {self.status!r}")
         ttls = [h.ttl for h in self.hops]
         if ttls != sorted(set(ttls)):
             raise ValueError("hops must cover strictly increasing TTLs")

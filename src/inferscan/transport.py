@@ -35,7 +35,7 @@ SYN = frozenset(("SYN",))
 SYN_ACK = frozenset(("SYN", "ACK"))
 RST = frozenset(("RST",))
 
-#: How many valid addresses ``_check_addr`` remembers.  A scan crafts its
+#: How many valid addresses ``check_addr`` remembers.  A scan crafts its
 #: segments between a few addresses, so each is parsed once, not per segment.
 ADDR_MEMO_SIZE = 256
 
@@ -49,7 +49,7 @@ _arrival = itemgetter(0)
 # hash-equal to its FlowKey.
 _flow_fields = itemgetter(0, 2, 1, 3)
 
-_valid_addrs: dict = {}  # the memo of _check_addr, oldest first
+_valid_addrs: dict = {}  # the memo of check_addr, oldest first
 
 
 class TransportError(Exception):
@@ -68,7 +68,7 @@ class InvalidSegmentError(TransportError, ValueError):
     pass
 
 
-def _check_addr(addr: str) -> str:
+def check_addr(addr: str) -> str:
     """``addr`` if it is a canonical dotted-quad IPv4 address, the form
     ``socket.inet_ntoa`` writes, else raise InvalidSegmentError.
     ``inet_aton`` alone would also take ``010.0.0.1`` (octal, 8.0.0.1),
@@ -164,8 +164,8 @@ def validate_segment(seg: TcpSegment) -> TcpSegment:
     flags last.  The crafting pass (``Transport._craft``) tests every bound
     inline and comes here only for a row that fails one, or whose address
     is not yet memoized."""
-    _check_addr(seg.src_addr)
-    _check_addr(seg.dst_addr)
+    check_addr(seg.src_addr)
+    check_addr(seg.dst_addr)
     _, _, src_port, dst_port, seq, ack, flags, ttl, ipid, _ = seg
     for name, port in (("src_port", src_port), ("dst_port", dst_port)):
         if not 0 <= port <= 0xFFFF:
@@ -401,7 +401,7 @@ class Transport:
 
     def __init__(self, local_addr: str, isn_seed: int = 0,
                  rate_limit: float = 10.0, packet_log: Optional[PacketLog] = None):
-        self.local_addr = _check_addr(local_addr)
+        self.local_addr = check_addr(local_addr)
         self.isn = IsnGenerator(isn_seed)
         self._isn_index = 0
         self._limiter = FlowRateLimiter(rate_limit)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from inferscan.analytics import (
-    AnalyticsConfig,
     CaseRow,
     SourceSeries,
     TEMPORAL_WITHIN,
@@ -95,7 +94,7 @@ class TestLoadAnalyticsConfig:
     def test_file_without_the_section_sets_nothing(self, tmp_path):
         path = tmp_path / "analytics.ini"
         path.write_text("# no settings\n")
-        assert load_analytics_config(path) == AnalyticsConfig()
+        assert load_analytics_config(path) == load_analytics_config(None)
 
     def test_unknown_key_names_section_and_key(self, tmp_path):
         path = tmp_path / "analytics.ini"

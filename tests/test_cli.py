@@ -11,7 +11,7 @@ import pytest
 
 import inferscan
 from inferscan import store
-from inferscan.endpoints import EndpointError, load_endpoints
+from inferscan.endpoints import EndpointError, filter_stable, load_endpoints
 from inferscan.cli import EXIT_OK, build_parser, main
 from inferscan.scenario import Scenario
 
@@ -367,9 +367,10 @@ class TestBacklogCommand:
         assert "ADDR:PORT" in capsys.readouterr().err
 
     @pytest.mark.parametrize("relay, why", [
-        ("203.0.113.5:99999", "port must be within 0-65535, got 99999"),
-        ("203.0.113.5:x", "invalid literal for int() with base 10: 'x'"),
-        ("foo:9001", "invalid IPv4 address: 'foo'"),
+        ("203.0.113.5:99999",
+         "port: '99999' is not an integer from 0 to 65535"),
+        ("203.0.113.5:x", "port: 'x' is not an integer from 0 to 65535"),
+        ("foo:9001", "addr: invalid IPv4 address: 'foo'"),
     ], ids=["port-99999", "port-x", "addr-foo"])
     def test_bad_relay_refused_before_the_scenario(self, workspace, capsys,
                                                    relay, why):
@@ -417,10 +418,10 @@ class TestTraceCommand:
         (["--hours", 26, "--days", 2], "hours must be within 1-24, got 26"),
         (["--hours", 0], "hours must be within 1-24, got 0"),
         (["--days", 0], "days must be at least 1, got 0"),
-        (["--ports", "9001,70000"], "--ports 9001,70000: rand_port must be "
-                                    "within 0-65535, got 70000"),
-        (["--ports=-1,9002"], "--ports -1,9002: tor_port must be within "
-                              "0-65535, got -1"),
+        (["--ports", "9001,70000"], "--ports 9001,70000: port: '70000' is "
+                                    "not an integer from 0 to 65535"),
+        (["--ports=-1,9002"], "--ports -1,9002: port: '-1' is not an "
+                              "integer from 0 to 65535"),
         (["--ports", "9001"], "--ports 9001: not enough values to unpack "
                               "(expected 2, got 1)"),
     ], ids=["hours-26", "hours-0", "days-0", "port-70000", "port-negative",
@@ -464,15 +465,24 @@ class TestSimulateCommand:
                     "--seed", 1, "--out", workspace / "t.jsonl"])
         assert code == 1
 
-    @pytest.mark.parametrize("duration", ["inf", "nan", "-5", "0"])
+    @pytest.mark.parametrize("duration", ["inf", "nan", "-5", "0", "1e999"])
     def test_bad_duration_refused(self, workspace, capsys, duration):
         out = workspace / "t.jsonl"
-        code = run(["simulate", "--scenario", workspace / "trace.cfg",
-                    "--seed", 1, f"--duration-s={duration}", "--out", out])
-        assert code == 1
-        assert capsys.readouterr() == (
-            "", "error: duration_s must be finite and at least 1 ns, got "
-                f"{float(duration)!r}\n")
+        args = ["simulate", "--scenario", workspace / "trace.cfg",
+                "--seed", 1, f"--duration-s={duration}", "--out", out]
+        if duration in ("inf", "nan"):
+            # Not a number in the scenario grammar: the flag's parser
+            # refuses it.
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 2
+            assert (f"--duration-s: invalid number value: {duration!r}"
+                    in capsys.readouterr().err)
+        else:
+            assert run(args) == 1
+            assert capsys.readouterr() == (
+                "", "error: duration_s must be finite and at least 1 ns, "
+                    f"got {float(duration)!r}\n")
         assert not out.exists()
 
 
@@ -559,7 +569,14 @@ class TestPruneAndAnalyze:
          f'"tor":{RUN.format(port=9001, hops="[[2,null,null],[1,null,null]]")},'
          f'"rand":{RUN.format(port=9002, hops="[[1,null,null]]")}}}',
          "hops must cover strictly increasing TTLs"),
-    ], ids=["scan-kind", "relay-role", "ttl-order"])
+        # A status edited to Done used to pass prune, and analyze tables
+        # then ended in a bare KeyError: 'Done'.
+        ("Traceroute",
+         '{"dest":"36.10.0.5","hour":0,'
+         f'"tor":{RUN.format(port=9001, hops="[]").replace("Stalled", "Done")},'
+         f'"rand":{RUN.format(port=9002, hops="[]")}}}',
+         "unknown status: 'Done'"),
+    ], ids=["scan-kind", "relay-role", "ttl-order", "status-done"])
     def test_prune_discards_payload_failing_its_type(self, workspace, capsys,
                                                      kind, payload, why):
         data = self.make_data(workspace)
@@ -598,6 +615,58 @@ class TestPruneAndAnalyze:
              "payload": f"record 3 (IdleScan) has a malformed payload: {why}"}]
         assert run(["analyze", "tables", "--input", pruned,
                     "--out", workspace / "report.csv"]) == EXIT_OK
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("stable", "no", "stable is not a JSON bool: 'no'"),
+        ("port", True, "port is not a JSON int: True"),
+        ("port", 9001.9, "port is not a JSON int: 9001.9"),
+        ("port", "9001", "port is not a JSON int: '9001'"),
+        ("port", 65536, "port must be within 0-65535, got 65536"),
+        ("lat", "59.3", "lat is not a JSON float: '59.3'"),
+        ("addr", "203.0.113.05", "invalid IPv4 address: '203.0.113.05'"),
+    ], ids=["stable-text", "port-bool", "port-fraction", "port-text",
+            "port-65536", "lat-text", "addr-non-canonical"])
+    def test_prune_discards_relay_field_of_the_wrong_json_type(
+            self, workspace, capsys, field, value, why):
+        # Each used to be coerced: "no" read as stable, true as port 1,
+        # 9001.9 and "9001" as port 9001, and "59.3" as 59.3.
+        data = workspace / "backlog.jsonl"
+        assert run(["backlog-scan", "--kind", "syn",
+                    "--relay", "203.0.113.5:9001",
+                    "--scenario", workspace / "scen.cfg", "--seed", 7,
+                    "--out", data]) == EXIT_OK
+        bad = store.load(data)[0]
+        bad.payload["relay"][field] = value
+        data.write_text(bad.to_json() + "\n")
+        discards = workspace / "discards.jsonl"
+        capsys.readouterr()
+        assert run(["prune", "--input", data, "--out", workspace / "p.jsonl",
+                    "--discard-log", discards]) == EXIT_OK
+        assert "retained 0/1" in capsys.readouterr().out
+        assert [json.loads(l) for l in discards.read_text().splitlines()] == [
+            {"kind": "BacklogScan", "failed": [],
+             "payload": "record 1 (BacklogScan) has a malformed payload: "
+                        + why}]
+
+    def test_analyze_tables_culls_a_prefix_table_label(self, workspace):
+        # A label of the prefix table's own used to end analyze tables in
+        # a bare KeyError: ('NET', 'Torport').
+        table = workspace / "prefixes.csv"
+        table.write_text("cidr,label,region\n202.97.0.0/16,NET,CN\n")
+        data = workspace / "runs.jsonl"
+        assert run(["trace", "--dests", workspace / "dests.csv",
+                    "--scenario", workspace / "trace.cfg",
+                    "--prefix-table", table, "--hours", 2, "--days", 1,
+                    "--seed", 3, "--out", data]) == EXIT_OK
+        assert {rec.payload[side]["entry_label"] for rec in store.load(data)
+                for side in ("tor", "rand")} == {"NET"}
+        report = workspace / "tables.csv"
+        assert run(["analyze", "tables", "--input", data,
+                    "--out", report]) == EXIT_OK
+        assert list(csv.reader(report.read_text().splitlines())) == [
+            ["", "EDU_Randport", "EDU_Torport", "COM_Randport", "COM_Torport"],
+            ["Stalled", "0", "0", "0", "0"],
+            ["Finished", "0", "0", "0", "0"]]
 
     def test_analyze_spatial_reads_config(self, workspace):
         clients = workspace / "clients3.csv"
@@ -686,7 +755,7 @@ class TestSeedResolution:
                     "--duration-s", 30, "--out", out])
         assert code == 1
         assert capsys.readouterr() == (
-            "", "error: INFERSCAN_SEED must be an integer, got 'abc'\n")
+            "", "error: INFERSCAN_SEED: 'abc' is not an integer\n")
         assert not out.exists()
 
 
@@ -719,7 +788,7 @@ class TestMalformedInput:
                            f"{addr},0,client\n")
         with pytest.raises(EndpointError) as info:
             load_endpoints(clients)
-        assert str(info.value) == (f"{clients}, line 3: invalid IPv4 "
+        assert str(info.value) == (f"{clients}, line 3: addr: invalid IPv4 "
                                    f"address: {addr!r}")
         code = run(["qualify", "--clients", clients,
                     "--scenario", workspace / "scen.cfg",
@@ -735,8 +804,8 @@ class TestMalformedInput:
                            f"203.0.113.6,{port},tor-relay,12\n")
         with pytest.raises(EndpointError) as info:
             load_endpoints(servers)
-        assert str(info.value) == (f"{servers}, line 3: port out of range: "
-                                   f"{int(port)}")
+        assert str(info.value) == (f"{servers}, line 3: port: {port!r} is "
+                                   "not an integer from 0 to 65535")
         code = run(["idle-scan", "--clients", workspace / "clients.csv",
                     "--servers", servers, "--scenario", workspace / "scen.cfg",
                     "--out", workspace / "i.jsonl"])
@@ -755,12 +824,13 @@ class TestMalformedInput:
         assert [ep.addr for ep in load_endpoints(clients)] == ["36.10.0.5"]
 
     @pytest.mark.parametrize("field, value, message", [
-        ("lat", "nan", "lat must be a finite number within ±90, got nan"),
-        ("lat", "-inf", "lat must be a finite number within ±90, got -inf"),
+        ("lat", "nan", "lat: 'nan' is not a number"),
+        ("lat", "-inf", "lat: '-inf' is not a number"),
         ("lat", "90.5", "lat must be a finite number within ±90, got 90.5"),
-        ("lon", "inf", "lon must be a finite number within ±180, got inf"),
+        ("lat", "1e999", "lat must be a finite number within ±90, got inf"),
+        ("lon", "inf", "lon: 'inf' is not a number"),
         ("lon", "-181", "lon must be a finite number within ±180, got -181.0"),
-        ("uptime_days", "nan", "uptime_days must be a finite number, got nan"),
+        ("uptime_days", "nan", "uptime_days: 'nan' is not a number"),
     ])
     def test_endpoint_csv_bad_coordinates_refused(self, workspace, capsys,
                                                   field, value, message):
@@ -790,6 +860,56 @@ class TestMalformedInput:
                            "36.10.0.6,0,client,-90,180\n")
         assert [(ep.lat, ep.lon) for ep in load_endpoints(clients)] == [
             (90.0, -180.0), (-90.0, 180.0)]
+
+    @pytest.mark.parametrize("flag, stable", [
+        ("on", True), ("off", False), ("yes", True), ("no", False),
+        ("1", True), ("0", False), ("TRUE", True), ("", True)])
+    def test_endpoint_csv_stable_flag_is_a_scenario_boolean(
+            self, workspace, flag, stable):
+        # "on" used to read as unstable, so filter_stable dropped the relay.
+        servers = workspace / "flags.csv"
+        servers.write_text("addr,port,role,uptime_days,stable_flag\n"
+                           f"203.0.113.5,9001,tor-relay,12,{flag}\n")
+        [relay] = load_endpoints(servers)
+        assert relay.stable is stable
+        assert filter_stable([relay]) == ([relay] if stable else [])
+
+    @pytest.mark.parametrize("column, cell, why", [
+        ("stable_flag", "maybe", "stable_flag: 'maybe' is not a boolean"),
+        ("stable_flg", "0", "unknown key: stable_flg"),
+        ("stable_flg", "", "unknown key: stable_flg"),
+    ], ids=["maybe", "misspelt-column", "misspelt-empty-column"])
+    def test_endpoint_csv_bad_stable_flag_refused(self, workspace, capsys,
+                                                  column, cell, why):
+        # "maybe" used to read as unstable, and a misspelt column was
+        # ignored, so every relay of the file read as stable.
+        servers = workspace / "flags.csv"
+        servers.write_text(f"addr,port,role,uptime_days,{column}\n"
+                           f"203.0.113.5,9001,tor-relay,12,{cell}\n")
+        with pytest.raises(EndpointError) as info:
+            load_endpoints(servers)
+        assert str(info.value) == f"{servers}, line 2: {why}"
+        out = workspace / "i.jsonl"
+        assert run(["idle-scan", "--clients", workspace / "clients.csv",
+                    "--servers", servers, "--scenario", workspace / "scen.cfg",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, why", [
+        (",9001,tor-relay", "missing addr"),
+        ("203.0.113.5,,tor-relay", "missing port"),
+        ("203.0.113.5,9001,", "missing role"),
+        ("203.0.113.5,9001,tor-relay,x", "more cells than columns"),
+    ], ids=["addr", "port", "role", "extra-cell"])
+    def test_endpoint_csv_required_cells(self, workspace, row, why):
+        # An empty port used to read as port 0, and an extra cell was
+        # ignored.
+        servers = workspace / "short.csv"
+        servers.write_text(f"addr,port,role\n{row}\n")
+        with pytest.raises(EndpointError) as info:
+            load_endpoints(servers)
+        assert str(info.value) == f"{servers}, line 2: {why}"
 
 
     @pytest.mark.parametrize("hours", ["3-25", "24"])
@@ -981,6 +1101,72 @@ class TestMalformedInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "record 1 (Traceroute)" in err and "'dest'" in err
+
+
+# Python's int() reads each of these as 9001.
+LAX_9001 = ["9_001", "+9001", "\u0669\u0660\u0660\u0661"]
+
+
+class TestOneGrammar:
+    """Every value from a file, a flag or the environment is read by the
+    scenario grammar, so a lax integer fails on every input path."""
+
+    def args(self, workspace, path, text, monkeypatch):
+        """The CLI call that takes ``text`` on ``path``, and the name its
+        error line gives the input."""
+        out = workspace / "out.jsonl"
+        simulate = ["simulate", "--scenario", workspace / "trace.cfg",
+                    "--duration-s", 1, "--out", out]
+        trace = ["trace", "--dests", workspace / "dests.csv",
+                 "--scenario", workspace / "trace.cfg", "--hours", 1,
+                 "--days", 1, "--out", out]
+        idle_scan = ["idle-scan", "--clients", workspace / "clients.csv",
+                     "--servers", workspace / "servers.csv",
+                     "--scenario", workspace / "scen.cfg", "--out", out]
+        if path == "--relay":
+            return ["backlog-scan", "--kind", "syn",
+                    "--relay", f"203.0.113.5:{text}",
+                    "--scenario", workspace / "scen.cfg", "--out", out], path
+        if path == "--ports":
+            return trace + ["--ports", f"{text},9002"], path
+        if path == "$INFERSCAN_SEED":
+            monkeypatch.setenv("INFERSCAN_SEED", text)
+            return simulate, "INFERSCAN_SEED: "
+        if path == "[rule] port":
+            (workspace / "trace.cfg").write_text(
+                TRACE_SCENARIO.replace("port = 9001", f"port = {text}"))
+            return simulate, "[rule gfw] port: "
+        if path == "CSV port":
+            servers = workspace / "lax.csv"
+            servers.write_text(f"addr,port,role,uptime_days\n"
+                               f"203.0.113.5,{text},tor-relay,12\n")
+            return (idle_scan + ["--servers", servers],
+                    f"{servers}, line 2: port: ")
+        flag_args = {"--seed": simulate, "--duration-s": simulate,
+                     "--rounds": idle_scan, "--redact-client-bits": idle_scan,
+                     "--hours": trace, "--days": trace}[path]
+        kind = "number" if path == "--duration-s" else "integer"
+        return flag_args + [path, text], f"argument {path}: invalid {kind} "
+
+    @pytest.mark.parametrize("text", LAX_9001)
+    @pytest.mark.parametrize("path", [
+        "--relay", "--ports", "$INFERSCAN_SEED", "[rule] port", "CSV port",
+        "--seed", "--rounds", "--redact-client-bits", "--hours", "--days",
+        "--duration-s"])
+    def test_lax_integer_refused(self, workspace, capsys, monkeypatch, path,
+                                 text):
+        args, name = self.args(workspace, path, text, monkeypatch)
+        if name.startswith("argument "):  # a usage error
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 2
+            assert f"{name}value: {text!r}" in capsys.readouterr().err
+        else:
+            assert run(args) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and name in line
+            assert repr(text) in line
+        assert not (workspace / "out.jsonl").exists()
 
 
 class TestImports:

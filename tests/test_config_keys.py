@@ -48,11 +48,11 @@ def outside(k) -> list:
     if not isinstance(k.allowed, tuple):
         return ["x" + min(k.allowed)]
     lo, hi = k.allowed
-    step = 1 if k.parse is int else 0.001
+    step = 1 if k.parse is scenario.integer else 0.001
     values = [lo - step]
     if hi != math.inf:
         values.append(hi + step)
-    elif k.parse is float:
+    elif k.parse is scenario.number:
         values.append(math.inf)
     return [number_text(v) for v in values]
 
@@ -101,6 +101,16 @@ def test_range_edges_load(kind, key, text, tmp_path):
     load(kind, key, text, tmp_path)
 
 
+def lax(parse) -> list:
+    """(kind, key, text) for each key read by ``parse`` and each text that
+    Python's int and float read as 1; a list holds five items, as many as
+    the default backoff schedule."""
+    texts = ["0_1", "+1", "\u0661"] if parse is scenario.integer else ["0_1"]
+    return [(kind, key, ", ".join([text] * 5) if k.many else text)
+            for kind, table in TABLES.items() for key, k in table.items()
+            if k.parse is parse for text in texts]
+
+
 @pytest.mark.parametrize("kind, key, text", [
     ("path", "loss_rate", "1.5"),
     ("path", "loss_rate", "-0.5"),
@@ -118,7 +128,10 @@ def test_range_edges_load(kind, key, text, tmp_path):
     ("server", "max_retransmissions", "6"),
     ("defaults", "server_max_retransmissions", "9"),
     ("analytics", "exclude_labels", "edu"),
-])
+    ("rule", "hours", "0_1-5"),
+    ("server", "down_s", "+1-5"),
+    ("path", "hops", "10.9.0.1@CN@0_1"),
+] + lax(scenario.integer) + lax(scenario.number))
 def test_input_that_used_to_load_fails(kind, key, text, tmp_path):
     with pytest.raises(ValueError) as info:
         load(kind, key, text, tmp_path)
@@ -192,8 +205,7 @@ def test_grid_keys_are_not_in_the_file_format(key, tmp_path):
     (scenario.SERVER, simnet.SimServer),
     (scenario.PATH, simnet.Simulator.add_path),
     (scenario.RULE, simnet.FilterRule),
-    (analytics.ANALYTICS, analytics.AnalyticsConfig),
-], ids=["sim", "client", "server", "path", "rule", "analytics"])
+], ids=["sim", "client", "server", "path", "rule"])
 def test_defaults_are_the_constructors(table, target):
     # So an absent key and a key set to its default build the same thing.
     params = inspect.signature(target).parameters

@@ -32,8 +32,8 @@ from inferscan.transport import (
     Transport,
     TransportClosedError,
     TransportError,
-    _check_addr,
     _splitmix64,
+    check_addr,
     derive_seed,
     int_to_addr,
     segment_from_wire,
@@ -141,12 +141,12 @@ class TestCraft:
     def test_non_canonical_address_rejected(self, addr):
         for _ in range(2):  # the second call would find a memoised address
             with pytest.raises(InvalidSegmentError, match="invalid IPv4"):
-                _check_addr(addr)
+                check_addr(addr)
 
     @pytest.mark.parametrize("addr", ["0.0.0.0", "10.0.0.1",
                                       "255.255.255.255", "203.0.113.5"])
     def test_canonical_address_accepted(self, addr):
-        assert _check_addr(addr) == addr == socket.inet_ntoa(
+        assert check_addr(addr) == addr == socket.inet_ntoa(
             socket.inet_aton(addr))
 
     def test_address_memo_stays_bounded(self):
