@@ -95,7 +95,6 @@ class AnalyticsConfig:
     exclude_labels: tuple
     temporal_mode: str
     pair_epoch_s: int
-    prefix_table_path: Optional[str]
 
 
 # The keys of an analytics file's one [analytics] section.
@@ -107,7 +106,6 @@ ANALYTICS = {
     "temporal_mode": Key("temporal_mode", str,
                          {TEMPORAL_EXACT, TEMPORAL_WITHIN}, TEMPORAL_EXACT),
     "pair_epoch_s": Key("pair_epoch_s", integer, AT_LEAST_1, 3600),
-    "prefix_table": Key("prefix_table_path", lambda text: text or None),
 }
 
 

@@ -32,6 +32,8 @@ from .transport import (
     FlowKey,
     IsnGenerator,
     Transport,
+    check_json,
+    check_json_list,
 )
 
 KIND_SYN = "SynScan"
@@ -40,6 +42,7 @@ KIND_RST = "RstScan"
 VERDICT_PASSES = "Passes"
 VERDICT_DROPPED = "Dropped"
 VERDICT_INVALID = "Invalid"
+VERDICTS = (VERDICT_PASSES, VERDICT_DROPPED, VERDICT_INVALID)
 
 REASON_NON_DEFAULT = "non-default-stack"
 REASON_NO_BACKOFF = "no-backoff"
@@ -97,9 +100,15 @@ class BaselineProfile:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "BaselineProfile":
-        return cls(valid=rec["valid"], reason=rec.get("reason"),
-                   retransmission_count=rec["retransmission_count"],
-                   gaps_s=tuple(rec.get("gaps_s", ())))
+        """The baseline a record line stores; a field of the wrong JSON
+        type raises ValueError naming it."""
+        return cls(
+            valid=check_json("valid", rec["valid"], (bool,)),
+            reason=check_json("reason", rec.get("reason"), (type(None), str)),
+            retransmission_count=check_json(
+                "retransmission_count", rec["retransmission_count"], (int,)),
+            gaps_s=tuple(check_json_list("gaps_s", rec.get("gaps_s", []),
+                                         (int, float))))
 
 
 @dataclass
@@ -117,6 +126,8 @@ class BacklogScanRecord:
     def __post_init__(self):
         if self.kind not in (KIND_SYN, KIND_RST):
             raise ValueError(f"bad scan kind: {self.kind}")
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict: {self.verdict!r}")
         if len(self.observed_retransmissions) != self.probe_count:
             raise ValueError("need exactly one retransmission count per probe")
         if (self.verdict == VERDICT_INVALID) != (self.invalid_reason is not None):
@@ -138,19 +149,25 @@ class BacklogScanRecord:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "BacklogScanRecord":
+        """The scan a record line stores; a field of the wrong JSON type
+        raises ValueError naming it."""
         if rec.get("verdict_mapping", MAPPING_MECHANICS) != MAPPING_MECHANICS:
             raise ValueError(f"unknown verdict mapping: {rec['verdict_mapping']!r}")
         return cls(
             kind=rec["kind"],
             relay=EndpointSpec.from_dict(rec["relay"]),
-            probe_count=rec["probe_count"],
-            fill_count=rec["fill_count"],
-            observed_retransmissions=list(rec["observed_retransmissions"]),
+            probe_count=check_json("probe_count", rec["probe_count"], (int,)),
+            fill_count=check_json("fill_count", rec["fill_count"], (int,)),
+            observed_retransmissions=list(check_json_list(
+                "observed_retransmissions", rec["observed_retransmissions"],
+                (type(None), int))),
             baseline=(BaselineProfile.from_dict(rec["baseline"])
                       if rec.get("baseline") else None),
             verdict=rec["verdict"],
-            invalid_reason=rec.get("invalid_reason"),
-            timestamp=rec["timestamp"],
+            invalid_reason=check_json("invalid_reason",
+                                      rec.get("invalid_reason"),
+                                      (type(None), str)),
+            timestamp=check_json("timestamp", rec["timestamp"], (int,)),
         )
 
 

@@ -19,14 +19,12 @@ from typing import Optional
 from . import analytics, backlog, idlescan, store, tracer
 from . import scenario as scenario_mod
 from .endpoints import EndpointSpec, filter_stable, load_endpoints
-from .scenario import ADDR, PORT, SIM, integer, number, read_value
+from .scenario import ADDR, PORT, integer, number, read_value
 from .tracer import PrefixTable, TraceConfig
 from .transport import NS_PER_SEC, TransportError, derive_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-
-SEED_ENV = "INFERSCAN_SEED"
 
 DEFAULT_MONITOR_ADDR = "100.64.0.1"
 DEFAULT_VPS_ADDR = "100.64.0.2"
@@ -47,13 +45,9 @@ class CliError(Exception):
 
 
 def _resolve_seed(args, scn: Optional[scenario_mod.Scenario] = None) -> int:
-    """``--seed``, else ``$INFERSCAN_SEED`` read as the scenario key
-    ``[sim] seed``, else the scenario's seed, else 0."""
-    if getattr(args, "seed", None) is not None:
+    """``--seed``, else the scenario's ``[sim] seed``, else 0."""
+    if args.seed is not None:
         return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return read_value(SEED_ENV, SIM["seed"], env)
     return scn.seed if scn is not None else 0
 
 
@@ -246,8 +240,7 @@ def cmd_prune(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     cfg = analytics.load_analytics_config(args.config)
     table = (PrefixTable.from_csv(args.prefix_table) if args.prefix_table
-             else (PrefixTable.from_csv(cfg.prefix_table_path)
-                   if cfg.prefix_table_path else PrefixTable()))
+             else PrefixTable())
     records = store.load(args.input)
     what = args.what
     if what in ("temporal", "spatial"):
@@ -325,8 +318,8 @@ def _add_sim(sp):
     sp.add_argument("--scenario", default=None,
                     help="scenario file (required on the simulator)")
     sp.add_argument("--seed", type=integer, default=None,
-                    help=f"root seed (falls back to ${SEED_ENV}, then the "
-                         "scenario file)")
+                    help="root seed (falls back to the scenario file's "
+                         "[sim] seed, then 0)")
 
 
 def _add_common(sp):
@@ -379,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common(sp)
     sp.add_argument("--dests", required=True, help="destination CSV")
-    sp.add_argument("--ports", default="9001,9002",
+    sp.add_argument("--ports",
+                    default=f"{tracer.TOR_PORT},{tracer.RAND_PORT}",
                     help="filtered,control source ports")
     sp.add_argument("--hours", type=integer, default=24,
                     help="hour slots per day")
@@ -413,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True, help="record JSONL path")
     sp.add_argument("--config", default=None, help="analytics INI config")
     sp.add_argument("--prefix-table", default=None,
-                    help="CSV cidr,label,region (overrides the config)")
+                    help="CSV cidr,label,region for entry attribution")
     sp.add_argument("--count", choices=["blocked", "unfiltered"],
                     default="blocked", help="diurnal counting mode")
     sp.add_argument("--out", required=True, help="CSV output path")

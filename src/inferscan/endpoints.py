@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 from typing import Iterable
 
 from .scenario import ADDR, PORT, Key, boolean, number, read_section
-from .transport import check_addr, check_range
+from .transport import check_addr, check_json, check_range
 
 ROLES = ("client", "tor-relay", "tor-dir", "web")
 
@@ -46,9 +46,7 @@ class EndpointSpec:
         dotted quad raises ValueError."""
         rec = {"stable": True, **dict.fromkeys(_NUMBERS, 0.0), **rec}
         for name, types in _JSON_TYPES.items():
-            if type(rec[name]) not in types:
-                raise ValueError(f"{name} is not a JSON {types[-1].__name__}:"
-                                 f" {rec[name]!r}")
+            check_json(name, rec[name], types)
         check_range("port", rec["port"], 0, 0xFFFF)
         return cls(addr=check_addr(rec["addr"]), port=rec["port"],
                    role=rec["role"], stable=rec["stable"],
@@ -57,8 +55,8 @@ class EndpointSpec:
 
 _NUMBERS = ("lat", "lon", "uptime_days")  # an endpoint's number fields
 # The JSON types of a stored endpoint's fields; a bool is not an int here.
-_JSON_TYPES = {"port": (int,), "stable": (bool,),
-               **dict.fromkeys(_NUMBERS, (int, float))}
+_JSON_TYPES = {**dict.fromkeys(_NUMBERS, (int, float)), "port": (int,),
+               "stable": (bool,)}
 # The columns of an endpoint CSV, read as the keys of a scenario section;
 # addr, port and role have no default and must be given.
 COLUMNS = {"addr": ADDR, "port": PORT, "role": Key("role"),

@@ -54,6 +54,7 @@ from typing import Callable, NamedTuple, Optional
 from .simnet import (
     DEFAULT_BACKLOG_CAPACITY,
     DEFAULT_BACKOFF_S,
+    DEFAULT_DELAY_NS,
     DEFAULT_MAX_RETRANSMISSIONS,
     DROP,
     IPID_MODES,
@@ -89,9 +90,9 @@ class PathDecl:
 
 @dataclass
 class Scenario:
-    seed: int = 0
-    duration_ns: int = 0
-    default_delay_ns: int = 10_000_000
+    seed: int  # the [sim] keys, defaults in SIM
+    duration_ns: int
+    default_delay_ns: int
     hosts: list = field(default_factory=list)
     paths: list = field(default_factory=list)
     rules: list = field(default_factory=list)
@@ -285,8 +286,8 @@ PORT = Key("port", integer, UINT16)
 SIM = {
     "seed": Key("seed", integer, None, 0),
     "duration_s": Key("duration_ns", number, AT_LEAST_0, 0, scale=NS_PER_SEC),
-    "default_delay_ms": Key("default_delay_ns", number, AT_LEAST_0, 10_000_000,
-                            scale=1e6),
+    "default_delay_ms": Key("default_delay_ns", number, AT_LEAST_0,
+                            DEFAULT_DELAY_NS, scale=1e6),
 }
 CLIENT = {
     "addr": ADDR,
@@ -345,7 +346,7 @@ def loads(text: str) -> Scenario:
     cp = ini_parser()
     try:
         cp.read_string(text)
-        scn = Scenario()
+        scn = Scenario(**read_section(SIM, {}))
         for section in cp.sections():
             try:
                 _load_section(scn, section, cp[section])

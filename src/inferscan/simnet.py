@@ -29,6 +29,7 @@ from .transport import (
 PASS = "pass"
 DROP = "drop"
 
+DEFAULT_DELAY_NS = 10_000_000  # one way, for a path without a delay of its own
 DEFAULT_BACKLOG_CAPACITY = 256
 DEFAULT_MAX_RETRANSMISSIONS = 5
 DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -127,7 +128,7 @@ class SimPath:
     a: str
     b: str
     hops: tuple = ()
-    one_way_delay_ns: int = 10_000_000
+    one_way_delay_ns: int = DEFAULT_DELAY_NS
     loss_rate: float = 0.0
     filtered: bool = False
 
@@ -624,7 +625,7 @@ class SimTransport(Transport):
 class Simulator:
     """Single-threaded deterministic event loop over virtual nanoseconds."""
 
-    def __init__(self, seed: int = 0, default_delay_ns: int = 10_000_000,
+    def __init__(self, seed: int = 0, default_delay_ns: int = DEFAULT_DELAY_NS,
                  trace: Optional[Callable[[dict], None]] = None):
         self.seed = seed
         self.now = 0

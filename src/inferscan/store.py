@@ -22,8 +22,9 @@ from .backlog import (
     BacklogScanRecord,
 )
 from .classify import VARIANTS
+from .endpoints import EndpointSpec
 from .tracer import TracerouteRun
-from .transport import addr_to_int, check_addr, check_range, int_to_addr
+from .transport import addr_to_int, check_range, int_to_addr
 
 SCHEMA_VERSION = 1
 
@@ -225,16 +226,15 @@ def build_idle_record(result, slot: int) -> ScanRecord:
 
 def _read_idle(payload) -> tuple:
     """``(client, server role, label variant)``; the client is its stored
-    ``(addr, lat, lon)``, the key of its series.  The address must be dotted
-    IPv4 and the variant one of classify's, as ``analyze`` needs."""
-    client = payload["client"]
-    key = (client["addr"], client["lat"], client["lon"])
-    hash(key)  # unhashable fields are malformed
-    check_addr(key[0])
+    ``(addr, lat, lon)``, the key of its series.  Both endpoints must read
+    as ``EndpointSpec.from_dict`` reads them, and the variant must be one
+    of classify's, as ``analyze`` needs."""
+    client = EndpointSpec.from_dict(payload["client"])
+    role = EndpointSpec.from_dict(payload["server"]).role
     variant = payload["label"]["variant"]
     if variant not in VARIANTS:
         raise ValueError(f"unknown label variant: {variant!r}")
-    return key, payload["server"]["role"], variant
+    return (client.addr, client.lat, client.lon), role, variant
 
 
 # The backlog dataset's culling rules, in the order backlog.baseline_probe

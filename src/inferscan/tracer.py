@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import ipaddress
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .transport import (
     HOUR_NS,
@@ -20,6 +20,8 @@ from .transport import (
     SYN_ACK,
     FlowKey,
     Transport,
+    _tuple_new,
+    check_json,
     check_range,
 )
 
@@ -94,8 +96,7 @@ class PrefixTable:
         return cls(rows)
 
 
-@dataclass(frozen=True)
-class HopRecord:
+class HopRecord(NamedTuple):
     ttl: int
     responder: Optional[str]  # None = timeout
     rtt_ns: Optional[int]
@@ -138,10 +139,30 @@ class TracerouteRun:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "TracerouteRun":
-        return cls(dest=rec["dest"], src_port=rec["src_port"],
-                   flags=tuple(rec["flags"]),
-                   hops=[HopRecord(t, r, d) for t, r, d in rec["hops"]],
-                   status=rec["status"], hour=rec["hour"],
+        """The run a record line stores.  ``dest`` must be a JSON string,
+        ``src_port`` an int within 0-65535, ``hour`` an int and each hop a
+        row [int ttl, string or null responder, int or null rtt_ns]; a
+        field of the wrong JSON type raises ValueError naming it."""
+        dest = check_json("dest", rec["dest"], (str,))
+        src_port = check_json("src_port", rec["src_port"], (int,))
+        check_range("src_port", src_port, 0, 0xFFFF)
+        hops = []
+        for row in check_json("hops", rec["hops"], (list,)):
+            try:
+                ttl, responder, rtt_ns = row
+            except (TypeError, ValueError):
+                raise ValueError(f"hop is not a row [ttl, responder, "
+                                 f"rtt_ns]: {row!r}") from None
+            if not (type(ttl) is int
+                    and (responder is None or type(responder) is str)
+                    and (rtt_ns is None or type(rtt_ns) is int)):
+                check_json("hop ttl", ttl, (int,))
+                check_json("hop responder", responder, (type(None), str))
+                check_json("hop rtt_ns", rtt_ns, (type(None), int))
+            hops.append(_tuple_new(HopRecord, (ttl, responder, rtt_ns)))
+        return cls(dest=dest, src_port=src_port, flags=tuple(rec["flags"]),
+                   hops=hops, status=rec["status"],
+                   hour=check_json("hour", rec["hour"], (int,)),
                    entry_label=rec.get("entry_label", LABEL_OTHER))
 
 
@@ -262,15 +283,14 @@ def check_schedule(hours: int, days: int) -> None:
 
 
 def run_trace_campaign(transport: Transport, dests: list, table: PrefixTable,
-                       cfg: Optional[TraceConfig] = None, hours: int = 24,
-                       days: int = 1, on_pair=None) -> int:
+                       cfg: TraceConfig, hours: int, days: int,
+                       on_pair=None) -> int:
     """Hourly paired runs to every destination; returns the pair count.
 
     ``hours`` are the hours of each day that get a run, and ``days`` the
     days (see ``check_schedule``).
     """
     check_schedule(hours, days)
-    cfg = cfg or TraceConfig()
     pairs = 0
     for day in range(days):
         for hour in range(hours):

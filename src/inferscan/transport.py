@@ -23,6 +23,9 @@ from typing import Iterable, NamedTuple, Optional
 NS_PER_SEC = 1_000_000_000
 HOUR_NS = 3600 * NS_PER_SEC
 
+#: The most segments per second that a transport sends on one flow.
+RATE_LIMIT = 10
+
 #: How long an unclaimed arrival stays queued.  The latest reply a check can
 #: still claim is a SYN/ACK retransmission 1+2+4+8+16 = 31 s after its SYN.
 PENDING_HORIZON_NS = 60 * NS_PER_SEC
@@ -98,6 +101,23 @@ def check_range(name: str, value, lo, hi) -> None:
     ``lo <= value <= hi``."""
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be within {lo}-{hi}, got {value!r}")
+
+
+def check_json(name: str, value, types: tuple):
+    """``value`` if its type is one of ``types``, exactly, so a bool is not
+    an int; else raise ValueError naming ``name`` and the last type."""
+    if type(value) not in types:
+        raise ValueError(f"{name} is not a JSON {types[-1].__name__}: "
+                         f"{value!r}")
+    return value
+
+
+def check_json_list(name: str, value, types: tuple) -> list:
+    """``value`` if it is a list whose items ``check_json`` admits as
+    ``types``, else raise ValueError naming ``name``."""
+    for item in check_json(name, value, (list,)):
+        check_json(f"{name} item", item, types)
+    return value
 
 
 def addr_to_int(addr: str) -> int:
@@ -322,7 +342,8 @@ class Clock:
 
 
 class FlowRateLimiter:
-    """Paces sends to at most `rate` segments per second per flow.
+    """Paces sends to at most :data:`RATE_LIMIT` segments per second per
+    flow.
 
     A flow's next free slot at or before now gives the same slot as no
     entry, and the clock does not run backward, so such entries are
@@ -334,11 +355,8 @@ class FlowRateLimiter:
     its fields are one entry.
     """
 
-    def __init__(self, rate: float = 10.0):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self._interval_ns = int(NS_PER_SEC / rate)
+    def __init__(self):
+        self._interval_ns = NS_PER_SEC // RATE_LIMIT
         self._next_free: dict[tuple, int] = {}
         self._sweep_at = 2
 
@@ -400,11 +418,11 @@ class Transport:
     supports_spoofing = False
 
     def __init__(self, local_addr: str, isn_seed: int = 0,
-                 rate_limit: float = 10.0, packet_log: Optional[PacketLog] = None):
+                 packet_log: Optional[PacketLog] = None):
         self.local_addr = check_addr(local_addr)
         self.isn = IsnGenerator(isn_seed)
         self._isn_index = 0
-        self._limiter = FlowRateLimiter(rate_limit)
+        self._limiter = FlowRateLimiter()
         self._log = packet_log
         self._open = True
         self._pending: list[tuple[int, TcpSegment]] = []

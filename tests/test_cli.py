@@ -648,6 +648,59 @@ class TestPruneAndAnalyze:
              "payload": "record 1 (BacklogScan) has a malformed payload: "
                         + why}]
 
+    # The one-record scan of each kind, without its --out.
+    SCANS = {
+        "idle": ["idle-scan", "--clients", "clients.csv", "--servers",
+                 "servers.csv", "--scenario", "scen.cfg", "--seed", 5],
+        "backlog": ["backlog-scan", "--kind", "syn", "--relay",
+                    "203.0.113.5:9001", "--scenario", "scen.cfg", "--seed", 7],
+        "trace": ["trace", "--dests", "dests.csv", "--scenario", "trace.cfg",
+                  "--hours", 1, "--days", 1, "--seed", 3],
+    }
+
+    @pytest.mark.parametrize("scan, path, value, field, what", [
+        ("idle", ("client", "lat"), "30.5", "lat", "spatial"),
+        ("idle", ("client", "lat"), True, "lat", "spatial"),
+        ("backlog", ("verdict",), "Maybe", "verdict", "tables"),
+        ("backlog", ("timestamp",), "0", "timestamp", "tables"),
+        ("backlog", ("baseline", "gaps_s"), "abc", "gaps_s", "tables"),
+        ("backlog", ("observed_retransmissions",), "abcde",
+         "observed_retransmissions", "tables"),
+        ("trace", ("tor", "hour"), "1", "hour", "diurnal"),
+        ("trace", ("tor", "hops", 0, 0), "1", "ttl", "diurnal"),
+    ], ids=["idle-lat-text", "idle-lat-bool", "backlog-verdict",
+            "backlog-timestamp-text", "backlog-gaps-text",
+            "backlog-retransmissions-text", "trace-hour-text",
+            "trace-ttl-text"])
+    def test_prune_discards_record_field_of_the_wrong_type(
+            self, workspace, capsys, monkeypatch, scan, path, value, field,
+            what):
+        # Each edit but the TTL used to pass prune; "30.5", "Maybe", "0"
+        # and the hour "1" then ended analyze in a bare traceback, and the
+        # TTL "1" failed with Python's "'<' not supported" message.
+        monkeypatch.chdir(workspace)
+        data = workspace / "data.jsonl"
+        assert run(self.SCANS[scan] + ["--out", data]) == EXIT_OK
+        [rec] = store.load(data)
+        assert rec.admitted
+        holder = rec.payload
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        data.write_text(rec.to_json() + "\n")
+        discards = workspace / "discards.jsonl"
+        capsys.readouterr()
+        assert run(["prune", "--input", data, "--out", workspace / "p.jsonl",
+                    "--discard-log", discards]) == EXIT_OK
+        assert "retained 0/1" in capsys.readouterr().out
+        [entry] = [json.loads(l) for l in discards.read_text().splitlines()]
+        assert entry["failed"] == []
+        assert field in entry["payload"] and repr(value) in entry["payload"]
+        assert run(["analyze", what, "--input", data,
+                    "--out", workspace / "a.csv"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {entry['payload']}"
+
     def test_analyze_tables_culls_a_prefix_table_label(self, workspace):
         # A label of the prefix table's own used to end analyze tables in
         # a bare KeyError: ('NET', 'Torport').
@@ -713,50 +766,21 @@ class TestQualifyCommand:
 
 
 class TestSeedResolution:
-    def test_environment_seed_fallback(self, workspace, monkeypatch):
+    def test_exported_seed_changes_nothing(self, tmp_path, monkeypatch):
+        # The seed is --seed, else the scenario's [sim] seed: a variable in
+        # the environment is no input, so a run without --seed writes the
+        # same bytes whether or not INFERSCAN_SEED is exported.
+        smoke = Path(__file__).resolve().parent / "smoke"
         outs = []
-        for name in ("env1.jsonl", "env2.jsonl"):
-            monkeypatch.setenv("INFERSCAN_SEED", "314")
-            out = workspace / name
-            run(["idle-scan", "--clients", workspace / "clients.csv",
-                 "--servers", workspace / "servers.csv",
-                 "--scenario", workspace / "scen.cfg",
-                 "--rounds", 1, "--out", out])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        monkeypatch.setenv("INFERSCAN_SEED", "315")
-        other = workspace / "env3.jsonl"
-        run(["idle-scan", "--clients", workspace / "clients.csv",
-             "--servers", workspace / "servers.csv",
-             "--scenario", workspace / "scen.cfg",
-             "--rounds", 1, "--out", other])
-        assert other.read_bytes() != outs[0]
-
-    def test_explicit_seed_beats_environment(self, workspace, monkeypatch):
-        monkeypatch.setenv("INFERSCAN_SEED", "314")
-        with_env = workspace / "w1.jsonl"
-        run(["idle-scan", "--clients", workspace / "clients.csv",
-             "--servers", workspace / "servers.csv",
-             "--scenario", workspace / "scen.cfg",
-             "--rounds", 1, "--seed", 5, "--out", with_env])
-        monkeypatch.delenv("INFERSCAN_SEED")
-        without = workspace / "w2.jsonl"
-        run(["idle-scan", "--clients", workspace / "clients.csv",
-             "--servers", workspace / "servers.csv",
-             "--scenario", workspace / "scen.cfg",
-             "--rounds", 1, "--seed", 5, "--out", without])
-        assert with_env.read_bytes() == without.read_bytes()
-
-    def test_unparsable_environment_seed_refused(self, workspace, capsys,
-                                                 monkeypatch):
-        monkeypatch.setenv("INFERSCAN_SEED", "abc")
-        out = workspace / "t.jsonl"
-        code = run(["simulate", "--scenario", workspace / "trace.cfg",
-                    "--duration-s", 30, "--out", out])
-        assert code == 1
-        assert capsys.readouterr() == (
-            "", "error: INFERSCAN_SEED: 'abc' is not an integer\n")
-        assert not out.exists()
+        for exported in (False, True):
+            if exported:
+                monkeypatch.setenv("INFERSCAN_SEED", "1")
+            outs.append(tmp_path / f"events{int(exported)}.jsonl")
+            assert run(["simulate", "--scenario", smoke / "scenario.cfg",
+                        "--duration-s", 30, "--out", outs[-1]]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # Noise is drawn from the seed, so another seed would show.
+        assert outs[0].read_bytes().count(b'"ev":"noise"') > 0
 
 
 class TestMalformedInput:
@@ -1108,10 +1132,10 @@ LAX_9001 = ["9_001", "+9001", "\u0669\u0660\u0660\u0661"]
 
 
 class TestOneGrammar:
-    """Every value from a file, a flag or the environment is read by the
-    scenario grammar, so a lax integer fails on every input path."""
+    """Every value from a file or a flag is read by the scenario grammar,
+    so a lax integer fails on every input path."""
 
-    def args(self, workspace, path, text, monkeypatch):
+    def args(self, workspace, path, text):
         """The CLI call that takes ``text`` on ``path``, and the name its
         error line gives the input."""
         out = workspace / "out.jsonl"
@@ -1129,9 +1153,6 @@ class TestOneGrammar:
                     "--scenario", workspace / "scen.cfg", "--out", out], path
         if path == "--ports":
             return trace + ["--ports", f"{text},9002"], path
-        if path == "$INFERSCAN_SEED":
-            monkeypatch.setenv("INFERSCAN_SEED", text)
-            return simulate, "INFERSCAN_SEED: "
         if path == "[rule] port":
             (workspace / "trace.cfg").write_text(
                 TRACE_SCENARIO.replace("port = 9001", f"port = {text}"))
@@ -1150,12 +1171,11 @@ class TestOneGrammar:
 
     @pytest.mark.parametrize("text", LAX_9001)
     @pytest.mark.parametrize("path", [
-        "--relay", "--ports", "$INFERSCAN_SEED", "[rule] port", "CSV port",
+        "--relay", "--ports", "[rule] port", "CSV port",
         "--seed", "--rounds", "--redact-client-bits", "--hours", "--days",
         "--duration-s"])
-    def test_lax_integer_refused(self, workspace, capsys, monkeypatch, path,
-                                 text):
-        args, name = self.args(workspace, path, text, monkeypatch)
+    def test_lax_integer_refused(self, workspace, capsys, path, text):
+        args, name = self.args(workspace, path, text)
         if name.startswith("argument "):  # a usage error
             with pytest.raises(SystemExit) as exc:
                 run(args)

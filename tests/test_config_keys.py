@@ -139,8 +139,8 @@ def test_input_that_used_to_load_fails(kind, key, text, tmp_path):
     assert f"{header(kind)} {key}: " in message and "\n" not in message
 
 
-# Keys whose values are addresses or a file path, not parsed into a form.
-UNPARSED = {"addr", "hops", "path_hops", "prefix_table"}
+# Keys whose values are addresses, not parsed into a form.
+UNPARSED = {"addr", "hops", "path_hops"}
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -196,6 +196,14 @@ def test_grid_keys_are_not_in_the_file_format(key, tmp_path):
     path = tmp_path / "analytics.ini"
     path.write_text(f"[analytics]\n{key} = 3\n")
     with pytest.raises(ValueError, match=rf"unknown key: {key}$"):
+        analytics.load_analytics_config(path)
+
+
+def test_prefix_table_is_a_flag_not_a_key(tmp_path):
+    # analyze --prefix-table is the one way to name a prefix table.
+    path = tmp_path / "analytics.ini"
+    path.write_text("[analytics]\nprefix_table = prefixes.csv\n")
+    with pytest.raises(ValueError, match=r"unknown key: prefix_table$"):
         analytics.load_analytics_config(path)
 
 

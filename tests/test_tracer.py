@@ -266,6 +266,7 @@ class TestSettings:
         tr = build_trace_sim().attach(RELAY)
         pairs = []
         with pytest.raises(ValueError, match=f"^{why}$"):
-            run_trace_campaign(tr, [DEST], PrefixTable(), hours=hours,
-                               days=days, on_pair=lambda *a: pairs.append(a))
+            run_trace_campaign(tr, [DEST], PrefixTable(), TraceConfig(),
+                               hours=hours, days=days,
+                               on_pair=lambda *a: pairs.append(a))
         assert pairs == [] and tr.clock.now_ns() == 0

@@ -22,6 +22,7 @@ from inferscan.transport import (
     FLAG_BITS,
     NS_PER_SEC,
     PENDING_HORIZON_NS,
+    RATE_LIMIT,
     Clock,
     FlowKey,
     FlowRateLimiter,
@@ -311,16 +312,17 @@ class TestSend:
     def test_reserved_flow_key_and_send_share_one_slot_entry(self):
         # send keys the limiter with the segment's plain 4-tuple, which is
         # equal and hash-equal to the FlowKey reserved here.
-        sim, tr = make_transport(rate_limit=10.0)
+        sim, tr = make_transport()
         first = tr._limiter.reserve(FlowKey(MM, 40000, "203.0.113.5", 80),
                                     sim.now)
         seg = tr.craft_segment(dst_addr="203.0.113.5", dst_port=80,
                                flags=("SYN",), src_port=40000)
-        assert tr.send(seg) == first + NS_PER_SEC // 10
+        assert tr.send(seg) == first + NS_PER_SEC // RATE_LIMIT
         assert len(tr._limiter._next_free) == 1
 
     def test_rate_pacing_five_per_second(self):
-        _, tr = make_transport(rate_limit=5.0)
+        # Five sends on one flow, one RATE_LIMIT interval apart.
+        _, tr = make_transport()
         receipts = []
         for _ in range(5):
             seg = tr.craft_segment(
@@ -329,7 +331,8 @@ class TestSend:
             receipts.append(tr.send(seg))
         gaps = [b - a for a, b in zip(receipts, receipts[1:])]
         for gap in gaps:
-            assert abs(gap - NS_PER_SEC // 5) <= NS_PER_SEC // 50
+            assert (abs(gap - NS_PER_SEC // RATE_LIMIT)
+                    <= NS_PER_SEC // (10 * RATE_LIMIT))
 
 
 class TestCapture:
@@ -515,12 +518,12 @@ class TestCaptureQueue:
     def test_arrivals_inside_the_window_are_never_expired(self):
         sim = Simulator(seed=2)
         sim.add_client("36.10.0.5")
-        tr = sim.attach(MM, rate_limit=0.01)  # one probe per 100 s
+        tr = sim.attach(MM)
         flow = FlowKey("36.10.0.5", 443, MM, 40000)
-        for _ in range(3):
+        for i in range(3):  # one probe per 100 s
             tr.send(tr.craft_segment(
                 dst_addr="36.10.0.5", dst_port=443, flags=("SYN", "ACK"),
-                src_port=40000))
+                src_port=40000), at_ns=i * 100 * NS_PER_SEC)
         got = tr.capture([flow], tr.clock.now_ns() + 3 * PENDING_HORIZON_NS
                          + 30 * NS_PER_SEC)
         assert len(got) == 3
@@ -565,12 +568,12 @@ class TestFlowRateLimiter:
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 150_000_000)),
                     max_size=200))
     def test_sweeps_never_change_a_slot(self, sends):
-        limiter, next_free, now = FlowRateLimiter(rate=10.0), {}, 0
+        limiter, next_free, now = FlowRateLimiter(), {}, 0
         for port, wait in sends:
             now += wait
             flow = FlowKey(MM, port, "36.10.0.5", 443)
             expected = max(now, next_free.get(flow, 0))
-            next_free[flow] = expected + NS_PER_SEC // 10
+            next_free[flow] = expected + NS_PER_SEC // RATE_LIMIT
             assert limiter.reserve(flow, now) == expected
 
     @given(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 150_000_000),
@@ -579,7 +582,7 @@ class TestFlowRateLimiter:
         """Sends queued up to 60 s ahead: a flow's slots never come closer
         than the rate interval, none before its requested time, and the
         table stays under twice the most flows ever pending at once."""
-        limiter, slots, now, peak = FlowRateLimiter(rate=10.0), {}, 0, 0
+        limiter, slots, now, peak = FlowRateLimiter(), {}, 0, 0
         for port, wait, ahead in sends:
             now += wait
             flow = FlowKey(MM, port, "36.10.0.5", 443)
@@ -589,7 +592,7 @@ class TestFlowRateLimiter:
             peak = max(peak, sum(t > now for t in limiter._next_free.values()))
             assert len(limiter._next_free) <= 2 * peak
         for times in slots.values():
-            assert all(b - a >= NS_PER_SEC // 10
+            assert all(b - a >= NS_PER_SEC // RATE_LIMIT
                        for a, b in zip(times, times[1:]))
 
     def test_size_tracks_pending_flows_not_pairs(self):
@@ -652,9 +655,9 @@ class TestValueTypes:
         built = FlowKey("36.10.0.5", 443, MM, 40000)
         assert built == self.SEG.flow and built is not self.SEG.flow
         assert hash(built) == hash(self.SEG.flow)
-        limiter = FlowRateLimiter(rate=10.0)
+        limiter = FlowRateLimiter()
         assert limiter.reserve(self.SEG.flow, 0) == 0
-        assert limiter.reserve(built, 0) == NS_PER_SEC // 10
+        assert limiter.reserve(built, 0) == NS_PER_SEC // RATE_LIMIT
 
     def test_simulated_hosts_key_their_state_by_value(self):
         sim = Simulator(seed=3)
